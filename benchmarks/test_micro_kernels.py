@@ -15,7 +15,6 @@ from repro.pruning.base import ScanSet
 from repro.pruning.filter_pruning import FilterPruner
 from repro.pruning.join_pruning import build_summary
 from repro.pruning.stats_index import (
-    StatsIndex,
     VectorizedFilterPruner,
     compile_pruning_kernel,
 )
@@ -46,7 +45,8 @@ _COMPILABLE_PREDICATE = And(
     InList(col("category"), ["cat01", "cat03", "cat05"]),
     Compare(">", col("score"), lit(250_000)),
 )
-_STATS_INDEX = StatsIndex(_SCAN_SET.entries)
+#: the scan set packs (once) and owns the index the kernels classify
+_STATS_INDEX = _SCAN_SET.stats_index
 
 
 def test_prune_partition_check(benchmark):
@@ -70,8 +70,7 @@ def test_vectorized_pruner_500_partitions(benchmark):
     """Kernel-compiled pruning of the same 500-partition scan set."""
 
     def prune():
-        pruner = VectorizedFilterPruner(
-            _COMPILABLE_PREDICATE, SCHEMA, index=_STATS_INDEX)
+        pruner = VectorizedFilterPruner(_COMPILABLE_PREDICATE, SCHEMA)
         return pruner.prune(_SCAN_SET).after
 
     result = benchmark(prune)

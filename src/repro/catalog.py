@@ -64,6 +64,13 @@ _QUERY_COUNTER = itertools.count(1)
 _NO_SPAN = nullcontext(None)
 
 
+def _tables_of(stmt) -> list[str]:
+    """Lower-cased names of the tables a SELECT reads, FROM first."""
+    return list(dict.fromkeys(
+        t.lower() for t in [stmt.table.name]
+        + [j.table.name for j in stmt.joins]))
+
+
 def _span(tracer: Tracer | None, name: str, **attrs):
     """A tracer span, or a shared no-op when tracing is off."""
     if tracer is None:
@@ -560,12 +567,17 @@ class Catalog:
         and the partition is scanned. A full metadata outage degrades
         the partition *listing* to the in-memory table as well. The
         returned scan set carries ``degraded_ids`` plus metadata retry
-        accounting for the query profile.
+        accounting for the query profile, and the metadata store's
+        incrementally maintained stats index for the table: an
+        internal structure read beside the entries (outside the fault
+        stack), which the scan set trusts per entry only where it
+        holds the very zone map that was fetched.
         """
         meta = self.metadata
+        index = meta.stats_index(table)
         if (meta.fault_injector is None and meta.retry_policy is None
                 and meta.breaker is None):
-            return ScanSet(meta.iter_table(table))
+            return ScanSet(meta.iter_table(table), index=index)
 
         from .faults.retry import RetryStats
 
@@ -605,22 +617,11 @@ class Catalog:
             # every pruning check answer MAYBE.
             entries.append((pid, partition.zone_map.without_stats()))
             degraded_ids.append(pid)
-        scan = ScanSet(entries, degraded_ids=degraded_ids)
+        scan = ScanSet(entries, degraded_ids=degraded_ids, index=index)
         snap = stats.snapshot()
         scan.metadata_retries = int(snap["retries"])
         scan.metadata_backoff_ms = snap["backoff_ms"]
         return scan
-
-    def stats_index(self, table: str):
-        """SoA zone-map index for vectorized pruning of ``table``.
-
-        Delegates to the metadata store, which maintains the index
-        incrementally from DML write deltas. The compiler matches the
-        index against the scan set it actually fetched per partition
-        (object identity), so degraded or stale entries simply take
-        the scalar path.
-        """
-        return self.metadata.stats_index(self._table(table).name)
 
     def enable_fault_injection(self, injector, retry_policy=None,
                                breaker=None):
@@ -693,11 +694,8 @@ class Catalog:
                     stmt = parse_statement(text)
             if isinstance(stmt, (DeleteStmt, UpdateStmt)):
                 kind = "dml"
-                with _span(tracer, "dml", table=stmt.table):
-                    result = self._execute_dml(stmt, cache=cache,
-                                               tracer=tracer)
-                if tracer is not None:
-                    result.profile.trace = tracer.finish()
+                result = self._execute_dml(stmt, cache=cache,
+                                           tracer=tracer)
             else:
                 with _span(tracer, "plan"):
                     plan = plan_select(stmt, self.schema_of)
@@ -719,11 +717,8 @@ class Catalog:
         (``repro.plancache.schema_prune``) avoids.
         """
         cost = self.storage.cost_model
-        tables = dict.fromkeys(
-            t.lower() for t in [stmt.table.name]
-            + [j.table.name for j in stmt.joins])
         width = 0
-        for name in tables:
+        for name in _tables_of(stmt):
             try:
                 width += len(self.schema_of(name))
             except SchemaError:
@@ -797,9 +792,7 @@ class Catalog:
         if not cacheable:
             plan_cache.mark_uncacheable(pq.shape_key)
             return None, stmt
-        tables = list(dict.fromkeys(
-            t.lower() for t in [stmt.table.name]
-            + [j.table.name for j in stmt.joins]))
+        tables = _tables_of(stmt)
         try:
             if self._plan_cache_prune_schemas:
                 resolver, width = make_pruned_resolver(
@@ -835,14 +828,17 @@ class Catalog:
         predicate = stmt.where if stmt.where is not None \
             else ast.Literal(True)
         profile = QueryProfile(query_id=f"q{next(_QUERY_COUNTER)}")
-        if isinstance(stmt, DeleteStmt):
-            affected = self.delete_where(table.name, predicate,
-                                         profile=profile, cache=cache,
-                                         tracer=tracer)
-        else:
-            affected = self._update_with_expr(
-                table, predicate, stmt.column, stmt.value, profile,
-                cache=cache, tracer=tracer)
+        with _span(tracer, "dml", table=stmt.table):
+            if isinstance(stmt, DeleteStmt):
+                affected = self.delete_where(
+                    table.name, predicate, profile=profile,
+                    cache=cache, tracer=tracer)
+            else:
+                affected = self._update_with_expr(
+                    table, predicate, stmt.column, stmt.value, profile,
+                    cache=cache, tracer=tracer)
+        if tracer is not None:
+            profile.trace = tracer.finish()
         return QueryResult(
             schema=Schema.of(rows_affected=DataType.INTEGER),
             rows=[(affected,)],
@@ -895,28 +891,32 @@ class Catalog:
         """Parse and plan without executing (plan-shape analyses)."""
         return plan_select(parse_select(text), self.schema_of)
 
+    def _compiler_options(self, options: CompilerOptions | None
+                          ) -> CompilerOptions:
+        """Per-statement options, defaulting the predicate cache to
+        the catalog's own."""
+        options = options or CompilerOptions()
+        if options.predicate_cache is None:
+            options.predicate_cache = self.predicate_cache
+        return options
+
     def explain(self, text: str,
                 options: CompilerOptions | None = None) -> str:
         """Compile a query and render its physical plan with pruning
         annotations, without executing it."""
         from .plan.explain import render_plan
 
-        options = options or CompilerOptions()
-        if options.predicate_cache is None and \
-                self.predicate_cache is not None:
-            options.predicate_cache = self.predicate_cache
         stmt = parse_select(text)
         plan = plan_select(stmt, self.schema_of)
         context = ExecContext(self.storage, self.metadata,
                               query_id="explain",
                               scan_parallelism=self.scan_parallelism)
-        compiled = self._compiler.compile(plan, context, options)
+        compiled = self._compiler.compile(
+            plan, context, self._compiler_options(options))
         rendered = render_plan(compiled.root)
-        tables = [stmt.table.name] + [j.table.name
-                                      for j in stmt.joins]
         versions = ", ".join(
             f"{name}=v{self._table(name).version}"
-            for name in dict.fromkeys(t.lower() for t in tables))
+            for name in _tables_of(stmt))
         report = f"{rendered}\n-- table versions: {versions}"
         if self.plan_cache is not None:
             from .plancache import parameterize_text
@@ -933,10 +933,11 @@ class Catalog:
         """Execute a statement, then render its plan annotated with
         the *observed* pruning, retry, and degradation counters.
 
-        Unlike :meth:`explain`, the query actually runs; the report
-        includes the resilience summary (retries absorbed, backoff,
-        degraded partitions) so operators can see how a query behaved
-        under faults.
+        Unlike :meth:`explain`, the query actually runs — a SELECT
+        through :meth:`execute_plan`, exactly as :meth:`sql`'s cold
+        path runs it; the report includes the resilience summary
+        (retries absorbed, backoff, degraded partitions) so operators
+        can see how a query behaved under faults.
         """
         from .plan.explain import render_plan
         from .sql.parser import DeleteStmt, UpdateStmt, parse_statement
@@ -945,40 +946,23 @@ class Catalog:
         with _span(tracer, "parse"):
             stmt = parse_statement(text)
         if isinstance(stmt, (DeleteStmt, UpdateStmt)):
-            with _span(tracer, "dml", table=stmt.table):
-                result = self._execute_dml(stmt, tracer=tracer)
+            result = self._execute_dml(stmt, tracer=tracer)
             profile = result.profile
-            if tracer is not None:
-                profile.trace = tracer.finish()
             header = (f"-- EXPLAIN ANALYZE "
                       f"({result.rows[0][0]} rows affected)")
             body = profile.pruning_summary()
         else:
-            options = options or CompilerOptions()
-            if options.predicate_cache is None and \
-                    self.predicate_cache is not None:
-                options.predicate_cache = self.predicate_cache
             with _span(tracer, "plan"):
                 plan = plan_select(stmt, self.schema_of)
-            context = ExecContext(self.storage, self.metadata,
-                                  query_id=f"q{next(_QUERY_COUNTER)}",
-                                  scan_parallelism=self.scan_parallelism,
-                                  tracer=tracer,
-                                  cache=self._effective_cache(None))
-            with _span(tracer, "compile"):
-                compiled = self._compiler.compile(plan, context,
-                                                  options)
-            with _span(tracer, "execute") as exec_span:
-                context.exec_span = exec_span
-                execution = execute(compiled.root, context)
-                for hook in compiled.post_exec_hooks:
-                    hook()
-            profile = context.profile
-            if tracer is not None:
-                profile.trace = tracer.finish()
-            header = (f"-- EXPLAIN ANALYZE ({len(execution.rows)} rows, "
+            roots: list = []
+            result = self.execute_plan(
+                plan, options, tracer=tracer,
+                pre_compile_ms=self._cold_compile_cost(stmt),
+                on_compiled=roots.append)
+            profile = result.profile
+            header = (f"-- EXPLAIN ANALYZE ({result.num_rows} rows, "
                       f"{profile.total_ms:.2f} ms simulated)")
-            body = render_plan(compiled.root)
+            body = render_plan(roots[0])
             topk_checks = sum(s.topk_checks for s in profile.scans)
             if topk_checks:
                 body += (f"\n-- topk: {topk_checks} checks / "
@@ -1000,7 +984,9 @@ class Catalog:
                      tracer: Tracer | None = None,
                      cache: PartitionCache | None = None,
                      pre_compile_ms: float = 0.0,
-                     rebind: tuple | None = None) -> QueryResult:
+                     rebind: tuple | None = None,
+                     on_compiled: Callable[[Any], None] | None = None
+                     ) -> QueryResult:
         """Compile and execute an already-planned logical tree.
 
         ``pre_compile_ms`` charges simulated compile time spent before
@@ -1009,12 +995,10 @@ class Catalog:
         front end. ``rebind=(template, binds, slots)`` lowers a cached
         plan-cache template through
         :meth:`~repro.plan.compiler.QueryCompiler.compile_rebound`
-        instead of ``plan``.
+        instead of ``plan``. ``on_compiled`` receives the physical
+        root operator (EXPLAIN ANALYZE renders it after the run).
         """
-        options = options or CompilerOptions()
-        if options.predicate_cache is None and \
-                self.predicate_cache is not None:
-            options.predicate_cache = self.predicate_cache
+        options = self._compiler_options(options)
         if tracer is None:
             tracer = self._new_tracer()
         context = ExecContext(self.storage, self.metadata,
@@ -1032,6 +1016,8 @@ class Catalog:
             else:
                 compiled = self._compiler.compile(plan, context,
                                                   options)
+        if on_compiled is not None:
+            on_compiled(compiled.root)
         with _span(tracer, "execute") as exec_span:
             context.exec_span = exec_span
             execution = execute(compiled.root, context)
@@ -1107,11 +1093,11 @@ class Catalog:
         if not is_prunable(predicate):
             candidates = table.partitions
         else:
-            scan_set = ScanSet((p.partition_id, p.zone_map)
-                               for p in table.partitions)
+            scan_set = ScanSet(
+                ((p.partition_id, p.zone_map) for p in table.partitions),
+                index=self.metadata.stats_index(table.name))
             pruner = VectorizedFilterPruner(predicate, table.schema,
-                                            detect_fully_matching=False,
-                                            index=table.stats_index())
+                                            detect_fully_matching=False)
             result = pruner.prune(scan_set)
             if profile is not None:
                 scan_profile = profile.new_scan(table.name)

@@ -17,10 +17,9 @@ import numpy as np
 from ..errors import ExecutionError, PlanError
 from ..expr import ast
 from ..expr.eval import evaluate, evaluate_predicate
-from ..expr.pruning import TriState
 from ..pruning.base import ScanSet
-from ..pruning.filter_pruning import FilterPruner
 from ..pruning.join_pruning import JoinPruner, build_summary
+from ..pruning.stats_index import VectorizedFilterPruner
 from ..pruning.summaries import BloomFilter
 from ..pruning.topk_pruning import Boundary, TopKPruner, rank_of
 from ..storage.column import Column
@@ -118,16 +117,10 @@ class Scan(Operator):
         if self.profile.total_partitions == 0:
             self.profile.total_partitions = len(scan_set)
         self.topk_pruners: list[TopKPruner] = []
-        self.runtime_filter_pruner: FilterPruner | None = None
-        #: SoA zone-map index for vectorized runtime pruning, attached
-        #: by the compiler when vectorized pruning is enabled; runtime
-        #: join-filter summaries and deferred filters classify against
-        #: it in bulk instead of per-partition AST walks.
-        self.stats_index = None
-        #: lazily computed verdict codes of the deferred filter over
-        #: the stats index (one kernel pass for the whole scan set).
-        self._deferred_codes = None
-        self._deferred_classified = False
+        self.runtime_filter_pruner: VectorizedFilterPruner | None = None
+        #: ids the deferred filter proves empty, classified for the
+        #: whole scan set in one pass on first use.
+        self._deferred_pruned: frozenset[int] | None = None
         #: open trace span while the scan iterates (tracing only)
         self._span = None
 
@@ -135,19 +128,16 @@ class Scan(Operator):
     def attach_topk_pruner(self, pruner: TopKPruner) -> None:
         self.topk_pruners.append(pruner)
 
-    def attach_deferred_filter(self, pruner: FilterPruner) -> None:
+    def attach_deferred_filter(self,
+                               pruner: VectorizedFilterPruner) -> None:
         self.runtime_filter_pruner = pruner
 
     def apply_join_pruning(self, pruner: JoinPruner) -> None:
         """Eagerly restrict the scan set with a build-side summary."""
-        if pruner.index is None:
-            pruner.index = self.stats_index
         result = pruner.prune(self.scan_set)
-        if pruner.vector_checks:
-            self.context.charge_prune_checks(pruner.vector_checks,
-                                             vectorized=True)
-        if pruner.fallback_checks:
-            self.context.charge_prune_checks(pruner.fallback_checks)
+        self.context.charge_prune_checks(pruner.vector_checks,
+                                         vectorized=True)
+        self.context.charge_prune_checks(pruner.fallback_checks)
         self.context.trace_event(
             "prune:join", table=self.table, before=result.before,
             after=result.after, checks=result.checks, mode=pruner.mode)
@@ -493,7 +483,8 @@ class Scan(Operator):
         if partition_id not in self.scan_set.degraded_ids:
             for pruner in self.topk_pruners:
                 vector_before = pruner.vector_checks
-                skip = pruner.should_skip(zone_map, partition_id)
+                skip = pruner.should_skip(zone_map, partition_id,
+                                          self.scan_set)
                 self.context.charge_prune_checks(
                     1, vectorized=pruner.vector_checks > vector_before)
                 self.profile.topk_checks += 1
@@ -501,10 +492,13 @@ class Scan(Operator):
                     self.profile.topk_skipped += 1
                     return True
         if self.runtime_filter_pruner is not None:
-            verdict, vectorized = self._deferred_verdict(partition_id,
-                                                         zone_map)
-            self.context.charge_prune_checks(1, vectorized=vectorized)
-            if verdict == TriState.NEVER:
+            skip = self._deferred_skip(partition_id)
+            self.context.charge_prune_checks(
+                1, vectorized=(
+                    self.runtime_filter_pruner.mode != "fallback"
+                    and self.scan_set.trusted_row(partition_id)
+                    is not None))
+            if skip:
                 self._record_runtime_filter_prune()
                 return True
         return False
@@ -521,63 +515,30 @@ class Scan(Operator):
         """
         if partition_id in self.scan_set.degraded_ids:
             return False
-        for pruner in self.topk_pruners:
-            if pruner.peek_skip(zone_map, partition_id):
-                return True
-        if self.runtime_filter_pruner is not None:
-            verdict, _ = self._deferred_verdict(partition_id, zone_map)
-            if verdict == TriState.NEVER:
-                return True
-        return False
+        return (self._boundary_skip(partition_id, zone_map)
+                or (self.runtime_filter_pruner is not None
+                    and self._deferred_skip(partition_id)))
 
     def _boundary_skip(self, partition_id: int, zone_map) -> bool:
         """Worker-thread claim-time boundary re-check (boundary only:
         deferred-filter verdicts are static and already previewed at
         submission). Counter-free; degraded entries never skip because
         their stats-free zone maps answer "best possible rank"."""
-        for pruner in self.topk_pruners:
-            if pruner.peek_skip(zone_map, partition_id):
-                return True
-        return False
+        return any(pruner.peek_skip(zone_map, partition_id, self.scan_set)
+                   for pruner in self.topk_pruners)
 
-    def _deferred_verdict(self, partition_id: int,
-                          zone_map) -> "tuple[TriState, bool]":
-        """Classify one partition against the deferred runtime filter.
+    def _deferred_skip(self, partition_id: int) -> bool:
+        """Does the deferred runtime filter prove the partition empty?
 
-        Returns ``(verdict, vectorized)``. The verdict is a pure
-        function of the zone map, so the whole scan set pre-classifies
-        in one kernel pass over the stats index on first use; entries
-        the index cannot vouch for by zone-map identity fall back to
-        the scalar AST walk (the differential oracle).
+        The verdict is a pure function of the zone map, so the whole
+        scan set is pruned in one call on first use — by the same
+        pruner, over the same scan-set-carried index, as compile-time
+        filter pruning.
         """
-        codes = self._deferred_classification()
-        if codes is not None:
-            index = self.stats_index
-            row = index.row_of(partition_id)
-            if row is not None and index.zone_map_at(row) is zone_map:
-                from ..pruning.stats_index import _CODE_TO_TRISTATE
-
-                verdict = _CODE_TO_TRISTATE[int(codes[row])]
-                # The deferred pruner never detects fully-matching
-                # (widening already happened); only NEVER matters.
-                if verdict is TriState.ALWAYS:
-                    verdict = TriState.MAYBE
-                return verdict, True
-        return self.runtime_filter_pruner.classify(zone_map), False
-
-    def _deferred_classification(self):
-        if not self._deferred_classified:
-            self._deferred_classified = True
-            index = self.stats_index
-            pruner = self.runtime_filter_pruner
-            if index is not None and len(index) and pruner is not None \
-                    and pruner.widened == pruner.predicate:
-                from ..pruning.stats_index import compile_pruning_kernel
-
-                kernel = compile_pruning_kernel(pruner.predicate)
-                if kernel is not None:
-                    self._deferred_codes = kernel.classify(index)
-        return self._deferred_codes
+        if self._deferred_pruned is None:
+            self._deferred_pruned = frozenset(
+                self.runtime_filter_pruner.prune(self.scan_set).pruned_ids)
+        return partition_id in self._deferred_pruned
 
     def _discard_morsel(self, partition_id: int, future) -> None:
         """Drop a speculatively loaded morsel the accounted check
@@ -713,8 +674,7 @@ class HashJoin(Operator):
                  join_type: str = "inner",
                  probe_scan: "Scan | None" = None,
                  probe_scan_column: str | None = None,
-                 summary_kind: str = "rangeset",
-                 use_bloom_row_filter: bool = True):
+                 summary_kind: str = "rangeset"):
         if join_type not in ("inner", "left_outer"):
             raise PlanError(f"unsupported join type {join_type!r}")
         self.context = context
@@ -726,7 +686,6 @@ class HashJoin(Operator):
         self.probe_scan = probe_scan
         self.probe_scan_column = (probe_scan_column or probe_key).lower()
         self.summary_kind = summary_kind
-        self.use_bloom_row_filter = use_bloom_row_filter
         self.schema = probe.schema.concat(build.schema)
         self.bloom_probes_skipped = 0
         self.build_rows = 0
@@ -750,11 +709,9 @@ class HashJoin(Operator):
             (key_column.values[i] for i in range(len(key_column))
              if not key_column.nulls[i]),
             kind=self.summary_kind)
-        self._bloom = None
-        if self.use_bloom_row_filter:
-            self._bloom = BloomFilter(expected_items=max(1, len(table)))
-            for key in table:
-                self._bloom.add(key)
+        self._bloom = BloomFilter(expected_items=max(1, len(table)))
+        for key in table:
+            self._bloom.add(key)
         self._prune_probe_side(summary)
         return build_chunk, table
 
@@ -782,8 +739,7 @@ class HashJoin(Operator):
                         unmatched.append(i)
                     continue
                 key = key_column.values[i]
-                if self._bloom is not None and not \
-                        self._bloom.might_contain(key):
+                if not self._bloom.might_contain(key):
                     self.bloom_probes_skipped += 1
                     if self.join_type == "left_outer":
                         unmatched.append(i)

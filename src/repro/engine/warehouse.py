@@ -43,10 +43,9 @@ class Warehouse:
 
     def stripe(self, scan_set: ScanSet) -> list[ScanSet]:
         """Round-robin assignment of partitions to workers."""
-        stripes: list[list] = [[] for _ in range(self.n_workers)]
-        for i, entry in enumerate(scan_set.entries):
-            stripes[i % self.n_workers].append(entry)
-        return [ScanSet(stripe) for stripe in stripes]
+        return [scan_set.take(range(worker, len(scan_set),
+                                    self.n_workers))
+                for worker in range(self.n_workers)]
 
     def scan_runtime_ms(self, scan_set: ScanSet,
                         columns: Sequence[str] | None = None) -> float:

@@ -11,8 +11,7 @@ Design constraints:
 
 * **Cheap.** A traced query creates a handful of spans (not one per
   partition); each span is two ``perf_counter`` calls plus a list
-  append, so tracing can stay on in production (< 5% overhead on the
-  scan benchmarks, gated in ``BENCH_PR4.json``).
+  append, so tracing can stay on in production.
 * **Generator-safe.** Operators are pull-based generators that can be
   abandoned early (LIMIT). Compile-time spans use a well-nested stack
   (:meth:`Tracer.span`); runtime spans (scans) are parented explicitly

@@ -51,12 +51,12 @@ from ..errors import PlanError
 from ..expr import ast
 from ..expr.simplify import simplify
 from ..pruning.base import ScanSet
-from ..pruning.filter_pruning import FilterPruner, is_prunable
+from ..pruning.filter_pruning import is_prunable
 from ..pruning.fully_matching import find_fully_matching_inverted
 from ..pruning.limit_pruning import LimitPruner
 from ..pruning.predicate_cache import PredicateCache
 from ..pruning.pruning_tree import PruningTree, TreeConfig
-from ..pruning.stats_index import StatsIndex, VectorizedFilterPruner
+from ..pruning.stats_index import VectorizedFilterPruner
 from ..pruning.topk_pruning import (
     Boundary,
     OrderStrategy,
@@ -75,7 +75,6 @@ class CompilerOptions:
     enable_limit_pruning: bool = True
     enable_topk_pruning: bool = True
     enable_join_pruning: bool = True
-    detect_fully_matching: bool = True
     #: use the adaptive pruning tree (§3.2) instead of the plain pruner
     use_pruning_tree: bool = False
     tree_config: TreeConfig | None = None
@@ -93,10 +92,7 @@ class CompilerOptions:
     #: scan-set row counts (§2.1: pruning improves cardinality
     #: estimates and hence join decisions)
     enable_join_side_swap: bool = True
-    #: replicate TopK to the preserved side of outer joins (Fig. 7c)
-    topk_replicate_outer: bool = True
     summary_kind: str = "rangeset"
-    use_bloom_row_filter: bool = True
     predicate_cache: PredicateCache | None = None
     #: answer global COUNT/MIN/MAX aggregates from zone maps alone,
     #: without scanning any data
@@ -104,16 +100,6 @@ class CompilerOptions:
     #: scans read only the columns the plan references (PAX layouts
     #: allow column-level reads, §2) — fewer bytes over the network
     enable_projection_pushdown: bool = True
-    #: classify all partitions of a scan in one compiled numpy pass
-    #: over the table's SoA stats index, falling back per partition to
-    #: the AST walk wherever the kernels cannot bind (results are
-    #: bit-identical either way; see pruning/stats_index.py)
-    enable_vectorized_pruning: bool = True
-    #: consult secondary sketches (n-gram filters, dictionaries,
-    #: histograms — pruning/sketches.py) as an extra compile-time
-    #: pruning pass after filter pruning, plus per-query-shape skip
-    #: sets. No-op on catalogs without sketches enabled.
-    enable_sketch_pruning: bool = True
 
 
 class CatalogInterface:
@@ -293,10 +279,9 @@ class QueryCompiler:
                     with context.span("prune:filter",
                                       table=node.table) as span:
                         scan_set, fully_matching, deferred = \
-                            self._filter_prune(node.table, predicate,
-                                               scan_set, schema,
-                                               profile, context,
-                                               options)
+                            self._filter_prune(predicate, scan_set,
+                                               schema, profile,
+                                               context, options)
                         if span is not None:
                             result = profile.filter_result
                             span.annotate(
@@ -305,7 +290,7 @@ class QueryCompiler:
                                 fully_matching=len(
                                     result.fully_matching_ids),
                                 mode=profile.pruning_mode)
-            if options.enable_sketch_pruning and not push_to_runtime:
+            if not push_to_runtime:
                 scan_set, fully_matching = self._sketch_prune(
                     node.table, predicate, scan_set, schema,
                     fully_matching, profile, context)
@@ -314,17 +299,10 @@ class QueryCompiler:
             else schema.select(columns)
         scan = Scan(context, node.table, scan_schema, scan_set,
                     profile=profile, columns=columns)
-        if options.enable_vectorized_pruning:
-            # Runtime pruners (top-k boundaries, deferred filters,
-            # join-filter summaries) classify against the same SoA
-            # index compile-time pruning used; entries it cannot vouch
-            # for by zone-map identity fall back to the scalar path.
-            scan.stats_index = self._stats_index_for(node.table,
-                                                     scan_set)
         if predicate is not None and deferred is not None:
             scan.attach_deferred_filter(
-                FilterPruner(deferred, schema,
-                             detect_fully_matching=False))
+                VectorizedFilterPruner(deferred, schema,
+                                       detect_fully_matching=False))
         op: Operator = scan
         filter_op = None
         if predicate is not None and not isinstance(
@@ -337,9 +315,8 @@ class QueryCompiler:
             op = EmptyOperator(scan_schema)
         self._apply_filter_cache(node, predicate, scan, filter_op,
                                  options, compiled)
-        if options.enable_sketch_pruning:
-            self._apply_skip_set(node, predicate, scan, filter_op,
-                                 compiled)
+        self._apply_skip_set(node, predicate, scan, filter_op,
+                             compiled)
         origins = {name: (scan, profile, name)
                    for name in scan_schema.names()}
         return _Built(
@@ -379,21 +356,6 @@ class QueryCompiler:
         if scan_set.metadata_backoff_ms:
             context.charge_compile(scan_set.metadata_backoff_ms)
         return scan_set, True
-
-    def _stats_index_for(self, table: str,
-                         scan_set: ScanSet) -> StatsIndex:
-        """The table's maintained stats index, or a transient one.
-
-        Duck-typed catalogs without an index still get vectorized
-        classification over an index built from the fetched scan set.
-        """
-        stats_index = getattr(self.catalog, "stats_index", None)
-        if stats_index is not None:
-            try:
-                return stats_index(table)
-            except Exception:  # noqa: BLE001 - never fail compilation
-                pass
-        return StatsIndex(scan_set)
 
     def _sketch_prune(self, table: str, predicate: ast.Expr,
                       scan_set: ScanSet, schema: Schema,
@@ -531,8 +493,7 @@ class QueryCompiler:
             return None
         return columns
 
-    def _filter_prune(self, table: str, predicate: ast.Expr,
-                      scan_set: ScanSet,
+    def _filter_prune(self, predicate: ast.Expr, scan_set: ScanSet,
                       schema: Schema, profile: ScanProfile,
                       context: ExecContext,
                       options: CompilerOptions
@@ -545,37 +506,23 @@ class QueryCompiler:
             result = tree.prune(scan_set)
             profile.pruning_mode = "fallback"
             context.charge_compile(tree.simulated_ms)
-            if options.detect_fully_matching:
-                result.fully_matching_ids = find_fully_matching_inverted(
-                    predicate, result.kept, schema)
-                context.charge_prune_checks(len(result.kept),
-                                            at_compile_time=True)
+            result.fully_matching_ids = find_fully_matching_inverted(
+                predicate, result.kept, schema)
+            context.charge_prune_checks(len(result.kept),
+                                        at_compile_time=True)
             if options.defer_cutoff_to_runtime:
                 cut = tree.cut_predicates()
                 if cut:
                     deferred = cut[0] if len(cut) == 1 \
                         else ast.And(cut)
-        elif options.enable_vectorized_pruning:
-            pruner = VectorizedFilterPruner(
-                predicate, schema,
-                detect_fully_matching=options.detect_fully_matching,
-                index=self._stats_index_for(table, scan_set))
+        else:
+            pruner = VectorizedFilterPruner(predicate, schema)
             result = pruner.prune(scan_set)
             profile.pruning_mode = pruner.mode
-            if pruner.vector_checks:
-                context.charge_prune_checks(pruner.vector_checks,
-                                            at_compile_time=True,
-                                            vectorized=True)
-            if pruner.fallback_checks:
-                context.charge_prune_checks(pruner.fallback_checks,
-                                            at_compile_time=True)
-        else:
-            pruner = FilterPruner(
-                predicate, schema,
-                detect_fully_matching=options.detect_fully_matching)
-            result = pruner.prune(scan_set)
-            profile.pruning_mode = "fallback"
-            context.charge_prune_checks(result.checks,
+            context.charge_prune_checks(pruner.vector_checks,
+                                        at_compile_time=True,
+                                        vectorized=True)
+            context.charge_prune_checks(pruner.fallback_checks,
                                         at_compile_time=True)
         profile.pruning_ms += (time.perf_counter() - started) * 1000.0
         profile.filter_result = result
@@ -727,7 +674,6 @@ class QueryCompiler:
             probe_scan=probe_scan,
             probe_scan_column=probe_scan_column,
             summary_kind=options.summary_kind,
-            use_bloom_row_filter=options.use_bloom_row_filter,
         )
         if swapped:
             # Restore the SQL column order (original left first).
@@ -886,8 +832,7 @@ class QueryCompiler:
         target = self._wire_topk_pruning(
             child, sort_key, k + offset, boundary, context, options)
         probe_child_op = child.op
-        if (options.topk_replicate_outer and target is not None
-                and child.preserved_chain
+        if (target is not None and child.preserved_chain
                 and isinstance(child.op, HashJoin)
                 and child.op.join_type == "left_outer"
                 and all(item.column in child.origins
@@ -908,32 +853,25 @@ class QueryCompiler:
     def _wire_topk_pruning(self, child: _Built, sort_key: L.SortItem,
                            keep: int, boundary: Boundary,
                            context: ExecContext,
-                           options: CompilerOptions,
-                           allow_aggregate: bool = True,
-                           allow_boundary_init: bool = True
-                           ) -> Scan | None:
+                           options: CompilerOptions) -> Scan | None:
         """Attach boundary pruning to the scan producing the sort key."""
         if not options.enable_topk_pruning or keep == 0:
             return None
         if child.aggregate_op is not None:
-            if not allow_aggregate:
-                return None
             return self._wire_topk_through_aggregate(
                 child, sort_key, keep, boundary, context, options)
         origin = child.origins.get(sort_key.column)
         if origin is None:
             return None
         scan, profile, scan_column = origin
-        pruner = TopKPruner(scan_column, boundary,
-                            index=scan.stats_index)
+        pruner = TopKPruner(scan_column, boundary)
         scan.attach_topk_pruner(pruner)
         context.trace_event("prune:topk", table=scan.table,
                             column=scan_column, keep=keep)
         scan.scan_set = options.topk_order_strategy.order(
             scan.scan_set, scan_column, sort_key.desc,
             fully_matching=child.limit_fully_matching)
-        if options.topk_boundary_init and child.rows_guaranteed \
-                and allow_boundary_init:
+        if options.topk_boundary_init and child.rows_guaranteed:
             initial = initialize_boundary(
                 scan.scan_set, child.limit_fully_matching, scan_column,
                 keep, sort_key.desc)
@@ -961,8 +899,7 @@ class QueryCompiler:
         agg_op.topk_hint = TopKGroupHint(
             key_index=agg_op.group_keys.index(sort_key.column),
             k=keep, desc=sort_key.desc, boundary=boundary)
-        pruner = TopKPruner(scan_column, boundary,
-                            index=scan.stats_index)
+        pruner = TopKPruner(scan_column, boundary)
         scan.attach_topk_pruner(pruner)
         scan.scan_set = options.topk_order_strategy.order(
             scan.scan_set, scan_column, sort_key.desc)

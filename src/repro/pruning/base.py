@@ -10,10 +10,16 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from ..errors import StorageError
+from ..expr.pruning import TriState
 from ..storage.zonemap import ZoneMap
+
+if TYPE_CHECKING:  # pragma: no cover - stats_index imports this module
+    from .stats_index import StatsIndex
 
 
 class ScanSet:
@@ -22,15 +28,31 @@ class ScanSet:
     Order matters: top-k pruning processes partitions in a boundary-
     friendly order (§5.3) and LIMIT pruning puts fully-matching
     partitions first (§4.1).
+
+    A scan set also owns the :class:`~repro.pruning.StatsIndex`
+    snapshot it was fetched with and, per entry, the index row that
+    describes the zone map the entry actually holds
+    (:attr:`trusted_rows`). Zone-map pruners run their numpy kernels
+    over :attr:`stats_index` and read the verdicts back through
+    :meth:`gather` / :meth:`trusted_row`; entries the index cannot
+    vouch for (degraded ``without_stats()`` copies, rows gone stale
+    under DML, ids the index lacks) take the scalar path there, in
+    one place.
     """
 
     def __init__(self, entries: Iterable[tuple[int, ZoneMap]] = (),
-                 degraded_ids: Iterable[int] = ()):
+                 degraded_ids: Iterable[int] = (),
+                 index: "StatsIndex | None" = None):
         self._entries: list[tuple[int, ZoneMap]] = list(entries)
-        #: lazy id -> zone-map mapping; ``_entries`` never mutates
-        #: after construction (transforms build new scan sets), so
-        #: building it twice under a race is merely wasted work.
-        self._by_id: dict[int, ZoneMap] | None = None
+        #: lazy id -> entry-position mapping; ``_entries`` never
+        #: mutates after construction (transforms build new scan
+        #: sets), so building it twice under a race is merely wasted
+        #: work. The same holds for the two lazy fields below.
+        self._position_of: dict[int, int] | None = None
+        #: the index snapshot the entries were fetched with; a scan
+        #: set built by hand packs its own entries on first use.
+        self._stats_index = index
+        self._trusted_rows: np.ndarray | None = None
         #: partitions whose metadata could not be fetched — their zone
         #: maps are stats-free placeholders, so every pruning check
         #: answers MAYBE and they are always scanned (fail open).
@@ -52,13 +74,14 @@ class ScanSet:
     def entries(self) -> list[tuple[int, ZoneMap]]:
         return list(self._entries)
 
-    def _index(self) -> dict[int, ZoneMap]:
-        if self._by_id is None:
-            self._by_id = dict(self._entries)
-        return self._by_id
+    def _positions(self) -> dict[int, int]:
+        if self._position_of is None:
+            self._position_of = {
+                pid: i for i, (pid, _) in enumerate(self._entries)}
+        return self._position_of
 
     def zone_map(self, partition_id: int) -> ZoneMap:
-        return self._index()[partition_id]
+        return self._entries[self._positions()[partition_id]][1]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -67,42 +90,116 @@ class ScanSet:
         return iter(self._entries)
 
     def __contains__(self, partition_id: int) -> bool:
-        return partition_id in self._index()
+        return partition_id in self._positions()
 
     def total_rows(self) -> int:
         return sum(zm.row_count for _, zm in self._entries)
 
-    def restrict(self, keep_ids: Iterable[int]) -> "ScanSet":
-        """Keep only the given partitions, preserving order."""
-        keep = set(keep_ids)
-        return self._derived((pid, zm) for pid, zm in self._entries
-                             if pid in keep)
+    # ------------------------------------------------------------------
+    # The stats index and which of its rows this scan set may trust
+    # ------------------------------------------------------------------
+    @property
+    def stats_index(self) -> "StatsIndex":
+        """The SoA zone-map index the pruning kernels classify."""
+        if self._stats_index is None:
+            from .stats_index import StatsIndex
 
-    def reorder(self, ordered_ids: Iterable[int]) -> "ScanSet":
-        """Reorder entries to match ``ordered_ids`` (must be a subset)."""
-        by_id = self._index()
-        return self._derived((pid, by_id[pid]) for pid in ordered_ids)
+            index = StatsIndex(self._entries)
+            self._trusted_rows = np.arange(len(self._entries))
+            self._stats_index = index
+        return self._stats_index
 
-    def with_entries(
-            self, entries: Iterable[tuple[int, ZoneMap]]) -> "ScanSet":
-        """A transformed scan set (reordered / filtered entries) that
-        keeps this one's degradation and metadata-retry accounting.
+    @property
+    def trusted_rows(self) -> np.ndarray:
+        """Per entry, the :attr:`stats_index` row describing the zone
+        map the entry holds, or -1 when no row does.
 
-        Pruning techniques and order strategies must build their output
-        through this (or :meth:`restrict`/:meth:`reorder`) rather than
-        ``ScanSet(entries)`` — otherwise ``degraded_ids`` is lost and
-        runtime pruners can no longer tell which entries must fail open.
+        The index is a snapshot taken beside the entries, not from
+        them: a metadata fault leaves the entry a ``without_stats()``
+        copy, DML between the two reads leaves a row stale or missing.
+        Only a row holding the *same* ZoneMap object is trusted.
+        Computed once; derived scan sets carry their slice of it.
         """
-        return self._derived(entries)
+        index = self.stats_index  # packing its own trusts every entry
+        if self._trusted_rows is None:
+            row_of, zone_map_at = index.row_of, index.zone_map_at
+            rows = np.full(len(self._entries), -1, dtype=np.intp)
+            for i, (pid, zone_map) in enumerate(self._entries):
+                row = row_of(pid)
+                if row is not None and zone_map_at(row) is zone_map:
+                    rows[i] = row
+            self._trusted_rows = rows
+        return self._trusted_rows
 
-    def _derived(self, entries: Iterable[tuple[int, ZoneMap]]) -> "ScanSet":
-        """A transformed scan set carrying this one's degradation state."""
-        derived = ScanSet(entries)
-        derived.degraded_ids = frozenset(
-            pid for pid, _ in derived._entries) & self.degraded_ids
+    def trusted_row(self, partition_id: int) -> int | None:
+        """One partition's trusted index row, or None (scalar path)."""
+        position = self._positions().get(partition_id)
+        if position is None:
+            return None
+        row = int(self.trusted_rows[position])
+        return row if row >= 0 else None
+
+    def gather(self, per_row: "np.ndarray | None",
+               scalar: Callable[[ZoneMap], Any]) -> tuple[list, int]:
+        """Turn a kernel's per-index-row output into per-entry values.
+
+        Trusted entries read ``per_row`` at their row; every other
+        entry — all of them when ``per_row`` is None, i.e. the kernel
+        could not compile or bind — is judged by ``scalar(zone_map)``,
+        the per-partition reference path. Returns the values in entry
+        order and how many came from ``per_row``.
+        """
+        entries = self._entries
+        if per_row is None or not len(per_row) or not entries:
+            return [scalar(zone_map) for _, zone_map in entries], 0
+        rows = self.trusted_rows
+        values = per_row[rows].tolist()
+        untrusted = np.flatnonzero(rows < 0).tolist()
+        for i in untrusted:
+            values[i] = scalar(entries[i][1])
+        return values, len(entries) - len(untrusted)
+
+    # ------------------------------------------------------------------
+    # Derivation
+    # ------------------------------------------------------------------
+    def take(self, positions: Sequence[int]) -> "ScanSet":
+        """The entries at ``positions``, in that order.
+
+        Every transform derives through here, so degradation, the
+        metadata-retry accounting, the index snapshot and the trusted
+        rows all travel with the entries. Pruning techniques must not
+        rebuild their output as ``ScanSet(entries)``: that loses
+        ``degraded_ids`` and runtime pruners can no longer tell which
+        entries must fail open.
+        """
+        entries = self._entries
+        derived = ScanSet([entries[i] for i in positions],
+                          index=self._stats_index)
+        if self._trusted_rows is not None:
+            derived._trusted_rows = self._trusted_rows[
+                np.asarray(positions, dtype=np.intp)]
+        if self.degraded_ids:
+            derived.degraded_ids = self.degraded_ids.intersection(
+                pid for pid, _ in derived._entries)
         derived.metadata_retries = self.metadata_retries
         derived.metadata_backoff_ms = self.metadata_backoff_ms
         return derived
+
+    def restrict(self, keep_ids: Iterable[int]) -> "ScanSet":
+        """Keep only the given partitions, preserving order."""
+        keep = set(keep_ids)
+        return self.take([i for i, (pid, _) in enumerate(self._entries)
+                          if pid in keep])
+
+    def reorder(self, ordered_ids: Iterable[int]) -> "ScanSet":
+        """Reorder entries to match ``ordered_ids`` (must be a subset)."""
+        positions = self._positions()
+        return self.take([positions[pid] for pid in ordered_ids])
+
+    def with_entries(
+            self, entries: Iterable[tuple[int, ZoneMap]]) -> "ScanSet":
+        """This scan set's own entries, filtered and/or reordered."""
+        return self.reorder(pid for pid, _ in entries)
 
     # ------------------------------------------------------------------
     # Serialization: scan sets travel from cloud services to warehouse
@@ -184,6 +281,14 @@ def _read_zigzag_varint(data: bytes, offset: int) -> tuple[int, int]:
     return value, offset
 
 
+def pruning_mode(vector_checks: int, fallback_checks: int) -> str:
+    """Which route a zone-map pruner's checks took: ``"vectorized"``
+    (all from a kernel), ``"mixed"``, or ``"fallback"`` (all scalar)."""
+    if not vector_checks:
+        return "fallback"
+    return "mixed" if fallback_checks else "vectorized"
+
+
 class PruneCategory:
     """Names of the pruning techniques, used as profile keys."""
 
@@ -216,6 +321,26 @@ class PruningResult:
     pruned_ids: list[int] = field(default_factory=list)
     fully_matching_ids: list[int] = field(default_factory=list)
     checks: int = 0
+
+    @classmethod
+    def from_verdicts(cls, technique: str, scan_set: ScanSet,
+                      verdicts: Iterable[TriState],
+                      checks: int) -> "PruningResult":
+        """The result of per-entry verdicts (in entry order): NEVER
+        prunes the entry, ALWAYS records it as fully matching."""
+        kept: list[int] = []
+        pruned_ids: list[int] = []
+        fully_matching_ids: list[int] = []
+        for position, ((partition_id, _), verdict) in enumerate(
+                zip(scan_set, verdicts)):
+            if verdict is TriState.NEVER:
+                pruned_ids.append(partition_id)
+                continue
+            kept.append(position)
+            if verdict is TriState.ALWAYS:
+                fully_matching_ids.append(partition_id)
+        return cls(technique, len(scan_set), scan_set.take(kept),
+                   pruned_ids, fully_matching_ids, checks)
 
     @property
     def after(self) -> int:

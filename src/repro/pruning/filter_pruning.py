@@ -69,22 +69,6 @@ class FilterPruner:
 
     def prune(self, scan_set: ScanSet) -> PruningResult:
         """Apply filter pruning to a whole scan set."""
-        kept: list[tuple[int, ZoneMap]] = []
-        pruned_ids: list[int] = []
-        fully_matching: list[int] = []
-        for partition_id, zone_map in scan_set:
-            verdict = self.classify(zone_map)
-            if verdict == TriState.NEVER:
-                pruned_ids.append(partition_id)
-                continue
-            kept.append((partition_id, zone_map))
-            if verdict == TriState.ALWAYS:
-                fully_matching.append(partition_id)
-        return PruningResult(
-            technique=PruneCategory.FILTER,
-            before=len(scan_set),
-            kept=scan_set.with_entries(kept),
-            pruned_ids=pruned_ids,
-            fully_matching_ids=fully_matching,
-            checks=self.checks,
-        )
+        verdicts = [self.classify(zone_map) for _, zone_map in scan_set]
+        return PruningResult.from_verdicts(
+            PruneCategory.FILTER, scan_set, verdicts, self.checks)

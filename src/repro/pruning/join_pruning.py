@@ -14,15 +14,13 @@ joins).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import Any, Iterable
 
 from ..storage.zonemap import ZoneMap
-from .base import PruneCategory, PruningResult, ScanSet
+from .base import PruneCategory, PruningResult, ScanSet, pruning_mode
 from .filters import CuckooFilter, XorFilter
+from .stats_index import join_may_join_mask
 from .summaries import BloomFilter, MinMaxSummary, RangeSetSummary
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .stats_index import StatsIndex
 
 SUMMARY_KINDS = ("minmax", "rangeset", "bloom", "cuckoo", "xor")
 
@@ -54,22 +52,18 @@ def build_summary(values: Iterable[Any], kind: str = "rangeset",
 class JoinPruner:
     """Prunes a probe-side scan set against a build-side summary.
 
-    With a :class:`~repro.pruning.stats_index.StatsIndex` attached, the
-    interval summaries (minmax / rangeset) classify every indexed
-    partition in one numpy pass
+    The interval summaries (minmax / rangeset) classify the scan
+    set's stats index in one numpy pass
     (:func:`~repro.pruning.stats_index.join_may_join_mask`); entries
-    the index cannot vouch for by zone-map identity (degraded copies,
-    stale rows) and non-interval summaries (Bloom/Cuckoo/Xor) take the
-    per-partition scalar path, which remains the differential oracle.
-    ``mode`` after :meth:`prune` reports which route ran:
-    ``"vectorized"`` / ``"mixed"`` / ``"fallback"``.
+    the scan set does not trust the index for and non-interval
+    summaries (Bloom/Cuckoo/Xor) take :meth:`partition_may_join`, the
+    per-partition path that remains the differential oracle.
+    ``mode`` after :meth:`prune`: see :func:`~.base.pruning_mode`.
     """
 
-    def __init__(self, probe_column: str, summary,
-                 index: "StatsIndex | None" = None):
+    def __init__(self, probe_column: str, summary):
         self.probe_column = probe_column
         self.summary = summary
-        self.index = index
         self.checks = 0
         self.vector_checks = 0
         self.mode = "fallback"
@@ -95,38 +89,20 @@ class JoinPruner:
                                                 stats.max_value)
 
     def prune(self, scan_set: ScanSet) -> PruningResult:
-        index = self.index
         mask = None
-        if index is not None and len(index):
-            from .stats_index import join_may_join_mask
-
-            mask = join_may_join_mask(index, self.probe_column,
-                                      self.summary)
-        kept = []
-        pruned_ids = []
-        for partition_id, zone_map in scan_set:
-            may_join = None
-            if mask is not None:
-                row = index.row_of(partition_id)
-                if row is not None and index.zone_map_at(row) is zone_map:
-                    self.vector_checks += 1
-                    may_join = bool(mask[row])
-            if may_join is None:
-                may_join = self.partition_may_join(zone_map)
-            if may_join:
-                kept.append((partition_id, zone_map))
-            else:
-                pruned_ids.append(partition_id)
-        if self.vector_checks and not self.checks:
-            self.mode = "vectorized"
-        elif self.vector_checks:
-            self.mode = "mixed"
-        else:
-            self.mode = "fallback"
+        if len(scan_set):
+            mask = join_may_join_mask(scan_set.stats_index,
+                                      self.probe_column, self.summary)
+        may_join, from_mask = scan_set.gather(mask,
+                                              self.partition_may_join)
+        self.vector_checks += from_mask
+        self.mode = pruning_mode(self.vector_checks, self.checks)
         return PruningResult(
             technique=PruneCategory.JOIN,
             before=len(scan_set),
-            kept=scan_set.with_entries(kept),
-            pruned_ids=pruned_ids,
+            kept=scan_set.take(
+                [i for i, joins in enumerate(may_join) if joins]),
+            pruned_ids=[pid for (pid, _), joins
+                        in zip(scan_set, may_join) if not joins],
             checks=self.vector_checks + self.checks,
         )

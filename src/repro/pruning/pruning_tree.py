@@ -244,20 +244,10 @@ class PruningTree:
                     stats.cut = True
 
     def prune(self, scan_set: ScanSet) -> PruningResult:
-        kept = []
-        pruned_ids = []
-        for partition_id, zone_map in scan_set:
-            if self.classify(zone_map) == TriState.NEVER:
-                pruned_ids.append(partition_id)
-            else:
-                kept.append((partition_id, zone_map))
-        return PruningResult(
-            technique=PruneCategory.FILTER,
-            before=len(scan_set),
-            kept=ScanSet(kept),
-            pruned_ids=pruned_ids,
-            checks=self.partitions_seen,
-        )
+        verdicts = [self.classify(zone_map) for _, zone_map in scan_set]
+        return PruningResult.from_verdicts(
+            PruneCategory.FILTER, scan_set, verdicts,
+            self.partitions_seen)
 
     def node_stats(self) -> list[NodeStats]:
         """Flat monitoring snapshot of every node (root first)."""

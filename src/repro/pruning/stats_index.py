@@ -18,11 +18,13 @@ This module turns that loop inside out:
   of numpy kernels that classify every partition in one vectorized
   pass, producing the same NEVER/MAYBE/ALWAYS verdicts as
   :func:`repro.expr.pruning.prune_partition`.
-* :class:`VectorizedFilterPruner` is a drop-in for ``FilterPruner``
-  whose results are **bit-identical**: any partition (degraded /
-  stat-less zone maps, stale index rows) or predicate shape (LIKE,
-  arithmetic, mixed-type literals…) the kernels cannot prove they
-  handle exactly falls back to the per-partition AST path.
+* :class:`VectorizedFilterPruner` runs the kernel over the index a
+  :class:`~repro.pruning.ScanSet` carries and is **bit-identical** to
+  ``FilterPruner``: any entry the index cannot vouch for (degraded /
+  stat-less zone maps, stale index rows — the scan set decides, see
+  ``ScanSet.trusted_rows``) or predicate shape (LIKE, arithmetic,
+  mixed-type literals…) the kernels cannot prove they handle exactly
+  falls back to the per-partition AST path.
 
 Soundness strategy: rather than re-deriving pruning theory, every
 kernel replicates the *exact* case analysis of ``expr/ranges.py`` on
@@ -43,10 +45,9 @@ import numpy as np
 from ..expr import ast
 from ..expr.pruning import TriState
 from ..expr.ranges import _comparison_value
-from ..expr.rewrite import widen_for_pruning
 from ..storage.zonemap import ZoneMap, prefix_successor
 from ..types import Schema
-from .base import PruneCategory, PruningResult, ScanSet
+from .base import PruneCategory, PruningResult, ScanSet, pruning_mode
 from .filter_pruning import FilterPruner
 
 __all__ = [
@@ -61,11 +62,12 @@ __all__ = [
 #: int8 verdict codes emitted by :meth:`PruningKernel.classify`.
 NEVER_CODE, MAYBE_CODE, ALWAYS_CODE = 0, 1, 2
 
-_CODE_TO_TRISTATE = {
-    NEVER_CODE: TriState.NEVER,
-    MAYBE_CODE: TriState.MAYBE,
-    ALWAYS_CODE: TriState.ALWAYS,
-}
+#: verdict per code; the second table is for pruners that do not
+#: report fully-matching partitions (ALWAYS reads as MAYBE).
+_VERDICTS = np.array([TriState.NEVER, TriState.MAYBE, TriState.ALWAYS],
+                     dtype=object)
+_VERDICTS_NO_ALWAYS = np.array(
+    [TriState.NEVER, TriState.MAYBE, TriState.MAYBE], dtype=object)
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
@@ -229,17 +231,8 @@ class StatsIndex:
         self._columns: dict[str, _ColumnVectors | None] = {}
         self._lock = threading.Lock()
 
-    @classmethod
-    def from_entries(
-            cls, entries: Iterable[tuple[int, ZoneMap]]) -> "StatsIndex":
-        return cls(entries)
-
     def __len__(self) -> int:
         return len(self._pids)
-
-    @property
-    def partition_ids(self) -> tuple[int, ...]:
-        return tuple(self._pids)
 
     def entries(self) -> list[tuple[int, ZoneMap]]:
         return list(zip(self._pids, self._zone_maps))
@@ -249,12 +242,8 @@ class StatsIndex:
         return self._rows.get(partition_id)
 
     def zone_map_at(self, row: int) -> ZoneMap:
-        """The exact ZoneMap object indexed at ``row``.
-
-        Callers compare it by identity against the zone map they hold:
-        a mismatch (degraded ``without_stats()`` copies, stale rows)
-        means the vectorized verdict does not describe their object.
-        """
+        """The exact ZoneMap object indexed at ``row`` (what
+        ``ScanSet.trusted_rows`` compares by identity)."""
         return self._zone_maps[row]
 
     def column(self, name: str) -> _ColumnVectors | None:
@@ -666,84 +655,50 @@ def join_may_join_mask(index: StatsIndex, column: str,
 
 
 # ----------------------------------------------------------------------
-# Drop-in pruner
+# The zone-map filter pruner
 # ----------------------------------------------------------------------
-class VectorizedFilterPruner:
-    """Bit-identical ``FilterPruner`` replacement with bulk kernels.
+class VectorizedFilterPruner(FilterPruner):
+    """Filter pruning over a scan set's own stats index.
 
-    Compiles the predicate once; at prune time every scan-set entry
-    whose ZoneMap object is the one the index classified takes its
-    verdict from the kernel's verdict array, everything else goes
-    through an embedded scalar ``FilterPruner``. ``checks`` counts one
-    check per partition exactly like the scalar path does for
+    Compiles the predicate once; :meth:`prune` classifies the scan
+    set's index in one kernel pass and reads the verdicts back through
+    :meth:`ScanSet.gather`, so entries the index cannot vouch for —
+    and every entry of a predicate the kernels do not cover (LIKE,
+    arithmetic, mixed-type literals) — are judged by the inherited
+    per-partition :meth:`~FilterPruner.classify`. Results are
+    **bit-identical** to ``FilterPruner.prune``, check counts
+    included: one check per partition, as the scalar path counts for
     unwidened predicates (widening only rewrites LIKE, which never
     compiles, so a compiled kernel always runs single-pass).
 
-    ``mode`` after :meth:`prune`: ``"vectorized"`` (all entries bulk),
-    ``"mixed"`` (some fell back), or ``"fallback"``.
+    ``checks`` counts the scalar checks, ``vector_checks`` the ones a
+    kernel served; ``mode`` after :meth:`prune`: see
+    :func:`~.base.pruning_mode`.
     """
 
     def __init__(self, predicate: ast.Expr, schema: Schema,
-                 detect_fully_matching: bool = True,
-                 index: StatsIndex | None = None):
-        self.predicate = predicate
-        self.schema = schema
-        self.detect_fully_matching = detect_fully_matching
-        self.index = index
-        self._scalar = FilterPruner(
-            predicate, schema,
-            detect_fully_matching=detect_fully_matching)
+                 detect_fully_matching: bool = True):
+        super().__init__(predicate, schema, detect_fully_matching)
         self.kernel: PruningKernel | None = None
-        if widen_for_pruning(predicate) == predicate:
+        if self.widened == predicate:
             self.kernel = compile_pruning_kernel(predicate)
         self.vector_checks = 0
         self.mode = "fallback"
 
     @property
     def fallback_checks(self) -> int:
-        return self._scalar.checks
-
-    @property
-    def checks(self) -> int:
-        return self.vector_checks + self._scalar.checks
+        return self.checks
 
     def prune(self, scan_set: ScanSet) -> PruningResult:
-        index = self.index
-        codes = None
-        if self.kernel is not None and index is not None and len(index):
-            codes = self.kernel.classify(index)
-        kept: list[tuple[int, ZoneMap]] = []
-        pruned_ids: list[int] = []
-        fully_matching: list[int] = []
-        for partition_id, zone_map in scan_set:
-            verdict = None
+        per_row = None
+        if self.kernel is not None and len(scan_set):
+            codes = self.kernel.classify(scan_set.stats_index)
             if codes is not None:
-                row = index.row_of(partition_id)
-                if row is not None and index.zone_map_at(row) is zone_map:
-                    self.vector_checks += 1
-                    verdict = _CODE_TO_TRISTATE[int(codes[row])]
-                    if (verdict is TriState.ALWAYS
-                            and not self.detect_fully_matching):
-                        verdict = TriState.MAYBE
-            if verdict is None:
-                verdict = self._scalar.classify(zone_map)
-            if verdict is TriState.NEVER:
-                pruned_ids.append(partition_id)
-                continue
-            kept.append((partition_id, zone_map))
-            if verdict is TriState.ALWAYS:
-                fully_matching.append(partition_id)
-        if self.vector_checks and not self._scalar.checks:
-            self.mode = "vectorized"
-        elif self.vector_checks:
-            self.mode = "mixed"
-        else:
-            self.mode = "fallback"
-        return PruningResult(
-            technique=PruneCategory.FILTER,
-            before=len(scan_set),
-            kept=scan_set.with_entries(kept),
-            pruned_ids=pruned_ids,
-            fully_matching_ids=fully_matching,
-            checks=self.checks,
-        )
+                per_row = (_VERDICTS if self.detect_fully_matching
+                           else _VERDICTS_NO_ALWAYS)[codes]
+        verdicts, from_kernel = scan_set.gather(per_row, self.classify)
+        self.vector_checks += from_kernel
+        self.mode = pruning_mode(self.vector_checks, self.checks)
+        return PruningResult.from_verdicts(
+            PruneCategory.FILTER, scan_set, verdicts,
+            self.vector_checks + self.checks)

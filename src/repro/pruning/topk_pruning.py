@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import enum
 import threading
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import Any, Iterable
+
+import numpy as np
 
 from ..storage.zonemap import ZoneMap
 from .base import ScanSet
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .stats_index import StatsIndex
+from .stats_index import StatsIndex, topk_skip_mask
 
 #: Rank tuples order as (has_value, value); NULLs rank below everything
 #: for DESC and above nothing for ASC because we always sort NULLS LAST.
@@ -120,23 +120,36 @@ class Boundary:
         self.update(rank_of(value, self.desc))
 
 
+def best_possible_rank(zone_map: ZoneMap, column: str,
+                       desc: bool) -> tuple:
+    """The best rank any row of the partition could achieve."""
+    try:
+        stats = zone_map.stats(column)
+    except Exception:
+        return (2,)  # no metadata: assume the best
+    if not stats.present:
+        return (2,)
+    if not stats.has_values:
+        return _NULL_RANK
+    return rank_of(stats.max_value if desc else stats.min_value, desc)
+
+
 class TopKPruner:
     """Decides partition skips against a boundary using zone maps.
 
-    With a :class:`~repro.pruning.stats_index.StatsIndex` attached, the
-    boundary is classified against the packed zone-map lanes in one
-    numpy pass per boundary epoch (re-arrival of a tightened rank) and
-    per-partition checks become mask lookups; entries the index cannot
-    vouch for by object identity (degraded ``without_stats()`` copies,
-    stale rows) and lanes the boundary value cannot bind to exactly
-    fall back to the scalar path, which stays the differential oracle.
+    Given the scan set a partition belongs to, the boundary is
+    classified against that scan set's stats index in one numpy pass
+    per boundary epoch (re-arrival of a tightened rank) and
+    per-partition checks become mask lookups at the partition's
+    trusted row; entries the scan set does not trust the index for
+    (degraded ``without_stats()`` copies, stale rows) and lanes the
+    boundary value cannot bind to exactly fall back to the scalar
+    path, which stays the differential oracle.
     """
 
-    def __init__(self, order_column: str, boundary: Boundary,
-                 index: "StatsIndex | None" = None):
+    def __init__(self, order_column: str, boundary: Boundary):
         self.order_column = order_column
         self.boundary = boundary
-        self.index = index
         self.checks = 0
         self.skipped = 0
         #: checks served from the vectorized skip mask vs the scalar
@@ -146,26 +159,19 @@ class TopKPruner:
         #: vectorized mask recomputations (one per boundary epoch).
         self.mask_epochs = 0
         self._mask_lock = threading.Lock()
-        #: (boundary rank, skip mask) pair published atomically so
-        #: concurrent readers never pair a mask with the wrong rank.
-        self._mask_state: tuple[tuple, Any] | None = None
+        #: (boundary rank, index, skip mask) published atomically so
+        #: concurrent readers never pair a mask with the wrong rank or
+        #: with another index's row numbering.
+        self._mask_state: tuple[tuple, StatsIndex, Any] | None = None
         self._mask_unusable = False
 
     def best_possible_rank(self, zone_map: ZoneMap) -> tuple:
-        """The best rank any row of the partition could achieve."""
-        try:
-            stats = zone_map.stats(self.order_column)
-        except Exception:
-            return (2,)  # no metadata: assume the best
-        if not stats.present:
-            return (2,)
-        if not stats.has_values:
-            return _NULL_RANK
-        best = stats.max_value if self.boundary.desc else stats.min_value
-        return rank_of(best, self.boundary.desc)
+        return best_possible_rank(zone_map, self.order_column,
+                                  self.boundary.desc)
 
     def should_skip(self, zone_map: ZoneMap,
-                    partition_id: int | None = None) -> bool:
+                    partition_id: int | None = None,
+                    scan_set: ScanSet | None = None) -> bool:
         """True if no row of this partition can enter the top-k heap.
 
         Strictly-worse comparison: a partition whose best rank *equals*
@@ -177,7 +183,7 @@ class TopKPruner:
         rank = self.boundary.rank
         if rank is None:
             return False
-        verdict = self._vector_verdict(zone_map, partition_id, rank)
+        verdict = self._vector_verdict(scan_set, partition_id, rank)
         if verdict is None:
             self.fallback_checks += 1
             verdict = self.best_possible_rank(zone_map) < rank
@@ -188,7 +194,8 @@ class TopKPruner:
         return verdict
 
     def peek_skip(self, zone_map: ZoneMap,
-                  partition_id: int | None = None) -> bool:
+                  partition_id: int | None = None,
+                  scan_set: ScanSet | None = None) -> bool:
         """Counter-free skip check for advisory call sites.
 
         Morsel workers (claim-time re-checks) and the prefetcher
@@ -201,28 +208,25 @@ class TopKPruner:
         rank = self.boundary.rank
         if rank is None:
             return False
-        verdict = self._vector_verdict(zone_map, partition_id, rank)
-        if verdict is not None:
-            return verdict
-        return self.best_possible_rank(zone_map) < rank
+        verdict = self._vector_verdict(scan_set, partition_id, rank)
+        if verdict is None:
+            verdict = self.best_possible_rank(zone_map) < rank
+        return verdict
 
     # -- vectorized boundary classification ----------------------------
-    def _vector_verdict(self, zone_map: ZoneMap,
+    def _vector_verdict(self, scan_set: ScanSet | None,
                         partition_id: int | None,
                         rank: tuple) -> bool | None:
         """Mask verdict for one partition, or None to fall back."""
-        index = self.index
-        if index is None or partition_id is None or self._mask_unusable:
+        if scan_set is None or self._mask_unusable:
             return None
-        row = index.row_of(partition_id)
-        if row is None or index.zone_map_at(row) is not zone_map:
+        row = scan_set.trusted_row(partition_id)
+        if row is None:
             return None
-        mask = self._mask_for(rank)
-        if mask is None:
-            return None
-        return bool(mask[row])
+        mask = self._mask_for(rank, scan_set.stats_index)
+        return None if mask is None else bool(mask[row])
 
-    def _mask_for(self, rank: tuple):
+    def _mask_for(self, rank: tuple, index: StatsIndex):
         """The skip mask for ``rank``, recomputed once per epoch.
 
         A stale mask (older, looser rank) is never served for a newer
@@ -230,29 +234,28 @@ class TopKPruner:
         read, matching the scalar oracle bit for bit.
         """
         state = self._mask_state
-        if state is not None and state[0] == rank:
-            return state[1]
+        if state is not None and state[0] == rank and state[1] is index:
+            return state[2]
         with self._mask_lock:
             state = self._mask_state
-            if state is not None and state[0] == rank:
-                return state[1]
+            if (state is not None and state[0] == rank
+                    and state[1] is index):
+                return state[2]
             if self._mask_unusable:
                 return None
-            mask = self._compute_mask(rank)
+            mask = self._compute_mask(rank, index)
             if mask is None:
                 self._mask_unusable = True
                 return None
-            self._mask_state = (rank, mask)
+            self._mask_state = (rank, index, mask)
             self.mask_epochs += 1
             return mask
 
-    def _compute_mask(self, rank: tuple):
+    def _compute_mask(self, rank: tuple, index: StatsIndex):
         if rank == _NULL_RANK:
             # NULLs-last: no best-possible rank is strictly below the
             # NULL rank, so an all-NULL boundary prunes nothing.
-            import numpy as np
-
-            return np.zeros(len(self.index), dtype=bool)
+            return np.zeros(len(index), dtype=bool)
         if len(rank) != 2 or rank[0] != 1:
             return None
         value = rank[1]
@@ -260,9 +263,7 @@ class TopKPruner:
             if not isinstance(value, _Reversed):
                 return None
             value = value.value
-        from .stats_index import topk_skip_mask
-
-        return topk_skip_mask(self.index, self.order_column,
+        return topk_skip_mask(index, self.order_column,
                               self.boundary.desc, value)
 
 
@@ -287,31 +288,13 @@ class OrderStrategy(enum.Enum):
               fully_matching: Iterable[int] = ()) -> ScanSet:
         if self is OrderStrategy.NONE:
             return scan_set
-
-        def best_rank(entry: tuple[int, ZoneMap]) -> tuple:
-            _, zone_map = entry
-            try:
-                stats = zone_map.stats(order_column)
-            except Exception:
-                return (2,)
-            if not stats.present:
-                return (2,)
-            if not stats.has_values:
-                return _NULL_RANK
-            best = stats.max_value if desc else stats.min_value
-            return rank_of(best, desc)
-
-        if self is OrderStrategy.FULLY_MATCHING_FIRST:
-            fm_ids = set(fully_matching)
-
-            def key(entry: tuple[int, ZoneMap]) -> tuple:
-                return (entry[0] in fm_ids,) + best_rank(entry)
-
-            ordered = sorted(scan_set.entries, key=key, reverse=True)
-        else:
-            ordered = sorted(scan_set.entries, key=best_rank,
-                             reverse=True)
-        return scan_set.with_entries(ordered)
+        fm_ids = (set(fully_matching)
+                  if self is OrderStrategy.FULLY_MATCHING_FIRST else ())
+        keys = [(pid in fm_ids,)
+                + best_possible_rank(zone_map, order_column, desc)
+                for pid, zone_map in scan_set]
+        return scan_set.take(sorted(range(len(keys)),
+                                    key=keys.__getitem__, reverse=True))
 
 
 def initialize_boundary(scan_set: ScanSet,

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from ..errors import SchemaError
 from ..types import Schema
 from .micropartition import MicroPartition
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..pruning.stats_index import StatsIndex
 
 
 class Table:
@@ -33,7 +30,6 @@ class Table:
         self.schema = schema
         self._partitions: list[MicroPartition] = []
         self._version = 1
-        self._stats_index: "StatsIndex | None" = None
         for partition in partitions:
             self.add_partition(partition)
 
@@ -53,12 +49,10 @@ class Table:
                 f"partition schema {partition.schema} does not match table "
                 f"{self.name!r} schema {self.schema}")
         self._partitions.append(partition)
-        self._stats_index = None
 
     def remove_partition(self, partition_id: int) -> MicroPartition:
         for i, partition in enumerate(self._partitions):
             if partition.partition_id == partition_id:
-                self._stats_index = None
                 return self._partitions.pop(i)
         raise SchemaError(
             f"table {self.name!r} has no partition {partition_id}")
@@ -67,24 +61,8 @@ class Table:
             self, partitions: Sequence[MicroPartition]) -> None:
         """Swap in a new partition list (used by DML rewrites)."""
         self._partitions = []
-        self._stats_index = None
         for partition in partitions:
             self.add_partition(partition)
-
-    def stats_index(self) -> "StatsIndex":
-        """SoA zone-map index over the current partition list.
-
-        Cached until the partition list itself changes (metadata
-        backfills swap partitions without bumping :attr:`version`, so
-        invalidation keys off mutation, not the version counter). Used
-        by vectorized DML candidate pruning.
-        """
-        if self._stats_index is None:
-            from ..pruning.stats_index import StatsIndex
-
-            self._stats_index = StatsIndex(
-                (p.partition_id, p.zone_map) for p in self._partitions)
-        return self._stats_index
 
     @property
     def partitions(self) -> list[MicroPartition]:

@@ -28,6 +28,8 @@ from repro import (
     StorageError,
 )
 from repro.cache.prefetcher import Prefetcher
+from repro.obs.fleet import render_fleet_report
+from repro.obs.telemetry import TelemetryRecord
 from repro.storage.metadata_store import MetadataStore
 from repro.storage.micropartition import MicroPartition
 from repro.storage.storage_layer import StorageLayer
@@ -386,6 +388,11 @@ class TestCatalogWiring:
         cold = catalog.sql(self.SQL).profile.exec_ms
         hot = catalog.sql(self.SQL).profile.exec_ms
         assert hot < cold
+        # With every load a hit (asserted above) the load share of the
+        # clock shrinks by these two ratios: >= 5x, the old gate.
+        model = catalog.storage.cost_model
+        assert model.request_latency_ms >= 5 * model.cached_hit_cost_ms
+        assert model.ms_per_mb >= 5 * model.cached_ms_per_mb
 
     def test_dml_rewrite_invalidates_stale_partitions(self):
         catalog = make_catalog()
@@ -415,6 +422,10 @@ class TestCatalogWiring:
         catalog.sql(self.SQL)
         text = catalog.explain_analyze(self.SQL)
         assert "data cache:" in text
+        # ... and in per-query telemetry and the fleet report.
+        record = TelemetryRecord.from_result(catalog.sql(self.SQL))
+        assert record.data_cache_hits > 0
+        assert "data-cache hit ratio" in render_fleet_report([record])
 
     def test_per_query_cache_override(self):
         catalog = make_catalog()  # no catalog-level cache

@@ -505,6 +505,7 @@ class TestFleetAggregation:
                              "topk"}
         filter_cdf = cdfs["filter"]
         assert filter_cdf, "no filter-eligible queries in workload"
+        assert cdfs["topk"], "no top-k-eligible queries in workload"
         thresholds = [t for t, _ in filter_cdf]
         fractions = [f for _, f in filter_cdf]
         assert thresholds[0] == 0.0 and thresholds[-1] == 1.0

@@ -192,6 +192,28 @@ class TestPlanCacheBehaviour:
         assert not cold.profile.plan_cache_hit
         assert hot.profile.compile_ms < cold.profile.compile_ms
 
+    def test_rebind_is_5x_cheaper_than_cold_bind_on_a_wide_table(self):
+        """A cold compile binds every column of the table; a hit
+        rebinds literals only. On a 46-column table that is >= 5x of
+        simulated compile time (the old plan-cache report's gate)."""
+        wide = Schema.of(
+            ts=DataType.INTEGER, value=DataType.DOUBLE,
+            **{f"pay{i:02d}": DataType.INTEGER for i in range(44)})
+        rows = [(i, float(i), *(i * 31 + c for c in range(44)))
+                for i in range(400)]
+        compile_ms = {}
+        for plan_cache in (True, False):
+            catalog = Catalog(rows_per_partition=100)
+            catalog.create_table_from_rows(
+                "wide", wide, rows, layout=Layout.sorted_by("ts"))
+            if plan_cache:
+                catalog.enable_plan_cache()
+                catalog.sql("SELECT ts FROM wide WHERE ts < 200")
+            result = catalog.sql("SELECT ts FROM wide WHERE ts < 300")
+            assert result.profile.plan_cache_hit is plan_cache
+            compile_ms[plan_cache] = result.profile.compile_ms
+        assert compile_ms[True] * 5 <= compile_ms[False]
+
     def test_hit_result_matches_cold_compile(self):
         cached = make_catalog()
         plain = make_catalog(plan_cache=False)

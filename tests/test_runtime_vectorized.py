@@ -57,15 +57,17 @@ def make_entries(partition_rows):
 # topk_skip_mask vs the scalar TopKPruner
 # ----------------------------------------------------------------------
 def assert_topk_differential(entries, column, desc, value):
-    index = StatsIndex(entries)
+    """A pruner given the scan set reads the mask at the entry's
+    trusted row; one given only the zone map walks it (the oracle)."""
+    scan_set = ScanSet(entries)
     boundary_v = Boundary(desc=desc)
     boundary_v.update_value(value)
     boundary_s = Boundary(desc=desc)
     boundary_s.update_value(value)
-    vector = TopKPruner(column, boundary_v, index=index)
+    vector = TopKPruner(column, boundary_v)
     scalar = TopKPruner(column, boundary_s)
     for pid, zone_map in entries:
-        assert vector.should_skip(zone_map, pid) \
+        assert vector.should_skip(zone_map, pid, scan_set) \
             == scalar.should_skip(zone_map), (column, desc, value, pid)
     assert vector.checks == scalar.checks
     assert vector.skipped == scalar.skipped
@@ -115,14 +117,14 @@ class TestTopKFallbackRoutes:
 
     def test_nan_boundary_falls_back_to_scalar(self):
         entries = self._entries([1, 2, 3])
-        index = StatsIndex(entries)
+        scan_set = ScanSet(entries)
         boundary = Boundary(desc=True)
         boundary.update_value(math.nan)
-        vector = TopKPruner("v", boundary, index=index)
+        vector = TopKPruner("v", boundary)
         scalar = TopKPruner("v", Boundary(desc=True))
         scalar.boundary.update_value(math.nan)
         for pid, zone_map in entries:
-            assert vector.should_skip(zone_map, pid) \
+            assert vector.should_skip(zone_map, pid, scan_set) \
                 == scalar.should_skip(zone_map)
         assert vector.vector_checks == 0
         assert vector.fallback_checks == len(entries)
@@ -132,50 +134,54 @@ class TestTopKFallbackRoutes:
         index = StatsIndex(entries)
         boundary = Boundary(desc=True)
         boundary.update_value(100)
-        pruner = TopKPruner("a", boundary, index=index)
+        pruner = TopKPruner("a", boundary)
         pid, zone_map = entries[0]
         degraded = zone_map.without_stats()
         # Stats-stripped copy: the index holds the original object, so
-        # the identity check rejects the mask and the scalar path
+        # the scan set does not trust its row and the scalar path
         # (which cannot prove a skip without stats) fails open.
-        assert pruner.should_skip(degraded, pid) is False
+        stripped = ScanSet([(pid, degraded)] + entries[1:], index=index)
+        assert pruner.should_skip(degraded, pid, stripped) is False
         assert pruner.fallback_checks == 1
         # The original object is still mask-served and skipped.
-        assert pruner.should_skip(zone_map, pid) is True
+        intact = ScanSet(entries, index=index)
+        assert pruner.should_skip(zone_map, pid, intact) is True
         assert pruner.vector_checks == 1
 
     def test_unknown_partition_falls_back(self):
         entries = self._entries([1, 2])
-        index = StatsIndex(entries[:1])
+        scan_set = ScanSet(entries, index=StatsIndex(entries[:1]))
         boundary = Boundary(desc=True)
         boundary.update_value(100)
-        pruner = TopKPruner("a", boundary, index=index)
+        pruner = TopKPruner("a", boundary)
         pid, zone_map = entries[1]
-        assert pruner.should_skip(zone_map, pid) is True
+        assert pruner.should_skip(zone_map, pid, scan_set) is True
         assert pruner.vector_checks == 0
         assert pruner.fallback_checks == 1
 
     def test_mask_recomputed_once_per_boundary_epoch(self):
         entries = self._entries(list(range(10)))
-        index = StatsIndex(entries)
+        scan_set = ScanSet(entries)
         boundary = Boundary(desc=True)
         boundary.update_value(3)
-        pruner = TopKPruner("a", boundary, index=index)
+        pruner = TopKPruner("a", boundary)
         for pid, zone_map in entries:
-            pruner.should_skip(zone_map, pid)
+            pruner.should_skip(zone_map, pid, scan_set)
         assert pruner.mask_epochs == 1
         boundary.update_value(7)  # tighten: new epoch
+        # A derivative shares the index, hence the epoch's mask.
+        derived = scan_set.restrict(scan_set.partition_ids)
         for pid, zone_map in entries:
-            pruner.should_skip(zone_map, pid)
+            pruner.should_skip(zone_map, pid, derived)
         assert pruner.mask_epochs == 2
         assert pruner.vector_checks == 2 * len(entries)
 
     def test_inactive_boundary_checks_nothing(self):
         entries = self._entries([1, 2])
-        pruner = TopKPruner("a", Boundary(desc=True),
-                            index=StatsIndex(entries))
+        pruner = TopKPruner("a", Boundary(desc=True))
         for pid, zone_map in entries:
-            assert pruner.should_skip(zone_map, pid) is False
+            assert pruner.should_skip(zone_map, pid,
+                                      ScanSet(entries)) is False
         assert pruner.vector_checks == 0
         assert pruner.fallback_checks == 0
 
@@ -183,9 +189,9 @@ class TestTopKFallbackRoutes:
         entries = self._entries([1, 2, 3])
         boundary = Boundary(desc=True)
         boundary.update_value(100)
-        pruner = TopKPruner("a", boundary, index=StatsIndex(entries))
+        pruner = TopKPruner("a", boundary)
         pid, zone_map = entries[0]
-        assert pruner.peek_skip(zone_map, pid) is True
+        assert pruner.peek_skip(zone_map, pid, ScanSet(entries)) is True
         assert pruner.checks == 0
         assert pruner.skipped == 0
 
@@ -194,15 +200,18 @@ class TestTopKFallbackRoutes:
 # join_may_join_mask vs the scalar JoinPruner
 # ----------------------------------------------------------------------
 def assert_join_differential(entries, column, summary):
-    scan_set = ScanSet(entries)
-    index = StatsIndex(entries)
-    vector = JoinPruner(column, summary, index=index)
+    """``prune`` (mask over the scan set's index) against the
+    per-partition oracle, ``partition_may_join``."""
+    vector = JoinPruner(column, summary)
     scalar = JoinPruner(column, summary)
-    got = vector.prune(scan_set)
-    expected = scalar.prune(scan_set)
-    assert got.kept.partition_ids == expected.kept.partition_ids
-    assert got.pruned_ids == expected.pruned_ids
-    assert got.checks == expected.checks
+    got = vector.prune(ScanSet(entries))
+    may_join = {pid: scalar.partition_may_join(zone_map)
+                for pid, zone_map in entries}
+    assert got.kept.partition_ids == \
+        [pid for pid, _ in entries if may_join[pid]]
+    assert got.pruned_ids == \
+        [pid for pid, _ in entries if not may_join[pid]]
+    assert got.checks == scalar.checks
     return vector
 
 
@@ -250,8 +259,8 @@ class TestJoinMaskRoutes:
         index = StatsIndex(entries)
         summary = build_summary([1, 2, 3], kind="bloom")
         assert join_may_join_mask(index, "a", summary) is None
-        pruner = JoinPruner("a", summary, index=index)
-        pruner.prune(ScanSet(entries))
+        pruner = JoinPruner("a", summary)
+        pruner.prune(ScanSet(entries, index=index))
         assert pruner.mode == "fallback"
 
     def test_all_null_probe_partition_pruned(self):
@@ -275,8 +284,8 @@ class TestJoinMaskRoutes:
         # fails for it, everything else serves from the mask.
         stale = list(entries)
         stale[0] = (stale[0][0], stale[0][1].without_stats())
-        pruner = JoinPruner("a", MinMaxSummary([0, 1000]), index=index)
-        pruner.prune(ScanSet(stale))
+        pruner = JoinPruner("a", MinMaxSummary([0, 1000]))
+        pruner.prune(ScanSet(stale, index=index))
         assert pruner.mode == "mixed"
         assert pruner.vector_checks == len(entries) - 1
         assert pruner.fallback_checks == 1

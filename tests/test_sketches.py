@@ -471,6 +471,37 @@ class TestIndexCoverage:
         result = pruner.prune(sketched.scan_set("t"))
         assert not result.kept.partition_ids  # scalar probes pruned all
 
+    def test_hostile_layout_prunes_and_shows_in_describe(self):
+        """Zone maps that span the whole domain in every partition
+        prune nothing; the sketches must remove at least half of what
+        is left (median over substring and equality probes), and the
+        service's describe() must show every partition sketched."""
+        from statistics import median
+
+        from repro.service import QueryService
+
+        rows = []
+        for p in range(16):
+            for i in range(8):
+                anchor = ("aaa", "zzz")[i] if i < 2 else f"mk{p:02d}x"
+                rows.append([f"{anchor}-payload-mk{p:02d}x-{i}",
+                             (0, 99)[i] if i < 2 else p, float(i)])
+        sketched, plain = build_pair(rows, rows_per_partition=8)
+        ratios = []
+        for sql in ([f"SELECT * FROM t WHERE CONTAINS(s, 'mk{p:02d}x')"
+                     for p in (1, 6, 11)]
+                    + [f"SELECT * FROM t WHERE s LIKE '%mk{p:02d}x-5'"
+                       for p in (3, 14)]
+                    + [f"SELECT * FROM t WHERE k = {p}"
+                       for p in (2, 9)]):
+            scan = assert_equivalent(sketched, plain, sql).profile.scans[0]
+            assert (scan.filter_result is None
+                    or scan.filter_result.pruned == 0), sql
+            ratios.append(scan.sketch_result.pruning_ratio)
+        assert median(ratios) >= 0.5
+        block = QueryService(sketched).describe()["sketches"]
+        assert block["partitions_with_sketches"] == 16
+
 
 class TestPersistenceRoundTrip:
     def test_save_load_preserves_sketch_config(self, tmp_path):

@@ -19,6 +19,8 @@ from hypothesis import given, settings
 
 from repro.catalog import Catalog
 from repro.expr import ast
+from repro.expr.simplify import simplify
+from repro.faults import METADATA, FaultInjector, RetryPolicy
 from repro.plan.compiler import CompilerOptions
 from repro.pruning import (
     FilterPruner,
@@ -27,6 +29,7 @@ from repro.pruning import (
     VectorizedFilterPruner,
     compile_pruning_kernel,
 )
+from repro.sql import parse_select
 from repro.storage.micropartition import MicroPartition
 from repro.types import DataType, Schema
 
@@ -113,15 +116,20 @@ def make_entries(partition_rows):
 
 def assert_differential(predicate, entries, detect_fm,
                         index=None, expect_mode=None):
-    scan_set = ScanSet(entries)
-    if index is None:
-        index = StatsIndex(entries)
+    """``index=None``: the scan set packs its own (every entry
+    trusted); otherwise it is the snapshot the scan set carries."""
+    return assert_scan_set_differential(
+        predicate, ScanSet(entries, index=index), detect_fm,
+        expect_mode)
+
+
+def assert_scan_set_differential(predicate, scan_set, detect_fm=True,
+                                 expect_mode=None):
     scalar = FilterPruner(predicate, SCHEMA,
                           detect_fully_matching=detect_fm)
     vector = VectorizedFilterPruner(
-        predicate, SCHEMA, detect_fully_matching=detect_fm,
-        index=index)
-    expected = scalar.prune(scan_set)
+        predicate, SCHEMA, detect_fully_matching=detect_fm)
+    expected = scalar.prune(ScanSet(scan_set.entries))
     got = vector.prune(scan_set)
     assert got.kept.partition_ids == expected.kept.partition_ids
     assert got.pruned_ids == expected.pruned_ids
@@ -292,16 +300,113 @@ class TestIncrementalIndex:
         # no deltas pending: same object comes back
         assert store.stats_index("t") is store.stats_index("t")
 
-    def test_table_index_invalidated_by_mutation(self):
+    def test_dml_candidates_use_the_store_index(self):
+        """Tables hold no index of their own: DML candidate pruning
+        reads the metadata store's incrementally maintained one, which
+        vouches for every in-memory partition across DML."""
         catalog = Catalog(rows_per_partition=4)
         rows = [(i, float(i), STRINGS[i % 3]) for i in range(20)]
         catalog.create_table_from_rows("t", SCHEMA, rows)
-        table = catalog.tables["t"]
-        index = table.stats_index()
-        assert index is table.stats_index()
+        assert not hasattr(catalog.tables["t"], "stats_index")
+        index = catalog.metadata.stats_index("t")
         catalog.insert("t", [(99, 99.0, "zz")])
-        assert table.stats_index() is not index
-        assert len(table.stats_index()) == len(table.partitions)
+        for sql, affected in (("DELETE FROM t WHERE a >= 99", 1),
+                              ("UPDATE t SET v = 0.0 WHERE a < 2", 2),
+                              ("DELETE FROM t WHERE a < 2", 2)):
+            result = catalog.sql(sql)
+            assert result.rows == [(affected,)]
+            scan = result.profile.scans[0]
+            assert scan.pruning_mode == "vectorized"
+            assert scan.filter_result.after == 1
+        fresh = catalog.metadata.stats_index("t")
+        assert fresh is not index
+        assert len(fresh) == len(catalog.tables["t"].partitions)
+
+
+class TestScanSetTrust:
+    """The scan set decides, once, which index rows describe the zone
+    maps it holds; every route to an untrusted entry must land on the
+    scalar path with verdicts identical to ``FilterPruner``."""
+
+    PREDICATES = [
+        ast.Compare(">", ast.col("a"), ast.lit(25)),
+        ast.And(ast.Compare("<=", ast.col("v"), ast.lit(30.0)),
+                ast.IsNull(ast.col("s"), negated=True)),
+        ast.InList(ast.col("a"), [3, 17, 41]),
+        ast.Like(ast.col("s"), "alp%"),
+    ]
+
+    def _catalog(self):
+        catalog = Catalog(rows_per_partition=5)
+        rows = [(i, float(i), STRINGS[i % len(STRINGS)])
+                for i in range(60)]
+        catalog.create_table_from_rows("t", SCHEMA, rows)
+        return catalog
+
+    def _degraded(self):
+        """Fault-injected metadata: three entries are stats-free
+        copies the index row does not describe."""
+        catalog = self._catalog()
+        injector = catalog.enable_fault_injection(
+            FaultInjector(seed=0),
+            retry_policy=RetryPolicy(max_attempts=2))
+        lost = catalog.tables["t"].partition_ids[2:5]
+        for pid in lost:
+            injector.mark_unavailable(METADATA, ("t", pid))
+        scan_set = catalog.scan_set("t")
+        assert scan_set.degraded_ids == frozenset(lost)
+        return scan_set, len(scan_set) - len(lost)
+
+    def _stale(self):
+        """The index snapshot predates interleaved DML: rewritten
+        partitions have ids it lacks, a re-registered one holds a
+        different zone-map object at the same id."""
+        catalog = self._catalog()
+        index = catalog.metadata.stats_index("t")
+        catalog.sql("DELETE FROM t WHERE a = 7")      # rewrites one
+        catalog.insert("t", [(100, 100.0, "z")])      # appends one
+        pid, zone_map = next(iter(catalog.metadata.iter_table("t")))
+        catalog.metadata.register("t", pid, zone_map.without_stats())
+        entries = list(catalog.metadata.iter_table("t"))
+        return ScanSet(entries, index=index), len(entries) - 3
+
+    def _hand_built(self):
+        entries = self._catalog().scan_set("t").entries
+        return ScanSet(entries), len(entries)
+
+    @pytest.mark.parametrize(
+        "build", ["_degraded", "_stale", "_hand_built"])
+    def test_matches_scalar_reference(self, build):
+        scan_set, trusted = getattr(self, build)()
+        assert int((scan_set.trusted_rows >= 0).sum()) == trusted
+        ids = scan_set.partition_ids
+        derived = scan_set.restrict(ids[1:-2]).reorder(
+            list(reversed(ids[1:-2])))
+        # The derivative carries its slice of the trusted rows rather
+        # than recomputing them, and they still name the right rows.
+        recomputed = ScanSet(derived.entries,
+                             index=scan_set.stats_index).trusted_rows
+        assert derived.trusted_rows.tolist() == recomputed.tolist()
+        assert derived.degraded_ids == \
+            scan_set.degraded_ids & set(ids[1:-2])
+        for predicate in self.PREDICATES:
+            for candidate in (scan_set, derived):
+                pruner = assert_scan_set_differential(
+                    predicate, candidate)
+                if pruner.kernel is None:   # LIKE: all scalar
+                    assert pruner.vector_checks == 0
+                    continue
+                kernel_served = int(
+                    (candidate.trusted_rows >= 0).sum())
+                assert pruner.vector_checks == kernel_served
+                assert pruner.fallback_checks == \
+                    len(candidate) - kernel_served
+
+    def test_catalog_scan_set_trusts_every_entry(self):
+        catalog = self._catalog()
+        scan_set = catalog.scan_set("t")
+        assert scan_set.stats_index is catalog.metadata.stats_index("t")
+        assert (scan_set.trusted_rows >= 0).all()
 
 
 class TestCatalogIntegration:
@@ -321,35 +426,27 @@ class TestCatalogIntegration:
         "SELECT * FROM t WHERE a IS NOT NULL AND v > 90.0",
     ]
 
-    def test_vectorized_flag_is_pure_ablation(self):
-        """enable_vectorized_pruning=False yields identical rows,
-        partitions, and pruning decisions."""
-        on = self._catalog()
-        off = self._catalog()
-        # partition ids are globally allocated, so normalize to each
-        # table's first id before comparing across catalogs
-        base_on = min(p.partition_id
-                      for p in on.tables["t"].partitions)
-        base_off = min(p.partition_id
-                       for p in off.tables["t"].partitions)
+    def test_compiled_pruning_matches_scalar_reference(self):
+        """What the compiler prunes through the scan-set-carried index
+        is what the scalar ``FilterPruner`` decides entry by entry:
+        same kept and fully-matching partitions, same check count —
+        and the rows are those of a run with filter pruning off."""
+        catalog = self._catalog()
         for sql in self.QUERIES:
-            got = on.sql(sql)
-            want = off.sql(sql, CompilerOptions(
-                enable_vectorized_pruning=False))
-            assert got.rows == want.rows, sql
-            ps = zip(got.profile.scans, want.profile.scans)
-            for scan_on, scan_off in ps:
-                kept_on = [pid - base_on for pid in
-                           scan_on.filter_result.kept.partition_ids]
-                kept_off = [pid - base_off for pid in
-                            scan_off.filter_result.kept.partition_ids]
-                assert kept_on == kept_off, sql
-                fm_on = [pid - base_on
-                         for pid in scan_on.fully_matching_ids]
-                fm_off = [pid - base_off
-                          for pid in scan_off.fully_matching_ids]
-                assert fm_on == fm_off, sql
-                assert scan_off.pruning_mode == "fallback"
+            got = catalog.sql(sql)
+            unpruned = catalog.sql(sql, CompilerOptions(
+                enable_filter_pruning=False))
+            assert got.rows == unpruned.rows, sql
+            predicate = simplify(parse_select(sql).where, SCHEMA)
+            want = FilterPruner(predicate, SCHEMA).prune(
+                ScanSet(catalog.scan_set("t").entries))
+            scan = got.profile.scans[0]
+            assert scan.filter_result.kept.partition_ids == \
+                want.kept.partition_ids, sql
+            assert scan.filter_result.pruned_ids == want.pruned_ids, sql
+            assert scan.fully_matching_ids == \
+                want.fully_matching_ids, sql
+            assert scan.filter_result.checks == want.checks, sql
 
     def test_pruning_mode_surfaces_in_profile_and_explain(self):
         catalog = self._catalog()
