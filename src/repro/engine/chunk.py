@@ -34,6 +34,17 @@ class Chunk:
         self.num_rows = lengths.pop() if lengths else 0
 
     @classmethod
+    def _derived(cls, schema: Schema, columns: dict[str, Column]) -> "Chunk":
+        """A chunk derived from a validated one (same or selected names,
+        every column cut alike): skips the constructor's checks."""
+        chunk = object.__new__(cls)
+        chunk.source_partition = None
+        chunk.schema = schema
+        chunk.columns = columns
+        chunk.num_rows = len(next(iter(columns.values()), ()))
+        return chunk
+
+    @classmethod
     def from_partition(cls, partition: MicroPartition) -> "Chunk":
         return cls(partition.schema, partition.columns())
 
@@ -62,21 +73,21 @@ class Chunk:
             raise SchemaError(f"chunk has no column {name!r}") from None
 
     def filter(self, mask: np.ndarray) -> "Chunk":
-        return Chunk(self.schema,
-                     {n: c.filter(mask) for n, c in self.columns.items()})
+        return Chunk._derived(self.schema, {
+            n: c.filter(mask) for n, c in self.columns.items()})
 
     def take(self, indices: np.ndarray) -> "Chunk":
-        return Chunk(self.schema,
-                     {n: c.take(indices) for n, c in self.columns.items()})
+        return Chunk._derived(self.schema, {
+            n: c.take(indices) for n, c in self.columns.items()})
 
     def slice(self, start: int, stop: int) -> "Chunk":
-        return Chunk(self.schema,
-                     {n: c.slice(start, stop)
-                      for n, c in self.columns.items()})
+        return Chunk._derived(self.schema, {
+            n: c.slice(start, stop) for n, c in self.columns.items()})
 
     def select(self, names: Sequence[str]) -> "Chunk":
         schema = self.schema.select(names)
-        return Chunk(schema, {n.lower(): self.column(n) for n in names})
+        return Chunk._derived(
+            schema, {n.lower(): self.column(n) for n in names})
 
     @classmethod
     def concat(cls, schema: Schema,
@@ -87,7 +98,7 @@ class Chunk:
             f.name: Column.concat([c.columns[f.name] for c in chunks])
             for f in schema
         }
-        return cls(schema, columns)
+        return cls._derived(schema, columns)
 
     def to_rows(self) -> list[tuple[Any, ...]]:
         cols = [self.columns[f.name].to_pylist() for f in self.schema]

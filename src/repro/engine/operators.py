@@ -8,24 +8,24 @@ so pruning savings show up as runtime improvements deterministically.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ..errors import ExecutionError, PlanError
+from ..errors import PlanError
 from ..expr import ast
 from ..expr.eval import evaluate, evaluate_predicate
 from ..pruning.base import ScanSet
 from ..pruning.join_pruning import JoinPruner, build_summary
 from ..pruning.stats_index import VectorizedFilterPruner
-from ..pruning.summaries import BloomFilter
 from ..pruning.topk_pruning import Boundary, TopKPruner, rank_of
 from ..storage.column import Column
 from ..types import DataType, Schema
 from .chunk import Chunk
 from .context import ExecContext, ScanProfile
+from .kernels import (
+    group_rows, join_keys, segment_extreme, segment_sum, sort_order)
 
 
 class Operator:
@@ -586,9 +586,9 @@ class Scan(Operator):
         result = self.profile.filter_result
         if result is not None:
             result.pruned_ids.append(-1)
-        # If no compile-time pruning ran, runtime filter prunes are
-        # still attributed to the filter technique.
-        elif self.profile.filter_result is None:
+        else:
+            # If no compile-time pruning ran, runtime filter prunes are
+            # still attributed to the filter technique.
             from ..pruning.base import PruneCategory, PruningResult
 
             self.profile.filter_result = PruningResult(
@@ -656,14 +656,16 @@ class Project(Operator):
 
 
 class HashJoin(Operator):
-    """Hash join with build-side summaries and probe-side pruning (§6).
+    """Equi-join with build-side summaries and probe-side pruning (§6).
 
-    The *build* child is fully materialized into a hash table; its join
-    keys are summarized, and — when the probe child bottoms out at a
+    The *build* child is fully materialized and its non-NULL join keys
+    sorted once (stably: equal keys stay in build order); the keys are
+    summarized, and — when the probe child bottoms out at a
     :class:`Scan` whose column feeds the join key directly — the
     summary prunes the probe scan set before a single probe partition
-    is loaded. A Bloom filter additionally skips per-row hash-table
-    probes (the classic bloom-join CPU saving).
+    is loaded. Each probe chunk finds its partners with two
+    ``searchsorted`` calls. Output is in probe row order and, within
+    one probe row, build order.
 
     ``join_type``: ``"inner"`` or ``"left_outer"`` (probe side
     preserved; matches SQL LEFT JOIN with the left input as probe).
@@ -687,97 +689,65 @@ class HashJoin(Operator):
         self.probe_scan_column = (probe_scan_column or probe_key).lower()
         self.summary_kind = summary_kind
         self.schema = probe.schema.concat(build.schema)
-        self.bloom_probes_skipped = 0
         self.build_rows = 0
 
     def __iter__(self) -> Iterator[Chunk]:
-        build_chunk, table = self._build_phase()
-        yield from self._probe_phase(build_chunk, table)
+        yield from self._probe_phase(*self._build_phase())
 
-    def _build_phase(self) -> tuple[Chunk, dict]:
-        chunks = list(self.build)
-        build_chunk = Chunk.concat(self.build.schema, chunks)
+    def _build_phase(self) -> tuple[Chunk, np.ndarray, np.ndarray]:
+        """The build chunk, its joinable keys sorted, their build rows."""
+        build_chunk = Chunk.concat(self.build.schema, list(self.build))
         self.build_rows = build_chunk.num_rows
         self.context.charge_rows(build_chunk.num_rows)
         key_column = build_chunk.column(self.build_key)
-        table: dict[Any, list[int]] = {}
-        for i in range(len(key_column)):
-            if key_column.nulls[i]:
-                continue  # NULL keys never join
-            table.setdefault(key_column.values[i], []).append(i)
-        summary = build_summary(
-            (key_column.values[i] for i in range(len(key_column))
-             if not key_column.nulls[i]),
-            kind=self.summary_kind)
-        self._bloom = BloomFilter(expected_items=max(1, len(table)))
-        for key in table:
-            self._bloom.add(key)
-        self._prune_probe_side(summary)
-        return build_chunk, table
-
-    def _prune_probe_side(self, summary) -> None:
         # Probe-side partition pruning is only sound when probe rows
         # are not preserved: a LEFT OUTER probe row must surface even
         # with no partner.
-        if self.probe_scan is None or self.join_type != "inner":
-            return
-        pruner = JoinPruner(self.probe_scan_column, summary)
-        self.probe_scan.apply_join_pruning(pruner)
+        if self.probe_scan is not None and self.join_type == "inner":
+            self.probe_scan.apply_join_pruning(JoinPruner(
+                self.probe_scan_column, build_summary(
+                    key_column.values[~key_column.nulls],
+                    kind=self.summary_kind)))
+        keys, joinable = join_keys(
+            key_column, self.probe.schema.dtype_of(self.probe_key))
+        rows = np.flatnonzero(joinable)
+        order = np.argsort(keys[rows], kind="stable")
+        return build_chunk, keys[rows[order]], rows[order]
 
-    def _probe_phase(self, build_chunk: Chunk,
-                     table: dict) -> Iterator[Chunk]:
-        build_width = len(self.build.schema)
+    def _probe_phase(self, build_chunk: Chunk, sorted_keys: np.ndarray,
+                     sorted_rows: np.ndarray) -> Iterator[Chunk]:
         for chunk in self.probe:
             self.context.charge_rows(chunk.num_rows)
-            key_column = chunk.column(self.probe_key)
-            probe_indices: list[int] = []
-            build_indices: list[int] = []
-            unmatched: list[int] = []
-            for i in range(chunk.num_rows):
-                if key_column.nulls[i]:
-                    if self.join_type == "left_outer":
-                        unmatched.append(i)
-                    continue
-                key = key_column.values[i]
-                if not self._bloom.might_contain(key):
-                    self.bloom_probes_skipped += 1
-                    if self.join_type == "left_outer":
-                        unmatched.append(i)
-                    continue
-                matches = table.get(key)
-                if matches:
-                    for j in matches:
-                        probe_indices.append(i)
-                        build_indices.append(j)
-                elif self.join_type == "left_outer":
-                    unmatched.append(i)
-            yield from self._emit(chunk, build_chunk, probe_indices,
-                                  build_indices, unmatched, build_width)
+            keys, joinable = join_keys(
+                chunk.column(self.probe_key),
+                self.build.schema.dtype_of(self.build_key))
+            lo = np.searchsorted(sorted_keys, keys, "left")
+            matches = np.searchsorted(sorted_keys, keys, "right") - lo
+            matches[~joinable] = 0
+            # Probe row i pairs with sorted positions lo[i] up to
+            # lo[i] + matches[i]: repeat i per partner, count up from lo.
+            probe_rows = np.repeat(np.arange(len(matches)), matches)
+            if len(probe_rows):
+                run_starts = np.cumsum(matches) - matches
+                within = (np.arange(len(probe_rows))
+                          - run_starts[probe_rows])
+                build_rows = sorted_rows[lo[probe_rows] + within]
+                yield self._combine(chunk, probe_rows, {
+                    name: column.take(build_rows)
+                    for name, column in build_chunk.columns.items()})
+            if self.join_type == "left_outer":
+                unmatched = np.flatnonzero(matches == 0)
+                if len(unmatched):
+                    yield self._combine(chunk, unmatched, {
+                        f.name: Column.all_null(f.dtype, len(unmatched))
+                        for f in self.build.schema})
 
-    def _emit(self, probe_chunk: Chunk, build_chunk: Chunk,
-              probe_indices: list[int], build_indices: list[int],
-              unmatched: list[int], build_width: int) -> Iterator[Chunk]:
-        pieces = []
-        if probe_indices:
-            probe_part = probe_chunk.take(np.asarray(probe_indices))
-            build_part = build_chunk.take(np.asarray(build_indices))
-            pieces.append(self._combine(probe_part, build_part))
-        if unmatched:
-            probe_part = probe_chunk.take(np.asarray(unmatched))
-            null_build = {
-                f.name: Column.all_null(f.dtype, len(unmatched))
-                for f in self.build.schema
-            }
-            build_part = Chunk(self.build.schema, null_build)
-            pieces.append(self._combine(probe_part, build_part))
-        for piece in pieces:
-            if piece.num_rows:
-                yield piece
-
-    def _combine(self, probe_part: Chunk, build_part: Chunk) -> Chunk:
-        columns = dict(probe_part.columns)
-        columns.update(build_part.columns)
-        return Chunk(self.schema, columns)
+    def _combine(self, probe_chunk: Chunk, probe_rows: np.ndarray,
+                 build_columns: dict[str, Column]) -> Chunk:
+        columns = {name: column.take(probe_rows)
+                   for name, column in probe_chunk.columns.items()}
+        columns.update(build_columns)
+        return Chunk._derived(self.schema, columns)
 
 
 @dataclass(frozen=True)
@@ -799,54 +769,37 @@ class AggSpec:
             return input_dtype
         raise PlanError(f"unknown aggregate {self.func!r}")
 
+    def partials(self) -> tuple[tuple[str, str | None], ...]:
+        """The ``(kind, input)`` partial states this aggregate reads."""
+        if self.func == "avg":
+            return (("sum", self.input), ("count", self.input))
+        return ((self.func, self.input),)
 
-class _Accumulator:
-    """Per-group aggregate state."""
 
-    __slots__ = ("count", "count_star", "total", "lo", "hi")
-
-    def __init__(self):
-        self.count = 0
-        self.count_star = 0
-        self.total = 0
-        self.lo = None
-        self.hi = None
-
-    def update(self, value: Any) -> None:
-        self.count_star += 1
-        if value is None:
-            return
-        self.count += 1
-        if isinstance(value, (int, float, np.integer, np.floating)):
-            self.total += value
-        if self.lo is None or value < self.lo:
-            self.lo = value
-        if self.hi is None or value > self.hi:
-            self.hi = value
-
-    def result(self, func: str) -> Any:
-        if func == "count_star":
-            return self.count_star
-        if func == "count":
-            return self.count
-        if func == "sum":
-            return self.total if self.count else None
-        if func == "min":
-            return self.lo
-        if func == "max":
-            return self.hi
-        if func == "avg":
-            return self.total / self.count if self.count else None
-        raise ExecutionError(f"unknown aggregate {func!r}")
+#: HashAggregate folds its buffered rows into one per group once more than
+#: this many, and more than it has groups, wait (a fold re-sorts the groups).
+_FOLD_ROWS = 4096
+#: NaN is the largest value, as in sorts: ``maximum`` yields it, ``fmin``
+#: skips it unless the group has nothing else.
+_EXTREMES = {"min": np.fmin, "max": np.maximum}
 
 
 class HashAggregate(Operator):
-    """Hash aggregation (GROUP BY) with optional top-k awareness.
+    """Grouped aggregation (GROUP BY) with optional top-k awareness.
+
+    State is one *partial* row per group: the key columns plus a column
+    per distinct ``(kind, input)`` partial. An input row is itself a
+    partial (its value is the sum, min and max of one row), so chunks
+    are buffered as they come and folded with the state by one kernel:
+    group ids, then NULL-skipping per-group sums (of sums, of counts)
+    and extremes. The state comes first in every fold, so groups stay
+    in order of first appearance and sums add rows in arrival order.
 
     When the downstream TopK orders by a grouping key (Figure 7d), the
-    aggregate maintains its own heap of group keys and feeds the shared
-    boundary: a scanned partition whose best possible key is worse than
-    the current k-th best *group key* cannot introduce a result group.
+    aggregate tracks the k best distinct group keys and feeds the
+    shared boundary after every chunk: a scanned partition whose best
+    possible key is worse than the current k-th best *group key* cannot
+    introduce a result group.
     """
 
     def __init__(self, context: ExecContext, child: Operator,
@@ -866,48 +819,87 @@ class HashAggregate(Operator):
                                 spec.output_dtype(input_dtype)))
         self.schema = Schema(fields)
         self.topk_hint = topk_hint
+        self._partials = list(dict.fromkeys(
+            partial for spec in self.aggs for partial in spec.partials()))
 
     def __iter__(self) -> Iterator[Chunk]:
-        # Each aggregate tracks its own accumulator per group.
-        groups: dict[tuple, list[_Accumulator]] = {}
-        hint = self.topk_hint
-        heap: list[tuple] = []
+        #: blocks of ``keys + partials`` columns; the folded state first
+        blocks: list[list[Column]] = []
+        buffered, fold_at = 0, _FOLD_ROWS
+        best_keys: list[Column] | None = None
         for chunk in self.child:
             self.context.charge_rows(chunk.num_rows)
-            key_columns = [chunk.column(k) for k in self.group_keys]
-            agg_columns = [chunk.column(s.input) if s.input else None
-                           for s in self.aggs]
-            for i in range(chunk.num_rows):
-                key = tuple(c.value_at(i) for c in key_columns)
-                state = groups.get(key)
-                if state is None:
-                    state = [_Accumulator() for _ in self.aggs]
-                    groups[key] = state
-                    if hint is not None:
-                        self._update_hint(heap, key, hint)
-                for spec_index, column in enumerate(agg_columns):
-                    value = (column.value_at(i)
-                             if column is not None else 0)
-                    state[spec_index].update(value)
-        yield self._materialize(groups)
+            keys = [chunk.column(k) for k in self.group_keys]
+            if self.topk_hint is not None:
+                best_keys = self._feed_hint(keys, best_keys)
+            blocks.append(keys + [self._unit_partial(chunk, kind, source)
+                                  for kind, source in self._partials])
+            buffered += chunk.num_rows
+            if buffered > fold_at:
+                blocks = [self._fold(blocks)]
+                buffered, fold_at = 0, max(_FOLD_ROWS, len(blocks[0][0]))
+        yield self._finish(self._fold(blocks)) if blocks \
+            else Chunk.empty(self.schema)
 
-    def _update_hint(self, heap: list[tuple], key: tuple,
-                     hint: "TopKGroupHint") -> None:
-        key_value = key[hint.key_index]
-        rank = rank_of(key_value, hint.desc)
-        heapq.heappush(heap, rank)
-        if len(heap) > hint.k:
-            heapq.heappop(heap)
-        if len(heap) == hint.k:
-            hint.boundary.update(heap[0])
+    @staticmethod
+    def _unit_partial(chunk: Chunk, kind: str, source: str | None) -> Column:
+        """The partial state of each single input row."""
+        if kind == "count_star":
+            return Column.constant(DataType.INTEGER, 1, chunk.num_rows)
+        column = chunk.column(source)
+        if kind == "count":
+            return Column.from_numpy(DataType.INTEGER, ~column.nulls)
+        return column   # one row's sum, min and max are its value
 
-    def _materialize(self, groups: dict) -> Chunk:
-        rows = []
-        for key, state in groups.items():
-            rows.append(tuple(key) + tuple(
-                acc.result(spec.func)
-                for spec, acc in zip(self.aggs, state)))
-        return Chunk.from_rows(self.schema, rows)
+    def _fold(self, blocks: list[list[Column]]) -> list[Column]:
+        """One partial row per group out of the blocks' rows."""
+        n_keys = len(self.group_keys)
+        merged = [Column.concat(columns) for columns in zip(*blocks)]
+        codes, order, first_rows = group_rows(merged[:n_keys],
+                                              len(merged[0]))
+        groups = len(first_rows)
+        folded = [key.take(first_rows) for key in merged[:n_keys]]
+        for (kind, _), column in zip(self._partials, merged[n_keys:]):
+            folded.append(
+                segment_extreme(_EXTREMES[kind], column, codes, order,
+                                groups) if kind in _EXTREMES
+                else segment_sum(column, codes, groups))
+        return folded
+
+    def _feed_hint(self, keys: list[Column],
+                   best_keys: list[Column] | None) -> list[Column]:
+        """Merge a chunk's groups into the k best seen and publish the
+        k-th. A group dropped from them is never better than the
+        boundary again, so the boundary after each chunk is the one a
+        heap over every distinct group seen would hold."""
+        hint = self.topk_hint
+        if best_keys is not None:
+            keys = [Column.concat(pair) for pair in zip(best_keys, keys)]
+        first_rows = group_rows(keys, len(keys[0]))[2]
+        distinct = [key.take(first_rows) for key in keys]
+        order = sort_order([distinct[hint.key_index]],
+                           [hint.desc])[:hint.k]
+        best_keys = [key.take(order) for key in distinct]
+        if len(order) == hint.k:
+            _publish(hint.boundary, best_keys[hint.key_index],
+                     hint.k - 1, hint.desc)
+        return best_keys
+
+    def _finish(self, state: list[Column]) -> Chunk:
+        partial = dict(zip(self._partials,
+                           state[len(self.group_keys):]))
+        columns = dict(zip(self.group_keys, state))
+        for spec in self.aggs:
+            if spec.func == "avg":
+                total = partial["sum", spec.input]
+                count = partial["count", spec.input].values
+                mean = np.divide(total.values, count, where=~total.nulls,
+                                 out=np.zeros(len(count)))
+                columns[spec.output] = Column(DataType.DOUBLE, mean,
+                                              total.nulls)
+            else:
+                columns[spec.output] = partial[spec.partials()[0]]
+        return Chunk(self.schema, columns)
 
 
 @dataclass
@@ -920,6 +912,13 @@ class TopKGroupHint:
     boundary: Boundary
 
 
+def _publish(boundary: Boundary, column: Column, row: int,
+             desc: bool) -> None:
+    """Raise ``boundary`` to the rank of ``column``'s value at ``row``."""
+    value = column.slice(row, row + 1).to_pylist()[0]
+    boundary.update(rank_of(value, desc))
+
+
 @dataclass(frozen=True)
 class SortKey:
     column: str
@@ -927,7 +926,7 @@ class SortKey:
 
 
 class Sort(Operator):
-    """Full materializing sort; NULLs last in either direction."""
+    """Full materializing stable sort; NULLs last in either direction."""
 
     def __init__(self, context: ExecContext, child: Operator,
                  keys: Sequence[SortKey]):
@@ -939,31 +938,30 @@ class Sort(Operator):
         self.schema = child.schema
 
     def __iter__(self) -> Iterator[Chunk]:
-        chunks = list(self.child)
-        merged = Chunk.concat(self.schema, chunks)
+        merged = Chunk.concat(self.schema, list(self.child))
         self.context.charge_rows(merged.num_rows)
-        columns = [merged.column(k.column) for k in self.keys]
+        yield merged.take(_key_order(merged, self.keys))
 
-        def row_rank(i: int) -> tuple:
-            return tuple(
-                rank_of(col.value_at(i), key.desc)
-                for col, key in zip(columns, self.keys))
 
-        order = sorted(range(merged.num_rows), key=row_rank, reverse=True)
-        yield merged.take(np.asarray(order, dtype=np.int64))
+def _key_order(chunk: Chunk, keys: Sequence[SortKey]) -> np.ndarray:
+    return sort_order([chunk.column(key.column) for key in keys],
+                      [key.desc for key in keys])
 
 
 class TopK(Operator):
-    """Heap-based ORDER BY ... LIMIT k with boundary feedback (§5.2).
+    """ORDER BY ... LIMIT k with boundary feedback (§5.2).
 
-    Maintains a k-element heap over the ORDER BY key(s); whenever the
-    heap is full, the *leading* key's rank of the k-th best row is
-    published to the shared :class:`Boundary`, which the upstream scan
-    uses to skip partitions (sound for multi-key orderings because a
-    row whose leading rank is strictly worse than the k-th row's
-    leading rank is lexicographically worse overall). Also records
-    which micro-partition each surviving heap row came from, enabling
-    the top-k predicate cache (§8.2).
+    Keeps the best ``k + offset`` rows so far, sorted: a chunk loses
+    the rows whose *leading* key is strictly worse than the worst kept
+    row's, joins the kept rows, and one stable sort keeps the first
+    ``k + offset`` again (the row seen first wins a tie). Once per
+    chunk, when the kept rows are full, the *leading* key's rank of the
+    last one is published to the shared :class:`Boundary`, which the
+    upstream scan uses to skip partitions (sound for multi-key
+    orderings because a row whose leading rank is strictly worse than
+    the k-th row's is lexicographically worse overall). Also records
+    which micro-partition each surviving row came from, enabling the
+    top-k predicate cache (§8.2).
     """
 
     def __init__(self, context: ExecContext, child: Operator,
@@ -994,32 +992,39 @@ class TopK(Operator):
         keep = self.k + self.offset
         if keep == 0:
             return
-        heap: list[tuple] = []  # (rank_tuple, seq, row, partition_id)
-        seq = 0
+        best = Chunk.empty(self.schema)
+        #: partition each kept row came from (-1: none recorded)
+        sources = np.empty(0, dtype=np.int64)
         for chunk in self.child:
             self.context.charge_rows(chunk.num_rows)
-            order_cols = [chunk.column(key.column)
-                          for key in self.keys]
             source = chunk.source_partition
-            for i in range(chunk.num_rows):
-                rank = tuple(
-                    rank_of(column.value_at(i), key.desc)
-                    for column, key in zip(order_cols, self.keys))
-                if len(heap) == keep and rank <= heap[0][0]:
-                    continue
-                seq += 1
-                heapq.heappush(heap, (rank, seq, chunk.row_at(i), source))
-                if len(heap) > keep:
-                    heapq.heappop(heap)
-                if len(heap) == keep and self.boundary is not None:
-                    # publish only the leading key's component
-                    self.boundary.update(heap[0][0][0])
-        ordered = sorted(heap, key=lambda e: (e[0], -e[1]), reverse=True)
-        selected = ordered[self.offset:]
-        self.contributing_partitions = {
-            e[3] for e in selected if e[3] is not None}
-        rows = [e[2] for e in selected]
-        yield Chunk.from_rows(self.schema, rows)
+            if best.num_rows == keep:
+                chunk = chunk.filter(self._may_enter(chunk, best))
+            if chunk.num_rows == 0:
+                continue
+            merged = Chunk.concat(self.schema, [best, chunk])
+            order = _key_order(merged, self.keys)[:keep]
+            best = merged.take(order)
+            sources = np.concatenate((sources, np.full(
+                chunk.num_rows, -1 if source is None else source)))[order]
+            if best.num_rows == keep and self.boundary is not None:
+                _publish(self.boundary, best.column(self.order_column),
+                         keep - 1, self.desc)
+        kept_sources = sources[self.offset:]
+        self.contributing_partitions = set(
+            kept_sources[kept_sources >= 0].tolist())
+        yield best.slice(self.offset, best.num_rows)
+
+    def _may_enter(self, chunk: Chunk, best: Chunk) -> np.ndarray:
+        """Rows whose leading key is not strictly worse than the last
+        kept row's (nothing is worse than a NULL)."""
+        worst = best.column(self.order_column)
+        if worst.nulls[-1]:
+            return np.ones(chunk.num_rows, dtype=np.bool_)
+        leading = chunk.column(self.order_column)
+        worse = (np.less if self.desc else np.greater)(
+            leading.values, worst.values[-1])
+        return ~(worse | leading.nulls)
 
 
 class Limit(Operator):

@@ -13,9 +13,8 @@ trade-off:
   clusters;
 * :class:`BloomFilter` — classic row-level filter built from scratch;
   cannot answer range-overlap questions directly, so for *partition*
-  pruning it enumerates small integer ranges and otherwise degrades to
-  its companion min/max bound. Its main job is skipping hash-table
-  probes row by row.
+  pruning it enumerates small integer ranges and otherwise answers
+  "maybe" (``summary_kind="bloom"``; the join-summary ablation).
 
 All summaries answer conservatively: ``might_contain``/
 ``might_overlap_range`` may return true for absent values (false

@@ -29,7 +29,7 @@ _DUMMY = {
 class Column:
     """An immutable, typed vector of SQL values with a null mask."""
 
-    __slots__ = ("dtype", "values", "nulls")
+    __slots__ = ("dtype", "values", "nulls", "_nbytes")
 
     def __init__(self, dtype: DataType, values: np.ndarray, nulls: np.ndarray):
         if len(values) != len(nulls):
@@ -37,6 +37,7 @@ class Column:
         self.dtype = dtype
         self.values = values
         self.nulls = nulls
+        self._nbytes: int | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -225,14 +226,19 @@ class Column:
             self.nulls).tobytes(), state)
 
     def nbytes(self) -> int:
-        """Approximate in-memory size, used by the storage cost model."""
-        if self.dtype == DataType.VARCHAR:
-            payload = sum(
-                len(v) for v, is_null in zip(self.values, self.nulls)
-                if not is_null
-            )
-            return payload + len(self)  # + per-row offset overhead
-        return int(self.values.nbytes) + int(self.nulls.nbytes)
+        """Approximate in-memory size, used by the storage cost model
+        (computed once: a VARCHAR column walks every value for it)."""
+        if self._nbytes is None:
+            if self.dtype == DataType.VARCHAR:
+                payload = sum(
+                    len(v) for v, is_null in zip(self.values, self.nulls)
+                    if not is_null
+                )
+                self._nbytes = payload + len(self)  # + per-row offsets
+            else:
+                self._nbytes = (int(self.values.nbytes)
+                                + int(self.nulls.nbytes))
+        return self._nbytes
 
     def __repr__(self) -> str:
         preview = self.to_pylist()[:6]

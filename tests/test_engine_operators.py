@@ -312,16 +312,14 @@ class TestHashJoin:
         assert len(result.rows) == 100  # all probe rows preserved
         assert ctx.profile.scans[0].join_result is None
 
-    def test_bloom_skips_probes(self):
-        ctx = ExecContext(StorageLayer())
-        left_rows = [(i, "a") for i in range(100)]
-        left = ChunkSource(self.LEFT,
-                           [Chunk.from_rows(self.LEFT, left_rows)])
-        right = ChunkSource(self.RIGHT,
-                            [Chunk.from_rows(self.RIGHT, [(1, "x")])])
-        op = HashJoin(ctx, left, right, probe_key="k", build_key="rk")
-        execute(op, ctx)
-        assert op.bloom_probes_skipped > 50
+    def test_mostly_unmatched_probe_returns_exactly_the_matches(self):
+        left_rows = [(i % 50, f"a{i}") for i in range(100)]
+        right_rows = [(7, "x"), (31, "y"), (7, "z"), (99, "w")]
+        rows = self.join(left_rows, right_rows)
+        assert rows == [(7, "a7", 7, "x"), (7, "a7", 7, "z"),
+                        (31, "a31", 31, "y"),
+                        (7, "a57", 7, "x"), (7, "a57", 7, "z"),
+                        (31, "a81", 31, "y")]
 
     def test_invalid_join_type(self):
         ctx = ExecContext(StorageLayer())
