@@ -174,9 +174,7 @@ class PartitionCache:
             entry.hits += 1
             self._touch(partition_id, entry)
             if record:
-                saved = (entry.partition.project_bytes(columns)
-                         if columns is not None
-                         else entry.partition.nbytes())
+                saved = entry.partition.project_bytes(columns)
                 self._stats.hits += 1
                 self._stats.bytes_saved += saved
             return entry.partition
@@ -217,7 +215,7 @@ class PartitionCache:
                     widened = entry.columns | requested
                 else:
                     widened = None
-                nbytes = self._charge_bytes(partition, widened)
+                nbytes = partition.project_bytes(widened)
                 if nbytes > self.budget_bytes:
                     # The widened entry can never fit; drop it rather
                     # than thrash the rest of the resident set.
@@ -230,7 +228,7 @@ class PartitionCache:
                 entry.partition = partition
                 self._touch(partition.partition_id, entry)
                 return self._evict_to_budget()
-            nbytes = self._charge_bytes(partition, requested)
+            nbytes = partition.project_bytes(requested)
             if nbytes > self.budget_bytes:
                 self._stats.rejected += 1
                 return []
@@ -364,13 +362,6 @@ class PartitionCache:
     # ------------------------------------------------------------------
     # Internals (call with the lock held)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _charge_bytes(partition: "MicroPartition",
-                      columns: frozenset[str] | None) -> int:
-        if columns is None:
-            return partition.nbytes()
-        return partition.project_bytes(sorted(columns))
-
     def _find(self, partition_id: int) -> _Entry | None:
         for segment in self._segments.values():
             entry = segment.get(partition_id)

@@ -147,6 +147,4 @@ class Prefetcher:
             return None
         self._cache.put(partition, self._columns)
         self._cache.record_prefetch_load()
-        if self._columns is not None:
-            return partition.project_bytes(self._columns)
-        return partition.nbytes()
+        return partition.project_bytes(self._columns)

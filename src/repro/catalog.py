@@ -38,7 +38,7 @@ from .errors import (
     TransientError,
 )
 from .expr import ast
-from .expr.eval import evaluate_predicate
+from .expr.eval import bind, bind_predicate
 from .obs.telemetry import TelemetryRecord, TelemetrySink
 from .obs.trace import Tracer, render_span_tree
 from .plan.compiler import CompilerOptions, QueryCompiler
@@ -49,6 +49,7 @@ from .sql import parse_select
 from .sql.planner import plan_select
 from .storage.builder import DEFAULT_ROWS_PER_PARTITION, build_table
 from .storage.clustering import Layout
+from .storage.column import Column
 from .storage.metadata_store import MetadataStore
 from .storage.micropartition import MicroPartition
 from .storage.storage_layer import CostModel, StorageLayer
@@ -850,32 +851,29 @@ class Catalog:
                           cache: PartitionCache | None = None,
                           tracer: Tracer | None = None) -> int:
         """UPDATE with a SQL value expression evaluated per row."""
-        from .expr.eval import evaluate
-
         column = column.lower()
         target_dtype = table.schema.dtype_of(column)
         value_dtype = value_expr.dtype(table.schema)
         if value_dtype != target_dtype:
             value_expr = ast.Cast(value_expr, target_dtype)
+        matches = bind_predicate(predicate, table.schema)
+        new_value = bind(value_expr, table.schema)
         updated_rows = 0
         removed: list[MicroPartition] = []
         added: list[MicroPartition] = []
         for partition in self._dml_candidates(table, predicate,
                                               profile, cache=cache):
-            mask = evaluate_predicate(predicate, partition.columns(),
-                                      table.schema)
+            columns = partition.columns()
+            mask = matches(columns, partition.row_count)
             hits = int(mask.sum())
             if hits == 0:
                 continue
             updated_rows += hits
             removed.append(partition)
-            columns = partition.columns()
             old = columns[column]
-            new = evaluate(value_expr, columns, table.schema)
+            new = new_value(columns, partition.row_count)
             merged_values = np.where(mask, new.values, old.values)
             merged_nulls = np.where(mask, new.nulls, old.nulls)
-            from .storage.column import Column
-
             columns[column] = Column(
                 target_dtype,
                 np.asarray(merged_values,
@@ -1140,13 +1138,13 @@ class Catalog:
         (two-phase), so the WAL record precedes every swap.
         """
         table = self._table(table_name)
+        matches = bind_predicate(predicate, table.schema)
         deleted_rows = 0
         removed: list[MicroPartition] = []
         added: list[MicroPartition] = []
         for partition in self._dml_candidates(table, predicate,
                                               profile, cache=cache):
-            mask = evaluate_predicate(predicate, partition.columns(),
-                                      table.schema)
+            mask = matches(partition.columns(), partition.row_count)
             hits = int(mask.sum())
             if hits == 0:
                 continue
@@ -1175,25 +1173,23 @@ class Catalog:
         table = self._table(table_name)
         column = column.lower()
         dtype = table.schema.dtype_of(column)
+        matches = bind_predicate(predicate, table.schema)
         updated_rows = 0
         removed: list[MicroPartition] = []
         added: list[MicroPartition] = []
         for partition in self._dml_candidates(table, predicate,
                                               profile, cache=cache):
-            mask = evaluate_predicate(predicate, partition.columns(),
-                                      table.schema)
+            columns = partition.columns()
+            mask = matches(columns, partition.row_count)
             hits = int(mask.sum())
             if hits == 0:
                 continue
             updated_rows += hits
             removed.append(partition)
-            columns = partition.columns()
             old = columns[column]
             new_values = old.to_pylist()
             for i in np.flatnonzero(mask):
                 new_values[int(i)] = value_fn(new_values[int(i)])
-            from .storage.column import Column
-
             columns[column] = Column.from_pylist(dtype, new_values)
             added.append(MicroPartition(table.schema, columns))
         self._commit_rewrite(table, removed, added, kind="update",

@@ -8,7 +8,6 @@ import numpy as np
 
 from ..errors import SchemaError
 from ..storage.column import Column
-from ..storage.micropartition import MicroPartition
 from ..types import Schema
 
 
@@ -43,10 +42,6 @@ class Chunk:
         chunk.columns = columns
         chunk.num_rows = len(next(iter(columns.values()), ()))
         return chunk
-
-    @classmethod
-    def from_partition(cls, partition: MicroPartition) -> "Chunk":
-        return cls(partition.schema, partition.columns())
 
     @classmethod
     def empty(cls, schema: Schema) -> "Chunk":

@@ -49,6 +49,9 @@ class ScanProfile:
     prefetched_then_skipped: int = 0
     prefetched_then_skipped_bytes: int = 0
     partitions_loaded: int = 0
+    #: loaded partitions the row filter passed through unevaluated
+    #: because compile-time pruning proved them fully matching (§4.2)
+    filter_bypassed: int = 0
     rows_scanned: int = 0
     #: estimated bytes read from the loaded partitions (column sizes)
     bytes_scanned: int = 0
@@ -312,6 +315,8 @@ class QueryProfile:
                                       for s in self.scans)),
             "bytes_scanned": float(sum(s.bytes_scanned
                                        for s in self.scans)),
+            "filter_bypassed": float(sum(s.filter_bypassed
+                                         for s in self.scans)),
             "scans": float(len(self.scans)),
             "retries": float(self.total_retries),
             "retry_backoff_ms": self.total_backoff_ms,
@@ -382,7 +387,8 @@ class QueryProfile:
             if scan.filter_result is not None:
                 parts.append(
                     f"filter -> {scan.filter_result.after}"
-                    f" (fm={len(scan.fully_matching_ids)})")
+                    f" (fm={len(scan.fully_matching_ids)},"
+                    f" unfiltered={scan.filter_bypassed})")
             if scan.sketch_result is not None:
                 parts.append(f"sketch -> {scan.sketch_result.after}")
             if scan.skip_set_hit:

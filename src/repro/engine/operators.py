@@ -15,13 +15,13 @@ import numpy as np
 
 from ..errors import PlanError
 from ..expr import ast
-from ..expr.eval import evaluate, evaluate_predicate
+from ..expr.eval import bind, bind_predicate
 from ..pruning.base import ScanSet
 from ..pruning.join_pruning import JoinPruner, build_summary
 from ..pruning.stats_index import VectorizedFilterPruner
 from ..pruning.topk_pruning import Boundary, TopKPruner, rank_of
 from ..storage.column import Column
-from ..types import DataType, Schema
+from ..types import DataType, Field, Schema
 from .chunk import Chunk
 from .context import ExecContext, ScanProfile
 from .kernels import (
@@ -110,9 +110,13 @@ class Scan(Operator):
                  columns: Sequence[str] | None = None):
         self.context = context
         self.table = table
-        self.schema = schema
+        #: the columns read (lower-case), None for all of ``schema``'s;
+        #: bound here with the schema of every chunk this scan yields
+        self.columns = ([c.lower() for c in columns]
+                        if columns is not None else None)
+        self.schema = (schema if columns is None
+                       else schema.select(self.columns))
         self.scan_set = scan_set
-        self.columns = list(columns) if columns is not None else None
         self.profile = profile or context.profile.new_scan(table)
         if self.profile.total_partitions == 0:
             self.profile.total_partitions = len(scan_set)
@@ -296,14 +300,15 @@ class Scan(Operator):
                     if partition is not None:
                         yield self._consume_partition(
                             partition_id, partition,
+                            partition.project_bytes(self.columns),
                             cache_hit=not prefetched,
                             prefetched=prefetched)
                         continue
                 retry_stats = self.context.profile.retry_stats
                 penalty_before = retry_stats.penalty_ms()
-                partition = self.context.storage.load(
+                partition, nbytes = self.context.storage.load(
                     partition_id, columns=self.columns,
-                    retry_stats=retry_stats)
+                    retry_stats=retry_stats, with_bytes=True)
                 # Retry backoff and latency spikes absorbed by this
                 # load slow the query down on the simulated clock.
                 penalty = retry_stats.penalty_ms() - penalty_before
@@ -312,7 +317,8 @@ class Scan(Operator):
                 if cache is not None:
                     self._trace_evictions(
                         cache.put(partition, self.columns))
-                yield self._consume_partition(partition_id, partition)
+                yield self._consume_partition(partition_id, partition,
+                                              nbytes)
         finally:
             if prefetcher is not None:
                 prefetcher.close()
@@ -348,12 +354,14 @@ class Scan(Operator):
             if cache is not None:
                 cached = cache.get(partition_id, columns=columns)
                 if cached is not None:
-                    return cached, local, True, []
-            partition = storage.load(partition_id, columns=columns,
-                                     retry_stats=local)
+                    return (cached, cached.project_bytes(columns), local,
+                            True, [])
+            partition, nbytes = storage.load(
+                partition_id, columns=columns, retry_stats=local,
+                with_bytes=True)
             evicted = (cache.put(partition, columns)
                        if cache is not None else [])
-            return partition, local, False, evicted
+            return partition, nbytes, local, False, evicted
 
         executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="scan-morsel")
@@ -402,7 +410,7 @@ class Scan(Operator):
                     # boundaries make this unreachable; demand-load
                     # inline so correctness never rests on that proof.
                     result = load_morsel(partition_id, zone_map, False)
-                partition, local, cache_hit, evicted = result
+                partition, nbytes, local, cache_hit, evicted = result
                 penalty = local.penalty_ms()
                 self.context.profile.retry_stats.absorb(local)
                 if penalty:
@@ -416,7 +424,7 @@ class Scan(Operator):
                         backoff_ms=penalty)
                 self._trace_evictions(evicted)
                 yield self._consume_partition(partition_id, partition,
-                                              cache_hit=cache_hit)
+                                              nbytes, cache_hit=cache_hit)
         finally:
             executor.shutdown(wait=False, cancel_futures=True)
             self._record_boundary_updates()
@@ -424,9 +432,10 @@ class Scan(Operator):
                 self.profile.early_terminated = True
 
     def _consume_partition(self, partition_id: int, partition,
-                           cache_hit: bool = False,
+                           nbytes: int, cache_hit: bool = False,
                            prefetched: bool = False) -> Chunk:
-        """Charge and account one loaded partition, returning its chunk.
+        """Charge and account one loaded partition (``nbytes``: its
+        projected size, as the load counted it), returning its chunk.
 
         ``partitions_loaded``/``rows_scanned``/``bytes_scanned`` keep
         their cache-independent meaning (what the scan consumed), so
@@ -435,9 +444,6 @@ class Scan(Operator):
         ``IOStats.bytes_read`` (hits never touch storage), and on the
         simulated clock (hits charge the local-read cost).
         """
-        nbytes = (partition.project_bytes(self.columns)
-                  if self.columns is not None
-                  else partition.nbytes())
         stats = self.context.storage.stats
         if cache_hit:
             self.context.charge_cached_load(nbytes)
@@ -458,9 +464,8 @@ class Scan(Operator):
         self.profile.partitions_loaded += 1
         self.profile.rows_scanned += partition.row_count
         self.profile.bytes_scanned += nbytes
-        chunk = Chunk.from_partition(partition)
-        if self.columns is not None:
-            chunk = chunk.select(self.columns)
+        # The partition validated these columns when it was built.
+        chunk = Chunk._derived(self.schema, partition.columns(self.columns))
         chunk.source_partition = partition_id
         return chunk
 
@@ -552,12 +557,8 @@ class Scan(Operator):
             result = future.result()
         except Exception:
             return
-        if result is None:
-            return
-        partition = result[0]
-        nbytes = (partition.project_bytes(self.columns)
-                  if self.columns is not None else partition.nbytes())
-        self._account_prefetch_drop(partition_id, 1, nbytes)
+        if result is not None:
+            self._account_prefetch_drop(partition_id, 1, result[1])
 
     def _account_prefetch_drop(self, partition_id: int, dropped: int,
                                nbytes: int) -> None:
@@ -603,11 +604,16 @@ class Filter(Operator):
     """Row-level predicate application (WHERE)."""
 
     def __init__(self, context: ExecContext, child: Operator,
-                 predicate: ast.Expr):
+                 predicate: ast.Expr,
+                 fully_matching: Iterable[int] = ()):
         self.context = context
         self.child = child
         self.predicate = predicate
         self.schema = child.schema
+        self._mask = bind_predicate(predicate, self.schema)
+        #: partitions of the child :class:`Scan` proven at compile time to
+        #: hold only matching rows (§4.2): their chunks pass unevaluated
+        self.fully_matching = frozenset(fully_matching)
         #: micro-partitions that produced at least one qualifying row;
         #: feeds the filter predicate cache (§8.2)
         self.partitions_with_matches: set[int] = set()
@@ -615,14 +621,17 @@ class Filter(Operator):
     def __iter__(self) -> Iterator[Chunk]:
         for chunk in self.child:
             self.context.charge_rows(chunk.num_rows)
-            mask = evaluate_predicate(self.predicate, chunk.columns,
-                                      self.schema)
-            filtered = chunk.filter(mask)
-            filtered.source_partition = chunk.source_partition
+            source = chunk.source_partition
+            if source in self.fully_matching:
+                self.child.profile.filter_bypassed += 1
+                filtered = chunk
+            else:
+                filtered = chunk.filter(
+                    self._mask(chunk.columns, chunk.num_rows))
+                filtered.source_partition = source
             if filtered.num_rows:
-                if chunk.source_partition is not None:
-                    self.partitions_with_matches.add(
-                        chunk.source_partition)
+                if source is not None:
+                    self.partitions_with_matches.add(source)
                 yield filtered
 
 
@@ -637,20 +646,18 @@ class Project(Operator):
         self.child = child
         self.exprs = list(exprs)
         self.names = [n.lower() for n in names]
-        from ..types import Field
-
         self.schema = Schema(
             Field(name, expr.dtype(child.schema))
             for name, expr in zip(self.names, self.exprs))
+        self._bound = [(name, bind(expr, child.schema))
+                       for name, expr in zip(self.names, self.exprs)]
 
     def __iter__(self) -> Iterator[Chunk]:
         for chunk in self.child:
             self.context.charge_rows(chunk.num_rows)
-            columns = {
-                name: evaluate(expr, chunk.columns, self.child.schema)
-                for name, expr in zip(self.names, self.exprs)
-            }
-            out = Chunk(self.schema, columns)
+            out = Chunk._derived(self.schema, {
+                name: bound(chunk.columns, chunk.num_rows)
+                for name, bound in self._bound})
             out.source_partition = chunk.source_partition
             yield out
 
@@ -716,11 +723,11 @@ class HashJoin(Operator):
 
     def _probe_phase(self, build_chunk: Chunk, sorted_keys: np.ndarray,
                      sorted_rows: np.ndarray) -> Iterator[Chunk]:
+        build_dtype = self.build.schema.dtype_of(self.build_key)
         for chunk in self.probe:
             self.context.charge_rows(chunk.num_rows)
-            keys, joinable = join_keys(
-                chunk.column(self.probe_key),
-                self.build.schema.dtype_of(self.build_key))
+            keys, joinable = join_keys(chunk.columns[self.probe_key],
+                                       build_dtype)
             lo = np.searchsorted(sorted_keys, keys, "left")
             matches = np.searchsorted(sorted_keys, keys, "right") - lo
             matches[~joinable] = 0
@@ -805,8 +812,6 @@ class HashAggregate(Operator):
     def __init__(self, context: ExecContext, child: Operator,
                  group_keys: Sequence[str], aggs: Sequence[AggSpec],
                  topk_hint: "TopKGroupHint | None" = None):
-        from ..types import Field
-
         self.context = context
         self.child = child
         self.group_keys = [k.lower() for k in group_keys]
@@ -838,8 +843,17 @@ class HashAggregate(Operator):
             if buffered > fold_at:
                 blocks = [self._fold(blocks)]
                 buffered, fold_at = 0, max(_FOLD_ROWS, len(blocks[0][0]))
-        yield self._finish(self._fold(blocks)) if blocks \
-            else Chunk.empty(self.schema)
+        if blocks:
+            yield self._finish(self._fold(blocks))
+        elif self.group_keys:
+            yield Chunk.empty(self.schema)
+        else:
+            # SQL: no rows still make one global row, COUNT 0, the rest NULL.
+            yield self._finish([
+                Column.constant(DataType.INTEGER, 0, 1)
+                if kind in ("count", "count_star") else
+                Column.all_null(self.child.schema.dtype_of(source), 1)
+                for kind, source in self._partials])
 
     @staticmethod
     def _unit_partial(chunk: Chunk, kind: str, source: str | None) -> Column:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..expr import ast
-from ..expr.eval import evaluate_predicate
+from ..expr.eval import bind_predicate
 from ..pruning.base import ScanSet
 from ..storage.storage_layer import StorageLayer
 from ..types import Schema
@@ -77,6 +77,8 @@ class Warehouse:
         """
         stripes = [s.entries for s in self.stripe(scan_set)]
         cost_model = self.storage.cost_model
+        matches = (bind_predicate(predicate, schema)
+                   if predicate is not None else None)
         worker_times = [0.0] * self.n_workers
         per_worker_loads = [0] * self.n_workers
         rows_found = 0
@@ -91,9 +93,9 @@ class Warehouse:
                 if round_index >= len(stripe):
                     continue
                 partition_id, zone_map = stripe[round_index]
-                partition = self.storage.load(partition_id)
-                worker_times[worker] += cost_model.load_cost(
-                    partition.nbytes())
+                partition, nbytes = self.storage.load(partition_id,
+                                                      with_bytes=True)
+                worker_times[worker] += cost_model.load_cost(nbytes)
                 worker_times[worker] += cost_model.scan_cost(
                     partition.row_count)
                 per_worker_loads[worker] += 1
@@ -101,8 +103,8 @@ class Warehouse:
                 if predicate is None:
                     rows_found += partition.row_count
                 else:
-                    mask = evaluate_predicate(
-                        predicate, partition.columns(), schema)
+                    mask = matches(partition.columns(),
+                                   partition.row_count)
                     rows_found += int(mask.sum())
         return WorkerReport(
             workers=self.n_workers,

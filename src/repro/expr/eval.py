@@ -1,17 +1,20 @@
 """Vectorized expression evaluation with SQL three-valued logic.
 
-``evaluate(expr, columns)`` produces a :class:`~repro.storage.column.Column`
-of the expression's value for every row. NULLs propagate per SQL rules:
+``bind(expr, schema)`` walks the expression once and returns a function
+of a chunk's columns; ``evaluate(expr, columns, schema)`` binds and
+calls it, producing a :class:`~repro.storage.column.Column` of the
+expression's value for every row. NULLs propagate per SQL rules:
 Kleene logic for AND/OR/NOT, NULL-on-any-NULL for arithmetic and
 comparisons, and engine-defined NULL for division by zero.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 import threading
 from collections import OrderedDict
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -20,170 +23,209 @@ from ..storage.column import Column
 from ..types import DataType, Schema, days_to_date
 from . import ast
 
+Bound = Callable[[Mapping[str, Column], int], Column]  #: f(columns, length)
+
+
+def bind(expr: ast.Expr, schema: Schema) -> Bound:
+    """Resolve ``expr`` against ``schema`` once, for many chunks.
+
+    The only walk of the tree: handlers, output types and literals are
+    settled here, so an operator binds at construction and then calls
+    ``bound(chunk.columns, chunk.num_rows)`` per chunk for a column of
+    ``expr.dtype(schema)`` with one value per row.
+    """
+    bound = _bind(expr, schema)
+    if isinstance(expr, ast.Literal):
+        return lambda columns, length: _rows(bound(columns, length), length)
+    return bound
+
+
+def bind_predicate(expr: ast.Expr, schema: Schema) -> Callable:
+    """:func:`bind` for a WHERE clause: a function giving the selection
+    mask. Rows where the predicate is FALSE *or NULL* are excluded."""
+    bound = bind(expr, schema)
+
+    def mask(columns: Mapping[str, Column], length: int) -> np.ndarray:
+        result = bound(columns, length)
+        if result.dtype != DataType.BOOLEAN:
+            raise ExecutionError(
+                f"predicate evaluated to {result.dtype.value}, not BOOLEAN")
+        return result.values & ~result.nulls
+
+    return mask
+
 
 def evaluate(expr: ast.Expr, columns: Mapping[str, Column],
              schema: Schema) -> Column:
-    """Evaluate ``expr`` over a chunk of columns.
-
-    Args:
-        expr: the expression tree.
-        columns: name -> :class:`Column`; all the same length.
-        schema: schema used for type resolution.
-
-    Returns:
-        A column of ``expr.dtype(schema)`` with one value per input row.
-    """
-    length = _chunk_length(columns)
-    return _eval(expr, columns, schema, length)
+    """Evaluate ``expr`` over one chunk of equally long columns."""
+    return bind(expr, schema)(columns, len(next(iter(columns.values()), ())))
 
 
 def evaluate_predicate(expr: ast.Expr, columns: Mapping[str, Column],
                        schema: Schema) -> np.ndarray:
-    """Evaluate a boolean predicate to a selection mask.
-
-    Rows where the predicate is FALSE *or NULL* are excluded, per SQL
-    WHERE semantics.
-    """
-    result = evaluate(expr, columns, schema)
-    if result.dtype != DataType.BOOLEAN:
-        raise ExecutionError(
-            f"predicate evaluated to {result.dtype.value}, not BOOLEAN")
-    return result.values & ~result.nulls
+    """Evaluate a boolean predicate over one chunk to a selection mask."""
+    return bind_predicate(expr, schema)(
+        columns, len(next(iter(columns.values()), ())))
 
 
-def _chunk_length(columns: Mapping[str, Column]) -> int:
-    for column in columns.values():
-        return len(column)
-    return 0
-
-
-def _eval(expr: ast.Expr, columns: Mapping[str, Column], schema: Schema,
-          length: int) -> Column:
-    handler = _HANDLERS.get(type(expr))
-    if handler is None:
+def _bind(expr: ast.Expr, schema: Schema) -> Bound:
+    builder = _BUILDERS.get(type(expr))
+    if builder is None:
         raise ExecutionError(f"no evaluator for {type(expr).__name__}")
-    return handler(expr, columns, schema, length)
+    return builder(expr, schema)
+
+
+def _column(dtype: DataType, values: np.ndarray, nulls: np.ndarray,
+            length: int) -> Column:
+    """A handler's result as a column. A literal operand is one row that
+    numpy broadcasts; when every operand was one, so is the result, and
+    it is repeated here."""
+    if len(values) != length:
+        values = np.repeat(values, length)
+    if len(nulls) != length:
+        nulls = np.repeat(nulls, length)
+    return Column(dtype, values, nulls)
+
+
+def _rows(operand: Column, length: int) -> Column:
+    """``operand`` with a value per row, for code that loops in Python."""
+    return _column(operand.dtype, operand.values, operand.nulls, length)
+
+
+def _unary(compute):
+    """Builder of a one-child handler from ``compute(expr, child's
+    column) -> (dtype, values, nulls)``."""
+    def builder(expr, schema) -> Bound:
+        child = _bind(expr.child, schema)
+        return lambda columns, length: _column(
+            *compute(expr, child(columns, length)), length)
+
+    return builder
 
 
 # ----------------------------------------------------------------------
 # Leaves
 # ----------------------------------------------------------------------
-def _eval_column_ref(expr: ast.ColumnRef, columns, schema, length) -> Column:
-    try:
-        return columns[expr.name]
-    except KeyError:
-        raise ExecutionError(
-            f"column {expr.name!r} not present in chunk") from None
+def _bind_column_ref(expr: ast.ColumnRef, schema) -> Bound:
+    name = expr.name
+
+    def column_ref(columns, length):
+        try:
+            return columns[name]
+        except KeyError:
+            raise ExecutionError(
+                f"column {name!r} not present in chunk") from None
+
+    return column_ref
 
 
-def _eval_literal(expr: ast.Literal, columns, schema, length) -> Column:
-    return Column.constant(expr.dtype(schema), expr.value, length)
+def _bind_literal(expr: ast.Literal, schema) -> Bound:
+    # Coerced once, as a column of it would be; stays one row wide.
+    one_row = Column.constant(expr.dtype(schema), expr.value, 1)
+    return lambda columns, length: one_row
 
 
 # ----------------------------------------------------------------------
 # Arithmetic
 # ----------------------------------------------------------------------
-def _eval_arith(expr: ast.Arith, columns, schema, length) -> Column:
-    left = _eval(expr.left, columns, schema, length)
-    right = _eval(expr.right, columns, schema, length)
+def _bind_arith(expr: ast.Arith, schema) -> Bound:
+    left, right = _bind(expr.left, schema), _bind(expr.right, schema)
     out_type = expr.dtype(schema)
-    nulls = left.nulls | right.nulls
-    lv, rv = left.values, right.values
-    if expr.op == "+":
-        values = lv + rv
-    elif expr.op == "-":
-        values = lv - rv
-    elif expr.op == "*":
-        values = lv * rv
-    elif expr.op == "/":
-        zero = rv == 0
-        nulls = nulls | zero
-        safe = np.where(zero, 1, rv)
-        values = lv.astype(np.float64) / safe
-    elif expr.op == "%":
-        zero = rv == 0
-        nulls = nulls | zero
-        safe = np.where(zero, 1, rv)
-        with np.errstate(all="ignore"):
-            values = np.mod(lv, safe)
-    else:  # pragma: no cover - guarded by Arith.__init__
-        raise ExecutionError(f"unknown arithmetic op {expr.op!r}")
-    values = np.asarray(values, dtype=out_type.numpy_dtype())
-    return Column(out_type, values, nulls)
+    numpy_dtype, op = out_type.numpy_dtype(), expr.op
+    plain = {"+": operator.add, "-": operator.sub,
+             "*": operator.mul}.get(op)
+
+    def arith(columns, length):
+        lhs, rhs = left(columns, length), right(columns, length)
+        nulls = lhs.nulls | rhs.nulls
+        lv, rv = lhs.values, rhs.values
+        if plain is not None:
+            values = plain(lv, rv)
+        else:
+            zero = rv == 0
+            nulls = nulls | zero
+            safe = np.where(zero, 1, rv)
+            if op == "/":
+                values = lv.astype(np.float64) / safe
+            else:  # "%": Arith.__init__ admits no other operator
+                with np.errstate(all="ignore"):
+                    values = np.mod(lv, safe)
+        values = np.asarray(values, dtype=numpy_dtype)
+        return _column(out_type, values, nulls, length)
+
+    return arith
 
 
-def _eval_neg(expr: ast.Neg, columns, schema, length) -> Column:
-    child = _eval(expr.child, columns, schema, length)
-    return Column(child.dtype, -child.values, child.nulls.copy())
+_bind_neg = _unary(lambda expr, c: (c.dtype, -c.values, c.nulls.copy()))
 
 
 # ----------------------------------------------------------------------
 # Comparisons and boolean logic
 # ----------------------------------------------------------------------
-def _eval_compare(expr: ast.Compare, columns, schema, length) -> Column:
-    left = _eval(expr.left, columns, schema, length)
-    right = _eval(expr.right, columns, schema, length)
-    nulls = left.nulls | right.nulls
-    lv, rv = left.values, right.values
-    if expr.op == "=":
-        values = lv == rv
-    elif expr.op == "<>":
-        values = lv != rv
-    elif expr.op == "<":
-        values = lv < rv
-    elif expr.op == "<=":
-        values = lv <= rv
-    elif expr.op == ">":
-        values = lv > rv
-    else:  # ">="
-        values = lv >= rv
-    values = np.asarray(values, dtype=np.bool_)
-    # Dummy values under null masks may compare arbitrarily; mask them.
-    return Column(DataType.BOOLEAN, values & ~nulls, nulls)
+_COMPARISONS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def _eval_and(expr: ast.And, columns, schema, length) -> Column:
-    # Kleene AND: FALSE dominates, then NULL, then TRUE.
-    any_false = np.zeros(length, dtype=np.bool_)
-    any_null = np.zeros(length, dtype=np.bool_)
-    for child in expr.children():
-        c = _eval(child, columns, schema, length)
-        any_false |= ~c.nulls & ~c.values
-        any_null |= c.nulls
-    nulls = any_null & ~any_false
-    values = ~any_false & ~nulls
-    return Column(DataType.BOOLEAN, values, nulls)
+def _bind_compare(expr: ast.Compare, schema) -> Bound:
+    left, right = _bind(expr.left, schema), _bind(expr.right, schema)
+    compare = _COMPARISONS[expr.op]
+
+    def comparison(columns, length):
+        lhs, rhs = left(columns, length), right(columns, length)
+        nulls = lhs.nulls | rhs.nulls
+        values = np.asarray(compare(lhs.values, rhs.values),
+                            dtype=np.bool_)
+        # Dummy values under null masks may compare arbitrarily; mask them.
+        return _column(DataType.BOOLEAN, values & ~nulls, nulls, length)
+
+    return comparison
 
 
-def _eval_or(expr: ast.Or, columns, schema, length) -> Column:
-    # Kleene OR: TRUE dominates, then NULL, then FALSE.
-    any_true = np.zeros(length, dtype=np.bool_)
-    any_null = np.zeros(length, dtype=np.bool_)
-    for child in expr.children():
-        c = _eval(child, columns, schema, length)
-        any_true |= ~c.nulls & c.values
-        any_null |= c.nulls
-    nulls = any_null & ~any_true
-    return Column(DataType.BOOLEAN, any_true, nulls)
+def _kleene(dominant: bool):
+    """Builder of AND (``dominant`` FALSE) and OR (TRUE): the dominant
+    value wins, then NULL, then the other value."""
+    def builder(expr, schema) -> Bound:
+        children = [_bind(child, schema) for child in expr.children()]
+
+        def junction(columns, length):
+            decided = np.zeros(length, dtype=np.bool_)
+            any_null = np.zeros(length, dtype=np.bool_)
+            for child in children:
+                c = child(columns, length)
+                decided |= ~c.nulls & (c.values if dominant else ~c.values)
+                any_null |= c.nulls
+            nulls = any_null & ~decided
+            return Column(DataType.BOOLEAN,
+                          decided if dominant else ~decided & ~nulls, nulls)
+
+        return junction
+
+    return builder
 
 
-def _eval_not(expr: ast.Not, columns, schema, length) -> Column:
-    child = _eval(expr.child, columns, schema, length)
-    return Column(DataType.BOOLEAN, ~child.values & ~child.nulls,
-                  child.nulls.copy())
+_bind_and, _bind_or = _kleene(False), _kleene(True)
+_bind_not = _unary(lambda expr, c: (
+    DataType.BOOLEAN, ~c.values & ~c.nulls, c.nulls.copy()))
 
 
-def _eval_if(expr: ast.If, columns, schema, length) -> Column:
-    cond = _eval(expr.cond, columns, schema, length)
-    then = _eval(expr.then, columns, schema, length)
-    other = _eval(expr.otherwise, columns, schema, length)
+def _bind_if(expr: ast.If, schema) -> Bound:
+    cond, then, other = (_bind(e, schema) for e in
+                         (expr.cond, expr.then, expr.otherwise))
     out_type = expr.dtype(schema)
-    take_then = cond.values & ~cond.nulls  # NULL condition -> else branch
-    then_values = np.asarray(then.values, dtype=out_type.numpy_dtype())
-    other_values = np.asarray(other.values, dtype=out_type.numpy_dtype())
-    values = np.where(take_then, then_values, other_values)
-    nulls = np.where(take_then, then.nulls, other.nulls)
-    return Column(out_type, values, np.asarray(nulls, dtype=np.bool_))
+    numpy_dtype = out_type.numpy_dtype()
+
+    def branch(columns, length):
+        c = cond(columns, length)
+        t, o = then(columns, length), other(columns, length)
+        take_then = c.values & ~c.nulls  # NULL condition -> else branch
+        values = np.where(take_then,
+                          np.asarray(t.values, dtype=numpy_dtype),
+                          np.asarray(o.values, dtype=numpy_dtype))
+        nulls = np.where(take_then, t.nulls, o.nulls)
+        return _column(out_type, values,
+                       np.asarray(nulls, dtype=np.bool_), length)
+
+    return branch
 
 
 # ----------------------------------------------------------------------
@@ -263,148 +305,161 @@ class _SegmentedRegexCache:
 _like_regex = _SegmentedRegexCache(maxsize=512)
 
 
-def _eval_like(expr: ast.Like, columns, schema, length) -> Column:
-    child = _eval(expr.child, columns, schema, length)
-    regex = _like_regex(expr.pattern)
-    values = np.fromiter(
-        (bool(regex.fullmatch(v)) if not is_null else False
-         for v, is_null in zip(child.values, child.nulls)),
-        dtype=np.bool_, count=length)
-    return Column(DataType.BOOLEAN, values, child.nulls.copy())
+def _string_predicate(check_of):
+    """Builder of a per-row test of the child's non-NULL strings;
+    ``check_of(expr)`` makes the test (read by truth value) per bind."""
+    def builder(expr, schema) -> Bound:
+        child = _bind(expr.child, schema)
+        check = check_of(expr)
+
+        def predicate(columns, length):
+            c = _rows(child(columns, length), length)
+            values = np.fromiter(
+                (check(v) if not is_null else False
+                 for v, is_null in zip(c.values, c.nulls)),
+                dtype=np.bool_, count=length)
+            return Column(DataType.BOOLEAN, values, c.nulls.copy())
+
+        return predicate
+
+    return builder
 
 
-def _string_predicate(check):
-    def handler(expr, columns, schema, length) -> Column:
-        child = _eval(expr.child, columns, schema, length)
-        needle = expr.needle
-        values = np.fromiter(
-            (check(v, needle) if not is_null else False
-             for v, is_null in zip(child.values, child.nulls)),
-            dtype=np.bool_, count=length)
-        return Column(DataType.BOOLEAN, values, child.nulls.copy())
-
-    return handler
-
-
-_eval_startswith = _string_predicate(lambda v, n: v.startswith(n))
-_eval_endswith = _string_predicate(lambda v, n: v.endswith(n))
-_eval_contains = _string_predicate(lambda v, n: n in v)
+_bind_like = _string_predicate(
+    lambda expr: _like_regex(expr.pattern).fullmatch)
+_bind_startswith = _string_predicate(
+    lambda expr: lambda v: v.startswith(expr.needle))
+_bind_endswith = _string_predicate(
+    lambda expr: lambda v: v.endswith(expr.needle))
+_bind_contains = _string_predicate(
+    lambda expr: lambda v: expr.needle in v)
 
 
 # ----------------------------------------------------------------------
 # IN / IS NULL / CAST
 # ----------------------------------------------------------------------
-def _eval_in_list(expr: ast.InList, columns, schema, length) -> Column:
-    child = _eval(expr.child, columns, schema, length)
+def _bind_in_list(expr: ast.InList, schema) -> Bound:
+    child = _bind(expr.child, schema)
     non_null_values = [v for v in expr.values if v is not None]
     list_has_null = len(non_null_values) < len(expr.values)
-    matched = np.zeros(length, dtype=np.bool_)
-    for value in non_null_values:
-        matched |= np.asarray(child.values == value, dtype=np.bool_)
-    matched &= ~child.nulls
-    # SQL: x IN (...) is NULL when x is NULL, or when unmatched and the
-    # list contains NULL.
-    nulls = child.nulls.copy()
-    if list_has_null:
-        nulls = nulls | ~matched
-    return Column(DataType.BOOLEAN, matched & ~nulls, nulls)
+
+    def in_list(columns, length):
+        c = child(columns, length)
+        matched = np.zeros(length, dtype=np.bool_)
+        for value in non_null_values:
+            matched |= np.asarray(c.values == value, dtype=np.bool_)
+        matched &= ~c.nulls
+        # SQL: x IN (...) is NULL when x is NULL, or when unmatched and
+        # the list contains NULL.
+        nulls = c.nulls | ~matched if list_has_null else c.nulls.copy()
+        return _column(DataType.BOOLEAN, matched & ~nulls, nulls, length)
+
+    return in_list
 
 
-def _eval_is_null(expr: ast.IsNull, columns, schema, length) -> Column:
-    child = _eval(expr.child, columns, schema, length)
-    values = ~child.nulls if expr.negated else child.nulls.copy()
-    return Column(DataType.BOOLEAN, values,
-                  np.zeros(length, dtype=np.bool_))
+_bind_is_null = _unary(lambda expr, c: (
+    DataType.BOOLEAN, ~c.nulls if expr.negated else c.nulls.copy(),
+    np.zeros(len(c), dtype=np.bool_)))
 
 
-def _eval_cast(expr: ast.Cast, columns, schema, length) -> Column:
-    child = _eval(expr.child, columns, schema, length)
-    if child.dtype == expr.target:
-        return child
-    if expr.target == DataType.INTEGER:
+def _cast(expr: ast.Cast, c: Column):
+    if c.dtype == expr.target:
+        values = c.values
+    elif expr.target == DataType.INTEGER:
         # SQL CAST(double AS int) truncates toward zero.
-        values = np.trunc(child.values).astype(np.int64)
+        values = np.trunc(c.values).astype(np.int64)
     else:
-        values = child.values.astype(expr.target.numpy_dtype())
-    return Column(expr.target, values, child.nulls.copy())
+        values = c.values.astype(expr.target.numpy_dtype())
+    return expr.target, values, c.nulls.copy()
+
+
+_bind_cast = _unary(_cast)
 
 
 # ----------------------------------------------------------------------
-# Scalar functions
+# Scalar functions: ``kernel(numpy_dtype, length, *args) -> values, nulls``
 # ----------------------------------------------------------------------
-def _eval_function(expr: ast.FunctionCall, columns, schema,
-                   length) -> Column:
-    args = [_eval(a, columns, schema, length) for a in expr.args]
-    out_type = expr.dtype(schema)
-    name = expr.name
-    first = args[0]
-    if name == "abs":
-        return Column(out_type, np.abs(first.values), first.nulls.copy())
-    if name == "ceil":
-        return Column(out_type, np.ceil(first.values).astype(np.int64),
-                      first.nulls.copy())
-    if name == "floor":
-        return Column(out_type, np.floor(first.values).astype(np.int64),
-                      first.nulls.copy())
-    if name == "round":
-        return Column(out_type, np.round(first.values).astype(np.int64),
-                      first.nulls.copy())
-    if name in ("upper", "lower"):
-        transform = str.upper if name == "upper" else str.lower
-        values = np.array(
-            [transform(v) if not n else "" for v, n
-             in zip(first.values, first.nulls)], dtype=object)
-        return Column(out_type, values, first.nulls.copy())
-    if name == "length":
-        values = np.fromiter(
-            (len(v) if not n else 0 for v, n
-             in zip(first.values, first.nulls)),
-            dtype=np.int64, count=length)
-        return Column(out_type, values, first.nulls.copy())
-    if name == "coalesce":
-        second = args[1]
-        values = np.where(first.nulls,
-                          second.values.astype(out_type.numpy_dtype()),
-                          first.values.astype(out_type.numpy_dtype()))
-        nulls = first.nulls & second.nulls
-        return Column(out_type, values, nulls)
-    if name in ("least", "greatest"):
-        second = args[1]
-        lv = first.values.astype(out_type.numpy_dtype())
-        rv = second.values.astype(out_type.numpy_dtype())
-        picker = np.minimum if name == "least" else np.maximum
-        values = picker(lv, rv)
-        # NULL if either argument is NULL (Snowflake semantics).
-        nulls = first.nulls | second.nulls
-        return Column(out_type, values, nulls)
-    if name in ("year", "month", "day"):
-        extractor = {"year": lambda d: d.year,
-                     "month": lambda d: d.month,
-                     "day": lambda d: d.day}[name]
-        values = np.fromiter(
-            (extractor(days_to_date(int(v))) if not n else 0
-             for v, n in zip(first.values, first.nulls)),
-            dtype=np.int64, count=length)
-        return Column(out_type, values, first.nulls.copy())
-    raise ExecutionError(f"no evaluator for function {name!r}")
+def _to_integer(ufunc):
+    return lambda numpy_dtype, length, x: (
+        ufunc(x.values).astype(np.int64), x.nulls.copy())
 
 
-_HANDLERS = {
-    ast.ColumnRef: _eval_column_ref,
-    ast.Literal: _eval_literal,
-    ast.Arith: _eval_arith,
-    ast.Neg: _eval_neg,
-    ast.Compare: _eval_compare,
-    ast.And: _eval_and,
-    ast.Or: _eval_or,
-    ast.Not: _eval_not,
-    ast.If: _eval_if,
-    ast.Like: _eval_like,
-    ast.StartsWith: _eval_startswith,
-    ast.EndsWith: _eval_endswith,
-    ast.Contains: _eval_contains,
-    ast.InList: _eval_in_list,
-    ast.IsNull: _eval_is_null,
-    ast.Cast: _eval_cast,
-    ast.FunctionCall: _eval_function,
+def _per_row(transform, dummy):
+    """``transform`` over each non-NULL value, in Python."""
+    def kernel(numpy_dtype, length, x):
+        x = _rows(x, length)
+        values = np.fromiter(
+            (transform(v) if not is_null else dummy
+             for v, is_null in zip(x.values, x.nulls)),
+            dtype=numpy_dtype, count=length)
+        return values, x.nulls.copy()
+
+    return kernel
+
+
+def _coalesce(numpy_dtype, length, first, second):
+    values = np.where(first.nulls, second.values.astype(numpy_dtype),
+                      first.values.astype(numpy_dtype))
+    return values, first.nulls & second.nulls
+
+
+def _extreme(picker):
+    # NULL if either argument is NULL (Snowflake semantics).
+    return lambda numpy_dtype, length, first, second: (
+        picker(first.values.astype(numpy_dtype),
+               second.values.astype(numpy_dtype)),
+        first.nulls | second.nulls)
+
+
+_FUNCTIONS = {
+    "abs": lambda numpy_dtype, length, x: (np.abs(x.values),
+                                           x.nulls.copy()),
+    "ceil": _to_integer(np.ceil),
+    "floor": _to_integer(np.floor),
+    "round": _to_integer(np.round),
+    "upper": _per_row(str.upper, ""),
+    "lower": _per_row(str.lower, ""),
+    "length": _per_row(len, 0),
+    "coalesce": _coalesce,
+    "least": _extreme(np.minimum),
+    "greatest": _extreme(np.maximum),
+    "year": _per_row(lambda v: days_to_date(int(v)).year, 0),
+    "month": _per_row(lambda v: days_to_date(int(v)).month, 0),
+    "day": _per_row(lambda v: days_to_date(int(v)).day, 0),
+}
+
+
+def _bind_function(expr: ast.FunctionCall, schema) -> Bound:
+    args = [_bind(arg, schema) for arg in expr.args]
+    out_type, kernel = expr.dtype(schema), _FUNCTIONS.get(expr.name)
+    numpy_dtype = out_type.numpy_dtype()
+    if kernel is None:
+        raise ExecutionError(f"no evaluator for function {expr.name!r}")
+
+    def call(columns, length):
+        values, nulls = kernel(numpy_dtype, length,
+                               *[arg(columns, length) for arg in args])
+        return _column(out_type, values, nulls, length)
+
+    return call
+
+
+_BUILDERS = {
+    ast.ColumnRef: _bind_column_ref,
+    ast.Literal: _bind_literal,
+    ast.Arith: _bind_arith,
+    ast.Neg: _bind_neg,
+    ast.Compare: _bind_compare,
+    ast.And: _bind_and,
+    ast.Or: _bind_or,
+    ast.Not: _bind_not,
+    ast.If: _bind_if,
+    ast.Like: _bind_like,
+    ast.StartsWith: _bind_startswith,
+    ast.EndsWith: _bind_endswith,
+    ast.Contains: _bind_contains,
+    ast.InList: _bind_in_list,
+    ast.IsNull: _bind_is_null,
+    ast.Cast: _bind_cast,
+    ast.FunctionCall: _bind_function,
 }

@@ -104,16 +104,11 @@ def _fold_if_constant(expr: ast.Expr, schema: Schema) -> ast.Expr:
         return expr
     if expr.column_refs():
         return expr
-    from ..storage.column import Column  # deferred: avoid import cycle
-    from ..types import DataType
-    from .eval import evaluate
+    from .eval import bind  # deferred: avoid import cycle
 
-    # Evaluate against a one-row dummy chunk so constant expressions
-    # produce exactly one value.
-    one_row = {"__dummy__": Column.from_pylist(DataType.INTEGER, [0])}
     try:
         dtype = expr.dtype(schema)
-        result = evaluate(expr, one_row, schema)
+        result = bind(expr, schema)({}, 1)  # no columns, one row
     except ReproError:
         return expr
     return ast.Literal(result.value_at(0), dtype)

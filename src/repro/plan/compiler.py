@@ -295,10 +295,9 @@ class QueryCompiler:
                     node.table, predicate, scan_set, schema,
                     fully_matching, profile, context)
         columns = self._scan_columns(schema, node.predicate, required)
-        scan_schema = schema if columns is None \
-            else schema.select(columns)
-        scan = Scan(context, node.table, scan_schema, scan_set,
+        scan = Scan(context, node.table, schema, scan_set,
                     profile=profile, columns=columns)
+        scan_schema = scan.schema
         if predicate is not None and deferred is not None:
             scan.attach_deferred_filter(
                 VectorizedFilterPruner(deferred, schema,
@@ -307,7 +306,7 @@ class QueryCompiler:
         filter_op = None
         if predicate is not None and not isinstance(
                 predicate, ast.Literal):
-            filter_op = Filter(context, scan, predicate)
+            filter_op = Filter(context, scan, predicate, fully_matching)
             op = filter_op
         elif isinstance(predicate, ast.Literal) \
                 and predicate.value is not True:

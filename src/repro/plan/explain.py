@@ -104,7 +104,9 @@ def _describe_scan(scan: Scan) -> str:
         result = profile.filter_result
         annotations.append(
             f"filter pruned {result.pruned} "
-            f"(fully-matching: {len(result.fully_matching_ids)})")
+            f"(fully-matching: {len(result.fully_matching_ids)}"
+            + (f", unfiltered: {profile.filter_bypassed})"
+               if profile.filter_bypassed else ")"))
     if profile.sketch_result is not None:
         by_kind = ", ".join(
             f"{kind}={count}" for kind, count in

@@ -157,7 +157,7 @@ class MetricsRegistry:
         self.histogram("sim_compile_ms").observe(export["compile_ms"])
         for key in ("partitions_total", "partitions_loaded",
                     "partitions_pruned", "rows_scanned",
-                    "bytes_scanned",
+                    "bytes_scanned", "filter_bypassed",
                     "retries", "retry_backoff_ms",
                     "injected_latency_ms", "partitions_degraded",
                     "pruning_time_ms", "scans_vectorized",

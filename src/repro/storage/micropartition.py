@@ -100,9 +100,13 @@ class MicroPartition:
                 f"unknown column {name!r} in partition "
                 f"{self.partition_id}") from None
 
-    def columns(self) -> dict[str, Column]:
-        """All columns keyed by name (shallow copy)."""
-        return dict(self._columns)
+    def columns(self, names: Sequence[str] | None = None
+                ) -> dict[str, Column]:
+        """Columns keyed by name, as a new dict: all of them, or the
+        (lower-case) ``names`` in that order."""
+        if names is None:
+            return dict(self._columns)
+        return {name: self._columns[name] for name in names}
 
     def to_rows(self) -> list[tuple[Any, ...]]:
         """Materialize as Python row tuples in schema order."""
@@ -113,8 +117,11 @@ class MicroPartition:
         """Approximate uncompressed size, used for I/O accounting."""
         return sum(col.nbytes() for col in self._columns.values())
 
-    def project_bytes(self, names: Sequence[str]) -> int:
-        """Size of just the named columns (PAX enables column-level reads)."""
+    def project_bytes(self, names: Sequence[str] | None) -> int:
+        """Size of just the named columns (PAX enables column-level
+        reads); ``None`` names them all."""
+        if names is None:
+            return self.nbytes()
         return sum(self.column(n).nbytes() for n in names)
 
     def compute_checksum(self) -> int:

@@ -340,12 +340,15 @@ class StorageLayer:
     def load(self, partition_id: int,
              columns: Sequence[str] | None = None,
              retry_stats: "RetryStats | None" = None,
-             retries: bool = True) -> MicroPartition:
+             retries: bool = True, with_bytes: bool = False
+             ) -> "MicroPartition | tuple[MicroPartition, int]":
         """Fetch a partition, charging one request plus bytes read.
 
         ``columns`` restricts accounting to the named columns (PAX layout
         allows reading a column subset), but the full partition object is
-        returned for simplicity.
+        returned for simplicity. ``with_bytes=True`` returns
+        ``(partition, bytes charged)`` to a caller that accounts for the
+        same bytes itself.
 
         With a fault injector attached, every attempt may fail with a
         typed error; the configured :class:`RetryPolicy` absorbs
@@ -385,10 +388,9 @@ class StorageLayer:
             retry_stats.add_latency(latency_sink[0])
         if self.io_sleep_ms:
             time.sleep(self.io_sleep_ms / 1000.0)
-        nbytes = (partition.project_bytes(columns)
-                  if columns is not None else partition.nbytes())
+        nbytes = partition.project_bytes(columns)
         self.stats.record_load(partition_id, nbytes)
-        return partition
+        return (partition, nbytes) if with_bytes else partition
 
     def peek(self, partition_id: int) -> MicroPartition:
         """Access a partition without accounting (testing/admin only)."""
@@ -401,7 +403,5 @@ class StorageLayer:
     def load_cost_ms(self, partition_id: int,
                      columns: Sequence[str] | None = None) -> float:
         """Simulated cost of loading a partition, without loading it."""
-        partition = self.peek(partition_id)
-        nbytes = (partition.project_bytes(columns)
-                  if columns is not None else partition.nbytes())
-        return self.cost_model.load_cost(nbytes)
+        return self.cost_model.load_cost(
+            self.peek(partition_id).project_bytes(columns))

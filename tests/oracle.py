@@ -102,6 +102,9 @@ def _run_aggregate(plan: L.LogicalAggregate, catalog: Catalog):
                    if a.input is not None else None
                    for a in plan.aggs]
     groups: dict[tuple, list[list]] = {}
+    if not plan.group_keys:
+        # SQL: a global aggregate over no rows is still one row
+        groups[()] = [[] for _ in plan.aggs]
     for row in rows:
         key = tuple(row[i] for i in key_indexes)
         state = groups.setdefault(key, [[] for _ in plan.aggs])

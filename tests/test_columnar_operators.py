@@ -110,6 +110,9 @@ class RowHashAggregate(HashAggregate):
     def __iter__(self) -> Iterator[Chunk]:
         # Each aggregate tracks its own accumulator per group.
         groups: dict[tuple, list[_Accumulator]] = {}
+        if not self.group_keys:
+            # SQL: the global group exists before any row arrives
+            groups[()] = [_Accumulator() for _ in self.aggs]
         hint = self.topk_hint
         heap: list[tuple] = []
         for chunk in self.child:
@@ -461,12 +464,17 @@ def test_float_sum_has_the_bits_of_a_sequential_loop():
         assert dict(got) == want
 
 
-def test_aggregate_over_no_chunks_yields_no_groups():
-    source = ChunkSource(SCHEMA, [])
-    for keys in ([], ["i"]):
-        op = HashAggregate(context(), source, keys,
-                           [AggSpec("count_star", None, "n")])
-        assert run(op) == []
+def test_aggregate_over_no_chunks_is_one_global_row_or_no_groups():
+    """SQL: a global aggregate over no rows is one row (COUNT 0, the
+    others NULL); GROUP BY over no rows has no groups."""
+    aggs = [AggSpec("count_star", None, "n"), AggSpec("count", "f", "cf"),
+            AggSpec("sum", "i", "si"), AggSpec("avg", "f", "af"),
+            AggSpec("min", "s", "lo_s"), AggSpec("max", "d", "hi_d")]
+    for cls in (RowHashAggregate, HashAggregate):
+        source = ChunkSource(SCHEMA, [])
+        assert run(cls(context(), source, [], aggs)) == [
+            (0, 0, None, None, None, None)]
+        assert run(cls(context(), source, ["i"], aggs)) == []
 
 
 # ---------------------------------------------------------------------------
