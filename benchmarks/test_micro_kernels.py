@@ -13,11 +13,12 @@ from repro.expr.eval import evaluate_predicate
 from repro.expr.pruning import prune_partition
 from repro.pruning.base import ScanSet
 from repro.pruning.filter_pruning import FilterPruner
-from repro.pruning.join_pruning import build_summary
+from repro.pruning.filters import XorFilter
 from repro.pruning.stats_index import (
     VectorizedFilterPruner,
     compile_pruning_kernel,
 )
+from repro.pruning.summaries import RangeSetSummary
 from repro.storage.builder import build_table
 from repro.storage.clustering import Layout
 from repro.types import DataType, Schema
@@ -111,8 +112,8 @@ def test_vectorized_predicate_eval(benchmark):
 
 def test_rangeset_summary_probe(benchmark):
     """Range-set overlap probes (binary search over 64 intervals)."""
-    summary = build_summary(
-        [_rng.randrange(10**6) for _ in range(5000)], "rangeset")
+    summary = RangeSetSummary(
+        [_rng.randrange(10**6) for _ in range(5000)])
     probes = [( _rng.randrange(10**6), ) for _ in range(100)]
 
     def probe():
@@ -125,16 +126,13 @@ def test_rangeset_summary_probe(benchmark):
     benchmark(probe)
 
 
-def test_bloom_vs_cuckoo_vs_xor_lookup(benchmark):
-    """Membership lookups across the three filters (300 probes)."""
-    values = [_rng.randrange(10**6) for _ in range(5000)]
-    filters = [build_summary(values, kind)
-               for kind in ("bloom", "cuckoo", "xor")]
+def test_xor_filter_lookup(benchmark):
+    """Membership lookups in the xor filter (100 probes)."""
+    xor = XorFilter(_rng.randrange(10**6) for _ in range(5000))
     probes = [_rng.randrange(10**6) for _ in range(100)]
 
     def lookup():
-        return sum(f.might_contain(p)
-                   for f in filters for p in probes)
+        return sum(xor.might_contain(p) for p in probes)
 
     benchmark(lookup)
 

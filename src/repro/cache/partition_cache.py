@@ -35,7 +35,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..storage.metadata_store import MetadataStore
@@ -249,9 +249,6 @@ class PartitionCache:
             self._drop(partition_id, entry)
             self._stats.invalidations += 1
             return True
-
-    def invalidate_many(self, partition_ids: Iterable[int]) -> int:
-        return sum(1 for pid in partition_ids if self.invalidate(pid))
 
     def clear(self) -> None:
         with self._lock:

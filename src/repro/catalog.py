@@ -889,15 +889,6 @@ class Catalog:
         """Parse and plan without executing (plan-shape analyses)."""
         return plan_select(parse_select(text), self.schema_of)
 
-    def _compiler_options(self, options: CompilerOptions | None
-                          ) -> CompilerOptions:
-        """Per-statement options, defaulting the predicate cache to
-        the catalog's own."""
-        options = options or CompilerOptions()
-        if options.predicate_cache is None:
-            options.predicate_cache = self.predicate_cache
-        return options
-
     def explain(self, text: str,
                 options: CompilerOptions | None = None) -> str:
         """Compile a query and render its physical plan with pruning
@@ -909,8 +900,7 @@ class Catalog:
         context = ExecContext(self.storage, self.metadata,
                               query_id="explain",
                               scan_parallelism=self.scan_parallelism)
-        compiled = self._compiler.compile(
-            plan, context, self._compiler_options(options))
+        compiled = self._compiler.compile(plan, context, options)
         rendered = render_plan(compiled.root)
         versions = ", ".join(
             f"{name}=v{self._table(name).version}"
@@ -996,7 +986,6 @@ class Catalog:
         instead of ``plan``. ``on_compiled`` receives the physical
         root operator (EXPLAIN ANALYZE renders it after the run).
         """
-        options = self._compiler_options(options)
         if tracer is None:
             tracer = self._new_tracer()
         context = ExecContext(self.storage, self.metadata,

@@ -103,12 +103,6 @@ class DurabilityManager:
             self.last_checkpoint_seqno = seqno
             return info
 
-    def maybe_checkpoint(self, catalog) -> CheckpointInfo | None:
-        """Checkpoint only when the WAL crossed the size threshold."""
-        if not self.should_checkpoint():
-            return None
-        return self.checkpoint(catalog)
-
     # ------------------------------------------------------------------
     def recover_into(self, catalog) -> dict[str, int]:
         """Load the newest checkpoint and replay the WAL tail.

@@ -17,8 +17,9 @@ from ..errors import PlanError
 from ..expr import ast
 from ..expr.eval import bind, bind_predicate
 from ..pruning.base import ScanSet
-from ..pruning.join_pruning import JoinPruner, build_summary
+from ..pruning.join_pruning import JoinPruner
 from ..pruning.stats_index import VectorizedFilterPruner
+from ..pruning.summaries import RangeSetSummary
 from ..pruning.topk_pruning import Boundary, TopKPruner, rank_of
 from ..storage.column import Column
 from ..types import DataType, Field, Schema
@@ -682,8 +683,7 @@ class HashJoin(Operator):
                  build: Operator, probe_key: str, build_key: str,
                  join_type: str = "inner",
                  probe_scan: "Scan | None" = None,
-                 probe_scan_column: str | None = None,
-                 summary_kind: str = "rangeset"):
+                 probe_scan_column: str | None = None):
         if join_type not in ("inner", "left_outer"):
             raise PlanError(f"unsupported join type {join_type!r}")
         self.context = context
@@ -694,7 +694,6 @@ class HashJoin(Operator):
         self.join_type = join_type
         self.probe_scan = probe_scan
         self.probe_scan_column = (probe_scan_column or probe_key).lower()
-        self.summary_kind = summary_kind
         self.schema = probe.schema.concat(build.schema)
         self.build_rows = 0
 
@@ -712,9 +711,8 @@ class HashJoin(Operator):
         # with no partner.
         if self.probe_scan is not None and self.join_type == "inner":
             self.probe_scan.apply_join_pruning(JoinPruner(
-                self.probe_scan_column, build_summary(
-                    key_column.values[~key_column.nulls],
-                    kind=self.summary_kind)))
+                self.probe_scan_column, RangeSetSummary(
+                    key_column.values[~key_column.nulls])))
         keys, joinable = join_keys(
             key_column, self.probe.schema.dtype_of(self.probe_key))
         rows = np.flatnonzero(joinable)

@@ -148,8 +148,10 @@ def _bind_arith(expr: ast.Arith, schema) -> Bound:
             if op == "/":
                 values = lv.astype(np.float64) / safe
             else:  # "%": Arith.__init__ admits no other operator
+                # SQL's remainder takes the dividend's sign (fmod),
+                # not the divisor's (mod): -3 % 2 is -1.
                 with np.errstate(all="ignore"):
-                    values = np.mod(lv, safe)
+                    values = np.fmod(lv, safe)
         values = np.asarray(values, dtype=numpy_dtype)
         return _column(out_type, values, nulls, length)
 

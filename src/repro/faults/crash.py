@@ -82,14 +82,6 @@ class CrashInjector:
             self._armed[point] = self._counts.get(point, 0) + at
         return self
 
-    def disarm(self, point: str | None = None) -> None:
-        """Disarm one point, or every point when ``point`` is None."""
-        with self._lock:
-            if point is None:
-                self._armed.clear()
-            else:
-                self._armed.pop(point, None)
-
     def count(self, point: str) -> int:
         """Occurrences of ``point`` observed so far."""
         with self._lock:

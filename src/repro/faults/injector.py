@@ -128,9 +128,6 @@ class FaultInjector:
     def spec(self, scope: str) -> FaultSpec:
         return self._scope(scope).spec
 
-    def set_spec(self, scope: str, spec: FaultSpec) -> None:
-        self._scope(scope).spec = spec
-
     def mark_unavailable(self, scope: str, key: Any) -> None:
         """Permanently fail every access to ``key`` (lost blob)."""
         with self._lock:

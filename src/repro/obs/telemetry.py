@@ -20,7 +20,7 @@ import json
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any
 
 from ..pruning.base import PruneCategory
 
@@ -442,7 +442,3 @@ class TelemetrySink:
             Path(path).write_text(text)
         return text
 
-    def extend(self, records: Iterable[TelemetryRecord]) -> None:
-        """Bulk-record (workload replay into a fresh sink)."""
-        for record in records:
-            self.record(record)

@@ -54,7 +54,6 @@ from ..pruning.base import ScanSet
 from ..pruning.filter_pruning import is_prunable
 from ..pruning.fully_matching import find_fully_matching_inverted
 from ..pruning.limit_pruning import LimitPruner
-from ..pruning.predicate_cache import PredicateCache
 from ..pruning.pruning_tree import PruningTree, TreeConfig
 from ..pruning.stats_index import VectorizedFilterPruner
 from ..pruning.topk_pruning import (
@@ -92,8 +91,6 @@ class CompilerOptions:
     #: scan-set row counts (§2.1: pruning improves cardinality
     #: estimates and hence join decisions)
     enable_join_side_swap: bool = True
-    summary_kind: str = "rangeset"
-    predicate_cache: PredicateCache | None = None
     #: answer global COUNT/MIN/MAX aggregates from zone maps alone,
     #: without scanning any data
     enable_metadata_aggregates: bool = True
@@ -313,7 +310,7 @@ class QueryCompiler:
             # WHERE FALSE / WHERE NULL: nothing qualifies.
             op = EmptyOperator(scan_schema)
         self._apply_filter_cache(node, predicate, scan, filter_op,
-                                 options, compiled)
+                                 compiled)
         self._apply_skip_set(node, predicate, scan, filter_op,
                              compiled)
         origins = {name: (scan, profile, name)
@@ -530,9 +527,8 @@ class QueryCompiler:
     def _apply_filter_cache(self, node: L.LogicalScan,
                             predicate: ast.Expr | None, scan: Scan,
                             filter_op: Filter | None,
-                            options: CompilerOptions,
                             compiled: CompiledQuery) -> None:
-        cache = options.predicate_cache
+        cache = getattr(self.catalog, "predicate_cache", None)
         if cache is None or predicate is None or filter_op is None:
             return
         entry = cache.lookup_filter(node.table, predicate)
@@ -672,7 +668,6 @@ class QueryCompiler:
             join_type=node.join_type,
             probe_scan=probe_scan,
             probe_scan_column=probe_scan_column,
-            summary_kind=options.summary_kind,
         )
         if swapped:
             # Restore the SQL column order (original left first).
@@ -845,8 +840,7 @@ class QueryCompiler:
         topk = TopK(context, probe_child_op, sort_keys, k,
                     boundary=boundary if target is not None else None,
                     offset=offset)
-        self._apply_topk_cache(child, sort_node, k, topk, options,
-                               compiled)
+        self._apply_topk_cache(child, sort_node, k, topk, compiled)
         return _Built(op=topk)
 
     def _wire_topk_pruning(self, child: _Built, sort_key: L.SortItem,
@@ -906,9 +900,8 @@ class QueryCompiler:
 
     def _apply_topk_cache(self, child: _Built,
                           sort_node: L.LogicalSort, k: int, topk: TopK,
-                          options: CompilerOptions,
                           compiled: CompiledQuery) -> None:
-        cache = options.predicate_cache
+        cache = getattr(self.catalog, "predicate_cache", None)
         scan = child.limit_scan
         if cache is None or scan is None:
             return

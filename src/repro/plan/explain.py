@@ -57,7 +57,7 @@ def _describe(op: Operator) -> str:
     if isinstance(op, HashJoin):
         parts = [f"HashJoin [{op.join_type}] "
                  f"probe.{op.probe_key} = build.{op.build_key}, "
-                 f"summary={op.summary_kind}"]
+                 "summary=rangeset"]
         if op.probe_scan is not None:
             parts.append("probe-side pruning: on")
         return ", ".join(parts)

@@ -6,7 +6,7 @@
 * :mod:`.fully_matching` — fully-matching partition detection (§4.2);
 * :mod:`.limit_pruning` — scan-set minimization for LIMIT queries (§4);
 * :mod:`.topk_pruning` — boundary-based runtime pruning for top-k (§5);
-* :mod:`.summaries` — build-side value summaries (§6.1);
+* :mod:`.summaries` — the build-side value summary (§6.1);
 * :mod:`.join_pruning` — probe-side partition pruning for joins (§6);
 * :mod:`.flow` — the combined pruning pipeline and per-query records (§7);
 * :mod:`.predicate_cache` — query-driven partition caching (§8.2);
@@ -32,7 +32,7 @@ from .topk_pruning import (
     initialize_boundary,
 )
 from .join_pruning import JoinPruner
-from .summaries import BloomFilter, MinMaxSummary, RangeSetSummary
+from .summaries import RangeSetSummary
 from .predicate_cache import PredicateCache
 from .flow import FlowRecord, PruningFlow
 from .sketches import (
@@ -59,8 +59,6 @@ __all__ = [
     "TopKPruner",
     "initialize_boundary",
     "JoinPruner",
-    "BloomFilter",
-    "MinMaxSummary",
     "RangeSetSummary",
     "PredicateCache",
     "FlowRecord",

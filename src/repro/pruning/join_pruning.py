@@ -14,50 +14,21 @@ joins).
 
 from __future__ import annotations
 
-from typing import Any, Iterable
-
 from ..storage.zonemap import ZoneMap
 from .base import PruneCategory, PruningResult, ScanSet, pruning_mode
-from .filters import CuckooFilter, XorFilter
 from .stats_index import join_may_join_mask
-from .summaries import BloomFilter, MinMaxSummary, RangeSetSummary
-
-SUMMARY_KINDS = ("minmax", "rangeset", "bloom", "cuckoo", "xor")
-
-
-def build_summary(values: Iterable[Any], kind: str = "rangeset",
-                  max_ranges: int = 64, bloom_fpp: float = 0.01):
-    """Create a build-side value summary of the requested kind."""
-    if kind == "minmax":
-        return MinMaxSummary(values)
-    if kind == "rangeset":
-        return RangeSetSummary(values, max_ranges=max_ranges)
-    if kind == "bloom":
-        materialized = [v for v in values if v is not None]
-        bloom = BloomFilter(expected_items=len(materialized),
-                            fpp=bloom_fpp)
-        bloom.add_all(materialized)
-        return bloom
-    if kind == "cuckoo":
-        materialized = [v for v in values if v is not None]
-        cuckoo = CuckooFilter(expected_items=len(materialized))
-        cuckoo.add_all(materialized)
-        return cuckoo
-    if kind == "xor":
-        return XorFilter(values)
-    raise ValueError(
-        f"unknown summary kind {kind!r}; expected one of {SUMMARY_KINDS}")
 
 
 class JoinPruner:
     """Prunes a probe-side scan set against a build-side summary.
 
-    The interval summaries (minmax / rangeset) classify the scan
-    set's stats index in one numpy pass
+    A :class:`~repro.pruning.summaries.RangeSetSummary` classifies
+    the scan set's stats index in one numpy pass
     (:func:`~repro.pruning.stats_index.join_may_join_mask`); entries
-    the scan set does not trust the index for and non-interval
-    summaries (Bloom/Cuckoo/Xor) take :meth:`partition_may_join`, the
-    per-partition path that remains the differential oracle.
+    the scan set does not trust the index for, and any other summary
+    answering ``might_overlap_range`` (an ``XorFilter``), take
+    :meth:`partition_may_join`, the per-partition path that remains
+    the differential oracle.
     ``mode`` after :meth:`prune`: see :func:`~.base.pruning_mode`.
     """
 

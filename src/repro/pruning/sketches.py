@@ -10,8 +10,7 @@ registered in the metadata store alongside the zone maps:
 
 * :class:`NGramSketch` — an n-gram (default 3-gram) membership filter
   over a VARCHAR column, backed by the from-scratch
-  :class:`~repro.pruning.filters.XorFilter` (or
-  :class:`~repro.pruning.filters.CuckooFilter`). A row matching
+  :class:`~repro.pruning.filters.XorFilter`. A row matching
   ``CONTAINS(s, needle)`` must contain *every* n-gram of the needle,
   so a single provably-absent gram prunes the partition.
 * :class:`DictionarySketch` — the exact distinct-value set of a
@@ -52,14 +51,11 @@ from ..expr import ast
 from ..types import DataType, Schema
 from .base import PruneCategory, PruningResult, ScanSet
 from .filters import (
-    _FNV_OFFSET,
-    _FNV_PRIME,
-    _MASK64,
-    _SEED_MIX,
-    CuckooFilter,
     XorFilter,
-    _canonical_bytes,
     _hash64,
+    _FP_SEED,
+    _hash64_batch,
+    _xor_hashes,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -83,9 +79,6 @@ class SketchConfig:
     #: skip the n-gram sketch when a partition's column exceeds this
     #: many distinct grams (fail open instead of building a huge filter)
     max_ngrams: int = 8192
-    #: membership-filter backend: "xor" (static, vectorizable) or
-    #: "cuckoo" (deletable; classified by the scalar path)
-    filter_kind: str = "xor"
     #: build the exact dictionary only when a column has at most this
     #: many distinct non-null values
     dictionary_max_entries: int = 64
@@ -99,7 +92,6 @@ class SketchConfig:
         return {
             "ngram_size": self.ngram_size,
             "max_ngrams": self.max_ngrams,
-            "filter_kind": self.filter_kind,
             "dictionary_max_entries": self.dictionary_max_entries,
             "histogram_buckets": self.histogram_buckets,
             "columns": list(self.columns) if self.columns else None,
@@ -107,11 +99,13 @@ class SketchConfig:
 
     @classmethod
     def from_manifest(cls, data: Mapping[str, Any]) -> "SketchConfig":
+        """Read a manifest / checkpoint dict. Keys this version does
+        not know (written by an earlier one) are ignored: sketches
+        are derived data and are rebuilt on load."""
         columns = data.get("columns")
         return cls(
             ngram_size=int(data.get("ngram_size", 3)),
             max_ngrams=int(data.get("max_ngrams", 8192)),
-            filter_kind=str(data.get("filter_kind", "xor")),
             dictionary_max_entries=int(
                 data.get("dictionary_max_entries", 64)),
             histogram_buckets=int(data.get("histogram_buckets", 32)),
@@ -156,58 +150,6 @@ def _unique_ngrams_packed(blob: str, n: int) -> Iterable[str]:
     return (decoded[i:i + n] for i in range(0, n * len(unique), n))
 
 
-def _hash64_batch(values: list, seed: int) -> np.ndarray:
-    """Vectorized :func:`~repro.pruning.filters._hash64` over many
-    values — bit-identical to the scalar hash, which the dictionary
-    probes and the vectorized lanes both depend on.
-
-    FNV-1a is sequential per byte but independent across keys, so the
-    byte loop runs over the (short) padded width while every key
-    advances in one numpy pass.
-    """
-    return _hash64_batch_multi(values, (seed,))[0]
-
-
-def _hash64_batch_multi(values: list,
-                        seeds: tuple[int, ...]) -> list[np.ndarray]:
-    """One hash array per seed, sharing a single byte-matrix setup.
-
-    Encoding and scattering the canonical bytes dominates small
-    batches, so hashing the same values under several seeds (value
-    hash + fingerprint) costs only one extra FNV accumulation each.
-    """
-    count = len(values)
-    if count == 0:
-        return [np.zeros(0, dtype=np.uint64) for _ in seeds]
-    encoded = [_canonical_bytes(v) for v in values]
-    lengths = np.fromiter((len(b) for b in encoded),
-                          dtype=np.int64, count=count)
-    width = int(lengths.max())
-    # Scatter the concatenated bytes into a padded (count, width)
-    # matrix in one pass — no per-key fill loop.
-    flat_bytes = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    rows = np.repeat(np.arange(count, dtype=np.int64), lengths)
-    cols = np.arange(len(flat_bytes), dtype=np.int64) \
-        - np.repeat(starts, lengths)
-    matrix = np.zeros((count, width), dtype=np.uint64)
-    matrix[rows, cols] = flat_bytes
-    prime = np.uint64(_FNV_PRIME)
-    out = []
-    for seed in seeds:
-        h = np.full(count,
-                    (_FNV_OFFSET ^ (seed * _SEED_MIX)) & _MASK64,
-                    dtype=np.uint64)
-        for j in range(width):
-            active = lengths > j
-            h[active] = (h[active] ^ matrix[active, j]) * prime
-        h ^= h >> np.uint64(33)
-        h *= np.uint64(0xFF51AFD7ED558CCD)
-        h ^= h >> np.uint64(33)
-        out.append(h)
-    return out
-
-
 class SketchBuildCache:
     """Cross-partition memo of seed-0 gram hashes for one build batch.
 
@@ -232,12 +174,21 @@ class SketchBuildCache:
         missing = [g for g in grams if g not in self.h]
         if not missing:
             return
-        hash_arr, print_arr = _hash64_batch_multi(missing, (0, 0x5BF0))
-        hashes = hash_arr.tolist()
-        prints = (print_arr & np.uint64(0xFF)).tolist()
-        for gram, hv, fpv in zip(missing, hashes, prints):
+        hash_arr, print_arr = _xor_hashes(missing, 0)
+        for gram, hv, fpv in zip(missing, hash_arr.tolist(),
+                                 print_arr.tolist()):
             self.h[gram] = hv
-            self.fp[gram] = fpv or 1
+            self.fp[gram] = fpv
+
+    def xor_hashes(self, keys: list) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`~repro.pruning.filters._xor_hashes` at seed 0,
+        served from the memo."""
+        self.ensure(keys)
+        n = len(keys)
+        return (np.fromiter((self.h[k] for k in keys),
+                            dtype=np.uint64, count=n),
+                np.fromiter((self.fp[k] for k in keys),
+                            dtype=np.uint8, count=n))
 
     def prewarm_ngrams(self, partitions, schema,
                        config: SketchConfig) -> None:
@@ -344,160 +295,6 @@ class SketchBuildCache:
                            dtype=np.uint64, count=len(keyed))
 
 
-def _peel_small(flt: XorFilter,
-                cache: SketchBuildCache | None) -> XorFilter:
-    """Stack-based peel over plain Python ints for small key sets.
-
-    Identical hash/position/fingerprint math to the numpy path —
-    seed-0 hashes come from the shared cache when available, retry
-    seeds fall back to the scalar ``_hash64``.
-    """
-    n = len(flt.keys)
-    seg = flt.segment
-    for seed in range(64):
-        if seed == 0 and cache is not None:
-            hashes = [cache.h[k] for k in flt.keys]
-        else:
-            hashes = [_hash64(k, seed) for k in flt.keys]
-        key_pos = [(h % seg, seg + ((h >> 21) % seg),
-                    2 * seg + ((h >> 42) % seg)) for h in hashes]
-        cnt = [0] * flt.size
-        acc = [0] * flt.size
-        for ki, (a, b, c) in enumerate(key_pos):
-            cnt[a] += 1
-            cnt[b] += 1
-            cnt[c] += 1
-            acc[a] += ki
-            acc[b] += ki
-            acc[c] += ki
-        stack = [i for i, count in enumerate(cnt) if count == 1]
-        order: list[tuple[int, int]] = []
-        while stack:
-            position = stack.pop()
-            if cnt[position] != 1:
-                continue
-            ki = acc[position]
-            order.append((ki, position))
-            for p in key_pos[ki]:
-                cnt[p] -= 1
-                acc[p] -= ki
-                if cnt[p] == 1:
-                    stack.append(p)
-        if len(order) != n:
-            continue  # rare peel failure; retry with the next seed
-        flt.seed = seed
-        if seed == 0 and cache is not None:
-            fp = [cache.fp[k] for k in flt.keys]
-        else:
-            fp = [(_hash64(k, seed ^ 0x5BF0) & 0xFF) or 1
-                  for k in flt.keys]
-        table = [0] * flt.size
-        for ki, position in reversed(order):
-            a, b, c = key_pos[ki]
-            table[position] = (fp[ki] ^ table[a] ^ table[b]
-                               ^ table[c] ^ table[position]) & 0xFF
-        flt.table = np.asarray(table, dtype=np.uint8)
-        return flt
-    return XorFilter(flt.keys)  # pragma: no cover - scalar fallback
-
-
-def _build_xor_filter(keys: list,
-                      cache: SketchBuildCache | None = None
-                      ) -> XorFilter:
-    """Construct an :class:`XorFilter` with batch hashing and linear
-    count/sum hypergraph peeling.
-
-    The result probes exactly like ``XorFilter(keys)`` — same
-    size/segment math, per-seed positions, and fingerprints, so every
-    key satisfies the same three-way xor equation and scalar probes
-    and the vectorized lanes agree. (Table *bytes* may differ from the
-    scalar builder's: a different peel order picks a different — but
-    equally valid — solution of the same equations.)
-    """
-    if not keys:
-        return XorFilter(())
-    flt = XorFilter.__new__(XorFilter)
-    flt.keys = list(keys)
-    flt.size = max(32, int(1.23 * len(flt.keys)) + 32)
-    flt.segment = flt.size // 3
-    flt.size = flt.segment * 3
-    flt.table = np.zeros(flt.size, dtype=np.uint8)
-    n = len(flt.keys)
-    seg = np.uint64(flt.segment)
-    if cache is not None:
-        cache.ensure(flt.keys)
-    if n <= 512:
-        # Small filters are dominated by fixed numpy call overhead;
-        # a plain-int peel with memoized hashes is ~2x faster there.
-        return _peel_small(flt, cache)
-    for seed in range(64):
-        if seed == 0 and cache is not None:
-            h = np.fromiter((cache.h[k] for k in flt.keys),
-                            dtype=np.uint64, count=n)
-        else:
-            h = _hash64_batch(flt.keys, seed)
-        pos = np.empty((n, 3), dtype=np.int64)
-        pos[:, 0] = (h % seg).astype(np.int64)
-        pos[:, 1] = flt.segment \
-            + ((h >> np.uint64(21)) % seg).astype(np.int64)
-        pos[:, 2] = 2 * flt.segment \
-            + ((h >> np.uint64(42)) % seg).astype(np.int64)
-        flat = pos.ravel()
-        # Sum of key indices per position: once a position's count
-        # drops to 1, the sum IS the remaining key's index.
-        cnt = np.bincount(flat, minlength=flt.size)
-        # bincount-with-weights is a much faster scatter-add than
-        # np.add.at; key indices stay exact in float64 (n << 2**53).
-        acc = np.bincount(
-            flat, weights=np.repeat(np.arange(n, dtype=np.float64), 3),
-            minlength=flt.size).astype(np.int64)
-        # Round-based peeling: resolve every singleton position of a
-        # round at once. Two same-round keys can never occupy each
-        # other's singleton position (its count is exactly 1), so the
-        # per-round resolution order is irrelevant and both the peel
-        # and the later assignment stay fully vectorized.
-        rounds: list[tuple[np.ndarray, np.ndarray]] = []
-        peeled = 0
-        while peeled < n:
-            singles = np.flatnonzero(cnt == 1)
-            if len(singles) == 0:
-                break
-            # One assignment slot per key, deduped by scatter (a key
-            # with two singleton positions may take either one; the
-            # loser's count drops to 0 with the subtraction below).
-            slot = np.full(n, -1, dtype=np.int64)
-            slot[acc[singles]] = singles
-            keys_u = np.flatnonzero(slot != -1)
-            pos_u = slot[keys_u]
-            rounds.append((keys_u, pos_u))
-            peeled += len(keys_u)
-            gone = pos[keys_u].ravel()
-            cnt -= np.bincount(gone, minlength=flt.size)
-            acc -= np.bincount(
-                gone,
-                weights=np.repeat(keys_u.astype(np.float64), 3),
-                minlength=flt.size).astype(np.int64)
-        if peeled != n:
-            continue  # rare peel failure; retry with the next seed
-        flt.seed = seed
-        if seed == 0 and cache is not None:
-            fp = np.fromiter((cache.fp[k] for k in flt.keys),
-                             dtype=np.uint8, count=n)
-        else:
-            fp = (_hash64_batch(flt.keys, seed ^ 0x5BF0)
-                  & np.uint64(0xFF)).astype(np.uint8)
-            fp[fp == 0] = 1
-        table = np.zeros(flt.size, dtype=np.uint8)
-        for keys_u, pos_u in reversed(rounds):
-            kp = pos[keys_u]
-            table[pos_u] = (fp[keys_u] ^ table[kp[:, 0]]
-                            ^ table[kp[:, 1]] ^ table[kp[:, 2]]
-                            ^ table[pos_u])
-        flt.table = table
-        return flt
-    return XorFilter(keys)  # pragma: no cover - scalar fallback
-
-
 class NGramSketch:
     """Membership filter over a column's n-grams.
 
@@ -508,12 +305,10 @@ class NGramSketch:
     evaluate to NULL, which WHERE also excludes).
     """
 
-    __slots__ = ("n", "kind", "filter")
+    __slots__ = ("n", "filter")
 
-    def __init__(self, n: int, kind: str,
-                 membership_filter: XorFilter | CuckooFilter):
+    def __init__(self, n: int, membership_filter: XorFilter):
         self.n = n
-        self.kind = kind
         self.filter = membership_filter
 
     @classmethod
@@ -528,13 +323,7 @@ class NGramSketch:
             # over this exact partition's values.
             if len(precomputed) > limit:
                 return None  # too distinct to bound; fail open
-            if config.filter_kind == "cuckoo":
-                cuckoo = CuckooFilter(max(1, len(precomputed)))
-                if not cuckoo.add_all(precomputed):
-                    return None
-                return cls(n, config.filter_kind, cuckoo)
-            return cls(n, config.filter_kind,
-                       _build_xor_filter(sorted(precomputed), cache))
+            return cls(n, XorFilter(sorted(precomputed), cache))
         grams: set[str] = set()
         # Bulk path: join the values with an n-1 NUL separator and
         # slice once — a length-n window can never span two values
@@ -560,14 +349,7 @@ class NGramSketch:
                     grams.update(g for g in raw if "\x00" not in g)
         if len(grams) > limit:
             return None  # too distinct to bound; fail open
-        if config.filter_kind == "cuckoo":
-            membership: XorFilter | CuckooFilter = CuckooFilter(
-                max(1, len(grams)))
-            if not membership.add_all(grams):
-                return None  # overfull filter would lose soundness
-        else:
-            membership = _build_xor_filter(sorted(grams), cache)
-        return cls(config.ngram_size, config.filter_kind, membership)
+        return cls(n, XorFilter(sorted(grams), cache))
 
     def might_match_runs(self, runs: Iterable[str]) -> bool:
         """Could a value containing every literal run exist here?"""
@@ -946,9 +728,9 @@ class _NGramLane:
     Each partition's filter table is concatenated into one uint8 array
     with per-partition seed/segment/offset lanes; a probe computes the
     scalar hash once per (gram, seed) and gathers all three xor
-    positions across partitions in numpy. Cuckoo-backed or
-    differently-sized sketches are left uncovered — the pruner falls
-    back to the scalar probe for those rows, so verdicts never differ.
+    positions across partitions in numpy. Sketches of another n-gram
+    size are left uncovered — the pruner falls back to the scalar
+    probe for those rows, so verdicts never differ.
     """
 
     def __init__(self, items: list[tuple[int, PartitionSketches]],
@@ -966,8 +748,7 @@ class _NGramLane:
             sketch = sketches.ngram.get(column)
             if sketch is None:
                 continue
-            if sketch.n != ngram_size \
-                    or not isinstance(sketch.filter, XorFilter):
+            if sketch.n != ngram_size:
                 self.covered[i] = False
                 continue
             self.has[i] = True
@@ -994,7 +775,7 @@ class _NGramLane:
                 mask = self.has & (self.seeds == seed)
                 seed_int = int(seed)
                 h = _hash64(gram, seed_int)
-                fingerprint = (_hash64(gram, seed_int ^ 0x5BF0)
+                fingerprint = (_hash64(gram, seed_int ^ _FP_SEED)
                                & 0xFF) or 1
                 segment = self.segments[mask]
                 base = self.offsets[mask]
@@ -1101,7 +882,7 @@ class SketchIndex:
     The vectorized counterpart of a ``{partition_id:
     PartitionSketches}`` mapping, built the same way
     :class:`~repro.pruning.stats_index.StatsIndex` mirrors zone maps.
-    Rows a lane cannot cover (e.g. cuckoo-backed filters) keep
+    Rows a lane cannot cover (a sketch of another n-gram size) keep
     ``covered=False`` so the pruner routes them to the scalar probe —
     vectorized and scalar verdicts are identical by construction.
     """

@@ -49,6 +49,7 @@ from ..storage.zonemap import ZoneMap, prefix_successor
 from ..types import Schema
 from .base import PruneCategory, PruningResult, ScanSet, pruning_mode
 from .filter_pruning import FilterPruner
+from .summaries import RangeSetSummary
 
 __all__ = [
     "StatsIndex",
@@ -618,32 +619,25 @@ def join_may_join_mask(index: StatsIndex, column: str,
                        summary: Any) -> np.ndarray | None:
     """Boolean may-join mask of a build-side summary over index rows.
 
-    Vectorizes ``JoinPruner.partition_may_join`` for the interval
-    summaries (:class:`~repro.pruning.summaries.MinMaxSummary`, one
-    overlap test; :class:`~repro.pruning.summaries.RangeSetSummary`,
-    an OR over its bounded interval list). Bloom/Cuckoo/Xor summaries
-    answer range probes value-by-value and stay scalar — returns None,
-    as it does when a bound cannot bind to the column's lane.
+    Vectorizes ``JoinPruner.partition_may_join`` for a
+    :class:`~repro.pruning.summaries.RangeSetSummary` (an OR over its
+    bounded interval list). A membership filter answers range probes
+    value-by-value and stays scalar — returns None, as it does when a
+    bound cannot bind to the column's lane.
 
     Semantics match the scalar oracle exactly: missing metadata keeps
     the partition (fail open), all-NULL probe keys never join, and
     valued partitions join iff some summary interval overlaps
     ``[min, max]`` (inclusive, as ``might_overlap_range`` answers).
     """
-    from .summaries import MinMaxSummary, RangeSetSummary
-
-    if isinstance(summary, MinMaxSummary):
-        ranges = [] if summary.is_empty else [(summary.lo, summary.hi)]
-    elif isinstance(summary, RangeSetSummary):
-        ranges = list(summary.ranges)
-    else:
+    if not isinstance(summary, RangeSetSummary):
         return None
     vectors = index.column(column)
     if vectors is None:
         return None
     overlap = np.zeros(len(index), dtype=bool)
     try:
-        for lo, hi in ranges:
+        for lo, hi in summary.ranges:
             b_lo = _bind_literal(lo, vectors.kind)
             b_hi = _bind_literal(hi, vectors.kind)
             overlap |= (_as_bool(vectors.lo <= b_hi)

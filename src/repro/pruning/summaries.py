@@ -1,22 +1,17 @@
-"""Build-side value summaries for join pruning (§6.1).
+"""The build-side value summary for join pruning (§6.1).
 
 Summarizing build-side join keys "is a trade-off between accuracy and
 the memory size of the employed data structure" — the summary crosses
-the network to probe-side workers. Three summaries spanning that
-trade-off:
+the network to probe-side workers. :class:`RangeSetSummary` is the
+bounded set of disjoint [lo, hi] intervals Snowflake describes: able
+to prune partitions that fall into gaps between value clusters, at a
+size ``max_ranges`` bounds. ``max_ranges=1`` is the global [min, max]
+end of the trade-off (negligible size, low pruning power); a
+membership filter (:class:`~repro.pruning.filters.XorFilter`) is the
+other end, which cannot answer wide range probes
+(``benchmarks/test_abl_join_summaries.py``).
 
-* :class:`MinMaxSummary` — one global [min, max]; negligible size, low
-  pruning power;
-* :class:`RangeSetSummary` — a bounded set of disjoint [lo, hi]
-  intervals covering all build values; the "balanced" choice Snowflake
-  describes, able to prune partitions that fall into gaps between value
-  clusters;
-* :class:`BloomFilter` — classic row-level filter built from scratch;
-  cannot answer range-overlap questions directly, so for *partition*
-  pruning it enumerates small integer ranges and otherwise answers
-  "maybe" (``summary_kind="bloom"``; the join-summary ablation).
-
-All summaries answer conservatively: ``might_contain``/
+The summary answers conservatively: ``might_contain``/
 ``might_overlap_range`` may return true for absent values (false
 positives) but never false for present ones — the "probabilistic"
 guarantee of §6.2.
@@ -24,48 +19,8 @@ guarantee of §6.2.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from typing import Any, Iterable, Sequence
-
-import numpy as np
-
-_HASH_SEEDS = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9)
-
-
-class MinMaxSummary:
-    """Global minimum and maximum of the build-side values."""
-
-    def __init__(self, values: Iterable[Any]):
-        self.lo: Any = None
-        self.hi: Any = None
-        self.count = 0
-        for value in values:
-            if value is None:
-                continue
-            self.count += 1
-            if self.lo is None or value < self.lo:
-                self.lo = value
-            if self.hi is None or value > self.hi:
-                self.hi = value
-
-    @property
-    def is_empty(self) -> bool:
-        return self.count == 0
-
-    def might_contain(self, value: Any) -> bool:
-        if self.is_empty or value is None:
-            return False
-        return self.lo <= value <= self.hi
-
-    def might_overlap_range(self, lo: Any, hi: Any) -> bool:
-        """Could any build value fall inside [lo, hi]?"""
-        if self.is_empty:
-            return False
-        return self.lo <= hi and lo <= self.hi
-
-    def nbytes(self) -> int:
-        return 16
 
 
 class RangeSetSummary:
@@ -137,70 +92,3 @@ def _build_ranges(distinct: Sequence[Any],
         start = i + 1
     ranges.append((distinct[start], distinct[-1]))
     return ranges
-
-
-class BloomFilter:
-    """A from-scratch Bloom filter [Bloom 1970] over hashable values.
-
-    Sized for a target false-positive probability; uses ``k``
-    double-hashing probes derived from two 64-bit mixes.
-    """
-
-    def __init__(self, expected_items: int, fpp: float = 0.01):
-        if not 0 < fpp < 1:
-            raise ValueError("fpp must be in (0, 1)")
-        expected_items = max(1, expected_items)
-        n_bits = max(
-            8, int(-expected_items * math.log(fpp) / (math.log(2) ** 2)))
-        self.n_bits = n_bits
-        self.n_hashes = max(1, round(n_bits / expected_items * math.log(2)))
-        self.bits = np.zeros(n_bits, dtype=np.bool_)
-        self.count = 0
-
-    @staticmethod
-    def _mix(value: Any) -> tuple[int, int]:
-        base = hash(value) & 0xFFFFFFFFFFFFFFFF
-        h1 = (base * _HASH_SEEDS[0] + _HASH_SEEDS[2]) & 0xFFFFFFFFFFFFFFFF
-        h2 = ((base ^ (base >> 33)) * _HASH_SEEDS[1]) & 0xFFFFFFFFFFFFFFFF
-        return h1, h2 | 1  # odd step so all probes differ
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        h1, h2 = self._mix(value)
-        for i in range(self.n_hashes):
-            self.bits[(h1 + i * h2) % self.n_bits] = True
-        self.count += 1
-
-    def add_all(self, values: Iterable[Any]) -> None:
-        for value in values:
-            self.add(value)
-
-    def might_contain(self, value: Any) -> bool:
-        if value is None:
-            return False
-        h1, h2 = self._mix(value)
-        return all(self.bits[(h1 + i * h2) % self.n_bits]
-                   for i in range(self.n_hashes))
-
-    def might_overlap_range(self, lo: Any, hi: Any,
-                            enumeration_limit: int = 1024) -> bool:
-        """Range probe by enumerating small integer ranges.
-
-        For non-integer or wide ranges a Bloom filter cannot answer and
-        must say "maybe".
-        """
-        if self.count == 0:
-            return False
-        if (isinstance(lo, (int, np.integer))
-                and isinstance(hi, (int, np.integer))
-                and hi - lo + 1 <= enumeration_limit):
-            return any(self.might_contain(int(v))
-                       for v in range(int(lo), int(hi) + 1))
-        return True
-
-    def fill_ratio(self) -> float:
-        return float(self.bits.mean())
-
-    def nbytes(self) -> int:
-        return self.n_bits // 8

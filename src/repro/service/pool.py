@@ -128,10 +128,6 @@ class WarehousePool:
     def total_queued(self) -> int:
         return sum(c.admission.queue_depth for c in self._clusters)
 
-    @property
-    def total_slots(self) -> int:
-        return self.slots_per_cluster * len(self._clusters)
-
     # ------------------------------------------------------------------
     def acquire(self, timeout: float | None = None,
                 token: CancelToken | None = None

@@ -131,14 +131,6 @@ class IOStats:
         lookups = self.cache_hits + self.cache_misses
         return self.cache_hits / lookups if lookups else 0.0
 
-    def add_metadata_lookups(self, lookups: int) -> None:
-        with self._lock:
-            self.metadata_lookups += lookups
-
-    def add_rows_scanned(self, rows: int) -> None:
-        with self._lock:
-            self.rows_scanned += rows
-
     def record_failed_request(self) -> None:
         with self._lock:
             self.failed_requests += 1

@@ -41,11 +41,6 @@ class DataType(enum.Enum):
         """Whether arithmetic applies (INTEGER or DOUBLE)."""
         return self in (DataType.INTEGER, DataType.DOUBLE)
 
-    @property
-    def is_orderable(self) -> bool:
-        """Whether values of this type support ``<`` ordering (all do)."""
-        return True
-
     def numpy_dtype(self) -> np.dtype:
         """The numpy storage dtype backing a column of this type."""
         return _NUMPY_DTYPES[self]

@@ -2,13 +2,18 @@
 rendering, direct plan execution, helper entry points, and small
 utilities."""
 
+import dataclasses
+import enum
+import re
+from pathlib import Path
+
 import pytest
 
-from repro import Catalog, DataType, Layout, Schema
+from repro import Catalog, CompilerOptions, DataType, Layout, Schema
 from repro.engine.executor import collect_chunks
 from repro.expr.ast import Compare, col, lit
 from repro.plan import logical as L
-from repro.pruning.summaries import BloomFilter
+from repro.pruning.sketches import SketchConfig
 from repro.sql import parse_sql
 from repro.storage import MetadataStore, StorageLayer
 from repro.storage.builder import build_table
@@ -114,12 +119,6 @@ class TestSmallUtilities:
         assert cost > 0
         assert storage.stats.partitions_loaded == 0
 
-    def test_bloom_fill_ratio(self):
-        bloom = BloomFilter(expected_items=100)
-        assert bloom.fill_ratio() == 0.0
-        bloom.add_all(range(100))
-        assert 0.0 < bloom.fill_ratio() < 1.0
-
     def test_run_workload_helper(self):
         platform = Platform(PlatformConfig(
             seed=9, n_small_tables=2, n_medium_tables=1,
@@ -138,3 +137,26 @@ class TestSmallUtilities:
         partition_id_generator.ensure_floor(10**9)
         part = MicroPartition.from_rows(SCHEMA, [(1, "a")])
         assert part.partition_id > 10**9
+
+
+@pytest.mark.parametrize("options", [CompilerOptions, SketchConfig])
+def test_every_option_is_set_by_some_test_or_benchmark(options):
+    """A guard, not a proof: an option field that no file under
+    tests/, benchmarks/, bench/ or examples/ ever passes a non-default
+    value selects a path nothing runs; delete the field and the path.
+    (Source text only: ``field=<anything but the default>``.)"""
+    root = Path(__file__).resolve().parent.parent
+    sources = "\n".join(
+        path.read_text()
+        for folder in ("tests", "benchmarks", "bench", "examples")
+        for path in sorted((root / folder).rglob("*.py")))
+    dead = []
+    for field in dataclasses.fields(options):
+        default = field.default
+        default = str(default) if isinstance(
+            default, enum.Enum) else repr(default)
+        values = re.findall(
+            rf"\b{field.name}\s*=(?!=)\s*([^,)\n]+)", sources)
+        if all(value.strip() == default for value in values):
+            dead.append(field.name)
+    assert not dead, f"{options.__name__}: never set: {dead}"

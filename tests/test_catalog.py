@@ -3,7 +3,7 @@ integrated end-to-end (§8.2)."""
 
 import pytest
 
-from repro import Catalog, DataType, Layout, Schema
+from repro import Catalog, CompilerOptions, DataType, Layout, Schema
 from repro.errors import SchemaError
 from repro.expr.ast import Compare, col, lit
 
@@ -101,6 +101,23 @@ class TestPredicateCacheIntegration:
         assert sorted(second.rows) == sorted(first.rows)
         assert second.profile.partitions_loaded <= \
             first.profile.partitions_loaded
+
+    def test_shared_options_do_not_carry_the_cache_to_another_catalog(
+            self):
+        """One ``CompilerOptions`` reused across catalogs: the first
+        catalog's predicate cache must not restrict the second one's
+        scan set to the first one's partition ids."""
+        first, second = make_catalog(), make_catalog()
+        first.enable_predicate_cache()
+        options = CompilerOptions()
+        sql = "SELECT count(*) FROM t WHERE ts >= 195"
+        assert first.sql(sql, options).rows == [(5,)]
+        repeat = first.sql(sql, options)
+        assert repeat.profile.scans[0].cache_hit
+        assert repeat.rows == [(5,)]
+        other = second.sql(sql, options)
+        assert not other.profile.scans[0].cache_hit
+        assert other.rows == [(5,)]
 
     def test_topk_cache_hit(self):
         catalog = make_catalog()

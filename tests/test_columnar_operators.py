@@ -46,7 +46,8 @@ from repro.engine.operators import (
 )
 from repro.errors import ExecutionError
 from repro.plan import compiler
-from repro.pruning.join_pruning import JoinPruner, build_summary
+from repro.pruning.join_pruning import JoinPruner
+from repro.pruning.summaries import RangeSetSummary
 from repro.pruning.topk_pruning import Boundary, rank_of
 from repro.storage.column import Column
 from repro.storage.storage_layer import StorageLayer
@@ -172,10 +173,9 @@ class RowHashJoin(HashJoin):
             if key_column.nulls[i]:
                 continue  # NULL keys never join
             table.setdefault(key_column.values[i], []).append(i)
-        summary = build_summary(
-            (key_column.values[i] for i in range(len(key_column))
-             if not key_column.nulls[i]),
-            kind=self.summary_kind)
+        summary = RangeSetSummary(
+            key_column.values[i] for i in range(len(key_column))
+            if not key_column.nulls[i])
         self._prune_probe_side(summary)
         return build_chunk, table
 

@@ -5,6 +5,7 @@ import datetime
 import numpy as np
 import pytest
 
+from repro import Catalog
 from repro.errors import ExecutionError
 from repro.expr.ast import (
     And,
@@ -82,6 +83,28 @@ class TestArithmetic:
 
     def test_modulo(self):
         assert run(Arith("%", col("x"), lit(3)), x=[7, 9]) == [1, 0]
+
+    def test_modulo_takes_the_sign_of_the_dividend(self):
+        """SQL's ``%`` truncates (C ``fmod``); Python's floors."""
+        assert run(Arith("%", col("x"), lit(2)),
+                   x=[-3, 3, -4]) == [-1, 1, 0]
+        assert run(Arith("%", col("x"), lit(-2)), x=[-3, 3]) == [-1, 1]
+        assert run(Arith("%", col("y"), lit(2.0)),
+                   y=[-3.5, 3.5]) == [-1.5, 1.5]
+        catalog = Catalog(rows_per_partition=4)
+        catalog.create_table_from_rows(
+            "t", Schema.of(v=DataType.INTEGER, d=DataType.DOUBLE),
+            [(i, i + 0.5) for i in range(-5, 6)])
+        assert catalog.sql("SELECT v % 2 FROM t WHERE v = -3").rows \
+            == [(-1,)]
+        assert catalog.sql(
+            "SELECT v FROM t WHERE v % 2 = -1").rows \
+            == [(-5,), (-3,), (-1,)]
+        assert catalog.sql("SELECT v FROM t WHERE v % 2 = 1").rows \
+            == [(1,), (3,), (5,)]
+        assert catalog.sql(
+            "SELECT v FROM t WHERE d % 2.0 = -1.5").rows \
+            == [(-4,), (-2,)]
 
     def test_modulo_by_zero_is_null(self):
         assert run(Arith("%", col("x"), lit(0)), x=[7]) == [None]

@@ -1,5 +1,5 @@
 """Tests for the extension features: string-stats truncation, scan-set
-serialization, cuckoo/xor filters, deferred runtime filter pruning,
+serialization, the xor filter, deferred runtime filter pruning,
 Iceberg-backed catalog tables, pruning-informed join-side selection,
 and EXPLAIN."""
 
@@ -14,8 +14,8 @@ from repro.expr.pruning import TriState, prune_partition
 from repro.formats import IcebergTable, ParquetFile
 from repro.plan.compiler import CompilerOptions
 from repro.pruning.base import ScanSet
-from repro.pruning.filters import CuckooFilter, XorFilter
-from repro.pruning.join_pruning import JoinPruner, build_summary
+from repro.pruning.filters import XorFilter
+from repro.pruning.join_pruning import JoinPruner
 from repro.pruning.pruning_tree import PruningTree, TreeConfig
 from repro.storage.builder import build_table
 from repro.storage.micropartition import MicroPartition
@@ -126,54 +126,8 @@ class TestScanSetSerialization:
 
 
 # ----------------------------------------------------------------------
-# Cuckoo and Xor filters
+# The Xor filter
 # ----------------------------------------------------------------------
-class TestCuckooFilter:
-    def test_no_false_negatives(self):
-        rng = random.Random(1)
-        values = [rng.randrange(10**9) for _ in range(3000)]
-        cuckoo = CuckooFilter(expected_items=3000)
-        assert cuckoo.add_all(values)
-        assert all(cuckoo.might_contain(v) for v in values)
-
-    def test_false_positive_rate(self):
-        rng = random.Random(2)
-        values = set(rng.randrange(10**9) for _ in range(4000))
-        cuckoo = CuckooFilter(expected_items=4000)
-        cuckoo.add_all(values)
-        probes = [rng.randrange(10**9) for _ in range(4000)]
-        fp = sum(1 for p in probes
-                 if p not in values and cuckoo.might_contain(p))
-        assert fp / len(probes) < 0.05
-
-    def test_delete_support(self):
-        cuckoo = CuckooFilter(expected_items=16)
-        cuckoo.add("alpha")
-        assert cuckoo.might_contain("alpha")
-        assert cuckoo.remove("alpha")
-        assert cuckoo.count == 0
-        assert not cuckoo.remove("alpha")
-
-    def test_strings(self):
-        cuckoo = CuckooFilter(expected_items=8)
-        cuckoo.add_all(["a", "b", "c"])
-        assert all(cuckoo.might_contain(v) for v in ("a", "b", "c"))
-
-    def test_range_probe(self):
-        # size the filter generously so the 8-bit fingerprint FP rate
-        # stays negligible over the enumerated probe range
-        cuckoo = CuckooFilter(expected_items=256)
-        cuckoo.add_all([100, 200])
-        assert cuckoo.might_overlap_range(95, 105)
-        assert not cuckoo.might_overlap_range(300, 400)
-        assert cuckoo.might_overlap_range(0, 10**9)  # too wide
-
-    def test_none_ignored(self):
-        cuckoo = CuckooFilter(expected_items=4)
-        assert cuckoo.add(None)
-        assert not cuckoo.might_contain(None)
-
-
 class TestXorFilter:
     def test_no_false_negatives(self):
         rng = random.Random(3)
@@ -190,16 +144,12 @@ class TestXorFilter:
                  if p not in values and xor.might_contain(p))
         assert fp / len(probes) < 0.05
 
-    def test_smaller_than_bloom_per_key(self):
-        from repro.pruning.summaries import BloomFilter
-
-        values = list(range(5000))
-        xor = XorFilter(values)
-        bloom = BloomFilter(expected_items=5000, fpp=0.004)
-        bloom.add_all(values)
-        # ~9.84 bits/key for 8-bit xor vs ~11.5+ bits/key for Bloom at
-        # a comparable false-positive rate.
-        assert xor.nbytes() < bloom.nbytes()
+    def test_range_probe(self):
+        xor = XorFilter([100, 200])
+        assert xor.might_overlap_range(95, 105)
+        assert not xor.might_overlap_range(300, 400)
+        assert xor.might_overlap_range(0, 10**9)  # too wide: maybe
+        assert xor.might_overlap_range("a", "b")  # not enumerable
 
     def test_empty(self):
         xor = XorFilter([])
@@ -207,7 +157,7 @@ class TestXorFilter:
         assert not xor.might_overlap_range(0, 10)
 
     def test_as_join_summary(self):
-        summary = build_summary([5, 95], kind="xor")
+        summary = XorFilter([5, 95])
         schema = Schema.of(v=DataType.INTEGER, s=DataType.VARCHAR)
         table = build_table("t", schema,
                             [(i, "x") for i in range(100)],
@@ -216,22 +166,6 @@ class TestXorFilter:
                            for p in table.partitions)
         result = JoinPruner("v", summary).prune(scan_set)
         assert result.after == 2
-
-    def test_cuckoo_as_join_summary(self):
-        summary = build_summary([5, 95], kind="cuckoo")
-        schema = Schema.of(v=DataType.INTEGER, s=DataType.VARCHAR)
-        table = build_table("t", schema,
-                            [(i, "x") for i in range(100)],
-                            rows_per_partition=10)
-        scan_set = ScanSet((p.partition_id, p.zone_map)
-                           for p in table.partitions)
-        result = JoinPruner("v", summary).prune(scan_set)
-        # probabilistic: both matching partitions kept, small slack
-        # for false positives
-        kept_ranges = [zm.stats("v").min_value
-                       for _, zm in result.kept]
-        assert 0 in kept_ranges and 90 in kept_ranges
-        assert result.after <= 4
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ truncation, and Iceberg hierarchical pruning."""
 from __future__ import annotations
 
 import hypothesis.strategies as st
+import numpy as np
 from hypothesis import given, settings
 
 from repro.expr import ast
@@ -12,8 +13,14 @@ from repro.expr.eval import evaluate_predicate
 from repro.formats import IcebergTable, ParquetFile
 from repro.pruning.base import ScanSet
 from repro.pruning.filter_pruning import FilterPruner
-from repro.pruning.filters import CuckooFilter, XorFilter
+from repro.pruning.filters import XorFilter
 from repro.pruning.pruning_tree import PruningTree, TreeConfig
+from repro.pruning.sketches import (
+    NGramSketch,
+    PartitionSketches,
+    SketchBuildCache,
+    _NGramLane,
+)
 from repro.storage.builder import build_table
 from repro.storage.column import Column
 from repro.storage.micropartition import MicroPartition
@@ -87,16 +94,35 @@ def test_scan_set_serialization_roundtrip(ids):
 
 
 @settings(max_examples=50, deadline=None)
-@given(values=st.lists(st.one_of(st.integers(-10**9, 10**9),
-                                 st.text(max_size=10)),
-                       max_size=300))
-def test_cuckoo_and_xor_no_false_negatives(values):
-    cuckoo = CuckooFilter(expected_items=max(1, len(values)))
-    assert cuckoo.add_all(values)
-    xor = XorFilter(values)
-    for value in values:
-        assert cuckoo.might_contain(value)
-        assert xor.might_contain(value)
+@given(values=st.lists(st.one_of(st.none(),
+                                 st.integers(-10**9, 10**9),
+                                 st.text(max_size=10),
+                                 st.text(min_size=3, max_size=3)),
+                       max_size=300),
+       filler=st.sampled_from([0, 200, 508, 512, 516, 900]),
+       absent=st.lists(st.text(min_size=3, max_size=3), max_size=20))
+def test_xor_no_false_negatives_and_lane_agrees(values, filler, absent):
+    # ``filler`` puts the distinct-key count on both sides of the
+    # 512-key boundary between the plain-int and the numpy peel.
+    keys = (values + list(range(2 * 10**9, 2 * 10**9 + filler))
+            + values[:5])
+    xor = XorFilter(keys)
+    assert xor.count == len({k for k in keys if k is not None})
+    assert not xor.might_contain(None)
+    for key in keys:
+        assert key is None or xor.might_contain(key)
+    # seed-0 hashes served by a build cache give the very same filter
+    cached = XorFilter(keys, SketchBuildCache())
+    assert cached.seed == xor.seed
+    assert np.array_equal(cached.table, xor.table)
+    # the vectorized n-gram lane answers as the scalar probe does,
+    # for present and absent grams alike
+    lane = _NGramLane(
+        [(0, PartitionSketches(ngram={"s": NGramSketch(3, xor)}))],
+        "s", 3)
+    grams = [k for k in keys if isinstance(k, str) and len(k) == 3]
+    for gram in grams + absent:
+        assert bool(lane.probe((gram,))[0]) == xor.might_contain(gram)
 
 
 @settings(max_examples=200, deadline=None)

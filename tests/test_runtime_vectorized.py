@@ -19,13 +19,14 @@ import pytest
 from hypothesis import given, settings
 
 from repro.pruning.base import ScanSet
-from repro.pruning.join_pruning import JoinPruner, build_summary
+from repro.pruning.filters import XorFilter
+from repro.pruning.join_pruning import JoinPruner
 from repro.pruning.stats_index import (
     StatsIndex,
     join_may_join_mask,
     topk_skip_mask,
 )
-from repro.pruning.summaries import MinMaxSummary, RangeSetSummary
+from repro.pruning.summaries import RangeSetSummary
 from repro.pruning.topk_pruning import Boundary, TopKPruner
 from repro.storage.micropartition import MicroPartition
 from repro.types import DataType, Schema
@@ -222,10 +223,10 @@ build_values = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(partition_rows=partitions_strategy, values=build_values,
-       kind=st.sampled_from(["minmax", "rangeset"]))
-def test_join_mask_matches_scalar(partition_rows, values, kind):
+       max_ranges=st.sampled_from([1, 4, 64]))
+def test_join_mask_matches_scalar(partition_rows, values, max_ranges):
     entries = make_entries(partition_rows)
-    summary = build_summary(values, kind=kind)
+    summary = RangeSetSummary(values, max_ranges=max_ranges)
     pruner = assert_join_differential(entries, "a", summary)
     if entries:
         assert pruner.mode in ("vectorized", "mixed", "fallback")
@@ -237,7 +238,7 @@ def test_join_mask_matches_scalar(partition_rows, values, kind):
                        max_size=12))
 def test_join_mask_string_lane(partition_rows, values):
     entries = make_entries(partition_rows)
-    summary = build_summary(values, kind="rangeset")
+    summary = RangeSetSummary(values)
     assert_join_differential(entries, "s", summary)
 
 
@@ -250,14 +251,14 @@ class TestJoinMaskRoutes:
 
     def test_empty_summary_prunes_everything_valued(self):
         entries = self._entries()
-        summary = MinMaxSummary([])
+        summary = RangeSetSummary([])
         assert summary.is_empty
         assert_join_differential(entries, "a", summary)
 
-    def test_bloom_summary_is_not_vectorized(self):
+    def test_membership_filter_summary_is_not_vectorized(self):
         entries = self._entries()
         index = StatsIndex(entries)
-        summary = build_summary([1, 2, 3], kind="bloom")
+        summary = XorFilter([1, 2, 3])
         assert join_may_join_mask(index, "a", summary) is None
         pruner = JoinPruner("a", summary)
         pruner.prune(ScanSet(entries, index=index))
@@ -274,7 +275,7 @@ class TestJoinMaskRoutes:
         narrow = Schema.of(x=DataType.INTEGER)
         partition = MicroPartition.from_rows(narrow, [(1,)])
         entries = [(partition.partition_id, partition.zone_map)]
-        summary = MinMaxSummary([10, 20])
+        summary = RangeSetSummary([10, 20], max_ranges=1)
         assert_join_differential(entries, "a", summary)
 
     def test_mixed_mode_on_stale_zone_map(self):
@@ -284,7 +285,8 @@ class TestJoinMaskRoutes:
         # fails for it, everything else serves from the mask.
         stale = list(entries)
         stale[0] = (stale[0][0], stale[0][1].without_stats())
-        pruner = JoinPruner("a", MinMaxSummary([0, 1000]))
+        pruner = JoinPruner("a", RangeSetSummary([0, 1000],
+                                                 max_ranges=1))
         pruner.prune(ScanSet(stale, index=index))
         assert pruner.mode == "mixed"
         assert pruner.vector_checks == len(entries) - 1

@@ -9,7 +9,9 @@ fault-injected metadata, and interleaved DML/recluster.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -449,16 +451,24 @@ class TestSkipSets:
 
 
 class TestIndexCoverage:
-    def test_cuckoo_backed_sketches_take_scalar_path(self):
+    @pytest.mark.parametrize("ngram_size", [2, 4])
+    def test_other_ngram_sizes_stay_sound(self, ngram_size):
+        """2-grams pack into one uint64 like the default 3-grams; 4
+        do not (21 bits per code point) and take the set path."""
         rows = [[f"text-{i % 3}", i, 0.0] for i in range(24)]
         catalog = Catalog(rows_per_partition=4)
         catalog.create_table_from_rows("t", SCHEMA, rows)
-        catalog.enable_sketches(SketchConfig(filter_kind="cuckoo"))
-        assert catalog.sketches_of("t")
+        catalog.enable_sketches(SketchConfig(ngram_size=ngram_size))
+        assert all(sketches.ngram["s"].n == ngram_size
+                   for sketches in catalog.sketches_of("t").values())
         assert_pruner_sound(catalog,
                             ast.Contains(ast.col("s"), "text-1"))
         assert_pruner_sound(catalog,
                             ast.Contains(ast.col("s"), "absent"))
+        sql = "SELECT k FROM t WHERE CONTAINS(s, 'text-1')"
+        assert catalog.sql(sql).rows == [(i,) for i in range(1, 24, 3)]
+        assert not catalog.sql(
+            "SELECT k FROM t WHERE CONTAINS(s, 'absent')").rows
 
     def test_index_row_lookup_misses_fall_back(self):
         rows = [["abc", 1, 0.0]] * 8
@@ -542,3 +552,46 @@ class TestPersistenceRoundTrip:
         assert scan_ids <= set(sketches)  # WAL-replayed insert too
         got = recovered.sql("SELECT * FROM t WHERE k = 99")
         assert len(got.rows) == 1
+
+    @pytest.mark.parametrize("legacy_kind", ["cuckoo", "xor"])
+    def test_legacy_filter_kind_key_is_ignored(self, tmp_path,
+                                               legacy_kind):
+        """Manifests and checkpoints written before the membership
+        filter stopped being an option carry a ``filter_kind`` key;
+        they load through ``load`` and ``recover`` with sketches on
+        and prune like a fresh ``enable_sketches()``."""
+        legacy = {"ngram_size": 3, "max_ngrams": 8192,
+                  "filter_kind": legacy_kind,
+                  "dictionary_max_entries": 64,
+                  "histogram_buckets": 32, "columns": None}
+        assert SketchConfig.from_manifest(legacy) == SketchConfig()
+        rows = [[f"word-{i % 4}", i % 6, float(i)]
+                for i in range(24)]
+        fresh = Catalog(rows_per_partition=4)
+        fresh.create_table_from_rows("t", SCHEMA, rows)
+        fresh.enable_sketches()
+        fresh.save(tmp_path / "snap")
+        durable = Catalog(rows_per_partition=4)
+        durable.enable_durability(tmp_path / "dur")
+        durable.enable_sketches()
+        durable.create_table_from_rows("t", SCHEMA, rows)
+        checkpoint = durable.checkpoint()
+        for root in (tmp_path / "snap", checkpoint.path):
+            manifest_path = Path(root) / "manifest.json"
+            manifest = json.loads(manifest_path.read_text())
+            assert "filter_kind" not in manifest["sketches"]
+            manifest["sketches"] = legacy
+            manifest_path.write_text(json.dumps(manifest))
+        sql = "SELECT * FROM t WHERE CONTAINS(s, 'word-2') AND k = 2"
+        want = fresh.sql(sql)
+        pruned = len(want.profile.scans[0].sketch_result.pruned_ids)
+        assert pruned > 0
+        for restored in (Catalog.load(tmp_path / "snap"),
+                         Catalog.recover(tmp_path / "dur",
+                                         rows_per_partition=4)):
+            assert restored.sketch_config == SketchConfig()
+            assert len(restored.sketches_of("t")) == 6
+            got = restored.sql(sql)
+            assert freeze(got.rows) == freeze(want.rows)
+            assert len(got.profile.scans[0].sketch_result
+                       .pruned_ids) == pruned

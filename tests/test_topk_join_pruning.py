@@ -5,12 +5,9 @@ import random
 import pytest
 
 from repro.pruning.base import ScanSet
-from repro.pruning.join_pruning import JoinPruner, build_summary
-from repro.pruning.summaries import (
-    BloomFilter,
-    MinMaxSummary,
-    RangeSetSummary,
-)
+from repro.pruning.filters import XorFilter
+from repro.pruning.join_pruning import JoinPruner
+from repro.pruning.summaries import RangeSetSummary
 from repro.pruning.topk_pruning import (
     Boundary,
     OrderStrategy,
@@ -181,20 +178,22 @@ class TestBoundaryInit:
 
 
 class TestMinMaxSummary:
+    """Global min/max is ``RangeSetSummary(values, max_ranges=1)``."""
+
     def test_contains(self):
-        summary = MinMaxSummary([5, 10, 20])
+        summary = RangeSetSummary([5, 10, 20], max_ranges=1)
         assert summary.might_contain(10)
         assert summary.might_contain(7)  # false positive, allowed
         assert not summary.might_contain(4)
         assert not summary.might_contain(None)
 
     def test_overlap(self):
-        summary = MinMaxSummary([5, 20])
+        summary = RangeSetSummary([5, 20], max_ranges=1)
         assert summary.might_overlap_range(18, 30)
         assert not summary.might_overlap_range(21, 30)
 
     def test_empty(self):
-        summary = MinMaxSummary([None, None])
+        summary = RangeSetSummary([None, None], max_ranges=1)
         assert summary.is_empty
         assert not summary.might_overlap_range(0, 100)
 
@@ -234,59 +233,19 @@ class TestRangeSetSummary:
             RangeSetSummary([1], max_ranges=0)
 
 
-class TestBloomFilter:
-    def test_no_false_negatives(self):
-        rng = random.Random(2)
-        values = [rng.randrange(10**9) for _ in range(2000)]
-        bloom = BloomFilter(expected_items=2000, fpp=0.01)
-        bloom.add_all(values)
-        assert all(bloom.might_contain(v) for v in values)
-
-    def test_false_positive_rate_reasonable(self):
-        rng = random.Random(3)
-        values = set(rng.randrange(10**9) for _ in range(5000))
-        bloom = BloomFilter(expected_items=5000, fpp=0.01)
-        bloom.add_all(values)
-        probes = [rng.randrange(10**9) for _ in range(5000)]
-        false_positives = sum(
-            1 for p in probes
-            if p not in values and bloom.might_contain(p))
-        assert false_positives / len(probes) < 0.05
-
-    def test_range_probe_small_integer_range(self):
-        bloom = BloomFilter(expected_items=10)
-        bloom.add_all([100, 200])
-        assert bloom.might_overlap_range(95, 105)
-        assert not bloom.might_overlap_range(300, 400)
-
-    def test_range_probe_wide_range_says_maybe(self):
-        bloom = BloomFilter(expected_items=10)
-        bloom.add(5)
-        assert bloom.might_overlap_range(0, 10**9)
-
-    def test_strings(self):
-        bloom = BloomFilter(expected_items=3)
-        bloom.add_all(["a", "b"])
-        assert bloom.might_contain("a")
-
-    def test_invalid_fpp(self):
-        with pytest.raises(ValueError):
-            BloomFilter(10, fpp=1.5)
-
-
 class TestJoinPruner:
     def probe_scan_set(self):
         # 10 partitions of sorted fk values 0..99
         return make_scan_set(list(range(100)))
 
     def test_prunes_non_overlapping(self):
-        summary = build_summary([5, 6, 95], kind="rangeset")
+        summary = RangeSetSummary([5, 6, 95])
         pruner = JoinPruner("v", summary)
         result = pruner.prune(self.probe_scan_set())
         assert result.after == 2  # [0..9] and [90..99]
 
     def test_empty_build_side_prunes_everything(self):
-        summary = build_summary([], kind="rangeset")
+        summary = RangeSetSummary([])
         pruner = JoinPruner("v", summary)
         result = pruner.prune(self.probe_scan_set())
         assert result.after == 0
@@ -295,7 +254,7 @@ class TestJoinPruner:
     def test_never_prunes_partition_with_matches(self):
         rng = random.Random(5)
         build_values = rng.sample(range(100), 20)
-        summary = build_summary(build_values, kind="rangeset")
+        summary = RangeSetSummary(build_values)
         pruner = JoinPruner("v", summary)
         result = pruner.prune(self.probe_scan_set())
         kept = set(result.kept.partition_ids)
@@ -315,7 +274,7 @@ class TestJoinPruner:
         table = build_table("t", SCHEMA, rows, rows_per_partition=10)
         scan_set = ScanSet((p.partition_id, p.zone_map)
                            for p in table.partitions)
-        summary = build_summary([1, 2, 3], kind="rangeset")
+        summary = RangeSetSummary([1, 2, 3])
         result = JoinPruner("v", summary).prune(scan_set)
         assert result.after == 0
 
@@ -323,13 +282,16 @@ class TestJoinPruner:
         scan_set = self.probe_scan_set()
         stripped = ScanSet((pid, zm.without_stats())
                            for pid, zm in scan_set)
-        summary = build_summary([5], kind="rangeset")
+        summary = RangeSetSummary([5])
         result = JoinPruner("v", summary).prune(stripped)
         assert result.after == len(stripped)
 
-    @pytest.mark.parametrize("kind", ["minmax", "rangeset", "bloom"])
-    def test_all_summary_kinds(self, kind):
-        summary = build_summary([5, 95], kind=kind)
+    @pytest.mark.parametrize("summary", [
+        pytest.param(RangeSetSummary([5, 95], max_ranges=1), id="minmax"),
+        pytest.param(RangeSetSummary([5, 95]), id="rangeset"),
+        pytest.param(XorFilter([5, 95]), id="xor"),
+    ])
+    def test_all_summary_kinds(self, summary):
         pruner = JoinPruner("v", summary)
         result = pruner.prune(self.probe_scan_set())
         # all kinds keep at least the two matching partitions
@@ -337,15 +299,11 @@ class TestJoinPruner:
 
     def test_minmax_weaker_than_rangeset(self):
         values = [5, 95]
-        minmax = JoinPruner("v", build_summary(values, "minmax")).prune(
+        minmax = JoinPruner("v", RangeSetSummary(
+            values, max_ranges=1)).prune(self.probe_scan_set())
+        rangeset = JoinPruner("v", RangeSetSummary(values)).prune(
             self.probe_scan_set())
-        rangeset = JoinPruner("v", build_summary(
-            values, "rangeset")).prune(self.probe_scan_set())
         assert rangeset.after <= minmax.after
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            build_summary([1], kind="hyperloglog")
 
 
 class TestFullyMatchingFirstStrategy:
