@@ -562,23 +562,30 @@ class Catalog:
     def scan_set(self, table: str) -> ScanSet:
         """A table's full scan set from the metadata store.
 
-        Pruning fails open: when a partition's metadata cannot be
+        With no fault injector, retry policy or breaker configured
+        the fetch cannot fail, so the scan set *is* the metadata
+        store's stats index for the table (``ScanSet.of_index``): no
+        per-partition read happens and no entry is built until
+        someone iterates it, while the store still counts one lookup
+        per partition and the caller charges the same simulated cost.
+
+        Under a fault stack every partition is read through it and
+        pruning fails open: when a partition's metadata cannot be
         fetched (after retries), the partition enters the scan set
         with a stats-free zone map — every pruning check answers MAYBE
         and the partition is scanned. A full metadata outage degrades
         the partition *listing* to the in-memory table as well. The
         returned scan set carries ``degraded_ids`` plus metadata retry
-        accounting for the query profile, and the metadata store's
-        incrementally maintained stats index for the table: an
+        accounting for the query profile, and the stats index as an
         internal structure read beside the entries (outside the fault
         stack), which the scan set trusts per entry only where it
         holds the very zone map that was fetched.
         """
         meta = self.metadata
-        index = meta.stats_index(table)
         if (meta.fault_injector is None and meta.retry_policy is None
                 and meta.breaker is None):
-            return ScanSet(meta.iter_table(table), index=index)
+            return ScanSet.of_index(meta._fetch_as_index(table))
+        index = meta.stats_index(table)
 
         from .faults.retry import RetryStats
 

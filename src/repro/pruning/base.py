@@ -38,16 +38,27 @@ class ScanSet:
     vouch for (degraded ``without_stats()`` copies, rows gone stale
     under DML, ids the index lacks) take the scalar path there, in
     one place.
+
+    A scan set made by :meth:`of_index` is *rows of that snapshot*:
+    ids, sizes, derivation and the trusted branch of :meth:`gather`
+    read the index's lanes, and the ``(pid, ZoneMap)`` entries are
+    built only when someone iterates them, i.e. for the survivors of
+    pruning or for everything on a scalar fallback.
     """
 
     def __init__(self, entries: Iterable[tuple[int, ZoneMap]] = (),
                  degraded_ids: Iterable[int] = (),
                  index: "StatsIndex | None" = None):
-        self._entries: list[tuple[int, ZoneMap]] = list(entries)
-        #: lazy id -> entry-position mapping; ``_entries`` never
-        #: mutates after construction (transforms build new scan
-        #: sets), so building it twice under a race is merely wasted
-        #: work. The same holds for the two lazy fields below.
+        #: None while an :meth:`of_index` scan set has not been
+        #: iterated; see :meth:`_materialised`.
+        self._entries: list[tuple[int, ZoneMap]] | None = list(entries)
+        #: lazy id -> entry-position mapping; the entries never change
+        #: after construction (transforms build new scan sets), so
+        #: building it twice under a race is merely wasted work. The
+        #: same holds for ``_entries`` itself, ``_trusted_rows`` and a
+        #: hand-built set's ``_stats_index``: each is computed into a
+        #: local and published with one assignment, and every reader
+        #: takes one read of it.
         self._position_of: dict[int, int] | None = None
         #: the index snapshot the entries were fetched with; a scan
         #: set built by hand packs its own entries on first use.
@@ -61,6 +72,25 @@ class ScanSet:
         self.metadata_retries: int = 0
         self.metadata_backoff_ms: float = 0.0
 
+    @classmethod
+    def of_index(cls, index: "StatsIndex",
+                 rows: np.ndarray | None = None) -> "ScanSet":
+        """The scan set whose entries are ``index``'s own ``rows``
+        (default: every row, in index order), built on demand."""
+        scan = cls(index=index)
+        scan._entries = None
+        scan._trusted_rows = np.arange(len(index)) if rows is None else rows
+        return scan
+
+    def _materialised(self) -> list[tuple[int, ZoneMap]]:
+        entries = self._entries
+        if entries is None:
+            entries = self._entries = list(zip(
+                self.partition_ids,
+                map(self._stats_index.zone_map_at,
+                    self._trusted_rows.tolist())))
+        return entries
+
     @property
     def degraded(self) -> bool:
         """True when any entry lost its metadata to a failure."""
@@ -68,32 +98,41 @@ class ScanSet:
 
     @property
     def partition_ids(self) -> list[int]:
-        return [pid for pid, _ in self._entries]
+        entries = self._entries
+        if entries is None:
+            return self._stats_index.partition_ids[
+                self._trusted_rows].tolist()
+        return [pid for pid, _ in entries]
 
     @property
     def entries(self) -> list[tuple[int, ZoneMap]]:
-        return list(self._entries)
+        return list(self._materialised())
 
     def _positions(self) -> dict[int, int]:
         if self._position_of is None:
             self._position_of = {
-                pid: i for i, (pid, _) in enumerate(self._entries)}
+                pid: i for i, pid in enumerate(self.partition_ids)}
         return self._position_of
 
     def zone_map(self, partition_id: int) -> ZoneMap:
-        return self._entries[self._positions()[partition_id]][1]
+        return self._materialised()[self._positions()[partition_id]][1]
 
     def __len__(self) -> int:
-        return len(self._entries)
+        entries = self._entries
+        return len(self._trusted_rows if entries is None else entries)
 
     def __iter__(self) -> Iterator[tuple[int, ZoneMap]]:
-        return iter(self._entries)
+        return iter(self._materialised())
 
     def __contains__(self, partition_id: int) -> bool:
         return partition_id in self._positions()
 
     def total_rows(self) -> int:
-        return sum(zm.row_count for _, zm in self._entries)
+        entries = self._entries
+        if entries is None:
+            return int(self._stats_index.row_counts[
+                self._trusted_rows].sum())
+        return sum(zm.row_count for _, zm in entries)
 
     # ------------------------------------------------------------------
     # The stats index and which of its rows this scan set may trust
@@ -114,10 +153,13 @@ class ScanSet:
         """Per entry, the :attr:`stats_index` row describing the zone
         map the entry holds, or -1 when no row does.
 
-        The index is a snapshot taken beside the entries, not from
-        them: a metadata fault leaves the entry a ``without_stats()``
-        copy, DML between the two reads leaves a row stale or missing.
-        Only a row holding the *same* ZoneMap object is trusted.
+        An :meth:`of_index` scan set's trusted rows *are* its rows:
+        its entries are the index's own ZoneMap objects by
+        construction. For fetched or hand-built entries the index is
+        a snapshot taken beside them, not from them: a metadata fault
+        leaves the entry a ``without_stats()`` copy, DML between the
+        two reads leaves a row stale or missing. There, only a row
+        holding the *same* ZoneMap object is trusted.
         Computed once; derived scan sets carry their slice of it.
         """
         index = self.stats_index  # packing its own trusts every entry
@@ -149,15 +191,16 @@ class ScanSet:
         the per-partition reference path. Returns the values in entry
         order and how many came from ``per_row``.
         """
-        entries = self._entries
-        if per_row is None or not len(per_row) or not entries:
-            return [scalar(zone_map) for _, zone_map in entries], 0
+        if per_row is None or not len(per_row) or not len(self):
+            return [scalar(zone_map) for _, zone_map in self], 0
         rows = self.trusted_rows
         values = per_row[rows].tolist()
         untrusted = np.flatnonzero(rows < 0).tolist()
-        for i in untrusted:
-            values[i] = scalar(entries[i][1])
-        return values, len(entries) - len(untrusted)
+        if untrusted:
+            entries = self._materialised()
+            for i in untrusted:
+                values[i] = scalar(entries[i][1])
+        return values, len(values) - len(untrusted)
 
     # ------------------------------------------------------------------
     # Derivation
@@ -172,15 +215,18 @@ class ScanSet:
         ``degraded_ids`` and runtime pruners can no longer tell which
         entries must fail open.
         """
-        entries = self._entries
-        derived = ScanSet([entries[i] for i in positions],
-                          index=self._stats_index)
-        if self._trusted_rows is not None:
-            derived._trusted_rows = self._trusted_rows[
-                np.asarray(positions, dtype=np.intp)]
+        entries, rows = self._entries, self._trusted_rows
+        if rows is not None:
+            rows = rows[np.asarray(positions, dtype=np.intp)]
+        if entries is None:
+            derived = ScanSet.of_index(self._stats_index, rows)
+        else:
+            derived = ScanSet([entries[i] for i in positions],
+                              index=self._stats_index)
+            derived._trusted_rows = rows
         if self.degraded_ids:
             derived.degraded_ids = self.degraded_ids.intersection(
-                pid for pid, _ in derived._entries)
+                derived.partition_ids)
         derived.metadata_retries = self.metadata_retries
         derived.metadata_backoff_ms = self.metadata_backoff_ms
         return derived
@@ -188,7 +234,7 @@ class ScanSet:
     def restrict(self, keep_ids: Iterable[int]) -> "ScanSet":
         """Keep only the given partitions, preserving order."""
         keep = set(keep_ids)
-        return self.take([i for i, (pid, _) in enumerate(self._entries)
+        return self.take([i for i, pid in enumerate(self.partition_ids)
                           if pid in keep])
 
     def reorder(self, ordered_ids: Iterable[int]) -> "ScanSet":
@@ -331,8 +377,8 @@ class PruningResult:
         kept: list[int] = []
         pruned_ids: list[int] = []
         fully_matching_ids: list[int] = []
-        for position, ((partition_id, _), verdict) in enumerate(
-                zip(scan_set, verdicts)):
+        for position, (partition_id, verdict) in enumerate(
+                zip(scan_set.partition_ids, verdicts)):
             if verdict is TriState.NEVER:
                 pruned_ids.append(partition_id)
                 continue

@@ -73,7 +73,8 @@ class JoinPruner:
             before=len(scan_set),
             kept=scan_set.take(
                 [i for i, joins in enumerate(may_join) if joins]),
-            pruned_ids=[pid for (pid, _), joins
-                        in zip(scan_set, may_join) if not joins],
+            pruned_ids=[pid for pid, joins
+                        in zip(scan_set.partition_ids, may_join)
+                        if not joins],
             checks=self.vector_checks + self.checks,
         )

@@ -223,28 +223,32 @@ class StatsIndex:
 
     def __init__(self, entries: Iterable[tuple[int, ZoneMap]] = ()):
         pairs = list(entries)
-        self._pids: list[int] = [pid for pid, _ in pairs]
+        #: int64 partition-id lane, beside ``row_counts``: what a scan
+        #: set answers ids and sizes from without touching a zone map.
+        self.partition_ids: np.ndarray = np.array(
+            [pid for pid, _ in pairs], dtype=np.int64)
         self._zone_maps: list[ZoneMap] = [zm for _, zm in pairs]
         self._rows: dict[int, int] = {
-            pid: row for row, pid in enumerate(self._pids)}
+            pid: row for row, (pid, _) in enumerate(pairs)}
         self.row_counts: np.ndarray = np.array(
             [zm.row_count for zm in self._zone_maps], dtype=np.int64)
         self._columns: dict[str, _ColumnVectors | None] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._pids)
+        return len(self._zone_maps)
 
     def entries(self) -> list[tuple[int, ZoneMap]]:
-        return list(zip(self._pids, self._zone_maps))
+        return list(zip(self.partition_ids.tolist(), self._zone_maps))
 
     def row_of(self, partition_id: int) -> int | None:
         """Index row for a partition id, or None if not indexed."""
         return self._rows.get(partition_id)
 
     def zone_map_at(self, row: int) -> ZoneMap:
-        """The exact ZoneMap object indexed at ``row`` (what
-        ``ScanSet.trusted_rows`` compares by identity)."""
+        """The exact ZoneMap object indexed at ``row``: the one
+        accessor through which a scan set materialises an entry (and
+        what ``ScanSet.trusted_rows`` compares by identity)."""
         return self._zone_maps[row]
 
     def column(self, name: str) -> _ColumnVectors | None:
@@ -261,12 +265,13 @@ class StatsIndex:
 
         ``None`` drops a partition; a ZoneMap replaces in place (the
         metadata store keeps a re-registered partition's position) or
-        appends in delta order (ids are globally monotonic and never
-        reused, so unregister-then-register of one id cannot occur).
+        appends in delta order. One delta per id cannot say "dropped,
+        then registered again, so now last": the store resnapshots
+        instead of sending that here.
         """
         replaced = set()
         entries: list[tuple[int, ZoneMap]] = []
-        for pid, zone_map in zip(self._pids, self._zone_maps):
+        for pid, zone_map in self.entries():
             if pid in changes:
                 replaced.add(pid)
                 replacement = changes[pid]

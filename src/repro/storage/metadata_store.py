@@ -96,6 +96,12 @@ class MetadataStore:
             if key not in self._entries:
                 self._table_partitions.setdefault(
                     table, {})[partition_id] = None
+                if partition_id in self._stats_dirty.get(table, ()):
+                    # Dropped since the last snapshot and back again:
+                    # it now lists last, which a delta per id cannot
+                    # say. Resnapshot on the next stats_index().
+                    del self._stats_indexes[table]
+                    del self._stats_dirty[table]
             self._entries[key] = zone_map
             if table in self._stats_indexes:
                 self._stats_dirty.setdefault(table, {})[partition_id] = \
@@ -249,9 +255,12 @@ class MetadataStore:
         index and steady-state refreshes cost O(changed partitions)
         bookkeeping rather than a metadata rescan. This is an internal
         metadata-service structure, so reads here are not charged as
-        lookups and do not traverse the fault stack — per-partition
-        consistency with what the *query* actually fetched is enforced
-        by the pruner's zone-map identity check instead.
+        lookups and do not traverse the fault stack. Its rows hold the
+        very ZoneMap objects :meth:`get` returns: with no fault stack
+        configured ``Catalog.scan_set`` takes the index as the fetch
+        itself (:meth:`_fetch_as_index`); under one, a scan set
+        trusts it per entry only through ``ScanSet.trusted_rows``'
+        zone-map identity check.
         """
         from ..pruning.stats_index import StatsIndex
 
@@ -266,6 +275,15 @@ class MetadataStore:
             elif dirty:
                 index = index.with_changes(dirty)
             self._stats_indexes[table] = index
+            return index
+
+    def _fetch_as_index(self, table: str) -> "StatsIndex":
+        """``Catalog.scan_set``'s fetch when no fault stack is
+        configured: the stats index, counted as one lookup per
+        partition, as reading each through :meth:`get` would be."""
+        with self._lock:
+            index = self.stats_index(table)
+            self.lookups += len(index)
             return index
 
     # ------------------------------------------------------------------

@@ -10,6 +10,7 @@ drive identical catalogs side by side and diff everything observable.
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -102,6 +103,45 @@ class TestSerialEquivalence:
         assert scan_p.partitions_loaded == scan_s.partitions_loaded
         assert got.profile.exec_ms == pytest.approx(
             want.profile.exec_ms)
+
+    def test_index_backed_scan_set_fills_lazily_under_workers(self):
+        """Without a fault stack the scan set is rows of the stats
+        index: its entries, id -> position map and column packing are
+        first asked for at run time, here by the consumer and four
+        morsel workers at once (deferred runtime filter plus top-k
+        boundary re-checks). Each lazy field is computed into a local
+        and published by one assignment, so a race only repeats work:
+        rows and every counter equal the serial run's."""
+        from repro.plan.compiler import CompilerOptions
+
+        catalog = make_catalog(1)
+        assert catalog.scan_set("t")._entries is None
+        options = CompilerOptions(compile_prune_partition_limit=10)
+        sql = ("SELECT id, v FROM t WHERE id BETWEEN 200 AND 1100 "
+               "ORDER BY v DESC LIMIT 7")
+        want = catalog.sql(sql, options)
+        catalog.scan_parallelism = 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)      # make the threads interleave
+        try:
+            got = catalog.sql(sql, options)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.rows == want.rows and len(got.rows) == 7
+        scan_s, scan_p = want.profile.scans[0], got.profile.scans[0]
+        assert scan_p.scan_parallelism == 4
+        assert scan_s.filter_result.pruned > 0      # deferred, at run time
+        assert scan_s.topk_checks > 0
+        for field in ("total_partitions", "partitions_loaded",
+                      "rows_scanned", "topk_checks", "topk_skipped",
+                      "topk_boundary_updates", "early_terminated",
+                      "pruning_mode"):
+            assert getattr(scan_p, field) == getattr(scan_s, field), field
+        assert scan_p.filter_result.pruned_ids == \
+            scan_s.filter_result.pruned_ids
+        assert got.profile.compile_ms == pytest.approx(
+            want.profile.compile_ms)
+        assert got.profile.exec_ms == pytest.approx(want.profile.exec_ms)
 
     def test_limit_early_termination(self):
         serial = make_catalog(1)

@@ -12,6 +12,7 @@ directed cases for each fallback path.
 from __future__ import annotations
 
 import random
+import sys
 
 import hypothesis.strategies as st
 import pytest
@@ -20,17 +21,25 @@ from hypothesis import given, settings
 from repro.catalog import Catalog
 from repro.expr import ast
 from repro.expr.simplify import simplify
-from repro.faults import METADATA, FaultInjector, RetryPolicy
+from repro.faults import METADATA, FaultInjector, FaultSpec, RetryPolicy
 from repro.plan.compiler import CompilerOptions
 from repro.pruning import (
+    Boundary,
     FilterPruner,
+    JoinPruner,
+    LimitPruner,
+    OrderStrategy,
+    RangeSetSummary,
     ScanSet,
+    TopKPruner,
     StatsIndex,
     VectorizedFilterPruner,
     compile_pruning_kernel,
 )
 from repro.sql import parse_select
+from repro.pruning.filters import XorFilter
 from repro.storage.micropartition import MicroPartition
+from repro.storage.table import Table
 from repro.types import DataType, Schema
 
 SCHEMA = Schema.of(a=DataType.INTEGER, v=DataType.DOUBLE,
@@ -407,6 +416,322 @@ class TestScanSetTrust:
         scan_set = catalog.scan_set("t")
         assert scan_set.stats_index is catalog.metadata.stats_index("t")
         assert (scan_set.trusted_rows >= 0).all()
+
+
+class TestScanSetOrigins:
+    """A scan set comes to be two ways: as rows of the metadata
+    store's index (``Catalog.scan_set`` without a fault stack, entries
+    built on demand) or as fetched entries beside an index snapshot.
+    Nothing a caller can observe may tell the two apart."""
+
+    PREDICATES = [
+        # compile
+        ast.Compare(">", ast.col("a"), ast.lit(40)),
+        ast.between(ast.col("a"), ast.lit(18), ast.lit(31)),
+        ast.InList(ast.col("a"), [3, 50, 51, None]),
+        ast.IsNull(ast.col("v")),
+        ast.StartsWith(ast.col("s"), "alp"),
+        ast.Or(ast.And(ast.Compare("<", ast.col("a"), ast.lit(12)),
+                       ast.Not(ast.IsNull(ast.col("s")))),
+               ast.Not(ast.Compare("<=", ast.col("v"), ast.lit(35.0)))),
+        # do not compile: every entry takes the scalar path
+        ast.Like(ast.col("s"), "%lph%"),
+        ast.Compare(">", ast.Arith("+", ast.col("a"), ast.lit(1)),
+                    ast.lit(60)),
+        # compiles, fails to bind: float literal on the int64 lane
+        ast.Compare(">", ast.col("a"), ast.lit(40.5)),
+    ]
+
+    def _catalog(self, shuffled):
+        rows = [(i if i % 9 else None,
+                 float(i % 40) if i % 7 else None,
+                 STRINGS[i % len(STRINGS)] if i % 5 else None)
+                for i in range(120)]
+        if shuffled:
+            random.Random(11).shuffle(rows)
+        chunks = [rows[i:i + 6] for i in range(0, len(rows), 6)]
+        chunks.insert(3, [])                        # empty partitions
+        chunks.append([])
+        chunks.insert(9, [(None, None, None)] * 4)  # all-NULL partition
+        catalog = Catalog(rows_per_partition=6)
+        catalog.create_table(Table("t", SCHEMA, [
+            MicroPartition.from_rows(SCHEMA, chunk) for chunk in chunks]))
+        return catalog
+
+    @staticmethod
+    def _both(catalog):
+        by_index = catalog.scan_set("t")
+        assert by_index._entries is None     # nothing built yet
+        fetched = ScanSet(list(catalog.metadata.iter_table("t")),
+                          index=catalog.metadata.stats_index("t"))
+        return by_index, fetched
+
+    @staticmethod
+    def _observe(scan_set):
+        return (len(scan_set), scan_set.partition_ids,
+                scan_set.total_rows(), scan_set.serialize(),
+                scan_set.trusted_rows.tolist(), scan_set.degraded_ids,
+                [(pid, id(zm)) for pid, zm in scan_set.entries],
+                [pid in scan_set for pid in scan_set.partition_ids],
+                [id(scan_set.zone_map(pid))
+                 for pid in scan_set.partition_ids])
+
+    @classmethod
+    def _result(cls, result):
+        return (result.technique, result.before, result.pruned_ids,
+                result.fully_matching_ids, result.checks,
+                cls._observe(result.kept))
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_same_contents_and_derivations(self, shuffled):
+        catalog = self._catalog(shuffled)
+        by_index, fetched = self._both(catalog)
+        n = len(fetched)
+        assert n == 23 and len(by_index) == n
+        assert by_index.stats_index is fetched.stats_index
+        ids = fetched.partition_ids
+        positions = [5, 0, n - 1, 7, 7]
+        derive = [
+            lambda s: s.take(positions),
+            lambda s: s.take([]),
+            lambda s: s.restrict(ids[2:9] + [10**9]),
+            lambda s: s.reorder(list(reversed(ids[4:15]))),
+            lambda s: s.restrict(ids[3:20]).reorder(ids[18:5:-2]).take(
+                [0, 2]),
+            lambda s: s.with_entries(s.entries[1::3]),
+        ]
+        # derive before any entry exists, then again after they do
+        for _ in range(2):
+            for fn in derive:
+                assert self._observe(fn(by_index)) == \
+                    self._observe(fn(fetched))
+            assert self._observe(by_index) == self._observe(fetched)
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    @pytest.mark.parametrize("predicate", PREDICATES,
+                             ids=lambda p: p.to_sql())
+    def test_same_pruning(self, shuffled, predicate):
+        catalog = self._catalog(shuffled)
+        for detect_fm in (True, False):
+            outcomes = []
+            for scan_set in self._both(catalog):
+                pruner = VectorizedFilterPruner(
+                    predicate, SCHEMA, detect_fully_matching=detect_fm)
+                result = pruner.prune(scan_set)
+                limits = []
+                for k in (0, 1, 7, 10**6):
+                    report = LimitPruner(k).prune(
+                        result.kept, result.fully_matching_ids)
+                    limits.append((report.outcome,
+                                   self._result(report.result)))
+                outcomes.append((self._result(result), pruner.checks,
+                                 pruner.vector_checks, pruner.mode,
+                                 limits))
+            assert outcomes[0] == outcomes[1]
+            assert_scan_set_differential(
+                predicate, catalog.scan_set("t"), detect_fm)
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_same_join_and_topk_pruning(self, shuffled):
+        catalog = self._catalog(shuffled)
+        summaries = [
+            ("a", RangeSetSummary([3, 4, 50, 51, 52, 90], max_ranges=2)),
+            ("s", RangeSetSummary(["beta", "gamma"])),
+            ("a", XorFilter([3, 50, 117])),          # scalar only
+            ("a", RangeSetSummary([0.5, 70.25])),    # fails to bind
+        ]
+        for column, summary in summaries:
+            outcomes = []
+            for scan_set in self._both(catalog):
+                pruner = JoinPruner(column, summary)
+                outcomes.append((self._result(pruner.prune(scan_set)),
+                                 pruner.checks, pruner.vector_checks,
+                                 pruner.mode))
+            assert outcomes[0] == outcomes[1], (column, summary)
+        for column, desc, value in (("a", True, 60), ("a", False, 20),
+                                    ("v", True, 30.0), ("s", False, "b"),
+                                    ("a", True, 60.5)):
+            outcomes = []
+            for scan_set in self._both(catalog):
+                ordered = OrderStrategy.FULL_SORT.order(
+                    scan_set, column, desc)
+                boundary = Boundary(desc=desc)
+                boundary.update_value(value)
+                pruner = TopKPruner(column, boundary)
+                skips = [pruner.should_skip(zone_map, pid, ordered)
+                         for pid, zone_map in ordered]
+                outcomes.append((self._observe(ordered), skips,
+                                 pruner.checks, pruner.skipped,
+                                 pruner.vector_checks,
+                                 pruner.fallback_checks))
+            assert outcomes[0] == outcomes[1], (column, desc, value)
+
+    def test_dml_between_two_fetches(self):
+        """An old scan set keeps answering from its own snapshot; a
+        new one sees the change."""
+        catalog = self._catalog(shuffled=False)
+        old_by_index, old_fetched = self._both(catalog)
+        old_ids = old_fetched.partition_ids
+        new_ids = catalog.insert("t", [(500, 1.0, "zz"), (501, 2.0, None)])
+        assert catalog.delete_where(
+            "t", ast.Compare("=", ast.col("a"), ast.lit(31))) == 1
+        by_index, fetched = self._both(catalog)
+        assert by_index.stats_index is not old_by_index.stats_index
+        assert set(new_ids) <= set(fetched.partition_ids)
+        assert fetched.partition_ids != old_ids
+        predicate = ast.Compare(">=", ast.col("a"), ast.lit(31))
+        for one, other in ((old_by_index, old_fetched),
+                           (by_index, fetched)):
+            results = []
+            for scan_set in (one, other):
+                pruner = VectorizedFilterPruner(predicate, SCHEMA)
+                results.append((self._result(pruner.prune(scan_set)),
+                                pruner.vector_checks, pruner.mode))
+            assert results[0] == results[1]
+            assert self._observe(one) == self._observe(other)
+        assert old_by_index.partition_ids == old_ids
+
+    def test_an_id_registered_again_after_a_drop_moves_to_the_end(self):
+        """``MetadataStore.register`` / ``unregister`` are public: an
+        id dropped and registered again between two fetches is listed
+        last by ``partitions_of``, and the scan set follows it."""
+        catalog = self._catalog(shuffled=False)
+        meta = catalog.metadata
+        first, second, *_ = meta.partitions_of("t")
+        catalog.scan_set("t")                # a snapshot to apply deltas to
+        zone_map = meta.get("t", first)
+        meta.unregister("t", first)
+        meta.register("t", first, zone_map)
+        assert meta.partitions_of("t")[-1] == first
+        by_index, fetched = self._both(catalog)
+        assert by_index.partition_ids == meta.partitions_of("t")
+        assert self._observe(by_index) == self._observe(fetched)
+        # The same for an id that only ever lived between two fetches,
+        # with another registered while it was gone.
+        new, newer = 10 ** 9, 10 ** 9 + 1
+        meta.register("t", new, zone_map)
+        meta.unregister("t", new)
+        meta.register("t", newer, meta.get("t", second))
+        meta.register("t", new, zone_map)
+        assert meta.partitions_of("t")[-2:] == [newer, new]
+        by_index, fetched = self._both(catalog)
+        assert by_index.partition_ids == meta.partitions_of("t")
+        assert self._observe(by_index) == self._observe(fetched)
+
+
+class TestSurvivorsOnly:
+    """The per-partition work of fetching a scan set is gone on the
+    no-faults path. Counted, not timed: metadata reads, entries built
+    and Python-level calls per statement."""
+
+    NEEDLES = [
+        "SELECT count(*) AS c, sum(v) AS s FROM t "
+        "WHERE a BETWEEN 1005 AND 1021",
+        "SELECT * FROM t WHERE a >= 1005 AND a <= 1021 LIMIT 5",
+    ]
+
+    @staticmethod
+    def _catalog(partitions):
+        catalog = Catalog(rows_per_partition=10)
+        catalog.create_table_from_rows(
+            "t", SCHEMA, [(i, float(i % 100), STRINGS[i % 3])
+                          for i in range(partitions * 10)])
+        return catalog
+
+    @staticmethod
+    def _count_gets(catalog, monkeypatch):
+        calls = []
+        get = catalog.metadata.get
+
+        def counting_get(table, partition_id, retry_stats=None):
+            calls.append(partition_id)
+            return get(table, partition_id, retry_stats=retry_stats)
+
+        monkeypatch.setattr(catalog.metadata, "get", counting_get)
+        return calls
+
+    @pytest.mark.parametrize("sql", NEEDLES)
+    def test_no_per_partition_fetch_and_same_charges(self, sql,
+                                                     monkeypatch):
+        n = 300
+        catalog = self._catalog(n)
+        gets = self._count_gets(catalog, monkeypatch)
+        built = []
+        zone_map_at = StatsIndex.zone_map_at
+        monkeypatch.setattr(
+            StatsIndex, "zone_map_at",
+            lambda index, row: built.append(row) or zone_map_at(index,
+                                                                 row))
+        lookups = catalog.metadata.lookups
+        result = catalog.sql(sql)
+        scan = result.profile.scans[0]
+        assert scan.total_partitions == n
+        assert 0 < scan.filter_result.after <= 3
+        assert gets == []
+        assert catalog.metadata.lookups - lookups == n
+        assert len(built) == len(set(built)) <= scan.filter_result.after
+        cost = catalog.storage.cost_model
+        limit_checks = scan.filter_result.after if "LIMIT" in sql else 0
+        assert result.profile.compile_ms == pytest.approx(
+            cost.parse_cost_ms + len(SCHEMA) * cost.bind_column_cost_ms
+            + n * (cost.metadata_lookup_ms
+                   + cost.vectorized_prune_check_ms)
+            + limit_checks * cost.prune_check_ms)
+
+    @pytest.mark.parametrize("sql", NEEDLES)
+    def test_python_calls_do_not_grow_with_partitions(self, sql):
+        def calls_at(partitions):
+            catalog = self._catalog(partitions)
+            catalog.sql(sql.replace("1005", "5").replace("1021", "21"))
+            count = 0
+
+            def on_event(frame, event, arg):
+                nonlocal count
+                count += event == "call"
+
+            sys.setprofile(on_event)
+            try:
+                catalog.sql(sql)
+            finally:
+                sys.setprofile(None)
+            return count
+
+        assert calls_at(4000) <= 1.1 * calls_at(400)
+
+    def test_fault_stack_still_reads_every_partition(self, monkeypatch):
+        n = 40
+        catalog = self._catalog(n)
+        injector = catalog.enable_fault_injection(
+            FaultInjector(seed=3), retry_policy=RetryPolicy(max_attempts=2))
+        ids = catalog.tables["t"].partition_ids
+        lost = ids[4:7]
+        for pid in lost:
+            injector.mark_unavailable(METADATA, ("t", pid))
+        gets = self._count_gets(catalog, monkeypatch)
+        lookups = catalog.metadata.lookups
+        result = catalog.sql(
+            "SELECT count(*) AS c FROM t WHERE a BETWEEN 105 AND 121")
+        assert gets == ids
+        assert catalog.metadata.lookups - lookups == n - len(lost)
+        scan = result.profile.scans[0]
+        assert scan.degraded_partitions == len(lost)
+        assert (scan.metadata_retries, scan.metadata_backoff_ms) == (0, 0.0)
+        assert set(lost) <= set(scan.filter_result.kept.partition_ids)
+        assert result.rows == [(17,)]
+
+        # transient faults: retries reach the profile as the store
+        # counts them, whatever ids this process handed out
+        catalog = self._catalog(n)
+        catalog.enable_fault_injection(
+            FaultInjector(seed=3, metadata=FaultSpec(timeout_rate=0.3)),
+            retry_policy=RetryPolicy(max_attempts=12))
+        gets = self._count_gets(catalog, monkeypatch)
+        scan_set = catalog.scan_set("t")
+        assert gets == catalog.tables["t"].partition_ids
+        assert scan_set._entries is not None
+        store = catalog.metadata.retry_stats.snapshot()
+        assert scan_set.metadata_retries == store["retries"] > 0
+        assert scan_set.metadata_backoff_ms == store["backoff_ms"] > 0
 
 
 class TestCatalogIntegration:
