@@ -88,7 +88,6 @@ from .obs import (
 )
 from .pruning.sketches import (
     PartitionSketches,
-    ShapeSkipSet,
     SketchConfig,
     SketchIndex,
     SketchPruner,
@@ -170,7 +169,6 @@ __all__ = [
     "TelemetrySink",
     "render_fleet_report",
     "PartitionSketches",
-    "ShapeSkipSet",
     "SketchConfig",
     "SketchIndex",
     "SketchPruner",

@@ -138,9 +138,6 @@ class Catalog:
         #: :meth:`enable_sketches`. When set, partition registration
         #: also builds and registers per-partition sketches.
         self.sketch_config = None
-        #: per-query-shape skip sets layered on the predicate cache;
-        #: created by :meth:`enable_sketches`.
-        self.skip_sets = None
         #: sketch-build accounting (failures fail open and count here).
         self.sketch_build_failures = 0
         self.sketch_build_ms = 0.0
@@ -287,8 +284,6 @@ class Catalog:
         self.metadata.drop_table(table.name)
         if self.predicate_cache is not None:
             self.predicate_cache.drop_table(table.name)
-        if self.skip_sets is not None:
-            self.skip_sets.drop_table(table.name)
 
     def enable_predicate_cache(self, max_entries: int = 1024,
                                max_partitions_per_entry: int = 256
@@ -301,8 +296,8 @@ class Catalog:
 
     def enable_sketches(self, config=None):
         """Turn on secondary sketches (n-gram filters, dictionaries,
-        histograms — ``pruning/sketches.py``) plus per-query-shape
-        skip sets.
+        histograms — ``pruning/sketches.py``) plus the predicate cache
+        (a repeated shape skips partitions a complete run saw empty).
 
         Sketches are built immediately for every existing partition
         and from then on at partition build/recluster time. Building
@@ -310,11 +305,12 @@ class Catalog:
         simply scanned without them. Idempotent — an existing
         configuration is kept.
         """
-        from .pruning.sketches import ShapeSkipSet, SketchConfig
+        from .pruning.sketches import SketchConfig
 
         if self.sketch_config is None:
             self.sketch_config = config or SketchConfig()
-            self.skip_sets = ShapeSkipSet()
+            if self.predicate_cache is None:
+                self.enable_predicate_cache()
             for table in self.tables.values():
                 cache = self._sketch_build_cache(table.partitions,
                                                  table.schema)
@@ -1048,6 +1044,7 @@ class Catalog:
                       partitions: Sequence[MicroPartition]
                       ) -> list[int]:
         """Register already-built partitions (live commit and replay)."""
+        in_order = self._ids_follow(table, partitions)
         new_ids = []
         for partition in partitions:
             table.add_partition(partition)
@@ -1056,11 +1053,29 @@ class Catalog:
                                    partition.zone_map)
             self._build_sketches(table.name, partition)
             new_ids.append(partition.partition_id)
-        if self.predicate_cache is not None:
-            self.predicate_cache.on_insert(table.name, new_ids)
         if new_ids:
             self._bump_version(table)
+        if not in_order:
+            self.predicate_cache.drop_table(table.name)
         return new_ids
+
+    def _ids_follow(self, table: Table,
+                    added: Sequence[MicroPartition]) -> bool:
+        """Is every id in ``added`` above all of ``table``'s?
+
+        The predicate cache reads "id above an entry's high-water
+        mark" as "committed after the entry was recorded". Ids are
+        handed out when a partition is *built*, so that holds while
+        one writer at a time builds and commits (``QueryService``'s
+        write lock; the catalog itself is single-writer). A caller
+        that overlaps two DML builds breaks it, and loses the table's
+        entries rather than a partition.
+        """
+        if self.predicate_cache is None:
+            return True
+        newest = max((p.partition_id for p in table.partitions),
+                     default=-1)
+        return all(p.partition_id > newest for p in added)
 
     def _dml_candidates(self, table: Table, predicate: ast.Expr,
                         profile: QueryProfile | None = None,
@@ -1286,13 +1301,13 @@ class Catalog:
                        columns: Sequence[str] | None = None) -> None:
         """Swap partition sets in storage/metadata and fire the cache
         invalidation hooks (live commit and replay take this path)."""
+        in_order = self._ids_follow(table, added)
         removed_ids = []
         for old in removed:
             table.remove_partition(old.partition_id)
             self.storage.delete(old.partition_id)
             self.metadata.unregister(table.name, old.partition_id)
             removed_ids.append(old.partition_id)
-        inserted_ids = []
         cache = self._sketch_build_cache(added, table.schema)
         for new in added:
             table.add_partition(new)
@@ -1300,16 +1315,13 @@ class Catalog:
             self.metadata.register(table.name, new.partition_id,
                                    new.zone_map)
             self._build_sketches(table.name, new, cache)
-            inserted_ids.append(new.partition_id)
-        if self.predicate_cache is not None and removed_ids:
+        if self.predicate_cache is not None:
             if kind == "delete":
-                self.predicate_cache.on_delete(table.name, removed_ids)
-                if inserted_ids:
-                    self.predicate_cache.on_insert(table.name,
-                                                   inserted_ids)
-            else:
-                cols = (list(columns) if columns is not None
-                        else table.schema.names())
-                self.predicate_cache.on_update(
-                    table.name, removed_ids, inserted_ids, cols)
+                columns = ()  # surviving rows are unchanged
+            elif columns is None:
+                columns = table.schema.names()  # recluster moves all
+            self.predicate_cache.on_rewrite(table.name, removed_ids,
+                                            columns)
         self._bump_version(table)
+        if not in_order:
+            self.predicate_cache.drop_table(table.name)

@@ -62,9 +62,9 @@ class ScanProfile:
     sketch_eligible: bool = False
     #: pruned-partition attribution by sketch kind ("ngram"/"member")
     sketch_pruned_by_kind: dict = field(default_factory=dict)
-    #: a per-query-shape skip set restricted this scan (§8.2 layer)
-    skip_set_hit: bool = False
-    #: partitions removed by the skip-set hit
+    #: partitions predicate-cache hits (§8.2) removed from this scan;
+    #: the name predates the cache absorbing the skip sets and stays
+    #: because ``bench/harness.py`` reads it
     skip_set_pruned: int = 0
     #: columns the (simplified) filter predicate references — the
     #: workload signal the recluster advisor mines (which columns are
@@ -129,7 +129,9 @@ class ScanProfile:
 
     def pruning_results(self) -> list[PruningResult]:
         """All per-technique results, synthesizing entries for top-k
-        skips and skip-set hits (which have no pruner of their own)."""
+        skips and predicate-cache hits (which have no pruner of their
+        own; every cache hit, on catalogs without sketches too, keeps
+        the skip sets' SKETCH attribution: docs/observability.md)."""
         results = []
         if self.filter_result is not None:
             results.append(self.filter_result)
@@ -333,8 +335,8 @@ class QueryProfile:
             "sketch_checks": float(sum(
                 s.sketch_result.checks for s in self.scans
                 if s.sketch_result is not None)),
-            "skip_set_hits": float(sum(
-                1 for s in self.scans if s.skip_set_hit)),
+            "predicate_cache_hits": float(sum(
+                1 for s in self.scans if s.cache_hit)),
             "skip_set_pruned": float(sum(
                 s.skip_set_pruned for s in self.scans)),
             "scan_parallelism": float(self.scan_parallelism),
@@ -391,9 +393,9 @@ class QueryProfile:
                     f" unfiltered={scan.filter_bypassed})")
             if scan.sketch_result is not None:
                 parts.append(f"sketch -> {scan.sketch_result.after}")
-            if scan.skip_set_hit:
+            if scan.cache_hit:
                 parts.append(
-                    f"skip-set -> -{scan.skip_set_pruned}")
+                    f"predicate cache -> -{scan.skip_set_pruned}")
             if scan.join_result is not None:
                 parts.append(f"join -> {scan.join_result.after}")
             if scan.limit_report is not None:

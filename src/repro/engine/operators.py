@@ -108,9 +108,14 @@ class Scan(Operator):
 
     def __init__(self, context: ExecContext, table: str, schema: Schema,
                  scan_set: ScanSet, profile: ScanProfile | None = None,
-                 columns: Sequence[str] | None = None):
+                 columns: Sequence[str] | None = None,
+                 predicate: ast.Expr | None = None):
         self.context = context
         self.table = table
+        #: the pushed-down WHERE (simplified) the rows above this scan
+        #: are filtered by; the scan never evaluates it, it names the
+        #: query shape for the predicate cache (§8.2)
+        self.predicate = predicate
         #: the columns read (lower-case), None for all of ``schema``'s;
         #: bound here with the schema of every chunk this scan yields
         self.columns = ([c.lower() for c in columns]
@@ -972,8 +977,8 @@ class TopK(Operator):
     upstream scan uses to skip partitions (sound for multi-key
     orderings because a row whose leading rank is strictly worse than
     the k-th row's is lexicographically worse overall). Also records
-    which micro-partition each surviving row came from, enabling the
-    top-k predicate cache (§8.2).
+    which micro-partition each kept row came from (the skipped OFFSET
+    rows too), enabling the top-k predicate cache (§8.2).
     """
 
     def __init__(self, context: ExecContext, child: Operator,
@@ -1022,9 +1027,10 @@ class TopK(Operator):
             if best.num_rows == keep and self.boundary is not None:
                 _publish(self.boundary, best.column(self.order_column),
                          keep - 1, self.desc)
-        kept_sources = sources[self.offset:]
+        # OFFSET rows included: a repeat over these partitions alone
+        # must find the same first ``k + offset`` rows to skip into.
         self.contributing_partitions = set(
-            kept_sources[kept_sources >= 0].tolist())
+            sources[sources >= 0].tolist())
         yield best.slice(self.offset, best.num_rows)
 
     def _may_enter(self, chunk: Chunk, best: Chunk) -> np.ndarray:

@@ -99,6 +99,9 @@ class TelemetryRecord:
     bytes_scanned: int = 0
     result_cache_hit: bool = False
     predicate_cache_hit: bool = False
+    #: partitions predicate-cache hits removed (part of
+    #: ``partitions_pruned``, reported under the sketch technique)
+    predicate_cache_pruned: int = 0
     #: the compiled-plan cache served this query's plan shape (the
     #: literals were rebound; no parse/bind/plan work was repeated)
     plan_cache_hit: bool = False
@@ -203,6 +206,8 @@ class TelemetryRecord:
             bytes_scanned=sum(s.bytes_scanned for s in profile.scans),
             predicate_cache_hit=any(s.cache_hit
                                     for s in profile.scans),
+            predicate_cache_pruned=sum(s.skip_set_pruned
+                                       for s in profile.scans),
             plan_cache_hit=profile.plan_cache_hit,
             data_cache_hits=profile.data_cache_hits,
             data_cache_misses=profile.data_cache_misses,
@@ -250,6 +255,7 @@ class TelemetryRecord:
             "bytes_scanned": self.bytes_scanned,
             "result_cache_hit": self.result_cache_hit,
             "predicate_cache_hit": self.predicate_cache_hit,
+            "predicate_cache_pruned": self.predicate_cache_pruned,
             "plan_cache_hit": self.plan_cache_hit,
             "data_cache_hits": self.data_cache_hits,
             "data_cache_misses": self.data_cache_misses,

@@ -1,8 +1,9 @@
 """Saving and loading catalogs to disk.
 
 Layout: a directory containing ``manifest.json`` (schemas, partition
-ids, catalog settings) plus one ``<table>.npz`` per table holding every
-partition's column values and null masks. No pickling: VARCHAR columns
+ids, each table's data version, catalog settings) plus one
+``<table>.npz`` per table holding every partition's column values and
+null masks. No pickling: VARCHAR columns
 are stored as fixed-width unicode arrays and converted back to object
 arrays on load.
 
@@ -73,6 +74,7 @@ def save_catalog(catalog: Catalog, path: str | Path,
         manifest["tables"][name] = {
             "schema": [[f.name, f.dtype.value] for f in table.schema],
             "partitions": table.partition_ids,
+            "data_version": table.version,
         }
         arrays: dict[str, np.ndarray] = {}
         for partition in table.partitions:
@@ -148,6 +150,8 @@ def _load_table(root: Path, name: str, entry: Mapping[str, Any]
     try:
         schema = Schema(Field(col, DataType(dtype))
                         for col, dtype in entry["schema"])
+        # Snapshots written before versions were persisted read as 1.
+        version = int(entry.get("data_version", 1))
     except (KeyError, TypeError, ValueError) as exc:
         raise StorageError(
             f"malformed manifest entry for table {name!r}: "
@@ -175,7 +179,7 @@ def _load_table(root: Path, name: str, entry: Mapping[str, Any]
         raise StorageError(
             f"failed to load table {name!r} from {npz_path}: "
             f"{exc!r}") from exc
-    return Table(name, schema, partitions)
+    return Table(name, schema, partitions, version=version)
 
 
 def load_catalog(path: str | Path, **catalog_kwargs) -> Catalog:

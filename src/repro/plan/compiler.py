@@ -100,7 +100,8 @@ class CompilerOptions:
 
 
 class CatalogInterface:
-    """What the compiler needs from a catalog (duck-typed)."""
+    """What the compiler needs from a catalog (duck-typed); one that
+    has a ``predicate_cache`` also answers ``table_version(table)``."""
 
     def schema_of(self, table: str) -> Schema:  # pragma: no cover
         raise NotImplementedError
@@ -130,10 +131,6 @@ class _Built:
     #: whether this sub-plan's output preserves the probe scan's rows
     #: one-for-one or more (left-outer chains); used for replication
     preserved_chain: bool = False
-    #: direct child Filter operator over the scan predicate, used by
-    #: the predicate cache to learn which partitions had matches
-    scan_filter_op: Filter | None = None
-    scan_predicate: ast.Expr | None = None
     #: the HashAggregate below (possibly through identity projections),
     #: for Figure 7d's top-k-through-GROUP-BY wiring
     aggregate_op: HashAggregate | None = None
@@ -293,26 +290,25 @@ class QueryCompiler:
                     fully_matching, profile, context)
         columns = self._scan_columns(schema, node.predicate, required)
         scan = Scan(context, node.table, schema, scan_set,
-                    profile=profile, columns=columns)
+                    profile=profile, columns=columns,
+                    predicate=predicate)
         scan_schema = scan.schema
         if predicate is not None and deferred is not None:
             scan.attach_deferred_filter(
                 VectorizedFilterPruner(deferred, schema,
                                        detect_fully_matching=False))
         op: Operator = scan
-        filter_op = None
         if predicate is not None and not isinstance(
                 predicate, ast.Literal):
-            filter_op = Filter(context, scan, predicate, fully_matching)
-            op = filter_op
+            op = filter_op = Filter(context, scan, predicate,
+                                    fully_matching)
+            self._remember_partitions(
+                scan, compiled,
+                lambda: filter_op.partitions_with_matches)
         elif isinstance(predicate, ast.Literal) \
                 and predicate.value is not True:
             # WHERE FALSE / WHERE NULL: nothing qualifies.
             op = EmptyOperator(scan_schema)
-        self._apply_filter_cache(node, predicate, scan, filter_op,
-                                 compiled)
-        self._apply_skip_set(node, predicate, scan, filter_op,
-                             compiled)
         origins = {name: (scan, profile, name)
                    for name in scan_schema.names()}
         return _Built(
@@ -325,8 +321,6 @@ class QueryCompiler:
             # (§4.2) and all rows reach the output.
             rows_guaranteed=True,
             preserved_chain=True,
-            scan_filter_op=filter_op,
-            scan_predicate=predicate,
             estimated_rows=scan.scan_set.total_rows(),
         )
 
@@ -405,69 +399,6 @@ class QueryCompiler:
                               if pid in surviving]
         return result.kept, fully_matching
 
-    def _apply_skip_set(self, node: L.LogicalScan,
-                        predicate: ast.Expr | None, scan: Scan,
-                        filter_op: Filter | None,
-                        compiled: CompiledQuery) -> None:
-        """Per-query-shape skip sets layered on the predicate cache.
-
-        A complete prior execution of the same shape proved certain
-        partitions empty; while the table version is unchanged they
-        are skipped outright. Recording mirrors the predicate cache's
-        completeness rule, additionally requiring no join pruning
-        (join-pruned partitions were never filtered, so their
-        emptiness is unproven).
-        """
-        skip_sets = getattr(self.catalog, "skip_sets", None)
-        table_version = getattr(self.catalog, "table_version", None)
-        if (skip_sets is None or table_version is None
-                or predicate is None or filter_op is None):
-            return
-        try:
-            version = table_version(node.table)
-        except Exception:  # noqa: BLE001 - never fail compilation
-            return
-        empty = skip_sets.lookup(node.table, predicate, version)
-        if empty:
-            keep = [pid for pid in scan.scan_set.partition_ids
-                    if pid not in empty
-                    or pid in scan.scan_set.degraded_ids]
-            pruned = len(scan.scan_set) - len(keep)
-            if pruned:
-                scan.scan_set = scan.scan_set.restrict(keep)
-                scan.profile.skip_set_hit = True
-                scan.profile.skip_set_pruned = pruned
-                scan.context.trace_event(
-                    "skip_set:hit", table=node.table,
-                    partitions=pruned)
-            return
-
-        table, pred = node.table, predicate
-
-        def record() -> None:
-            profile = scan.profile
-            complete = (not profile.early_terminated
-                        and profile.limit_report is None
-                        and profile.topk_checks == 0
-                        and profile.join_result is None
-                        and not profile.cache_hit
-                        and not profile.skip_set_hit)
-            if not complete:
-                return
-            try:
-                current = table_version(table)
-            except Exception:  # noqa: BLE001
-                return
-            if current != version:
-                return  # DML raced the query; observation is stale
-            matched = set(filter_op.partitions_with_matches)
-            empty_ids = [pid for pid in scan.scan_set.partition_ids
-                         if pid not in matched]
-            if empty_ids:
-                skip_sets.record(table, pred, version, empty_ids)
-
-        compiled.post_exec_hooks.append(record)
-
     @staticmethod
     def _scan_columns(schema: Schema, predicate: ast.Expr | None,
                       required: set[str] | None) -> list[str] | None:
@@ -524,37 +455,68 @@ class QueryCompiler:
         profile.filter_result = result
         return result.kept, list(result.fully_matching_ids), deferred
 
-    def _apply_filter_cache(self, node: L.LogicalScan,
-                            predicate: ast.Expr | None, scan: Scan,
-                            filter_op: Filter | None,
-                            compiled: CompiledQuery) -> None:
-        cache = getattr(self.catalog, "predicate_cache", None)
-        if cache is None or predicate is None or filter_op is None:
-            return
-        entry = cache.lookup_filter(node.table, predicate)
-        if entry is not None:
-            scan.scan_set = scan.scan_set.restrict(entry.scan_ids())
-            scan.profile.cache_hit = True
-            scan.context.trace_event(
-                "predicate_cache:hit", table=node.table,
-                kind="filter", partitions=len(scan.scan_set))
-            return
+    def _remember_partitions(self, scan: Scan,
+                             compiled: CompiledQuery,
+                             observed: Callable[[], set[int]],
+                             order=(), keep: int | None = None) -> None:
+        """The one remembered-partitions hook (§8.2).
 
-        table, pred = node.table, predicate
+        Looks the (table, ``scan.predicate``[, ordering, rows kept])
+        shape up in the catalog's predicate cache. A hit restricts the
+        scan to the partitions the entry keeps (cached, or newer than
+        its high-water mark) plus degraded ones, whose fresh metadata is
+        missing. A miss registers the post-execution record of
+        ``observed()``: the partitions a Filter saw matches in, or a
+        TopK kept rows from.
+        """
+        cache = getattr(self.catalog, "predicate_cache", None)
+        if cache is None:
+            return
+        table, predicate, profile = (scan.table, scan.predicate,
+                                     scan.profile)
+        entry = cache.lookup(table, predicate, order, keep)
+        if entry is not None:
+            before, degraded = scan.scan_set, scan.scan_set.degraded_ids
+            scan.scan_set = before.restrict(
+                pid for pid in before.partition_ids
+                if entry.keeps(pid) or pid in degraded)
+            profile.cache_hit = True
+            profile.skip_set_pruned += len(before) - len(scan.scan_set)
+            scan.context.trace_event(
+                "predicate_cache:hit", table=table, kind=entry.kind,
+                partitions=len(scan.scan_set))
+            return
+        version = self.catalog.table_version(table)
+        fetched = compiled.scan_sets[table.lower()]  # before any pruning
 
         def record() -> None:
-            # Only cache scans that observed every partition that could
-            # match: early termination, LIMIT pruning, and top-k skips
-            # all leave unseen partitions whose absence from the entry
-            # would corrupt later cache hits.
-            profile = scan.profile
-            complete = (not profile.early_terminated
-                        and profile.limit_report is None
-                        and profile.topk_checks == 0)
+            # The completeness rule, written once: ``observed()`` is
+            # everything a repeat needs only if each partition either
+            # reached the observer or was pruned for a reason that
+            # holds for this shape whatever query it appears in.
+            complete = (
+                # a LIMIT above stopped the scan part-way
+                not profile.early_terminated
+                # LIMIT pruning dropped partitions that hold matches
+                and profile.limit_report is None
+                # a top-k boundary skipped partitions that hold matches;
+                # only the entry of that very top-k may rely on it
+                and (bool(order) or profile.topk_checks == 0)
+                # join pruning dropped partitions for lacking another
+                # table's keys, not for failing this predicate
+                and profile.join_result is None
+                # a hit narrowed this scan: nothing new was observed
+                and not profile.cache_hit
+                # every partition was pruned or loaded, i.e. the scan
+                # ran (under an eliminated join it never starts)
+                and profile.total_partitions
+                == profile.partitions_pruned + profile.partitions_loaded
+                # DML raced the query: the observation is stale
+                and self.catalog.table_version(table) == version)
             if complete:
-                cache.record_filter(
-                    table, pred,
-                    sorted(filter_op.partitions_with_matches))
+                cache.record(table, predicate, observed(),
+                             max(fetched.partition_ids, default=-1),
+                             order, keep)
 
         compiled.post_exec_hooks.append(record)
 
@@ -840,7 +802,20 @@ class QueryCompiler:
         topk = TopK(context, probe_child_op, sort_keys, k,
                     boundary=boundary if target is not None else None,
                     offset=offset)
-        self._apply_topk_cache(child, sort_node, k, topk, compiled)
+        scan = child.limit_scan
+        sorted_by = [child.origins.get(item.column)
+                     for item in sort_node.keys]
+        if (scan is not None and all(sorted_by)
+                and _chunks_of(child.op) is scan):
+            # The key names the scan's own columns (a select list may
+            # rename them, and DML invalidates by scan column), covers
+            # the full ordering (secondary keys select different rows)
+            # and every row TopK keeps, OFFSET included.
+            self._remember_partitions(
+                scan, compiled, lambda: topk.contributing_partitions,
+                order=[(origin[2], item.desc) for origin, item
+                       in zip(sorted_by, sort_node.keys)],
+                keep=k + offset)
         return _Built(op=topk)
 
     def _wire_topk_pruning(self, child: _Built, sort_key: L.SortItem,
@@ -898,39 +873,15 @@ class QueryCompiler:
             scan.scan_set, scan_column, sort_key.desc)
         return scan
 
-    def _apply_topk_cache(self, child: _Built,
-                          sort_node: L.LogicalSort, k: int, topk: TopK,
-                          compiled: CompiledQuery) -> None:
-        cache = getattr(self.catalog, "predicate_cache", None)
-        scan = child.limit_scan
-        if cache is None or scan is None:
-            return
-        table = scan.table
-        predicate = child.scan_predicate
-        # Cache key must cover the full ordering, not just the leading
-        # column — different secondary keys select different rows.
-        key_fingerprint = ",".join(
-            f"{item.column}:{'D' if item.desc else 'A'}"
-            for item in sort_node.keys)
-        leading_desc = sort_node.keys[0].desc
-        entry = cache.lookup_topk(table, predicate, key_fingerprint,
-                                  leading_desc, k)
-        if entry is not None:
-            scan.scan_set = scan.scan_set.restrict(entry.scan_ids())
-            scan.profile.cache_hit = True
-            scan.context.trace_event(
-                "predicate_cache:hit", table=table,
-                kind="topk", partitions=len(scan.scan_set))
-            return
 
-        def record() -> None:
-            contributing = topk.contributing_partitions
-            if contributing:
-                cache.record_topk(table, predicate, key_fingerprint,
-                                  leading_desc, k,
-                                  sorted(contributing))
-
-        compiled.post_exec_hooks.append(record)
+def _chunks_of(op: Operator) -> Operator:
+    """The operator whose chunks ``op`` passes on one for one, each
+    still tagged with its source partition: Filter and Project keep the
+    tag, a join drops it (and changes which rows rank first), so a TopK
+    above one cannot tell the predicate cache what contributed."""
+    while isinstance(op, (Filter, Project)):
+        op = op.child
+    return op
 
 
 def _widen(required: set[str] | None,

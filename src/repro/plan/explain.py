@@ -114,9 +114,6 @@ def _describe_scan(scan: Scan) -> str:
         annotations.append(
             f"sketch pruned {profile.sketch_result.pruned}"
             + (f" ({by_kind})" if by_kind else ""))
-    if profile.skip_set_hit:
-        annotations.append(
-            f"skip-set hit (skipped {profile.skip_set_pruned})")
     if profile.pruning_mode:
         annotations.append(f"pruning: {profile.pruning_mode}")
     if profile.limit_report is not None:
@@ -134,7 +131,8 @@ def _describe_scan(scan: Scan) -> str:
     if profile.bytes_scanned:
         annotations.append(f"bytes scanned: {profile.bytes_scanned}")
     if profile.cache_hit:
-        annotations.append("predicate cache hit")
+        annotations.append(
+            f"predicate cache hit (skipped {profile.skip_set_pruned})")
     if profile.cache_hits or profile.cache_misses:
         annotations.append(
             f"data cache: {profile.cache_hits} hits / "

@@ -12,7 +12,7 @@
 * :mod:`.predicate_cache` — query-driven partition caching (§8.2);
 * :mod:`.stats_index` — vectorized zone-map index and pruning kernels;
 * :mod:`.sketches` — secondary per-partition sketches (n-gram filters,
-  dictionaries, histograms) plus per-query-shape skip sets.
+  dictionaries, histograms).
 """
 
 from .base import PruneCategory, PruningResult, ScanSet
@@ -37,7 +37,6 @@ from .predicate_cache import PredicateCache
 from .flow import FlowRecord, PruningFlow
 from .sketches import (
     PartitionSketches,
-    ShapeSkipSet,
     SketchConfig,
     SketchIndex,
     SketchPruner,
@@ -68,7 +67,6 @@ __all__ = [
     "VectorizedFilterPruner",
     "compile_pruning_kernel",
     "PartitionSketches",
-    "ShapeSkipSet",
     "SketchConfig",
     "SketchIndex",
     "SketchPruner",

@@ -1,68 +1,75 @@
 """Predicate caching, extended to top-k queries (§8.2).
 
-A predicate cache remembers, per (table, predicate) — and for top-k
-entries per (table, predicate, order column, direction, k) — exactly
-which micro-partitions contributed to a previous execution, so a
-repeated query scans only those. Correctness under DML follows the
-paper's analysis:
+The one remembered-partitions store. An entry is keyed by (table,
+predicate) — for top-k entries also by the full ordering and the
+number of rows kept (``k + offset``) — and holds two things: the frozen
+ids of the micro-partitions that *contributed* to one complete
+execution, and the table's largest partition id at that moment (the
+high-water mark). A repeat keeps a partition iff it is in the entry or
+newer than the mark (:meth:`CacheEntry.keeps`).
 
-* **INSERT** — safe for both entry kinds: partitions created after the
-  entry was recorded are always appended to the cached scan list.
+That rule needs no DML notification for filter entries, because
+micro-partitions are immutable and ids are never reused: a partition at
+or below the mark that is in the table now was in it then, with these
+rows, and the recorded execution saw it hold no match (or pruning
+proved so). INSERT, DELETE and UPDATE only ever add partitions above
+the mark, which are scanned — given that ids grow in commit order. They
+are handed out when a partition is built, so this needs one writer at a
+time to build and commit its DML (``QueryService``'s write lock);
+``Catalog`` checks it on every commit and drops the table's entries if
+an id arrives out of order. This is the paper's analysis:
+
+* **INSERT** — safe for both entry kinds: new partitions are scanned.
 * **DELETE** — safe for filter entries (a removed partition cannot make
-  another partition qualify); *invalidates* top-k entries that cached
-  any deleted partition, because the replacement (k+1-th) row may live
+  another one qualify); *invalidates* top-k entries that cached a
+  removed partition, because the replacement (k+1-th) row may live
   outside the cached set.
-* **UPDATE** — modeled as rewrite of partitions. Filter entries must
-  re-check rewritten partitions, which we conservatively handle by
-  invalidation when a cached partition is touched; top-k entries are
-  additionally invalidated when the *ordering column* is updated
-  anywhere in the table, since reordered rows can displace cached ones.
+* **UPDATE** — a rewrite: the new partitions are above the mark. Top-k
+  entries are additionally invalidated when the *ordering column* is
+  updated anywhere in the table, since reordered rows can displace
+  cached ones.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..expr import ast
 
+#: an ordering as the cache keys it: ((column, descending), ...)
+Ordering = Sequence[tuple[str, bool]]
 
-@dataclass
+
+@dataclass(frozen=True)
 class CacheEntry:
-    """One cached pruning result."""
+    """The partitions one complete execution needed (immutable)."""
 
     table: str
-    kind: str                      #: "filter" or "topk"
-    partition_ids: list[int]
-    order_column: str | None = None
-    desc: bool = True
-    k: int | None = None
-    #: partitions inserted after recording; always scanned in addition
-    appended_ids: list[int] = field(default_factory=list)
-    hits: int = 0
+    partition_ids: frozenset[int]
+    #: the table's largest partition id when this was recorded
+    high_water: int
+    #: top-k only: the columns the rows were ordered by
+    order_columns: frozenset[str] = frozenset()
 
-    def scan_ids(self) -> list[int]:
-        """Partitions a repeat execution must scan."""
-        return list(self.partition_ids) + list(self.appended_ids)
+    @property
+    def kind(self) -> str:
+        """"filter" or "topk"."""
+        return "topk" if self.order_columns else "filter"
 
-
-def _ordering_columns(order_column: str | None) -> set[str]:
-    """Column names in an ordering spec ("score" or "a:D,b:A")."""
-    if not order_column:
-        return set()
-    return {part.split(":")[0] for part in order_column.split(",")}
+    def keeps(self, partition_id: int) -> bool:
+        """Must a repeat execution scan this partition?"""
+        return (partition_id in self.partition_ids
+                or partition_id > self.high_water)
 
 
-def _cache_key(table: str, predicate: ast.Expr | None, kind: str,
-               order_column: str | None = None, desc: bool = True,
-               k: int | None = None) -> tuple:
-    predicate_text = predicate.to_sql() if predicate is not None else ""
-    if kind == "filter":
-        return (table.lower(), "filter", predicate_text)
-    return (table.lower(), "topk", predicate_text,
-            (order_column or "").lower(), desc, k)
+def _cache_key(table: str, predicate: ast.Expr | None,
+               order: Ordering, keep: int | None) -> tuple:
+    return (table.lower(),
+            predicate.to_sql() if predicate is not None else "",
+            tuple((column.lower(), desc) for column, desc in order), keep)
 
 
 class PredicateCache:
@@ -72,15 +79,12 @@ class PredicateCache:
     ``max_partitions_per_entry`` bounds each entry's size — entries
     that would exceed it are not admitted, modelling the paper's
     observation that cache space limits effectiveness on large tables.
-    The bound holds for the entry's *full* scan list: DML appends that
-    would push ``partition_ids + appended_ids`` past it evict the
-    entry (counted in ``invalidations``) instead of growing forever.
+    Entries never grow after admission.
 
     All public methods are guarded by a lock (mirroring
     :class:`~repro.caching.ResultCache`): compile-time lookups run on
-    service worker threads while catalog DML notifications mutate the
-    cache. Lookups return a snapshot copy of the entry so callers can
-    read ``scan_ids()`` without holding the lock.
+    service worker threads while catalog DML invalidates top-k entries.
+    Entries are frozen, so a lookup hands out the entry itself.
     """
 
     def __init__(self, max_entries: int = 1024,
@@ -92,174 +96,72 @@ class PredicateCache:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
+        self.records = 0
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
-    # ------------------------------------------------------------------
-    # Recording and lookup
-    # ------------------------------------------------------------------
-    def record_filter(self, table: str, predicate: ast.Expr,
-                      partition_ids: Sequence[int]) -> bool:
-        """Cache the partitions a filter query actually needed."""
-        return self._admit(
-            _cache_key(table, predicate, "filter"),
-            CacheEntry(table.lower(), "filter", list(partition_ids)))
-
-    def record_topk(self, table: str, predicate: ast.Expr | None,
-                    order_column: str, desc: bool, k: int,
-                    partition_ids: Sequence[int]) -> bool:
-        """Cache the partitions that contributed rows to a top-k heap."""
-        key = _cache_key(table, predicate, "topk", order_column, desc, k)
-        return self._admit(
-            key,
-            CacheEntry(table.lower(), "topk", list(partition_ids),
-                       order_column=order_column.lower(), desc=desc, k=k))
-
-    def _admit(self, key: tuple, entry: CacheEntry) -> bool:
-        if len(entry.partition_ids) > self.max_partitions_per_entry:
+    def record(self, table: str, predicate: ast.Expr | None,
+               partition_ids: Iterable[int], high_water: int,
+               order: Ordering = (), keep: int | None = None) -> bool:
+        """Cache the partitions a complete execution needed: those with
+        a matching row (filter entry), or, given ``order`` and ``keep``,
+        those holding the ``keep`` best rows (top-k entry)."""
+        ids = frozenset(partition_ids)
+        if len(ids) > self.max_partitions_per_entry:
             return False
+        key = _cache_key(table, predicate, order, keep)
+        entry = CacheEntry(key[0], ids, high_water,
+                           frozenset(column for column, _ in key[2]))
         with self._lock:
             self._entries.pop(key, None)
             self._entries[key] = entry
+            self.records += 1
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)  # evict least recent
         return True
 
-    def lookup_filter(self, table: str,
-                      predicate: ast.Expr) -> CacheEntry | None:
-        return self._lookup(_cache_key(table, predicate, "filter"))
-
-    def lookup_topk(self, table: str, predicate: ast.Expr | None,
-                    order_column: str, desc: bool,
-                    k: int) -> CacheEntry | None:
-        return self._lookup(
-            _cache_key(table, predicate, "topk", order_column, desc, k))
-
-    def _lookup(self, key: tuple) -> CacheEntry | None:
+    def lookup(self, table: str, predicate: ast.Expr | None,
+               order: Ordering = (),
+               keep: int | None = None) -> CacheEntry | None:
+        key = _cache_key(table, predicate, order, keep)
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
-            entry.hits += 1
             self.hits += 1
-            # Snapshot: the caller reads scan_ids() outside the lock
-            # while DML notifications may mutate the live entry.
-            return replace(entry,
-                           partition_ids=list(entry.partition_ids),
-                           appended_ids=list(entry.appended_ids))
+            return entry
 
-    # ------------------------------------------------------------------
-    # DML notifications
-    # ------------------------------------------------------------------
-    def _append_ids(self, entry: CacheEntry,
-                    new_ids: Sequence[int]) -> bool:
-        """Append ``new_ids`` to the entry's scan list, skipping ids it
-        already scans. Returns False — caller must evict — when the
-        full scan list would exceed ``max_partitions_per_entry``."""
-        existing = set(entry.partition_ids)
-        existing.update(entry.appended_ids)
-        fresh = [pid for pid in dict.fromkeys(new_ids)
-                 if pid not in existing]
-        if len(existing) + len(fresh) > self.max_partitions_per_entry:
-            return False
-        entry.appended_ids.extend(fresh)
-        return True
-
-    def on_insert(self, table: str, new_partition_ids: Iterable[int]) -> None:
-        """New partitions must be scanned by every entry of the table.
-
-        An entry whose scan list would outgrow the per-entry bound is
-        evicted (counted as an invalidation) rather than growing
-        without limit; already-cached ids are never appended twice.
-        """
+    def on_rewrite(self, table: str, removed_ids: Iterable[int],
+                   columns: Iterable[str]) -> None:
+        """DELETE / UPDATE / recluster replaced ``removed_ids`` and
+        changed ``columns``: drop the top-k entries that cached a
+        removed partition or are ordered by a changed column. Filter
+        entries need nothing (see the module docstring)."""
         table = table.lower()
-        new_ids = list(new_partition_ids)
-        if not new_ids:
-            return
-        with self._lock:
-            stale_keys = []
-            for key, entry in self._entries.items():
-                if entry.table != table:
-                    continue
-                if not self._append_ids(entry, new_ids):
-                    stale_keys.append(key)
-            for key in stale_keys:
-                del self._entries[key]
-                self.invalidations += 1
-
-    def on_delete(self, table: str,
-                  deleted_partition_ids: Iterable[int]) -> None:
-        """Drop deleted partitions; invalidate affected top-k entries."""
-        table = table.lower()
-        deleted = set(deleted_partition_ids)
-        with self._lock:
-            stale_keys = []
-            for key, entry in self._entries.items():
-                if entry.table != table:
-                    continue
-                touched = deleted & set(entry.scan_ids())
-                if not touched:
-                    continue
-                if entry.kind == "topk":
-                    stale_keys.append(key)
-                    continue
-                entry.partition_ids = [pid for pid in entry.partition_ids
-                                       if pid not in deleted]
-                entry.appended_ids = [pid for pid in entry.appended_ids
-                                      if pid not in deleted]
-            for key in stale_keys:
-                del self._entries[key]
-                self.invalidations += 1
-
-    def on_update(self, table: str, rewritten_from: Iterable[int],
-                  rewritten_to: Iterable[int],
-                  columns_touched: Iterable[str]) -> None:
-        """An UPDATE rewrote ``rewritten_from`` into ``rewritten_to``.
-
-        Filter entries whose cached partitions were rewritten are
-        invalidated (the rewritten data must be re-checked). Top-k
-        entries are invalidated whenever the ordering column was
-        touched anywhere, and otherwise treated like a rewrite of
-        unrelated partitions (old ids swapped for new ones if cached).
-        """
-        table = table.lower()
-        old_ids = set(rewritten_from)
-        new_ids = list(rewritten_to)
-        touched = {c.lower() for c in columns_touched}
-        with self._lock:
-            stale_keys = []
-            for key, entry in self._entries.items():
-                if entry.table != table:
-                    continue
-                if entry.kind == "topk" and \
-                        _ordering_columns(entry.order_column) & touched:
-                    stale_keys.append(key)
-                    continue
-                if old_ids & set(entry.scan_ids()):
-                    if entry.kind == "topk":
-                        stale_keys.append(key)
-                        continue
-                    # Conservative: rewritten data must be re-checked,
-                    # so the rewritten partitions join the scan list.
-                    entry.partition_ids = [
-                        pid for pid in entry.partition_ids
-                        if pid not in old_ids]
-                    entry.appended_ids = [
-                        pid for pid in entry.appended_ids
-                        if pid not in old_ids]
-                    if not self._append_ids(entry, new_ids):
-                        stale_keys.append(key)
-            for key in stale_keys:
-                del self._entries[key]
-                self.invalidations += 1
+        removed = set(removed_ids)
+        touched = {c.lower() for c in columns}
+        self._drop(lambda e: e.table == table and e.kind == "topk"
+                   and (e.order_columns & touched
+                        or e.partition_ids & removed),
+                   invalidation=True)
 
     def drop_table(self, table: str) -> None:
         table = table.lower()
+        self._drop(lambda e: e.table == table)
+
+    def _drop(self, stale, invalidation: bool = False) -> None:
         with self._lock:
-            for key in [k for k, e in self._entries.items()
-                        if e.table == table]:
+            for key in [k for k, e in self._entries.items() if stale(e)]:
                 del self._entries[key]
+                if invalidation:
+                    self.invalidations += 1
+
+    def stats(self) -> dict[str, int]:
+        with self._lock:
+            return {"entries": len(self._entries), "hits": self.hits,
+                    "misses": self.misses, "records": self.records,
+                    "invalidations": self.invalidations}

@@ -25,10 +25,10 @@ registered in the metadata store alongside the zone maps:
 pruning pass after filter pruning; :class:`SketchIndex` packs them as
 SoA lanes (mirroring :class:`~repro.pruning.stats_index.StatsIndex`)
 so a whole table classifies in vectorized numpy passes that are
-bit-identical to the scalar sketch probes. :class:`ShapeSkipSet`
-layers provenance-style skip sets on top: recurring query shapes skip
-partitions a prior complete execution proved empty, invalidated
-through the per-table version counters.
+bit-identical to the scalar sketch probes. What no sketch can prove —
+a recurring shape whose partitions a complete execution saw empty — is
+the predicate cache's job (:mod:`.predicate_cache`), which
+``Catalog.enable_sketches()`` turns on as well.
 
 Everything here *fails open*: a missing, degraded, or unbuildable
 sketch simply answers "maybe" and the partition is scanned. Sketch
@@ -39,9 +39,7 @@ from __future__ import annotations
 
 import datetime
 import re
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
@@ -1018,99 +1016,3 @@ class SketchPruner:
             pruned_ids=pruned_ids,
             checks=self.checks,
         )
-
-
-# ---------------------------------------------------------------------------
-# Per-query-shape skip sets
-# ---------------------------------------------------------------------------
-@dataclass
-class _SkipEntry:
-    table: str
-    version: int
-    empty_ids: frozenset[int]
-    hits: int = 0
-
-
-class ShapeSkipSet:
-    """Provenance-style skip sets for recurring query shapes.
-
-    A complete execution proves exactly which partitions produced no
-    matching rows for its predicate; a repeat of the same shape (same
-    table + predicate text) can skip them outright. Entries are valid
-    only while the table's version counter is unchanged — any DML or
-    recluster bumps the version and the stale entry is dropped at the
-    next lookup, so no DML-notification plumbing is needed (this is
-    the complement of :class:`~repro.pruning.PredicateCache`, which
-    stores the *matching* set and patches it on every DML).
-    """
-
-    def __init__(self, max_entries: int = 512,
-                 max_partitions_per_entry: int = 4096):
-        self.max_entries = max_entries
-        self.max_partitions_per_entry = max_partitions_per_entry
-        self._entries: "OrderedDict[tuple, _SkipEntry]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-        self.records = 0
-
-    @staticmethod
-    def _key(table: str, predicate: ast.Expr) -> tuple:
-        return (table.lower(), "skip", predicate.to_sql())
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def lookup(self, table: str, predicate: ast.Expr,
-               version: int) -> frozenset[int] | None:
-        """Partitions proven empty for this shape, or None."""
-        key = self._key(table, predicate)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            if entry.version != version:
-                del self._entries[key]
-                self.invalidations += 1
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            entry.hits += 1
-            self.hits += 1
-            return entry.empty_ids
-
-    def record(self, table: str, predicate: ast.Expr, version: int,
-               empty_ids: Iterable[int]) -> bool:
-        """Remember the observed-empty partitions of one execution."""
-        empty = frozenset(empty_ids)
-        if not empty or len(empty) > self.max_partitions_per_entry:
-            return False
-        key = self._key(table, predicate)
-        with self._lock:
-            self._entries.pop(key, None)
-            self._entries[key] = _SkipEntry(table.lower(), version,
-                                            empty)
-            self.records += 1
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-        return True
-
-    def drop_table(self, table: str) -> None:
-        table = table.lower()
-        with self._lock:
-            for key in [k for k, entry in self._entries.items()
-                        if entry.table == table]:
-                del self._entries[key]
-
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "invalidations": self.invalidations,
-                "records": self.records,
-            }

@@ -347,10 +347,9 @@ class QueryService:
                 "partitions_with_sketches": sketched,
                 "build_failures": self.catalog.sketch_build_failures,
                 "build_ms": round(self.catalog.sketch_build_ms, 3),
-                "skip_sets": (self.catalog.skip_sets.stats()
-                              if self.catalog.skip_sets is not None
-                              else {}),
             }
+        if self.catalog.predicate_cache is not None:
+            snap["predicate_cache"] = self.catalog.predicate_cache.stats()
         if self.catalog.durability is not None:
             snap["durability"] = self.catalog.durability.stats()
             snap["checkpoints"] = self.metrics.counter(

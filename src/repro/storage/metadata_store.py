@@ -60,7 +60,7 @@ class MetadataStore:
         # caches are simply dropped on any sketch write for the table:
         # sketch writes ride DML, which is orders of magnitude rarer
         # than the compile-time reads the cache serves.
-        self._sketches: dict[tuple[str, int], "PartitionSketches"] = {}
+        self._sketches: dict[str, dict[int, "PartitionSketches"]] = {}
         self._sketch_indexes: dict[str, "SketchIndex"] = {}
         # Invalidation listeners: called as fn(table, partition_id)
         # after a partition's metadata is removed (unregister /
@@ -124,7 +124,8 @@ class MetadataStore:
                 del self._table_partitions[table]
             if table in self._stats_indexes:
                 self._stats_dirty.setdefault(table, {})[partition_id] = None
-            if self._sketches.pop(key, None) is not None:
+            if self._sketches.get(table, {}).pop(
+                    partition_id, None) is not None:
                 self._sketch_indexes.pop(table, None)
             self.version += 1
             listeners = list(self._invalidation_listeners)
@@ -144,8 +145,7 @@ class MetadataStore:
                 del self._entries[(table, partition_id)]
             self._stats_indexes.pop(table, None)
             self._stats_dirty.pop(table, None)
-            for partition_id in removed:
-                self._sketches.pop((table, partition_id), None)
+            self._sketches.pop(table, None)
             self._sketch_indexes.pop(table, None)
             self.version += 1
             listeners = list(self._invalidation_listeners)
@@ -298,7 +298,7 @@ class MetadataStore:
                 raise MetadataError(
                     f"no metadata for partition {partition_id} of "
                     f"{table!r}")
-            self._sketches[(table, partition_id)] = sketches
+            self._sketches.setdefault(table, {})[partition_id] = sketches
             self._sketch_indexes.pop(table, None)
 
     def sketches_of(self, table: str,
@@ -315,9 +315,7 @@ class MetadataStore:
         def read() -> dict[int, "PartitionSketches"]:
             with self._lock:
                 self.lookups += 1
-                return {pid: sketches
-                        for (tbl, pid), sketches in self._sketches.items()
-                        if tbl == table}
+                return dict(self._sketches.get(table, {}))
 
         return self._guarded_read(("sketches", table), read, retry_stats)
 
@@ -338,9 +336,7 @@ class MetadataStore:
             index = self._sketch_indexes.get(table)
             if index is None or index.ngram_size != ngram_size:
                 index = SketchIndex(
-                    ((pid, sketches)
-                     for (tbl, pid), sketches in self._sketches.items()
-                     if tbl == table),
+                    self._sketches.get(table, {}).items(),
                     ngram_size=ngram_size)
                 self._sketch_indexes[table] = index
             return index

@@ -25,11 +25,13 @@ class Table:
     """
 
     def __init__(self, name: str, schema: Schema,
-                 partitions: Iterable[MicroPartition] = ()):
+                 partitions: Iterable[MicroPartition] = (),
+                 version: int = 1):
         self.name = name.lower()
         self.schema = schema
         self._partitions: list[MicroPartition] = []
-        self._version = 1
+        #: a snapshot restores the version it was saved at
+        self._version = version
         for partition in partitions:
             self.add_partition(partition)
 

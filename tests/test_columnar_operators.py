@@ -281,10 +281,9 @@ class RowTopK(TopK):
                     # publish only the leading key's component
                     self.boundary.update(heap[0][0][0])
         ordered = sorted(heap, key=lambda e: (e[0], -e[1]), reverse=True)
-        selected = ordered[self.offset:]
         self.contributing_partitions = {
-            e[3] for e in selected if e[3] is not None}
-        rows = [e[2] for e in selected]
+            e[3] for e in ordered if e[3] is not None}
+        rows = [e[2] for e in ordered[self.offset:]]
         yield Chunk.from_rows(self.schema, rows)
 
 
@@ -611,13 +610,15 @@ def test_topk_matches_row_loop(rows, cuts, keys, k, offset):
 
     assert sort_key_values(results[1]) == sort_key_values(results[0])
     if k + offset:
-        want = run(RowSort(context(), ChunkSource(SCHEMA, chunks),
-                           keys))[offset:offset + k]
-        assert results[1] == want
+        kept = run(RowSort(context(), ChunkSource(SCHEMA, chunks),
+                           keys))[:offset + k]
+        assert results[1] == kept[offset:]
         partition_of = {row[5]: chunk.source_partition
                         for chunk in chunks for row in chunk.to_rows()}
+        # the skipped OFFSET rows count: a repeat over these partitions
+        # alone must find the same rows to skip
         assert op.contributing_partitions == {
-            partition_of[row[5]] for row in want}
+            partition_of[row[5]] for row in kept}
         assert all(type(p) is int for p in op.contributing_partitions)
 
 

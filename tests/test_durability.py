@@ -367,6 +367,29 @@ class TestCheckpointsAndRecovery:
         stats = recovered.durability.stats()
         assert stats["recovered"]["replayed"] == len(sequence) - 4
 
+    def test_table_versions_survive_checkpoint_and_replay(
+            self, tmp_path):
+        """Checkpointed versions are restored and the replayed WAL
+        tail keeps bumping them: recovery lands on the live version."""
+        catalog = Catalog(rows_per_partition=25)
+        catalog.enable_durability(tmp_path / "d")
+        sequence = mutation_sequence(11)
+        for _label, mutate in sequence[:4]:
+            mutate(catalog)
+        catalog.checkpoint()
+        checkpointed = {name: catalog.table_version(name)
+                        for name in catalog.tables}
+        for _label, mutate in sequence[4:]:
+            mutate(catalog)
+        live = {name: catalog.table_version(name)
+                for name in catalog.tables}
+        assert max(live.values()) > 1
+        assert live != checkpointed  # the tail moved some version
+
+        recovered = Catalog.recover(tmp_path / "d")
+        assert {name: recovered.table_version(name)
+                for name in recovered.tables} == live
+
     def test_checkpoint_keeps_only_newest(self, tmp_path):
         catalog = Catalog(rows_per_partition=25)
         catalog.enable_durability(tmp_path / "d")

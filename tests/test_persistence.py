@@ -74,6 +74,33 @@ class TestRoundtrip:
                                   datetime.date(2025, 1, 1))])
         assert not (set(new_ids) & existing)
 
+    def test_table_versions_survive(self, tmp_path):
+        """The caches key on the version: it must not restart at 1."""
+        original = make_catalog()
+        original.insert("dims", [(10, "v10")])
+        original.sql("DELETE FROM dims WHERE k = 3")
+        assert original.table_versions(["events", "dims"]) == \
+            {"events": 1, "dims": 3}
+        original.save(tmp_path / "cat")
+        loaded = Catalog.load(tmp_path / "cat")
+        assert loaded.table_versions(["events", "dims"]) == \
+            {"events": 1, "dims": 3}
+        loaded.insert("dims", [(11, "v11")])
+        assert loaded.table_version("dims") == 4
+
+    def test_snapshot_without_versions_reads_as_one(self, tmp_path):
+        import json
+
+        original = make_catalog()
+        original.insert("dims", [(10, "v10")])
+        original.save(tmp_path / "cat")
+        manifest_path = tmp_path / "cat" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for entry in manifest["tables"].values():
+            del entry["data_version"]
+        manifest_path.write_text(json.dumps(manifest))
+        assert Catalog.load(tmp_path / "cat").table_version("dims") == 1
+
     def test_empty_strings_and_nulls(self, tmp_path):
         catalog = Catalog(rows_per_partition=4)
         schema = Schema.of(s=DataType.VARCHAR)

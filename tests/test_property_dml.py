@@ -1,10 +1,14 @@
 """Property-based DML testing: a random interleaving of INSERT /
-DELETE / UPDATE / SELECT against a Python shadow copy of the table.
+DELETE / UPDATE / SELECT / save-and-load against a Python shadow copy
+of the table.
 
 Catches pruning-vs-DML interactions: stale metadata after partition
-rewrites, predicate-cache corruption, and partition-id reuse."""
+rewrites, predicate-cache corruption, partition-id reuse, and a table
+version (what the caches key on) that goes backwards."""
 
 from __future__ import annotations
+
+import tempfile
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -24,6 +28,7 @@ operations = st.lists(
                   st.integers(-5, 5)),
         st.tuples(st.just("query"), st.integers(0, 50)),
         st.tuples(st.just("topk"), st.integers(1, 6)),
+        st.tuples(st.just("reload")),
     ),
     min_size=1, max_size=12)
 
@@ -40,10 +45,21 @@ def test_dml_sequence_matches_shadow(initial, ops, use_cache):
     if use_cache:
         catalog.enable_predicate_cache()
     shadow = list(initial)
+    version = catalog.table_version("t")
 
     for op in ops:
         kind = op[0]
-        if kind == "insert":
+        # DML moves the version forwards, nothing moves it backwards.
+        assert catalog.table_version("t") >= version
+        version = catalog.table_version("t")
+        if kind == "reload":
+            with tempfile.TemporaryDirectory() as path:
+                catalog.save(path)
+                catalog = Catalog.load(path)
+            if use_cache:
+                catalog.enable_predicate_cache()
+            assert catalog.table_version("t") == version
+        elif kind == "insert":
             rows = op[1]
             catalog.insert("t", rows)
             shadow.extend(rows)
@@ -75,5 +91,6 @@ def test_dml_sequence_matches_shadow(initial, ops, use_cache):
             assert result.rows == expected
 
     # final full-table check
+    assert catalog.table_version("t") >= version
     assert sorted(catalog.tables["t"].to_rows()) == sorted(shadow)
     assert catalog.metadata.table_row_count("t") == len(shadow)

@@ -28,7 +28,6 @@ from repro.pruning.sketches import (
     DictionarySketch,
     HistogramSketch,
     NGramSketch,
-    ShapeSkipSet,
     SketchConfig,
     SketchIndex,
     SketchPruner,
@@ -406,13 +405,17 @@ class TestSkipSets:
         sketched, plain = self._pair()
         sql = "SELECT * FROM t WHERE k = 3"
         first = assert_equivalent(sketched, plain, sql)
-        assert not first.profile.scans[0].skip_set_hit
-        assert sketched.skip_sets.stats()["records"] == 1
+        assert not first.profile.scans[0].cache_hit
+        assert sketched.predicate_cache.stats()["records"] == 1
         second = assert_equivalent(sketched, plain, sql)
-        assert second.profile.scans[0].skip_set_hit
+        assert second.profile.scans[0].cache_hit
         assert second.profile.scans[0].skip_set_pruned == 7
+        from repro.service import QueryService
 
-    def test_version_bump_invalidates(self):
+        block = QueryService(sketched).describe()["predicate_cache"]
+        assert (block["records"], block["hits"]) == (1, 1)
+
+    def test_insert_keeps_the_entry_and_scans_the_new_partition(self):
         sketched, plain = self._pair()
         sql = "SELECT * FROM t WHERE k = 3"
         sketched.sql(sql)
@@ -421,33 +424,21 @@ class TestSkipSets:
         sketched.insert("t", new)
         plain.insert("t", new)
         result = assert_equivalent(sketched, plain, sql)
-        assert not result.profile.scans[0].skip_set_hit
+        scan = result.profile.scans[0]
+        assert scan.cache_hit and scan.skip_set_pruned == 7
+        assert scan.partitions_loaded == 2
         assert any(r[0] == "fresh-row" for r in result.rows)
 
     def test_incomplete_scans_never_recorded(self):
         sketched, _ = self._pair()
         sketched.sql("SELECT * FROM t WHERE k = 3 LIMIT 2")
-        assert sketched.skip_sets.stats()["records"] == 0
+        assert sketched.predicate_cache.stats()["records"] == 0
 
-    def test_lru_and_drop_table(self):
-        skip = ShapeSkipSet(max_entries=2)
-        preds = [ast.Compare("=", ast.col("k"), ast.lit(i))
-                 for i in range(3)]
-        for pred in preds:
-            assert skip.record("t", pred, 1, [7])
-        assert len(skip) == 2  # LRU evicted the oldest
-        assert skip.lookup("t", preds[0], 1) is None
-        assert skip.lookup("t", preds[2], 1) == frozenset({7})
-        skip.drop_table("T")
-        assert len(skip) == 0
-
-    def test_stale_version_lookup_evicts(self):
-        skip = ShapeSkipSet()
-        pred = ast.Compare("=", ast.col("k"), ast.lit(1))
-        skip.record("t", pred, version=1, empty_ids=[4, 5])
-        assert skip.lookup("t", pred, version=2) is None
-        assert skip.stats()["invalidations"] == 1
-        assert len(skip) == 0
+    def test_an_enabled_predicate_cache_is_kept(self):
+        catalog = Catalog(rows_per_partition=8)
+        cache = catalog.enable_predicate_cache(max_entries=3)
+        catalog.enable_sketches()
+        assert catalog.predicate_cache is cache
 
 
 class TestIndexCoverage:

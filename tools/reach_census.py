@@ -99,8 +99,11 @@ NOTES = {
                       "/ cutoff nodes (§3.2) are differential references "
                       "(ROADMAP 6(c)); `find_fully_matching_inverted` is "
                       "§4.2's definition; `PruningFlow` is §7's "
-                      "per-query record; `PredicateCache.on_delete` / "
-                      "`record_filter` are §8.2's DML analysis; the "
+                      "per-query record; `PredicateCache.on_rewrite` is "
+                      "§8.2's DML analysis (top-k entries only; "
+                      "`on_insert` / `on_delete` / `on_update` and "
+                      "`ShapeSkipSet` went with PR 24, `sketch_like` "
+                      "reaches `record` / `lookup`); the "
                       "STARTSWITH / IS NULL / OR / NOT kernels serve "
                       "predicates no workload generates (ROADMAP 3)",
     "repro/recluster/": "§8 background reclustering: the incremental "
