@@ -47,7 +47,8 @@ from .pruning.base import ScanSet
 from .pruning.predicate_cache import PredicateCache
 from .sql import parse_select
 from .sql.planner import plan_select
-from .storage.builder import DEFAULT_ROWS_PER_PARTITION, build_table
+from .storage.builder import (DEFAULT_ROWS_PER_PARTITION, build_table,
+                              build_table_from_columns, concat_partitions)
 from .storage.clustering import Layout
 from .storage.column import Column
 from .storage.metadata_store import MetadataStore
@@ -1252,9 +1253,9 @@ class Catalog:
         if not keys:
             raise SchemaError("recluster requires at least one key")
         old_partitions = list(table.partitions)
-        rows = table.to_rows()
-        rebuilt = build_table(
-            table.name, table.schema, rows,
+        rebuilt = build_table_from_columns(
+            table.name, table.schema,
+            concat_partitions(table.schema, old_partitions),
             rows_per_partition=rows_per_partition
             or self.rows_per_partition,
             layout=Layout.sorted_by(*keys))

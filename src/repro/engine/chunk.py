@@ -7,7 +7,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from ..errors import SchemaError
-from ..storage.column import Column
+from ..storage.column import Column, columns_from_rows
 from ..types import Schema
 
 
@@ -52,14 +52,7 @@ class Chunk:
     @classmethod
     def from_rows(cls, schema: Schema,
                   rows: Sequence[Sequence[Any]]) -> "Chunk":
-        # One zip transposes all columns in C instead of a Python
-        # row loop per column.
-        transposed = zip(*rows) if rows else [()] * len(schema.fields)
-        columns = {
-            f.name: Column.from_pylist(f.dtype, list(values))
-            for f, values in zip(schema, transposed)
-        }
-        return cls(schema, columns)
+        return cls(schema, columns_from_rows(schema, rows))
 
     def column(self, name: str) -> Column:
         try:

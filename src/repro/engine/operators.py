@@ -1040,8 +1040,9 @@ class TopK(Operator):
         if worst.nulls[-1]:
             return np.ones(chunk.num_rows, dtype=np.bool_)
         leading = chunk.column(self.order_column)
+        # [-1:]: as a str scalar numpy would drop its trailing NULs
         worse = (np.less if self.desc else np.greater)(
-            leading.values, worst.values[-1])
+            leading.values, worst.values[-1:])
         return ~(worse | leading.nulls)
 
 

@@ -17,7 +17,7 @@ from typing import Any, Sequence
 from ..errors import MetadataError
 from ..expr import ast
 from ..expr.pruning import TriState, prune_partition
-from ..storage.column import Column
+from ..storage.column import Column, columns_from_rows
 from ..storage.zonemap import ZoneMap
 from ..types import Schema
 
@@ -93,13 +93,9 @@ class ParquetFile:
         groups = []
         for offset in range(0, len(rows), row_group_rows):
             chunk = rows[offset:offset + row_group_rows]
-            columns = {
-                f.name: Column.from_pylist(
-                    f.dtype, [r[i] for r in chunk])
-                for i, f in enumerate(schema)
-            }
             groups.append(ParquetRowGroup(
-                schema, columns, page_rows=page_rows,
+                schema, columns_from_rows(schema, chunk),
+                page_rows=page_rows,
                 write_statistics=write_statistics,
                 write_page_index=write_page_index))
         return cls(schema, groups)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
 from ..errors import SchemaError
-from ..storage.builder import build_table
+from ..storage.builder import build_table_from_columns, concat_partitions
 from ..storage.clustering import Layout, clustering_information
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -205,11 +205,9 @@ class IncrementalReclusterer:
             return self._finish(job, "budget too small to merge "
                                 "overlapping partitions", depth_before)
         slice_bytes = sum(p.nbytes() for p in selected)
-        rows: list[Sequence[Any]] = []
-        for partition in selected:
-            rows.extend(partition.to_rows())
-        rebuilt = build_table(
-            table.name, table.schema, rows,
+        rebuilt = build_table_from_columns(
+            table.name, table.schema,
+            concat_partitions(table.schema, selected),
             rows_per_partition=catalog.rows_per_partition,
             layout=Layout.sorted_by(*job.keys))
         catalog._commit_rewrite(table, selected, rebuilt.partitions,

@@ -1,78 +1,114 @@
-"""Building tables out of row streams.
+"""Building tables out of rows or columns.
 
-:class:`TableBuilder` chunks incoming rows into micro-partitions of a
-target size, optionally applying a physical :class:`~.clustering.Layout`
-first. Snowflake micro-partitions hold 50–500 MB of uncompressed data;
-at laptop scale we size partitions by row count instead, which preserves
-all pruning behaviour.
+Rows are transposed once and converted one column at a time, a
+:class:`~.clustering.Layout` orders them with one permutation, and the
+ordered columns are cut into micro-partitions of a target row count
+(Snowflake's are 50–500 MB; sizing by rows preserves all pruning
+behaviour) with zone maps computed one array pass per column.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from ..errors import SchemaError
 from ..types import Schema
-from .clustering import Layout, apply_layout
+from .clustering import Layout
+from .column import _DUMMY, Column, columns_from_rows
 from .micropartition import MicroPartition
 from .table import Table
+from .zonemap import ColumnStats, ZoneMap
 
 DEFAULT_ROWS_PER_PARTITION = 1000
 
 
 class TableBuilder:
-    """Accumulates rows and flushes them into micro-partitions."""
+    """Accumulates rows; :meth:`finish` builds the table in one pass."""
 
     def __init__(self, name: str, schema: Schema,
-                 rows_per_partition: int = DEFAULT_ROWS_PER_PARTITION,
-                 verify_checksums: bool = False):
+                 rows_per_partition: int = DEFAULT_ROWS_PER_PARTITION):
         if rows_per_partition <= 0:
             raise SchemaError("rows_per_partition must be positive")
         self.name = name
         self.schema = schema
         self.rows_per_partition = rows_per_partition
-        #: re-verify each partition's content checksum right after
-        #: building it (write-path integrity check; off by default
-        #: because construction just computed the same checksum).
-        self.verify_checksums = verify_checksums
-        self._pending: list[Sequence[Any]] = []
-        self._partitions: list[MicroPartition] = []
+        self._rows: list[Sequence[Any]] = []
 
     def add_row(self, row: Sequence[Any]) -> None:
         if len(row) != len(self.schema):
             raise SchemaError(
                 f"row has {len(row)} values, schema has {len(self.schema)}")
-        self._pending.append(row)
-        if len(self._pending) >= self.rows_per_partition:
-            self._flush()
+        self._rows.append(row)
 
     def add_rows(self, rows: Iterable[Sequence[Any]]) -> None:
         for row in rows:
             self.add_row(row)
 
-    def _flush(self) -> None:
-        if not self._pending:
-            return
-        partition = MicroPartition.from_rows(self.schema, self._pending)
-        if self.verify_checksums:
-            partition.verify_integrity()
-        self._partitions.append(partition)
-        self._pending = []
-
     def finish(self) -> Table:
-        """Flush any tail rows and return the finished table."""
-        self._flush()
-        table = Table(self.name, self.schema, self._partitions)
-        self._partitions = []
-        return table
+        """Build the table from every row added so far."""
+        rows, self._rows = self._rows, []
+        return build_table(self.name, self.schema, rows,
+                           self.rows_per_partition)
 
 
 def build_table(name: str, schema: Schema, rows: Sequence[Sequence[Any]],
                 rows_per_partition: int = DEFAULT_ROWS_PER_PARTITION,
                 layout: Layout | None = None) -> Table:
-    """One-shot table construction with an optional physical layout."""
-    if layout is not None:
-        rows = apply_layout(schema, rows, layout)
-    builder = TableBuilder(name, schema, rows_per_partition)
-    builder.add_rows(rows)
-    return builder.finish()
+    """One-shot table construction with an optional physical layout.
+
+    Every row is checked and converted, one :meth:`Column.from_pylist`
+    per column, before any partition id is allocated.
+    """
+    if not isinstance(rows, (list, tuple)):
+        rows = list(rows)
+    return build_table_from_columns(name, schema,
+                                    columns_from_rows(schema, rows),
+                                    rows_per_partition, layout)
+
+
+def concat_partitions(schema: Schema, partitions: Sequence[MicroPartition]
+                      ) -> dict[str, Column]:
+    """The partitions' columns end to end: a rewrite's input to
+    :func:`build_table_from_columns`, no value converted."""
+    return {f.name: Column.concat([p.column(f.name) for p in partitions])
+            if partitions else Column.all_null(f.dtype, 0) for f in schema}
+
+
+def build_table_from_columns(
+        name: str, schema: Schema, columns: Mapping[str, Column],
+        rows_per_partition: int = DEFAULT_ROWS_PER_PARTITION,
+        layout: Layout | None = None) -> Table:
+    """Build a table from whole-table columns keyed by schema name.
+
+    NULL slots are reset to their dummy values first (a rewritten
+    column may hold anything there). Columns are permuted and cut one
+    at a time, so beside the partitions at most one whole column is
+    alive; each partition owns copies of its slices, so dropping it
+    frees them.
+    """
+    if rows_per_partition <= 0:
+        raise SchemaError("rows_per_partition must be positive")
+    columns = {f.name: columns[f.name] for f in schema}
+    for key, c in columns.items():
+        if c.nulls.any():
+            columns[key] = Column(c.dtype, np.where(
+                c.nulls, _DUMMY[c.dtype], c.values), c.nulls)
+    n = len(next(iter(columns.values()), ()))
+    order = (layout.permutation(schema, columns, n)
+             if layout is not None else None)
+    starts = list(range(0, n, rows_per_partition))
+    bounds = list(zip(starts, starts[1:] + [n]))
+    stats, pieces = {}, {}
+    for key in schema.names():
+        c = columns.pop(key)
+        if order is not None:
+            c = c.take(order)
+        stats[key] = ColumnStats.per_slice(c, starts)
+        pieces[key] = [Column(c.dtype, c.values[a:b].copy(),
+                              c.nulls[a:b].copy()) for a, b in bounds]
+    return Table(name, schema, [MicroPartition(
+        schema, {key: p[i] for key, p in pieces.items()},
+        zone_map=ZoneMap(b - a, {key: s[i] for key, s in stats.items()}))
+        for i, (a, b) in enumerate(bounds)])

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
+
+import numpy as np
 
 from ..errors import SchemaError
 from ..types import Schema
+from .column import Column, columns_from_rows
 
 
 @dataclass(frozen=True)
@@ -53,47 +56,47 @@ class Layout:
         """Keep insertion order (no reordering)."""
         return cls(kind="natural")
 
-
-def _sort_key(schema: Schema, keys: Sequence[str]):
-    indices = [schema.index_of(k) for k in keys]
-
-    def key(row: Sequence[Any]):
-        # None (SQL NULL) sorts first; the tuple tag keeps comparisons
-        # between None and real values out of Python's type system.
-        parts = []
-        for i in indices:
-            value = row[i]
-            parts.append((value is not None, value))
-        return tuple(parts)
-
-    return key
+    def permutation(self, schema: Schema, columns: Mapping[str, Column],
+                    n: int) -> np.ndarray:
+        """Row indices of ``n`` rows in this layout's order; ``columns``
+        holds at least the keys, NULL slots at their dummy values. Sorts
+        are stable, NULL first and NaN after every value, like ORDER BY.
+        """
+        if self.kind == "natural":
+            return np.arange(n)
+        if self.kind == "random":
+            order = list(range(n))
+            random.Random(self.seed).shuffle(order)
+            return np.array(order, dtype=np.intp)
+        if self.kind not in ("sorted", "clustered"):
+            raise SchemaError(f"unknown layout kind {self.kind!r}")
+        if not self.keys:
+            raise SchemaError(f"layout {self.kind!r} requires keys")
+        sort_keys = []
+        for key in reversed(self.keys):  # np.lexsort: last key is primary
+            column = columns[schema.field(key).name]
+            sort_keys += [column.values, ~column.nulls]
+        order = np.lexsort(tuple(sort_keys))
+        if self.kind == "clustered" and self.jitter > 0:
+            rng = random.Random(self.seed)
+            order = order.tolist()
+            # Local shuffles: each row may swap with a neighbour within
+            # the jitter window, preserving coarse order.
+            for i in range(n):
+                j = min(n - 1, max(0, i + rng.randint(
+                    -self.jitter, self.jitter)))
+                order[i], order[j] = order[j], order[i]
+            order = np.array(order, dtype=np.intp)
+        return order
 
 
 def apply_layout(schema: Schema, rows: Sequence[Sequence[Any]],
                  layout: Layout) -> list[Any]:
     """Return rows reordered according to ``layout``."""
     rows = list(rows)
-    if layout.kind == "natural":
-        return rows
-    if layout.kind == "random":
-        rng = random.Random(layout.seed)
-        rng.shuffle(rows)
-        return rows
-    if layout.kind in ("sorted", "clustered"):
-        if not layout.keys:
-            raise SchemaError(f"layout {layout.kind!r} requires keys")
-        rows.sort(key=_sort_key(schema, layout.keys))
-        if layout.kind == "clustered" and layout.jitter > 0:
-            rng = random.Random(layout.seed)
-            n = len(rows)
-            # Local shuffles: each row may swap with a neighbour within
-            # the jitter window, preserving coarse order.
-            for i in range(n):
-                j = min(n - 1, max(0, i + rng.randint(
-                    -layout.jitter, layout.jitter)))
-                rows[i], rows[j] = rows[j], rows[i]
-        return rows
-    raise SchemaError(f"unknown layout kind {layout.kind!r}")
+    order = layout.permutation(schema, columns_from_rows(schema, rows),
+                               len(rows))
+    return [rows[i] for i in order.tolist()]
 
 
 @dataclass

@@ -14,8 +14,8 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from ..errors import TypeMismatchError
-from ..types import DataType, date_to_days, days_to_date
+from ..errors import SchemaError, TypeMismatchError
+from ..types import DataType, Schema, date_to_days, days_to_date
 
 _DUMMY = {
     DataType.INTEGER: 0,
@@ -23,6 +23,15 @@ _DUMMY = {
     DataType.VARCHAR: "",
     DataType.BOOLEAN: False,
     DataType.DATE: 0,
+}
+
+#: item types ``np.array`` converts exactly as the per-item loop would
+_BULK_TYPES = {
+    DataType.INTEGER: {int},
+    DataType.DOUBLE: {float, int},
+    DataType.VARCHAR: {str},
+    DataType.BOOLEAN: {bool},
+    DataType.DATE: {int},
 }
 
 
@@ -47,10 +56,15 @@ class Column:
         """Build a column from Python scalars; ``None`` becomes NULL.
 
         DATE columns accept ``datetime.date`` objects or raw epoch-day
-        integers.
+        integers. Items without NULLs whose types need no check or
+        coercion convert in one ``np.array`` call; anything else takes
+        the per-item loop.
         """
         n = len(items)
         nulls = np.zeros(n, dtype=np.bool_)
+        if set(map(type, items)) <= _BULK_TYPES[dtype]:
+            return cls(dtype, np.array(items, dtype=dtype.numpy_dtype()),
+                       nulls)
         values = np.empty(n, dtype=dtype.numpy_dtype())
         dummy = _DUMMY[dtype]
         for i, item in enumerate(items):
@@ -137,28 +151,6 @@ class Column:
 
     def is_all_null(self) -> bool:
         return bool(self.nulls.all()) if len(self) else False
-
-    def min_max(self) -> tuple[Any, Any]:
-        """(min, max) over non-null values, or ``(None, None)`` if none.
-
-        Values are returned in internal representation (epoch days for
-        DATE) because zone maps store internal values.
-        """
-        if len(self) == 0:
-            return None, None
-        valid = ~self.nulls
-        if not valid.any():
-            return None, None
-        if self.dtype == DataType.VARCHAR:
-            present = self.values[valid]
-            return min(present), max(present)
-        present = self.values[valid]
-        lo, hi = present.min(), present.max()
-        if self.dtype == DataType.DOUBLE:
-            return float(lo), float(hi)
-        if self.dtype == DataType.BOOLEAN:
-            return bool(lo), bool(hi)
-        return int(lo), int(hi)
 
     def value_at(self, i: int) -> Any:
         """The Python scalar at row ``i`` (``None`` for NULL)."""
@@ -259,3 +251,16 @@ def column_from_values(items: Iterable[Any],
                 "cannot infer dtype of an all-NULL column; pass dtype")
         dtype = infer_type(first)
     return Column.from_pylist(dtype, data)
+
+
+def columns_from_rows(schema: Schema, rows: Sequence[Sequence[Any]]
+                      ) -> dict[str, Column]:
+    """Row tuples in schema order as columns: one transpose, then one
+    :meth:`Column.from_pylist` per column."""
+    wrong = set(map(len, rows)) - {len(schema)}
+    if wrong:
+        raise SchemaError(
+            f"row has {min(wrong)} values, schema has {len(schema)}")
+    transposed = zip(*rows) if rows else [()] * len(schema)
+    return {f.name: Column.from_pylist(f.dtype, values)
+            for f, values in zip(schema, transposed)}

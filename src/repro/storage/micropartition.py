@@ -12,7 +12,7 @@ from typing import Any, Mapping, Sequence
 
 from ..errors import CorruptionError, SchemaError
 from ..types import DataType, Schema
-from .column import Column
+from .column import Column, columns_from_rows
 from .zonemap import ZoneMap
 
 
@@ -79,13 +79,8 @@ class MicroPartition:
     def from_rows(cls, schema: Schema, rows: Sequence[Sequence[Any]],
                   partition_id: int | None = None) -> "MicroPartition":
         """Build a partition from row tuples in schema order."""
-        transposed = zip(*rows) if rows \
-            else [()] * len(schema.fields)
-        columns = {}
-        for field, values in zip(schema, transposed):
-            columns[field.name] = Column.from_pylist(
-                field.dtype, list(values))
-        return cls(schema, columns, partition_id=partition_id)
+        return cls(schema, columns_from_rows(schema, rows),
+                   partition_id=partition_id)
 
     # ------------------------------------------------------------------
     @property

@@ -94,8 +94,6 @@ class IOStats:
     requests: int = 0
     bytes_read: int = 0
     partitions_loaded: int = 0
-    metadata_lookups: int = 0
-    rows_scanned: int = 0
     failed_requests: int = 0
     retries: int = 0
     retry_backoff_ms: float = 0.0
@@ -154,8 +152,6 @@ class IOStats:
             self.requests = 0
             self.bytes_read = 0
             self.partitions_loaded = 0
-            self.metadata_lookups = 0
-            self.rows_scanned = 0
             self.failed_requests = 0
             self.retries = 0
             self.retry_backoff_ms = 0.0
@@ -172,8 +168,6 @@ class IOStats:
                 requests=self.requests,
                 bytes_read=self.bytes_read,
                 partitions_loaded=self.partitions_loaded,
-                metadata_lookups=self.metadata_lookups,
-                rows_scanned=self.rows_scanned,
                 failed_requests=self.failed_requests,
                 retries=self.retries,
                 retry_backoff_ms=self.retry_backoff_ms,
@@ -200,9 +194,6 @@ class IOStats:
             bytes_read=current.bytes_read - earlier.bytes_read,
             partitions_loaded=current.partitions_loaded
             - earlier.partitions_loaded,
-            metadata_lookups=current.metadata_lookups
-            - earlier.metadata_lookups,
-            rows_scanned=current.rows_scanned - earlier.rows_scanned,
             failed_requests=current.failed_requests
             - earlier.failed_requests,
             retries=current.retries - earlier.retries,

@@ -90,7 +90,7 @@ class Table:
         return sum(p.row_count for p in self._partitions)
 
     def to_rows(self) -> list[tuple[Any, ...]]:
-        """Materialize all rows (testing only; defeats pruning)."""
+        """Materialize all rows (testing only; no product path calls it)."""
         rows: list[tuple[Any, ...]] = []
         for partition in self._partitions:
             rows.extend(partition.to_rows())

@@ -15,9 +15,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+import numpy as np
+
 from ..errors import MetadataError
 from ..types import DataType
 from .column import Column
+
+_INT64 = np.iinfo(np.int64)
+#: (above every value, below every value) per fixed-width type
+_EXTREMES = {
+    DataType.INTEGER: (_INT64.max, _INT64.min),
+    DataType.DATE: (_INT64.max, _INT64.min),
+    DataType.DOUBLE: (np.inf, -np.inf),
+    DataType.BOOLEAN: (True, False),
+}
 
 
 @dataclass(frozen=True)
@@ -38,14 +49,44 @@ class ColumnStats:
 
     @classmethod
     def from_column(cls, column: Column) -> "ColumnStats":
-        lo, hi = column.min_max()
-        return cls(
-            dtype=column.dtype,
-            min_value=lo,
-            max_value=hi,
-            null_count=column.null_count(),
-            row_count=len(column),
-        )
+        if not len(column):
+            return cls(column.dtype, None, None, 0, 0)
+        return cls.per_slice(column, [0])[0]
+
+    @classmethod
+    def per_slice(cls, column: Column,
+                  starts: list[int]) -> list["ColumnStats"]:
+        """Stats of each slice ``column[starts[i]:starts[i + 1]]`` (the
+        last one runs to the end), min / max over non-NULL values in
+        internal representation, NaN winning both: one reduceat pass per
+        statistic with NULL slots masked by a value that cannot win, or
+        Python's min / max per slice for VARCHAR.
+        """
+        stops = starts[1:] + [len(column)]
+        nulls = column.nulls
+        masked = nulls.any()
+        null_counts = (np.add.reduceat(nulls, starts, dtype=np.int64).tolist()
+                       if masked else [0] * len(starts))
+        if column.dtype == DataType.VARCHAR:
+            present = [column.values[start:stop][~nulls[start:stop]]
+                       for start, stop in zip(starts, stops)]
+            lows = [min(p, default=None) for p in present]
+            highs = [max(p, default=None) for p in present]
+        else:
+            high, low = _EXTREMES[column.dtype]
+            values = column.values
+            lows = np.minimum.reduceat(
+                np.where(nulls, high, values) if masked else values,
+                starts).tolist()
+            highs = np.maximum.reduceat(
+                np.where(nulls, low, values) if masked else values,
+                starts).tolist()
+        return [cls(column.dtype,
+                    lo if count < stop - start else None,
+                    hi if count < stop - start else None,
+                    count, stop - start)
+                for lo, hi, count, start, stop
+                in zip(lows, highs, null_counts, starts, stops)]
 
     @classmethod
     def unknown(cls, dtype: DataType, row_count: int) -> "ColumnStats":

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import TypeMismatchError
 from repro.storage.column import Column, column_from_values
+from repro.storage.zonemap import ColumnStats
 from repro.types import DataType
 
 
@@ -99,32 +100,37 @@ class TestShapeOps:
             Column.concat([])
 
 
+def min_max(column):
+    stats = ColumnStats.from_column(column)
+    return stats.min_value, stats.max_value
+
+
 class TestMinMax:
     def test_ints_ignore_nulls(self):
         col = Column.from_pylist(DataType.INTEGER, [None, 5, 2, None, 9])
-        assert col.min_max() == (2, 9)
+        assert min_max(col) == (2, 9)
 
     def test_strings(self):
         col = Column.from_pylist(DataType.VARCHAR,
                                  ["pear", "apple", "fig"])
-        assert col.min_max() == ("apple", "pear")
+        assert min_max(col) == ("apple", "pear")
 
     def test_all_null_returns_none(self):
         col = Column.all_null(DataType.INTEGER, 3)
-        assert col.min_max() == (None, None)
+        assert min_max(col) == (None, None)
 
     def test_empty_returns_none(self):
         col = Column.from_pylist(DataType.INTEGER, [])
-        assert col.min_max() == (None, None)
+        assert min_max(col) == (None, None)
 
     def test_booleans(self):
         col = Column.from_pylist(DataType.BOOLEAN, [True, False])
-        assert col.min_max() == (False, True)
+        assert min_max(col) == (False, True)
 
     def test_date_min_max_internal(self):
         d1, d2 = datetime.date(2020, 1, 1), datetime.date(2021, 1, 1)
         col = Column.from_pylist(DataType.DATE, [d2, d1])
-        lo, hi = col.min_max()
+        lo, hi = min_max(col)
         assert lo < hi  # epoch days
         assert isinstance(lo, int)
 

@@ -622,6 +622,22 @@ def test_topk_matches_row_loop(rows, cuts, keys, k, offset):
         assert all(type(p) is int for p in op.contributing_partitions)
 
 
+def test_topk_keeps_a_key_that_ends_in_nul():
+    """A full TopK compared the next chunk's leading key with the kept
+    worst as a Python str, which numpy made a fixed-width string and
+    stripped of its trailing NUL: '\\x00' became '', every '\\x00' of the
+    next chunk read as worse, and (s='\\x00', i=0) lost to
+    (s='\\x00', i=NULL)."""
+    rows = numbered([(None, None, None, None, None, None),
+                     (None, None, "\x00", None, None, None),
+                     (None, None, None, None, None, None),
+                     (0, None, "\x00", None, None, None)])
+    keys = [SortKey("s"), SortKey("i")]
+    chunks = to_chunks(SCHEMA, rows, [1, 1])
+    assert run(TopK(context(), ChunkSource(SCHEMA, chunks), keys, 1)) == \
+        [(0, None, "\x00", None, None, 3)]
+
+
 def test_topk_zero_keeps_nothing_and_reads_nothing():
     source = SpyingSource(SCHEMA, [Chunk.from_rows(SCHEMA, [(None,) * 6])],
                           Boundary())
