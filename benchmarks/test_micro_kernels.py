@@ -15,6 +15,7 @@ from repro.pruning.base import ScanSet
 from repro.pruning.filter_pruning import FilterPruner
 from repro.pruning.filters import XorFilter
 from repro.pruning.stats_index import (
+    StatsIndex,
     VectorizedFilterPruner,
     compile_pruning_kernel,
 )
@@ -76,6 +77,24 @@ def test_vectorized_pruner_500_partitions(benchmark):
 
     result = benchmark(prune)
     assert result < len(_SCAN_SET)
+
+
+def test_vectorized_pruner_10k_partitions_of_index(benchmark):
+    """A needle over 10 000 partitions of a scan set that is rows of the
+    stats index: classify, gather and result are array passes."""
+    table = build_table("wide", SCHEMA, _ROWS, rows_per_partition=5,
+                        layout=Layout.sorted_by("ts"))
+    scan_set = ScanSet.of_index(StatsIndex(
+        (p.partition_id, p.zone_map) for p in table.partitions))
+    needle = And(Compare(">=", col("ts"), lit(20_000)),
+                 Compare("<=", col("ts"), lit(20_012)))
+
+    def prune():
+        pruner = VectorizedFilterPruner(needle, SCHEMA)
+        result = pruner.prune(scan_set)
+        return pruner.mode, result.after, result.pruned
+
+    assert benchmark(prune) == ("vectorized", 3, 9_997)
 
 
 def test_scalar_pruner_500_partitions_compilable(benchmark):

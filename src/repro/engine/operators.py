@@ -157,7 +157,7 @@ class Scan(Operator):
         else:
             # Multiple joins pruning the same scan: merge counts.
             previous = self.profile.join_result
-            previous.pruned_ids.extend(result.pruned_ids)
+            previous.add_pruned(result.pruned_ids)
             previous.kept = result.kept
             previous.checks += result.checks
 
@@ -591,19 +591,17 @@ class Scan(Operator):
 
     def _record_runtime_filter_prune(self) -> None:
         result = self.profile.filter_result
-        if result is not None:
-            result.pruned_ids.append(-1)
-        else:
+        if result is None:
             # If no compile-time pruning ran, runtime filter prunes are
             # still attributed to the filter technique.
             from ..pruning.base import PruneCategory, PruningResult
 
-            self.profile.filter_result = PruningResult(
+            result = self.profile.filter_result = PruningResult(
                 technique=PruneCategory.FILTER,
                 before=self.profile.total_partitions,
                 kept=ScanSet(),
-                pruned_ids=[-1],
             )
+        result.add_pruned((-1,))
 
 
 class Filter(Operator):

@@ -393,7 +393,7 @@ class QueryCompiler:
                 span.annotate(before=result.before,
                               after=result.after,
                               by_kind=dict(pruner.pruned_by_kind))
-        if result.pruned_ids:
+        if result.pruned:
             surviving = set(result.kept.partition_ids)
             fully_matching = [pid for pid in fully_matching
                               if pid in surviving]

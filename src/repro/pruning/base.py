@@ -9,8 +9,7 @@ profiler can attribute savings per technique (Figures 1, 11).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -20,6 +19,13 @@ from ..storage.zonemap import ZoneMap
 
 if TYPE_CHECKING:  # pragma: no cover - stats_index imports this module
     from .stats_index import StatsIndex
+
+#: int8 verdict codes: what a pruning kernel emits per index row and
+#: :meth:`ScanSet.gather` returns per entry. A may-join answer is a
+#: code too: False reads as NEVER, True as MAYBE.
+NEVER_CODE, MAYBE_CODE, ALWAYS_CODE = 0, 1, 2
+VERDICT_CODE = {TriState.NEVER: NEVER_CODE, TriState.MAYBE: MAYBE_CODE,
+                TriState.ALWAYS: ALWAYS_CODE}
 
 
 class ScanSet:
@@ -100,9 +106,17 @@ class ScanSet:
     def partition_ids(self) -> list[int]:
         entries = self._entries
         if entries is None:
-            return self._stats_index.partition_ids[
-                self._trusted_rows].tolist()
+            return self.ids.tolist()
         return [pid for pid, _ in entries]
+
+    @property
+    def ids(self) -> np.ndarray:
+        """The partition ids as int64: the index's id lane at this
+        set's rows, or the entries' ids for a hand-built set."""
+        entries = self._entries
+        if entries is None:
+            return self._stats_index.partition_ids[self._trusted_rows]
+        return np.array([pid for pid, _ in entries], dtype=np.int64)
 
     @property
     def entries(self) -> list[tuple[int, ZoneMap]]:
@@ -182,25 +196,28 @@ class ScanSet:
         return row if row >= 0 else None
 
     def gather(self, per_row: "np.ndarray | None",
-               scalar: Callable[[ZoneMap], Any]) -> tuple[list, int]:
-        """Turn a kernel's per-index-row output into per-entry values.
+               scalar: Callable[[ZoneMap], int]) -> tuple[np.ndarray, int]:
+        """Turn a kernel's per-index-row verdict codes into per-entry
+        codes (int8; see :data:`VERDICT_CODE`).
 
         Trusted entries read ``per_row`` at their row; every other
         entry — all of them when ``per_row`` is None, i.e. the kernel
         could not compile or bind — is judged by ``scalar(zone_map)``,
-        the per-partition reference path. Returns the values in entry
-        order and how many came from ``per_row``.
+        the per-partition reference path, which returns a code.
+        Returns the codes in entry order and how many came from
+        ``per_row``.
         """
         if per_row is None or not len(per_row) or not len(self):
-            return [scalar(zone_map) for _, zone_map in self], 0
+            return np.array([scalar(zone_map) for _, zone_map in self],
+                            dtype=np.int8), 0
         rows = self.trusted_rows
-        values = per_row[rows].tolist()
-        untrusted = np.flatnonzero(rows < 0).tolist()
-        if untrusted:
+        codes = per_row[rows].astype(np.int8, copy=False)
+        untrusted = np.flatnonzero(rows < 0)
+        if len(untrusted):
             entries = self._materialised()
-            for i in untrusted:
-                values[i] = scalar(entries[i][1])
-        return values, len(values) - len(untrusted)
+            codes[untrusted] = [scalar(entries[i][1])
+                                for i in untrusted.tolist()]
+        return codes, len(codes) - len(untrusted)
 
     # ------------------------------------------------------------------
     # Derivation
@@ -216,12 +233,13 @@ class ScanSet:
         entries must fail open.
         """
         entries, rows = self._entries, self._trusted_rows
+        positions = np.asarray(positions, dtype=np.intp)
         if rows is not None:
-            rows = rows[np.asarray(positions, dtype=np.intp)]
+            rows = rows[positions]
         if entries is None:
             derived = ScanSet.of_index(self._stats_index, rows)
         else:
-            derived = ScanSet([entries[i] for i in positions],
+            derived = ScanSet([entries[i] for i in positions.tolist()],
                               index=self._stats_index)
             derived._trusted_rows = rows
         if self.degraded_ids:
@@ -346,7 +364,6 @@ class PruneCategory:
     ALL = (FILTER, SKETCH, JOIN, LIMIT, TOPK)
 
 
-@dataclass
 class PruningResult:
     """Outcome of applying one pruning technique to a scan set.
 
@@ -354,39 +371,48 @@ class PruningResult:
         technique: a :class:`PruneCategory` name.
         before: partition count entering this technique.
         kept: the surviving scan set.
-        pruned_ids: partitions removed by this technique.
+        pruned_id_array: int64 ids of the partitions removed by this
+            technique; :attr:`pruned_ids` lists them (and any
+            :meth:`add_pruned` added) when someone asks.
         fully_matching_ids: partitions proven fully-matching (§4.1);
             only filter pruning populates this.
         checks: number of (partition, predicate) pruning evaluations
             performed, for the cost model.
     """
 
-    technique: str
-    before: int
-    kept: ScanSet
-    pruned_ids: list[int] = field(default_factory=list)
-    fully_matching_ids: list[int] = field(default_factory=list)
-    checks: int = 0
+    def __init__(self, technique: str, before: int, kept: ScanSet,
+                 pruned_ids: "Sequence[int] | np.ndarray" = (),
+                 fully_matching_ids: Iterable[int] = (),
+                 checks: int = 0):
+        self.technique = technique
+        self.before = before
+        self.kept = kept
+        self.pruned_id_array = np.asarray(pruned_ids, dtype=np.int64)
+        #: appended one at a time by runtime pruning, so a list
+        self._added: list[int] = []
+        self.fully_matching_ids = list(fully_matching_ids)
+        self.checks = checks
 
     @classmethod
-    def from_verdicts(cls, technique: str, scan_set: ScanSet,
-                      verdicts: Iterable[TriState],
-                      checks: int) -> "PruningResult":
-        """The result of per-entry verdicts (in entry order): NEVER
-        prunes the entry, ALWAYS records it as fully matching."""
-        kept: list[int] = []
-        pruned_ids: list[int] = []
-        fully_matching_ids: list[int] = []
-        for position, (partition_id, verdict) in enumerate(
-                zip(scan_set.partition_ids, verdicts)):
-            if verdict is TriState.NEVER:
-                pruned_ids.append(partition_id)
-                continue
-            kept.append(position)
-            if verdict is TriState.ALWAYS:
-                fully_matching_ids.append(partition_id)
-        return cls(technique, len(scan_set), scan_set.take(kept),
-                   pruned_ids, fully_matching_ids, checks)
+    def from_codes(cls, technique: str, scan_set: ScanSet,
+                   codes: np.ndarray, checks: int) -> "PruningResult":
+        """The result of per-entry verdict codes (in entry order):
+        NEVER prunes the entry, ALWAYS records it as fully matching."""
+        ids = scan_set.ids
+        return cls(technique, len(scan_set),
+                   scan_set.take(np.flatnonzero(codes != NEVER_CODE)),
+                   ids[codes == NEVER_CODE],
+                   ids[codes == ALWAYS_CODE].tolist(), checks)
+
+    def add_pruned(self, ids: Iterable[int]) -> None:
+        """Count more partitions as pruned by this technique: a second
+        join into the same scan, or a deferred filter's runtime skip."""
+        self._added.extend(ids)
+
+    @property
+    def pruned_ids(self) -> list[int]:
+        """The pruned partition ids, as a new list."""
+        return self.pruned_id_array.tolist() + self._added
 
     @property
     def after(self) -> int:
@@ -394,7 +420,7 @@ class PruningResult:
 
     @property
     def pruned(self) -> int:
-        return len(self.pruned_ids)
+        return len(self.pruned_id_array) + len(self._added)
 
     @property
     def pruning_ratio(self) -> float:

@@ -14,7 +14,7 @@ from ..expr.pruning import TriState, prune_partition
 from ..expr.rewrite import widen_for_pruning
 from ..storage.zonemap import ZoneMap
 from ..types import Schema
-from .base import PruneCategory, PruningResult, ScanSet
+from .base import VERDICT_CODE, PruneCategory, PruningResult, ScanSet
 
 #: Leaf node types that can in principle interact with min/max metadata.
 _PRUNABLE_LEAVES = (ast.Compare, ast.Like, ast.StartsWith, ast.InList,
@@ -67,8 +67,12 @@ class FilterPruner:
             return TriState.ALWAYS
         return TriState.MAYBE
 
+    def classify_code(self, zone_map: ZoneMap) -> int:
+        """:meth:`classify` as an int8 verdict code."""
+        return VERDICT_CODE[self.classify(zone_map)]
+
     def prune(self, scan_set: ScanSet) -> PruningResult:
         """Apply filter pruning to a whole scan set."""
-        verdicts = [self.classify(zone_map) for _, zone_map in scan_set]
-        return PruningResult.from_verdicts(
-            PruneCategory.FILTER, scan_set, verdicts, self.checks)
+        codes, _ = scan_set.gather(None, self.classify_code)
+        return PruningResult.from_codes(
+            PruneCategory.FILTER, scan_set, codes, self.checks)

@@ -64,17 +64,10 @@ class JoinPruner:
         if len(scan_set):
             mask = join_may_join_mask(scan_set.stats_index,
                                       self.probe_column, self.summary)
-        may_join, from_mask = scan_set.gather(mask,
-                                              self.partition_may_join)
+        # A may-join answer is a verdict code: False NEVER, True MAYBE.
+        codes, from_mask = scan_set.gather(mask, self.partition_may_join)
         self.vector_checks += from_mask
         self.mode = pruning_mode(self.vector_checks, self.checks)
-        return PruningResult(
-            technique=PruneCategory.JOIN,
-            before=len(scan_set),
-            kept=scan_set.take(
-                [i for i, joins in enumerate(may_join) if joins]),
-            pruned_ids=[pid for pid, joins
-                        in zip(scan_set.partition_ids, may_join)
-                        if not joins],
-            checks=self.vector_checks + self.checks,
-        )
+        return PruningResult.from_codes(
+            PruneCategory.JOIN, scan_set, codes,
+            self.vector_checks + self.checks)

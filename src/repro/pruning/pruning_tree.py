@@ -29,7 +29,7 @@ from ..expr.pruning import TriState, prune_partition
 from ..expr.rewrite import widen_for_pruning
 from ..storage.zonemap import ZoneMap
 from ..types import Schema
-from .base import PruneCategory, PruningResult, ScanSet
+from .base import VERDICT_CODE, PruneCategory, PruningResult, ScanSet
 
 
 @dataclass
@@ -244,10 +244,10 @@ class PruningTree:
                     stats.cut = True
 
     def prune(self, scan_set: ScanSet) -> PruningResult:
-        verdicts = [self.classify(zone_map) for _, zone_map in scan_set]
-        return PruningResult.from_verdicts(
-            PruneCategory.FILTER, scan_set, verdicts,
-            self.partitions_seen)
+        codes, _ = scan_set.gather(
+            None, lambda zone_map: VERDICT_CODE[self.classify(zone_map)])
+        return PruningResult.from_codes(
+            PruneCategory.FILTER, scan_set, codes, self.partitions_seen)
 
     def node_stats(self) -> list[NodeStats]:
         """Flat monitoring snapshot of every node (root first)."""

@@ -43,11 +43,18 @@ from typing import Any, Callable, Iterable, Mapping
 import numpy as np
 
 from ..expr import ast
-from ..expr.pruning import TriState
 from ..expr.ranges import _comparison_value
 from ..storage.zonemap import ZoneMap, prefix_successor
 from ..types import Schema
-from .base import PruneCategory, PruningResult, ScanSet, pruning_mode
+from .base import (
+    ALWAYS_CODE,
+    MAYBE_CODE,
+    NEVER_CODE,
+    PruneCategory,
+    PruningResult,
+    ScanSet,
+    pruning_mode,
+)
 from .filter_pruning import FilterPruner
 from .summaries import RangeSetSummary
 
@@ -59,16 +66,6 @@ __all__ = [
     "topk_skip_mask",
     "join_may_join_mask",
 ]
-
-#: int8 verdict codes emitted by :meth:`PruningKernel.classify`.
-NEVER_CODE, MAYBE_CODE, ALWAYS_CODE = 0, 1, 2
-
-#: verdict per code; the second table is for pruners that do not
-#: report fully-matching partitions (ALWAYS reads as MAYBE).
-_VERDICTS = np.array([TriState.NEVER, TriState.MAYBE, TriState.ALWAYS],
-                     dtype=object)
-_VERDICTS_NO_ALWAYS = np.array(
-    [TriState.NEVER, TriState.MAYBE, TriState.MAYBE], dtype=object)
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
@@ -309,10 +306,13 @@ def _bind_literal(value: Any, kind: str) -> Any:
     lossy), non-exact floats, ints beyond int64, NaN, str/numeric
     mixes (Python raises TypeError there — the scalar fallback
     reproduces the raise).
+
+    A str binds as a 1-element object array: compared with a bare str,
+    numpy makes it a fixed-width string and drops trailing NULs.
     """
     if kind == _STR_KIND:
         if isinstance(value, str):
-            return value
+            return _object_scalar(value)
         raise _Unbindable(f"non-string literal {value!r} on str lane")
     if kind == _INT_KIND:
         if (isinstance(value, int)
@@ -324,6 +324,11 @@ def _bind_literal(value: Any, kind: str) -> Any:
         if as_float == value:
             return as_float
     raise _Unbindable(f"literal {value!r} not exact on float64 lane")
+
+
+def _object_scalar(value: str) -> np.ndarray:
+    """``value`` as a 1-element object array, compared by Python."""
+    return np.array([value], dtype=object)
 
 
 def _column(index: StatsIndex, name: str) -> _ColumnVectors:
@@ -457,8 +462,8 @@ def _compile_startswith(expr: ast.StartsWith) -> _NodeFn | None:
         if succ is None:
             below_succ = np.ones(n, dtype=bool)
         else:
-            below_succ = _as_bool(lo < succ)
-        can_true = below_succ & _as_bool(needle <= hi)
+            below_succ = _as_bool(lo < _object_scalar(succ))
+        can_true = below_succ & _as_bool(_object_scalar(needle) <= hi)
         all_match = np.fromiter(
             (a.startswith(needle) and b.startswith(needle)
              for a, b in zip(lo, hi)),
@@ -691,13 +696,12 @@ class VectorizedFilterPruner(FilterPruner):
     def prune(self, scan_set: ScanSet) -> PruningResult:
         per_row = None
         if self.kernel is not None and len(scan_set):
-            codes = self.kernel.classify(scan_set.stats_index)
-            if codes is not None:
-                per_row = (_VERDICTS if self.detect_fully_matching
-                           else _VERDICTS_NO_ALWAYS)[codes]
-        verdicts, from_kernel = scan_set.gather(per_row, self.classify)
+            per_row = self.kernel.classify(scan_set.stats_index)
+            if per_row is not None and not self.detect_fully_matching:
+                per_row = np.minimum(per_row, MAYBE_CODE)  # ALWAYS -> MAYBE
+        codes, from_kernel = scan_set.gather(per_row, self.classify_code)
         self.vector_checks += from_kernel
         self.mode = pruning_mode(self.vector_checks, self.checks)
-        return PruningResult.from_verdicts(
-            PruneCategory.FILTER, scan_set, verdicts,
+        return PruningResult.from_codes(
+            PruneCategory.FILTER, scan_set, codes,
             self.vector_checks + self.checks)

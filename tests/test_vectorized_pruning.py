@@ -252,6 +252,50 @@ class TestDirectedFallbacks:
         assert_differential(predicate, alien, True)
 
 
+class TestNulSuffixedStrings:
+    """A str compared with an object lane must stay a Python str:
+    numpy turns a bare one into a fixed-width string and drops its
+    trailing NULs, so ``'a\\x00'`` would compare as ``'a'``."""
+
+    VALUES = ["a", "a\x00", "", "\x00"]
+
+    def _scan_set(self):
+        return ScanSet(make_entries([[(0, 0.0, v)] for v in self.VALUES]))
+
+    @pytest.mark.parametrize("predicate", [
+        ast.Compare("=", ast.col("s"), ast.lit("a\x00")),
+        ast.Compare("=", ast.col("s"), ast.lit("\x00")),
+        ast.Compare("<", ast.col("s"), ast.lit("a\x00")),
+        ast.Compare(">=", ast.col("s"), ast.lit("a\x00")),
+        ast.Compare(">", ast.lit("\x00"), ast.col("s")),
+        ast.InList(ast.col("s"), ["a\x00", "zz"]),
+        ast.StartsWith(ast.col("s"), "a\x00"),
+        ast.StartsWith(ast.col("s"), "\x00"),
+    ], ids=lambda p: repr(p.to_sql()))
+    def test_kernel_matches_scalar(self, predicate):
+        for detect_fm in (True, False):
+            assert_scan_set_differential(predicate, self._scan_set(),
+                                         detect_fm, "vectorized")
+
+    @pytest.mark.parametrize("value", ["a\x00", "\x00", ""])
+    def test_join_and_topk_masks_match_scalar(self, value):
+        scan_set = self._scan_set()
+        pruner = JoinPruner("s", RangeSetSummary([value]))
+        kept = pruner.prune(scan_set).kept.partition_ids
+        assert pruner.mode == "vectorized"
+        assert kept == [pid for pid, zm in scan_set
+                        if pruner.partition_may_join(zm)]
+        for desc in (True, False):
+            boundary = Boundary(desc=desc)
+            boundary.update_value(value)
+            topk = TopKPruner("s", boundary)
+            skips = [topk.should_skip(zm, pid, scan_set)
+                     for pid, zm in scan_set]
+            assert topk.fallback_checks == 0
+            assert skips == [topk.best_possible_rank(zm) < boundary.rank
+                             for _, zm in scan_set]
+
+
 class TestKernelCompilation:
     def test_compilable_shapes(self):
         for predicate in (
@@ -732,6 +776,34 @@ class TestSurvivorsOnly:
         store = catalog.metadata.retry_stats.snapshot()
         assert scan_set.metadata_retries == store["retries"] > 0
         assert scan_set.metadata_backoff_ms == store["backoff_ms"] > 0
+
+
+class TestNoPerPartitionObjects:
+    """Turning the kernel's verdict codes into a result is array
+    passes: C-level calls such as ``list.append`` are counted too, not
+    only the Python-level calls ``TestSurvivorsOnly`` counts."""
+
+    @pytest.mark.parametrize("sql", TestSurvivorsOnly.NEEDLES)
+    def test_c_calls_do_not_grow_with_partitions(self, sql):
+        def calls_at(partitions):
+            catalog = TestSurvivorsOnly._catalog(partitions)
+            catalog.sql(sql.replace("1005", "5").replace("1021", "21"))
+            counts = {"call": 0, "c_call": 0}
+
+            def on_event(frame, event, arg):
+                if event in counts:
+                    counts[event] += 1
+
+            sys.setprofile(on_event)
+            try:
+                catalog.sql(sql)
+            finally:
+                sys.setprofile(None)
+            return counts
+
+        small, large = calls_at(400), calls_at(4000)
+        assert large["c_call"] <= 1.1 * small["c_call"], (small, large)
+        assert large["call"] <= 1.1 * small["call"], (small, large)
 
 
 class TestCatalogIntegration:
