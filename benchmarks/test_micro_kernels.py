@@ -20,7 +20,8 @@ from repro.pruning.stats_index import (
     compile_pruning_kernel,
 )
 from repro.pruning.summaries import RangeSetSummary
-from repro.storage.builder import build_table
+from repro.storage.builder import build_table, build_table_from_columns
+from repro.storage.column import columns_from_rows
 from repro.storage.clustering import Layout
 from repro.types import DataType, Schema
 
@@ -95,6 +96,23 @@ def test_vectorized_pruner_10k_partitions_of_index(benchmark):
         return pruner.mode, result.after, result.pruned
 
     assert benchmark(prune) == ("vectorized", 3, 9_997)
+
+
+def test_build_table_10k_partitions(benchmark):
+    """Build 10 000 partitions x 3 columns from whole columns, then
+    pack the stats index's ``ts`` lanes: one stats block per build,
+    zone maps as views, the lanes gathered from the block."""
+    columns = columns_from_rows(SCHEMA, _ROWS)
+
+    def build():
+        table = build_table_from_columns("wide", SCHEMA, columns,
+                                         rows_per_partition=5,
+                                         layout=Layout.sorted_by("ts"))
+        index = StatsIndex((p.partition_id, p.zone_map)
+                           for p in table.partitions)
+        return table.num_partitions, index.column("ts").kind
+
+    assert benchmark(build) == (10_000, "int64")
 
 
 def test_scalar_pruner_500_partitions_compilable(benchmark):

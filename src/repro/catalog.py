@@ -191,11 +191,12 @@ class Catalog:
 
             self._wal_log(create_record(table))
         self.tables[table.name] = table
-        cache = self._sketch_build_cache(table.partitions, table.schema)
-        for partition in table.partitions:
-            self.storage.put(partition)
-            self.metadata.register(table.name, partition.partition_id,
-                                   partition.zone_map)
+        partitions = table.partitions
+        self.storage.put_all(partitions)
+        self.metadata.register_table(
+            table.name, ((p.partition_id, p.zone_map) for p in partitions))
+        cache = self._sketch_build_cache(partitions, table.schema)
+        for partition in partitions:
             self._build_sketches(table.name, partition, cache)
         return table
 

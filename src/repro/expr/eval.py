@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from ..errors import ExecutionError
-from ..storage.column import Column
+from ..storage.column import Column, object_scalar
 from ..types import DataType, Schema, days_to_date
 from . import ast
 
@@ -347,9 +347,11 @@ def _bind_in_list(expr: ast.InList, schema) -> Bound:
 
     def in_list(columns, length):
         c = child(columns, length)
+        lane = c.values.dtype == object
         matched = np.zeros(length, dtype=np.bool_)
         for value in non_null_values:
-            matched |= np.asarray(c.values == value, dtype=np.bool_)
+            probe = object_scalar(value) if lane else value
+            matched |= np.asarray(c.values == probe, dtype=np.bool_)
         matched &= ~c.nulls
         # SQL: x IN (...) is NULL when x is NULL, or when unmatched and
         # the list contains NULL.

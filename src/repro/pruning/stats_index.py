@@ -44,7 +44,8 @@ import numpy as np
 
 from ..expr import ast
 from ..expr.ranges import _comparison_value
-from ..storage.zonemap import ZoneMap, prefix_successor
+from ..storage.column import object_scalar
+from ..storage.zonemap import StatsBlock, ZoneMap, prefix_successor
 from ..types import Schema
 from .base import (
     ALWAYS_CODE,
@@ -131,7 +132,9 @@ class _ColumnVectors:
         self.notnull_possible = self.unknown | self.valued
 
 
-def _pack_column(name: str, zone_maps: list[ZoneMap]) -> _ColumnVectors | None:
+def _pack_column(name: str, zone_maps: list[ZoneMap],
+                 block_rows: tuple[np.ndarray, np.ndarray, list[StatsBlock]]
+                 ) -> _ColumnVectors | None:
     """Pack one column's stats into vectors, or None if not packable.
 
     A column is packable only when every present min/max value fits its
@@ -141,54 +144,58 @@ def _pack_column(name: str, zone_maps: list[ZoneMap]) -> _ColumnVectors | None:
     compares mixed numeric types exactly; numpy promotes int64 vs
     float64 lossily, so any value or mix we cannot prove exact routes
     the whole pruner to the scalar path instead.
+
+    Rows viewing a :class:`StatsBlock` with the column are gathered
+    from its lanes (``block_rows``: see ``StatsIndex._block_rows``);
+    only zone maps that no build made are read one by one.
     """
+    codes, at, blocks = block_rows
     n = len(zone_maps)
-    present = np.zeros(n, dtype=bool)
-    has_min = np.zeros(n, dtype=bool)
-    rows = np.zeros(n, dtype=np.int64)
-    nulls = np.zeros(n, dtype=np.int64)
-    kind: str | None = None
-    lo_vals: list[Any] = [None] * n
-    hi_vals: list[Any] = [None] * n
+    lanes = [block.lanes.get(name) for block in blocks]
+    viewed = np.array([lane is not None for lane in lanes] + [False])[codes]
+    hand = [(i, stats) for i in np.flatnonzero(~viewed).tolist()
+            if zone_maps[i].block is None
+            and (stats := zone_maps[i].columns.get(name)) is not None
+            and stats.present]
+    kinds = ({_kind_of(lane[0]) for lane in lanes if lane is not None}
+             | {_kind_of(stats.dtype) for _, stats in hand})
+    if len(kinds) > 1 or None in kinds:
+        return None
+    # No partition with stats for this column: every row is "unknown";
+    # the lane is arbitrary.
+    kind = kinds.pop() if kinds else _INT_KIND
+    lo = np.full(n, "" if kind == _STR_KIND else 0, dtype={
+        _INT_KIND: np.int64, _FLOAT_KIND: np.float64, _STR_KIND: object}[kind])
+    hi = lo.copy()
+    present, has_min = viewed.copy(), np.zeros(n, dtype=bool)
+    rows, nulls = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    if viewed.any():
+        used = [(b, lane) for b, lane in zip(blocks, lanes) if lane]
+        sizes = [len(b.row_counts) if lane else 0
+                 for b, lane in zip(blocks, lanes)]
+        flat = np.cumsum([0] + sizes)[codes[viewed]] + at[viewed]
 
-    for i, zone_map in enumerate(zone_maps):
-        stats = zone_map.columns.get(name)
-        if stats is None or not stats.present:
-            continue
-        this_kind = _kind_of(stats.dtype)
-        if this_kind is None or (kind is not None and this_kind != kind):
-            return None
-        kind = this_kind
+        def gather(parts: list[np.ndarray]) -> np.ndarray:
+            return (parts[0] if len(parts) == 1
+                    else np.concatenate(parts))[flat]
+
+        rows[viewed] = gather([b.row_counts for b, _ in used])
+        nulls[viewed] = gather([lane[3] for _, lane in used])
+        has_min[viewed] = valued = nulls[viewed] < rows[viewed]
+        lo[has_min] = gather([lane[1] for _, lane in used])[valued]
+        hi[has_min] = gather([lane[2] for _, lane in used])[valued]
+    for i, stats in hand:
         present[i] = True
-        rows[i] = stats.row_count
-        nulls[i] = stats.null_count
-        if stats.min_value is None:
-            continue
-        lo = _pack_value(stats.min_value, kind)
-        hi = _pack_value(stats.max_value, kind)
-        if lo is None or hi is None:
-            return None
-        has_min[i] = True
-        lo_vals[i] = lo
-        hi_vals[i] = hi
-
-    if kind is None:
-        # No partition has stats for this column: every row is
-        # "unknown"; the lane is arbitrary.
-        kind = _INT_KIND
-    if kind == _STR_KIND:
-        lo_arr = np.array([v if v is not None else "" for v in lo_vals],
-                          dtype=object)
-        hi_arr = np.array([v if v is not None else "" for v in hi_vals],
-                          dtype=object)
-    else:
-        np_dtype = np.int64 if kind == _INT_KIND else np.float64
-        lo_arr = np.array([v if v is not None else 0 for v in lo_vals],
-                          dtype=np_dtype)
-        hi_arr = np.array([v if v is not None else 0 for v in hi_vals],
-                          dtype=np_dtype)
-    return _ColumnVectors(kind, lo_arr, hi_arr, present, has_min,
-                          rows, nulls)
+        rows[i], nulls[i] = stats.row_count, stats.null_count
+        if stats.min_value is not None:
+            low = _pack_value(stats.min_value, kind)
+            high = _pack_value(stats.max_value, kind)
+            if low is None or high is None:
+                return None
+            lo[i], hi[i], has_min[i] = low, high, True
+    if kind == _FLOAT_KIND and (np.isnan(lo).any() or np.isnan(hi).any()):
+        return None
+    return _ColumnVectors(kind, lo, hi, present, has_min, rows, nulls)
 
 
 def _pack_value(value: Any, kind: str) -> Any:
@@ -230,6 +237,15 @@ class StatsIndex:
         self.row_counts: np.ndarray = np.array(
             [zm.row_count for zm in self._zone_maps], dtype=np.int64)
         self._columns: dict[str, _ColumnVectors | None] = {}
+        number: dict[StatsBlock, int] = {}
+        #: per row, the number of the stats block its zone map views (-1:
+        #: none) and the row there, beside the blocks in order of use
+        self._block_rows = (np.fromiter(
+            (-1 if zm.block is None else number.setdefault(
+                zm.block, len(number)) for zm in self._zone_maps),
+            dtype=np.intp, count=len(pairs)), np.fromiter(
+            (zm.row for zm in self._zone_maps), dtype=np.intp,
+            count=len(pairs)), list(number))
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -253,7 +269,8 @@ class StatsIndex:
         column cannot be packed exactly."""
         with self._lock:
             if name not in self._columns:
-                self._columns[name] = _pack_column(name, self._zone_maps)
+                self._columns[name] = _pack_column(
+                    name, self._zone_maps, self._block_rows)
             return self._columns[name]
 
     def with_changes(
@@ -312,7 +329,7 @@ def _bind_literal(value: Any, kind: str) -> Any:
     """
     if kind == _STR_KIND:
         if isinstance(value, str):
-            return _object_scalar(value)
+            return object_scalar(value)
         raise _Unbindable(f"non-string literal {value!r} on str lane")
     if kind == _INT_KIND:
         if (isinstance(value, int)
@@ -324,11 +341,6 @@ def _bind_literal(value: Any, kind: str) -> Any:
         if as_float == value:
             return as_float
     raise _Unbindable(f"literal {value!r} not exact on float64 lane")
-
-
-def _object_scalar(value: str) -> np.ndarray:
-    """``value`` as a 1-element object array, compared by Python."""
-    return np.array([value], dtype=object)
 
 
 def _column(index: StatsIndex, name: str) -> _ColumnVectors:
@@ -462,8 +474,8 @@ def _compile_startswith(expr: ast.StartsWith) -> _NodeFn | None:
         if succ is None:
             below_succ = np.ones(n, dtype=bool)
         else:
-            below_succ = _as_bool(lo < _object_scalar(succ))
-        can_true = below_succ & _as_bool(_object_scalar(needle) <= hi)
+            below_succ = _as_bool(lo < object_scalar(succ))
+        can_true = below_succ & _as_bool(object_scalar(needle) <= hi)
         all_match = np.fromiter(
             (a.startswith(needle) and b.startswith(needle)
              for a, b in zip(lo, hi)),

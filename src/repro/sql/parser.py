@@ -405,26 +405,26 @@ class _Parser:
             self.advance()
             op = "<>" if token.value == "!=" else token.value
             return ast.Compare(op, left, self._additive())
-        if self.check_keyword("BETWEEN"):
-            self.advance()
-            lo = self._additive()
-            self.expect_keyword("AND")
-            hi = self._additive()
-            return ast.between(left, lo, hi)
         negated = False
         if self.check_keyword("NOT"):
             lookahead = self.tokens[self.pos + 1]
             if lookahead.kind == "IDENT" and lookahead.upper in (
-                    "LIKE", "IN"):
+                    "LIKE", "IN", "BETWEEN"):
                 self.advance()
                 negated = True
+        if self.accept_keyword("BETWEEN"):
+            lo = self._additive()
+            self.expect_keyword("AND")
+            hi = self._additive()
+            result: ast.Expr = ast.between(left, lo, hi)
+            return ast.Not(result) if negated else result
         if self.accept_keyword("LIKE"):
             pattern_token = self.peek()
             if pattern_token.kind != "STRING":
                 raise ParseError("LIKE requires a string pattern",
                                  position=pattern_token.pos)
             self.advance()
-            result: ast.Expr = ast.Like(left, pattern_token.value)
+            result = ast.Like(left, pattern_token.value)
             return ast.Not(result) if negated else result
         if self.accept_keyword("IN"):
             self.expect_symbol("(")
@@ -435,7 +435,7 @@ class _Parser:
             result = ast.InList(left, values)
             return ast.Not(result) if negated else result
         if negated:
-            raise ParseError("expected LIKE or IN after NOT",
+            raise ParseError("expected LIKE, IN or BETWEEN after NOT",
                              position=self.peek().pos)
         if self.accept_keyword("IS"):
             is_negated = self.accept_keyword("NOT")

@@ -17,9 +17,9 @@ from ..errors import SchemaError
 from ..types import Schema
 from .clustering import Layout
 from .column import _DUMMY, Column, columns_from_rows
-from .micropartition import MicroPartition
+from .micropartition import MicroPartition, checked_columns
 from .table import Table
-from .zonemap import ColumnStats, ZoneMap
+from .zonemap import StatsBlock, ZoneMap
 
 DEFAULT_ROWS_PER_PARTITION = 1000
 
@@ -82,33 +82,41 @@ def build_table_from_columns(
         layout: Layout | None = None) -> Table:
     """Build a table from whole-table columns keyed by schema name.
 
-    NULL slots are reset to their dummy values first (a rewritten
-    column may hold anything there). Columns are permuted and cut one
-    at a time, so beside the partitions at most one whole column is
-    alive; each partition owns copies of its slices, so dropping it
-    frees them.
+    Names, dtypes and lengths are checked once, before any partition id
+    is allocated. NULL slots are reset to their dummy values (a
+    rewritten column may hold anything there). Columns are permuted and
+    cut one at a time, so beside the partitions at most one whole
+    column is alive; each partition owns copies of its slices, so
+    dropping it frees them. Zone maps are views of one
+    :class:`~.zonemap.StatsBlock`.
     """
     if rows_per_partition <= 0:
         raise SchemaError("rows_per_partition must be positive")
-    columns = {f.name: columns[f.name] for f in schema}
+    columns, n = checked_columns(schema, columns)
     for key, c in columns.items():
         if c.nulls.any():
             columns[key] = Column(c.dtype, np.where(
                 c.nulls, _DUMMY[c.dtype], c.values), c.nulls)
-    n = len(next(iter(columns.values()), ()))
     order = (layout.permutation(schema, columns, n)
              if layout is not None else None)
-    starts = list(range(0, n, rows_per_partition))
-    bounds = list(zip(starts, starts[1:] + [n]))
-    stats, pieces = {}, {}
+    if not n:
+        return Table(name, schema)
+    starts = np.arange(0, n, rows_per_partition)
+    lows = starts.tolist()
+    highs = lows[1:] + [n]  # no list of (low, high) tuples: GC-tracked
+    block = StatsBlock(np.diff(starts, append=n))
+    checksums, pieces = [0] * len(lows), {}
     for key in schema.names():
         c = columns.pop(key)
         if order is not None:
             c = c.take(order)
-        stats[key] = ColumnStats.per_slice(c, starts)
+        block.add(key, c, starts)
+        checksums = c.crc32_slices(starts, checksums)
         pieces[key] = [Column(c.dtype, c.values[a:b].copy(),
-                              c.nulls[a:b].copy()) for a, b in bounds]
+                              c.nulls[a:b].copy())
+                       for a, b in zip(lows, highs)]
     return Table(name, schema, [MicroPartition(
         schema, {key: p[i] for key, p in pieces.items()},
-        zone_map=ZoneMap(b - a, {key: s[i] for key, s in stats.items()}))
-        for i, (a, b) in enumerate(bounds)])
+        zone_map=ZoneMap(row_count, block=block, row=i),
+        checksum=checksums[i], checked=True)
+        for i, row_count in enumerate(block.row_counts.tolist())])

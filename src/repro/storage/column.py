@@ -97,8 +97,10 @@ class Column:
         """A column repeating one scalar (``None`` yields all NULLs)."""
         if value is None:
             return cls.all_null(dtype, length)
-        coerced = cls._coerce(dtype, value)
-        values = np.full(length, coerced, dtype=dtype.numpy_dtype())
+        values = np.empty(length, dtype=dtype.numpy_dtype())
+        # fill, not np.full: that makes a str fixed-width first and so
+        # drops its trailing NULs
+        values.fill(cls._coerce(dtype, value))
         return cls(dtype, values, np.zeros(length, dtype=np.bool_))
 
     @staticmethod
@@ -189,33 +191,34 @@ class Column:
                 out[int(i)] = None
         return out
 
-    def crc32(self, state: int = 0) -> int:
-        """Fold this column's contents into a CRC-32 ``state``.
-
-        Used for per-partition content checksums: VARCHAR columns
-        (object arrays) are hashed value-by-value with NUL separators;
-        fixed-width columns hash their raw buffer. The null mask is
-        always included so NULL vs dummy-value differences are caught.
-        """
+    def crc32_slices(self, starts: np.ndarray,
+                     states: Sequence[int]) -> list[int]:
+        """Fold each slice starting at ``starts[i]`` (the last runs to
+        the end) into the CRC-32 ``states[i]``: per-partition content
+        checksums. VARCHAR values hash with a 4-byte length prefix
+        (NULL is one ``0xff`` byte), fixed-width ones as their raw
+        buffer, then the null mask, so NULL vs dummy-value differences
+        are caught. The column is encoded once and cut per slice."""
         import zlib
 
+        bounds = np.append(starts, len(self)).tolist()
+        spans = zip(bounds, bounds[1:])
         if self.dtype == DataType.VARCHAR:
-            for value, is_null in zip(self.values, self.nulls):
-                if is_null:
-                    state = zlib.crc32(b"\xff", state)
-                else:
-                    # surrogatepass: lone surrogates are legal Python
-                    # str contents and must hash, not crash.
-                    encoded = value.encode("utf-8", "surrogatepass")
-                    # Length prefix keeps value boundaries unambiguous.
-                    state = zlib.crc32(
-                        len(encoded).to_bytes(4, "little") + encoded,
-                        state)
-        else:
-            state = zlib.crc32(np.ascontiguousarray(
-                self.values).tobytes(), state)
-        return zlib.crc32(np.ascontiguousarray(
-            self.nulls).tobytes(), state)
+            # surrogatepass: lone surrogates are legal Python str
+            # contents and must hash, not crash.
+            chunks = [b"\xff" if is_null else len(
+                e := v.encode("utf-8", "surrogatepass")).to_bytes(
+                    4, "little") + e
+                for v, is_null in zip(self.values.tolist(),
+                                      self.nulls.tolist())]
+            data = [b"".join(chunks[a:b]) for a, b in spans]
+        else:  # bytes, not memoryviews or tuples: untracked by the GC
+            raw, size = self.values.tobytes(), self.values.itemsize
+            data = [raw[a * size:b * size] for a, b in spans]
+        masks = self.nulls.tobytes()
+        return [zlib.crc32(masks[a:b], zlib.crc32(piece, state))
+                for state, piece, a, b in zip(states, data, bounds,
+                                              bounds[1:])]
 
     def nbytes(self) -> int:
         """Approximate in-memory size, used by the storage cost model
@@ -236,6 +239,13 @@ class Column:
         preview = self.to_pylist()[:6]
         suffix = ", ..." if len(self) > 6 else ""
         return f"Column<{self.dtype.value}>[{len(self)}]({preview}{suffix})"
+
+
+def object_scalar(value: Any) -> np.ndarray:
+    """``value`` as a 1-element object array, which an object lane
+    compares with by Python: against a bare str numpy makes it a
+    fixed-width string and drops trailing NULs."""
+    return np.array([value], dtype=object)
 
 
 def column_from_values(items: Iterable[Any],

@@ -90,23 +90,7 @@ class MetadataStore:
     def register(self, table: str, partition_id: int,
                  zone_map: ZoneMap) -> None:
         """Add or replace metadata for one partition of a table."""
-        table = table.lower()
-        key = (table, partition_id)
-        with self._lock:
-            if key not in self._entries:
-                self._table_partitions.setdefault(
-                    table, {})[partition_id] = None
-                if partition_id in self._stats_dirty.get(table, ()):
-                    # Dropped since the last snapshot and back again:
-                    # it now lists last, which a delta per id cannot
-                    # say. Resnapshot on the next stats_index().
-                    del self._stats_indexes[table]
-                    del self._stats_dirty[table]
-            self._entries[key] = zone_map
-            if table in self._stats_indexes:
-                self._stats_dirty.setdefault(table, {})[partition_id] = \
-                    zone_map
-            self.version += 1
+        self.register_table(table, [(partition_id, zone_map)])
 
     def unregister(self, table: str, partition_id: int) -> None:
         """Remove a partition's metadata (after DELETE/rewrite)."""
@@ -134,8 +118,26 @@ class MetadataStore:
 
     def register_table(self, table: str,
                        zone_maps: Iterable[tuple[int, ZoneMap]]) -> None:
-        for partition_id, zone_map in zone_maps:
-            self.register(table, partition_id, zone_map)
+        """Add or replace metadata for partitions of a table, in order,
+        under one lock acquisition."""
+        table = table.lower()
+        with self._lock:
+            for partition_id, zone_map in zone_maps:
+                key = (table, partition_id)
+                if key not in self._entries:
+                    self._table_partitions.setdefault(
+                        table, {})[partition_id] = None
+                    if partition_id in self._stats_dirty.get(table, ()):
+                        # Dropped since the last snapshot and back again:
+                        # it now lists last, which a delta per id cannot
+                        # say. Resnapshot on the next stats_index().
+                        del self._stats_indexes[table]
+                        del self._stats_dirty[table]
+                self._entries[key] = zone_map
+                if table in self._stats_indexes:
+                    self._stats_dirty.setdefault(table, {})[partition_id] = \
+                        zone_map
+                self.version += 1
 
     def drop_table(self, table: str) -> None:
         table = table.lower()

@@ -39,6 +39,27 @@ class _IdGenerator:
 partition_id_generator = _IdGenerator()
 
 
+def checked_columns(schema: Schema, columns: Mapping[str, Column]
+                    ) -> tuple[dict[str, Column], int]:
+    """``columns`` keyed by lower-case name and their one length, or a
+    SchemaError: names, dtypes or lengths that do not fit."""
+    normalized = {name.lower(): col for name, col in columns.items()}
+    if set(normalized) != set(schema.names()):
+        raise SchemaError(
+            f"columns {sorted(normalized)} do not match schema "
+            f"{schema.names()}")
+    lengths = {len(col) for col in normalized.values()}
+    if len(lengths) > 1:
+        raise SchemaError(f"ragged column lengths: {sorted(lengths)}")
+    for field in schema:
+        if normalized[field.name].dtype != field.dtype:
+            raise SchemaError(
+                f"column {field.name!r} has dtype "
+                f"{normalized[field.name].dtype}, schema says "
+                f"{field.dtype}")
+    return normalized, lengths.pop() if lengths else 0
+
+
 class MicroPartition:
     """An immutable columnar chunk with zone-map metadata."""
 
@@ -48,21 +69,10 @@ class MicroPartition:
     def __init__(self, schema: Schema, columns: Mapping[str, Column],
                  partition_id: int | None = None,
                  zone_map: ZoneMap | None = None,
-                 checksum: int | None = None):
-        normalized = {name.lower(): col for name, col in columns.items()}
-        if set(normalized) != set(schema.names()):
-            raise SchemaError(
-                f"columns {sorted(normalized)} do not match schema "
-                f"{schema.names()}")
-        lengths = {len(col) for col in normalized.values()}
-        if len(lengths) > 1:
-            raise SchemaError(f"ragged column lengths: {sorted(lengths)}")
-        for field in schema:
-            if normalized[field.name].dtype != field.dtype:
-                raise SchemaError(
-                    f"column {field.name!r} has dtype "
-                    f"{normalized[field.name].dtype}, schema says "
-                    f"{field.dtype}")
+                 checksum: int | None = None, checked: bool = False):
+        # a build checks its columns once per table, not per partition
+        normalized = (columns if checked
+                      else checked_columns(schema, columns)[0])
         self.partition_id = (
             partition_id if partition_id is not None
             else partition_id_generator())
@@ -127,7 +137,7 @@ class MicroPartition:
         """
         state = 0
         for field in self.schema:
-            state = self._columns[field.name].crc32(state)
+            state = self._columns[field.name].crc32_slices([0], [state])[0]
         return state
 
     def verify_integrity(self) -> None:

@@ -250,27 +250,31 @@ class StorageLayer:
         self.io_sleep_ms: float = 0.0
 
     def put(self, partition: MicroPartition) -> int:
-        """Store a partition; returns its id.
+        """Store a partition; returns its id (see :meth:`put_all`)."""
+        return self.put_all([partition])[0]
+
+    def put_all(self, partitions: Iterable[MicroPartition]) -> list[int]:
+        """Store partitions under one lock acquisition; returns their ids.
 
         Micro-partitions are immutable and ids are never reused (DML
         rewrites mint fresh ids), so an id collision is always a bug —
         and silently overwriting would let caches serve stale bytes.
 
         Raises:
-            StorageError: a different partition already holds this id.
+            StorageError: a different partition already holds an id.
         """
+        ids = []
         with self._map_lock:
-            existing = self._partitions.get(partition.partition_id)
-            if existing is not None and existing is not partition:
-                raise StorageError(
-                    f"partition id {partition.partition_id} already "
-                    f"exists; micro-partition ids are immutable and "
-                    f"never reused")
-            self._partitions[partition.partition_id] = partition
-        return partition.partition_id
-
-    def put_all(self, partitions: Iterable[MicroPartition]) -> list[int]:
-        return [self.put(p) for p in partitions]
+            for partition in partitions:
+                existing = self._partitions.get(partition.partition_id)
+                if existing is not None and existing is not partition:
+                    raise StorageError(
+                        f"partition id {partition.partition_id} already "
+                        f"exists; micro-partition ids are immutable and "
+                        f"never reused")
+                self._partitions[partition.partition_id] = partition
+                ids.append(partition.partition_id)
+        return ids
 
     def delete(self, partition_id: int) -> None:
         with self._map_lock:

@@ -46,7 +46,8 @@ class Table:
         return self._version
 
     def add_partition(self, partition: MicroPartition) -> None:
-        if partition.schema != self.schema:
+        if (partition.schema is not self.schema
+                and partition.schema != self.schema):
             raise SchemaError(
                 f"partition schema {partition.schema} does not match table "
                 f"{self.name!r} schema {self.schema}")

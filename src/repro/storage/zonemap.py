@@ -49,44 +49,7 @@ class ColumnStats:
 
     @classmethod
     def from_column(cls, column: Column) -> "ColumnStats":
-        if not len(column):
-            return cls(column.dtype, None, None, 0, 0)
-        return cls.per_slice(column, [0])[0]
-
-    @classmethod
-    def per_slice(cls, column: Column,
-                  starts: list[int]) -> list["ColumnStats"]:
-        """Stats of each slice ``column[starts[i]:starts[i + 1]]`` (the
-        last one runs to the end), min / max over non-NULL values in
-        internal representation, NaN winning both: one reduceat pass per
-        statistic with NULL slots masked by a value that cannot win, or
-        Python's min / max per slice for VARCHAR.
-        """
-        stops = starts[1:] + [len(column)]
-        nulls = column.nulls
-        masked = nulls.any()
-        null_counts = (np.add.reduceat(nulls, starts, dtype=np.int64).tolist()
-                       if masked else [0] * len(starts))
-        if column.dtype == DataType.VARCHAR:
-            present = [column.values[start:stop][~nulls[start:stop]]
-                       for start, stop in zip(starts, stops)]
-            lows = [min(p, default=None) for p in present]
-            highs = [max(p, default=None) for p in present]
-        else:
-            high, low = _EXTREMES[column.dtype]
-            values = column.values
-            lows = np.minimum.reduceat(
-                np.where(nulls, high, values) if masked else values,
-                starts).tolist()
-            highs = np.maximum.reduceat(
-                np.where(nulls, low, values) if masked else values,
-                starts).tolist()
-        return [cls(column.dtype,
-                    lo if count < stop - start else None,
-                    hi if count < stop - start else None,
-                    count, stop - start)
-                for lo, hi, count, start, stop
-                in zip(lows, highs, null_counts, starts, stops)]
+        return ZoneMap.from_columns({"c": column}).stats("c")
 
     @classmethod
     def unknown(cls, dtype: DataType, row_count: int) -> "ColumnStats":
@@ -195,39 +158,106 @@ def prefix_successor(prefix: str) -> str | None:
     return None
 
 
-#: backwards-compatible alias (pre-1.10 internal name)
-_round_up = prefix_successor
+class StatsBlock:
+    """One build's zone-map statistics as lanes: per column, the min and
+    max over non-NULL values (internal representation, NaN winning
+    both; meaningless where the NULL count reaches the row count) and
+    the NULL count of each slice, beside ``row_counts``. Zone maps are
+    views of one row; the stats index gathers the lanes directly."""
+
+    __slots__ = ("row_counts", "lanes")
+
+    def __init__(self, row_counts: np.ndarray):
+        self.row_counts = row_counts
+        #: name -> (dtype, lows, highs, null counts)
+        self.lanes: dict[str, tuple] = {}
+
+    def add(self, name: str, column: Column, starts: np.ndarray) -> None:
+        """Reduce the slices of ``column`` starting at ``starts`` (the
+        last runs to the end) into lanes: one reduceat pass per lane,
+        NULL slots masked by a value that cannot win, or Python's min /
+        max per slice for VARCHAR."""
+        nulls, masked = column.nulls, column.nulls.any()
+        counts = (np.add.reduceat(nulls, starts, dtype=np.int64)
+                  if masked else np.zeros(len(starts), dtype=np.int64))
+        if column.dtype == DataType.VARCHAR:
+            stops = starts[1:].tolist() + [len(column)]
+            present = [column.values[start:stop][~nulls[start:stop]]
+                       for start, stop in zip(starts.tolist(), stops)]
+            lows = np.array([min(p, default=None) for p in present],
+                            dtype=object)
+            highs = np.array([max(p, default=None) for p in present],
+                             dtype=object)
+        else:
+            high, low = _EXTREMES[column.dtype]
+            values = column.values
+            lows = np.minimum.reduceat(
+                np.where(nulls, high, values) if masked else values, starts)
+            highs = np.maximum.reduceat(
+                np.where(nulls, low, values) if masked else values, starts)
+        self.lanes[name] = (column.dtype, lows, highs, counts)
+
+    def stats(self, row: int, name: str) -> ColumnStats:
+        """Row ``row``'s stats of column ``name`` as Python values."""
+        dtype, lows, highs, nulls = self.lanes[name]
+        count, rows = nulls.item(row), self.row_counts.item(row)
+        if count < rows:
+            return ColumnStats(dtype, lows.item(row), highs.item(row),
+                               count, rows)
+        return ColumnStats(dtype, None, None, count, rows)
 
 
 class ZoneMap:
-    """Partition-level metadata: row count plus per-column stats."""
+    """Partition-level metadata: row count plus per-column stats, given
+    as ``columns`` or a view of row ``row`` of a :class:`StatsBlock`
+    whose :class:`ColumnStats` are materialised on first read."""
 
-    __slots__ = ("row_count", "columns")
+    __slots__ = ("row_count", "block", "row", "_stats")
 
-    def __init__(self, row_count: int, columns: Mapping[str, ColumnStats]):
-        self.row_count = row_count
-        self.columns: dict[str, ColumnStats] = dict(columns)
+    def __init__(self, row_count: int,
+                 columns: Mapping[str, ColumnStats] | None = None,
+                 block: StatsBlock | None = None, row: int = 0):
+        self.row_count, self.block, self.row = row_count, block, row
+        self._stats: dict[str, ColumnStats] | None = (
+            None if block is not None else dict(columns or {}))
 
     @classmethod
     def from_columns(cls, columns: Mapping[str, Column]) -> "ZoneMap":
         """Compute a zone map from materialized column data."""
-        stats = {name: ColumnStats.from_column(col)
-                 for name, col in columns.items()}
-        row_count = 0
-        for col in columns.values():
-            row_count = len(col)
-            break
-        return cls(row_count, stats)
+        n = len(next(iter(columns.values()), ()))
+        if not n:  # nothing to reduce
+            return cls(0, {name: ColumnStats(c.dtype, None, None, 0, 0)
+                           for name, c in columns.items()})
+        block = StatsBlock(np.array([n]))
+        for name, column in columns.items():
+            block.add(name, column, np.zeros(1, dtype=np.intp))
+        return cls(n, {name: block.stats(0, name) for name in columns})
+
+    @property
+    def columns(self) -> dict[str, ColumnStats]:
+        """Stats by column name (a view materialises every column)."""
+        stats = self._stats
+        if self.block is not None and len(stats or ()) < len(self.block.lanes):
+            stats = {name: self.stats(name) for name in self.block.lanes}
+            self._stats = stats
+        return stats
 
     def stats(self, name: str) -> ColumnStats:
-        try:
-            return self.columns[name.lower()]
-        except KeyError:
-            raise MetadataError(f"no stats for column {name!r}") from None
+        key = name.lower()
+        stats = (self._stats or {}).get(key)
+        if stats is None:
+            if self.block is None or key not in self.block.lanes:
+                raise MetadataError(f"no stats for column {name!r}")
+            stats = self.block.stats(self.row, key)
+            # a new dict, not an insert: readers never see it change
+            self._stats = {**(self._stats or {}), key: stats}
+        return stats
 
     def has_stats(self, name: str) -> bool:
-        stats = self.columns.get(name.lower())
-        return stats is not None and stats.present
+        try:
+            return self.stats(name).present
+        except MetadataError:
+            return False
 
     def with_truncated_strings(self, max_length: int = 32) -> "ZoneMap":
         """A copy whose VARCHAR stats are length-bounded (still sound)."""

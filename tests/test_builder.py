@@ -9,7 +9,9 @@ does, where ``list.sort`` left NaN wherever its false comparisons fell.
 Hypothesis drives both and demands the same partitions in the same
 order: values, nulls, dtypes, zone-map stats (down to the Python type of
 min / max) and checksums. Recluster, WAL replay and error behaviour are
-compared the same way.
+compared the same way. The last section keeps what the stats block
+replaced as references: one ``ColumnStats`` per slice, the stats
+index's zone-map-at-a-time packing and the value-at-a-time checksum.
 """
 
 from __future__ import annotations
@@ -27,7 +29,11 @@ from hypothesis import given, settings
 from repro import Catalog, Layout
 from repro.errors import SchemaError
 from repro.recluster import IncrementalReclusterer, ReclusterJob
-from repro.storage.builder import TableBuilder, build_table
+from repro.pruning import stats_index as si
+from repro.pruning.stats_index import StatsIndex
+from repro.storage.builder import (TableBuilder, build_table,
+                                   build_table_from_columns,
+                                   concat_partitions)
 from repro.storage.column import _DUMMY, Column
 from repro.storage.micropartition import MicroPartition, partition_id_generator
 from repro.storage.table import Table
@@ -201,7 +207,8 @@ def assert_same_partitions(product, reference):
 # ----------------------------------------------------------------------
 # Inputs
 # ----------------------------------------------------------------------
-_STRINGS = ["", "a", "ab", "b", "\ud800", "a\udfff", "\U0010ffff", "é"]
+_STRINGS = ["", "a", "ab", "b", "\ud800", "a\udfff", "\U0010ffff", "é",
+            "a\x00", "\x00"]
 
 
 def values_of(dtype: DataType, dates_as_ints: bool):
@@ -470,3 +477,242 @@ class TestOneConversionPerColumn:
         large = self.counts(monkeypatch, 4000)
         assert small == large
         assert small["from_column"] == 0
+
+
+# ----------------------------------------------------------------------
+# Stats blocks against the per-partition objects they replaced
+# ----------------------------------------------------------------------
+_EXTREMES = {
+    DataType.INTEGER: (2 ** 63 - 1, -2 ** 63),
+    DataType.DATE: (2 ** 63 - 1, -2 ** 63),
+    DataType.DOUBLE: (np.inf, -np.inf),
+    DataType.BOOLEAN: (True, False),
+}
+
+
+def per_slice(column: Column, starts: list[int]) -> list[ColumnStats]:
+    """The build's former ``ColumnStats.per_slice``: one ColumnStats per
+    slice, reduceat per statistic, Python's min / max for VARCHAR."""
+    stops = starts[1:] + [len(column)]
+    nulls = column.nulls
+    masked = nulls.any()
+    null_counts = (np.add.reduceat(nulls, starts, dtype=np.int64).tolist()
+                   if masked else [0] * len(starts))
+    if column.dtype == DataType.VARCHAR:
+        present = [column.values[start:stop][~nulls[start:stop]]
+                   for start, stop in zip(starts, stops)]
+        lows = [min(p, default=None) for p in present]
+        highs = [max(p, default=None) for p in present]
+    else:
+        high, low = _EXTREMES[column.dtype]
+        values = column.values
+        lows = np.minimum.reduceat(
+            np.where(nulls, high, values) if masked else values,
+            starts).tolist()
+        highs = np.maximum.reduceat(
+            np.where(nulls, low, values) if masked else values,
+            starts).tolist()
+    return [ColumnStats(column.dtype,
+                        lo if count < stop - start else None,
+                        hi if count < stop - start else None,
+                        count, stop - start)
+            for lo, hi, count, start, stop
+            in zip(lows, highs, null_counts, starts, stops)]
+
+
+def pack_column(name: str, zone_maps: list[ZoneMap]):
+    """The stats index's former packing: one zone map at a time."""
+    n = len(zone_maps)
+    present = np.zeros(n, dtype=bool)
+    has_min = np.zeros(n, dtype=bool)
+    rows = np.zeros(n, dtype=np.int64)
+    nulls = np.zeros(n, dtype=np.int64)
+    kind = None
+    lo_vals = [None] * n
+    hi_vals = [None] * n
+    for i, zone_map in enumerate(zone_maps):
+        stats = zone_map.columns.get(name)
+        if stats is None or not stats.present:
+            continue
+        this_kind = si._kind_of(stats.dtype)
+        if this_kind is None or (kind is not None and this_kind != kind):
+            return None
+        kind = this_kind
+        present[i] = True
+        rows[i] = stats.row_count
+        nulls[i] = stats.null_count
+        if stats.min_value is None:
+            continue
+        lo = si._pack_value(stats.min_value, kind)
+        hi = si._pack_value(stats.max_value, kind)
+        if lo is None or hi is None:
+            return None
+        has_min[i] = True
+        lo_vals[i] = lo
+        hi_vals[i] = hi
+    kind = kind or si._INT_KIND
+    np_dtype = {si._INT_KIND: np.int64, si._FLOAT_KIND: np.float64,
+                si._STR_KIND: object}[kind]
+    filler = "" if kind == si._STR_KIND else 0
+    lo_arr = np.array([filler if v is None else v for v in lo_vals],
+                      dtype=np_dtype)
+    hi_arr = np.array([filler if v is None else v for v in hi_vals],
+                      dtype=np_dtype)
+    return si._ColumnVectors(kind, lo_arr, hi_arr, present, has_min,
+                             rows, nulls)
+
+
+def column_crc32(column: Column, state: int = 0) -> int:
+    """The former ``Column.crc32``: one ``zlib.crc32`` per VARCHAR
+    value, one per fixed-width buffer."""
+    import zlib
+
+    if column.dtype == DataType.VARCHAR:
+        for value, is_null in zip(column.values, column.nulls):
+            if is_null:
+                state = zlib.crc32(b"\xff", state)
+            else:
+                encoded = value.encode("utf-8", "surrogatepass")
+                state = zlib.crc32(
+                    len(encoded).to_bytes(4, "little") + encoded, state)
+    else:
+        state = zlib.crc32(np.ascontiguousarray(
+            column.values).tobytes(), state)
+    return zlib.crc32(np.ascontiguousarray(column.nulls).tobytes(), state)
+
+
+def same_stats(got: ColumnStats, want: ColumnStats) -> bool:
+    return (type(got) is type(want) and got.dtype == want.dtype
+            and same_scalar(got.min_value, want.min_value)
+            and same_scalar(got.max_value, want.max_value)
+            and same_scalar(got.null_count, want.null_count)
+            and same_scalar(got.row_count, want.row_count)
+            and got.present is want.present)
+
+
+def assert_same_lanes(got, want):
+    """Packed vectors, lane for lane: dtypes, bits (-0.0) and, on str
+    lanes, the Python objects."""
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    assert got.kind == want.kind
+    for slot in si._ColumnVectors.__slots__[1:]:
+        g, w = getattr(got, slot), getattr(want, slot)
+        assert g.dtype == w.dtype, slot
+        if g.dtype == object:
+            assert [(type(v), v) for v in g.tolist()] == \
+                [(type(v), v) for v in w.tolist()], slot
+        else:
+            assert g.tobytes() == w.tobytes(), slot
+
+
+def assert_index_equals_loop(index: StatsIndex, names):
+    for name in names:
+        got = index.column(name)
+        want = pack_column(name, [zm for _, zm in index.entries()])
+        assert_same_lanes(got, want)
+
+
+@st.composite
+def column_builds(draw):
+    """Whole columns of every dtype: NULLs, NaN, -0.0, +-inf, 2**63-1,
+    NUL-suffixed strings and lone surrogates; all-NULL slices and
+    empty tables come with small partitions and short inputs."""
+    schema, rows, rows_per_partition, layout = draw(builds())
+    if draw(st.booleans()):  # a run of NULLs, often a whole slice
+        at = draw(st.integers(0, len(rows)))
+        rows[at:at] = [(None,) * len(schema)] * draw(st.integers(1, 6))
+    return schema, rows, rows_per_partition, layout
+
+
+class TestStatsBlockDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(column_builds())
+    def test_views_lanes_and_checksums_equal_the_objects(self, case):
+        schema, rows, rows_per_partition, layout = case
+        table = build_table("t", schema, rows, rows_per_partition, layout)
+        partitions = table.partitions
+        index = StatsIndex((p.partition_id, p.zone_map) for p in partitions)
+        for name in schema.names():
+            index.column(name)
+        # packing read the block, never a zone map's stats
+        assert all(p.zone_map._stats is None for p in partitions)
+        assert_index_equals_loop(index, schema.names())
+        columns = concat_partitions(schema, partitions)
+        starts = [0]
+        for p in partitions[:-1]:
+            starts.append(starts[-1] + p.row_count)
+        for f in schema:
+            want = per_slice(columns[f.name], starts) if partitions else []
+            got = [p.zone_map.stats(f.name) for p in partitions]
+            assert all(map(same_stats, got, want)), (got, want)
+            # materialised once, then kept
+            assert all(p.zone_map.stats(f.name) is s
+                       for p, s in zip(partitions, got))
+        for p in partitions:
+            assert list(p.zone_map.columns) == schema.names()
+            state = 0
+            for f in schema:
+                state = column_crc32(p.column(f.name), state)
+            assert p.checksum == p.compute_checksum() == state
+
+    @settings(max_examples=60, deadline=None)
+    @given(column_builds(), st.data())
+    def test_mixed_indexes_equal_the_loop(self, case, data):
+        """Blocks, hand-built and stat-less zone maps in one index."""
+        schema, rows, rows_per_partition, layout = case
+        partitions = [p for _ in range(2) for p in build_table(
+            "t", schema, rows, rows_per_partition, layout).partitions]
+        entries = []
+        for p in partitions:
+            how = data.draw(st.sampled_from(["view", "hand", "no stats"]))
+            entries.append((p.partition_id, {
+                "view": p.zone_map,
+                "hand": ZoneMap.from_columns(p.columns()),
+                "no stats": p.zone_map.without_stats()}[how]))
+        order = data.draw(st.permutations(range(len(entries))))
+        index = StatsIndex(entries[i] for i in order)
+        assert_index_equals_loop(index, schema.names() + ["missing"])
+
+    def test_dml_and_recluster_mix_blocks(self):
+        catalog = dml_catalog(nan=False)
+        names = _KVS.names()
+        index = catalog.metadata.stats_index("t")
+        assert_index_equals_loop(index, names)
+        catalog.insert("t", [(1.5, 7, "a\x00", None),
+                             (None, None, None, datetime.date(2021, 5, 5))])
+        catalog.insert("t", [(2.5, 20, "\x00", None)] * 9)
+        catalog.sql("DELETE FROM t WHERE v > 50")
+        catalog.sql("UPDATE t SET s = 'z' WHERE k > 3.0")
+        index = catalog.metadata.stats_index("t")
+        # two insert blocks beside the rewrites' own zone maps
+        assert len({zm.block for _, zm in index.entries()}) == 3
+        assert_index_equals_loop(index, names)
+        catalog.recluster("t", "k", rows_per_partition=9)
+        assert_index_equals_loop(catalog.metadata.stats_index("t"), names)
+        # NaN in a DOUBLE lane: unpackable, as the loop says
+        catalog.insert("t", [(NAN, 1, "n", None)])
+        index = catalog.metadata.stats_index("t")
+        assert index.column("k") is None
+        assert_index_equals_loop(index, names)
+
+
+class TestBuildChecksOnce:
+    """Names, dtypes and lengths are checked once per build, before any
+    partition id is allocated."""
+
+    SCHEMA = Schema.of(a=DataType.INTEGER, s=DataType.VARCHAR)
+
+    @pytest.mark.parametrize("columns", [
+        {"a": Column.from_pylist(DataType.DOUBLE, [1.0, 2.0]),
+         "s": Column.from_pylist(DataType.VARCHAR, ["x", "y"])},
+        {"a": Column.from_pylist(DataType.INTEGER, [1, 2, 3]),
+         "s": Column.from_pylist(DataType.VARCHAR, ["x", "y"])},
+        {"a": Column.from_pylist(DataType.INTEGER, [1, 2])},
+    ], ids=["bad dtype", "ragged", "missing"])
+    def test_schema_error_before_any_id(self, columns):
+        before = partition_id_generator._next
+        with pytest.raises(SchemaError):
+            build_table_from_columns("t", self.SCHEMA, columns, 1)
+        assert partition_id_generator._next == before

@@ -365,3 +365,68 @@ class TestSegmentedRegexCache:
         assert not errors
         for i in range(10):
             assert f"shared-{i}%" in cache
+
+
+class TestNulSuffixedStrings:
+    """Object lanes meet str scalars only as 1-element object arrays:
+    numpy makes a bare str fixed-width and drops its trailing NULs, so
+    ``'a\\x00'`` once compared as ``'a'``."""
+
+    @pytest.fixture(scope="class")
+    def catalog(self):
+        catalog = Catalog(rows_per_partition=2)
+        catalog.create_table_from_rows(
+            "t", Schema.of(k=DataType.INTEGER, s=DataType.VARCHAR),
+            [(1, "a"), (5, "a\x00"), (9, ""), (None, "\x00")])
+        return catalog
+
+    @pytest.mark.parametrize("where, want", [
+        ("s = 'a\x00'", [5]),
+        ("s = '\x00'", [None]),
+        ("s < 'a\x00'", [1, 9, None]),
+        ("s IN ('a\x00')", [5]),
+        ("s IN ('\x00', 'a')", [1, None]),
+        ("s <> 'a\x00'", [1, 9, None]),
+    ])
+    def test_row_filter(self, catalog, where, want):
+        rows = catalog.sql(f"SELECT k FROM t WHERE {where}").rows
+        assert sorted(rows, key=repr) == sorted(((k,) for k in want),
+                                                key=repr)
+
+    def test_constant_column_keeps_nuls(self):
+        column = Column.constant(DataType.VARCHAR, "a\x00", 3)
+        assert column.values.tolist() == ["a\x00"] * 3
+
+    def test_no_bare_comparison_of_a_lane_with_a_scalar(self):
+        """A guard, not a proof: in ``expr/eval.py`` a ``.values`` lane
+        is compared only with another lane, a number, or a name bound
+        from ``object_scalar(...)``."""
+        import ast as pyast
+        from pathlib import Path
+
+        from repro.expr import eval as eval_module
+
+        tree = pyast.parse(Path(eval_module.__file__).read_text())
+        wrapped = {target.id for node in pyast.walk(tree)
+                   if isinstance(node, pyast.Assign)
+                   and "object_scalar(" in pyast.unparse(node.value)
+                   for target in node.targets
+                   if isinstance(target, pyast.Name)}
+
+        def lane(node):
+            return isinstance(node, pyast.Attribute) and node.attr == "values"
+
+        def allowed(node):
+            return (lane(node) or (isinstance(node, pyast.Name)
+                                   and node.id in wrapped)
+                    or (isinstance(node, pyast.Constant)
+                        and isinstance(node.value, (int, float))))
+
+        checked = 0
+        for node in pyast.walk(tree):
+            if isinstance(node, pyast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(map(lane, operands)):
+                    checked += 1
+                    assert all(map(allowed, operands)), pyast.unparse(node)
+        assert checked  # the IN list's probe

@@ -149,6 +149,49 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_select("SELECT * FROM t WHERE x IN (y)")
 
+    def test_not_between_desugars_to_not_of_between(self):
+        for sql in ("SELECT * FROM t WHERE x NOT BETWEEN 2 AND 6",
+                    "SELECT * FROM t WHERE NOT (x BETWEEN 2 AND 6)"):
+            assert parse_select(sql).where == Not(
+                And([Compare(">=", col("x"), lit(2)),
+                     Compare("<=", col("x"), lit(6))]))
+
+
+class TestNotBetween:
+    """``k NOT BETWEEN a AND b`` once raised ``unexpected trailing
+    input 'NOT'``; it is ``NOT (k BETWEEN a AND b)``: NULL stays out,
+    and reversed bounds make BETWEEN empty, so NOT BETWEEN keeps every
+    non-NULL row."""
+
+    KS = [1, 2, 3, None, 5, 6, 7, 8, None, 10]
+
+    @pytest.fixture(scope="class")
+    def catalog(self):
+        from repro import Catalog
+
+        catalog = Catalog(rows_per_partition=2)
+        catalog.create_table_from_rows(
+            "t", Schema.of(k=DataType.INTEGER), [(k,) for k in self.KS])
+        return catalog
+
+    @pytest.mark.parametrize("lo, hi, want", [
+        (2, 6, [1, 7, 8, 10]),
+        (6, 2, [1, 2, 3, 5, 6, 7, 8, 10]),
+        (1, 10, []),
+    ])
+    def test_both_spellings_same_rows_and_pruning(self, catalog, lo, hi,
+                                                  want):
+        results = [catalog.sql(f"SELECT k FROM t WHERE {where}")
+                   for where in (f"k NOT BETWEEN {lo} AND {hi}",
+                                 f"NOT (k BETWEEN {lo} AND {hi})")]
+        for result in results:
+            assert sorted(k for (k,) in result.rows) == want
+        kept = [r.profile.scans[0].filter_result.kept.partition_ids
+                for r in results]
+        assert kept[0] == kept[1]
+        if lo == 1:
+            assert kept[0] == []  # every partition pruned
+
 
 class TestPlanner:
     def test_simple_scan(self):

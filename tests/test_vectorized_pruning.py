@@ -11,10 +11,12 @@ directed cases for each fallback path.
 
 from __future__ import annotations
 
+import gc
 import random
 import sys
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -38,8 +40,11 @@ from repro.pruning import (
 )
 from repro.sql import parse_select
 from repro.pruning.filters import XorFilter
+from repro.storage.builder import build_table_from_columns
+from repro.storage.column import Column
 from repro.storage.micropartition import MicroPartition
 from repro.storage.table import Table
+from repro.storage.zonemap import ColumnStats
 from repro.types import DataType, Schema
 
 SCHEMA = Schema.of(a=DataType.INTEGER, v=DataType.DOUBLE,
@@ -804,6 +809,48 @@ class TestNoPerPartitionObjects:
         small, large = calls_at(400), calls_at(4000)
         assert large["c_call"] <= 1.1 * small["c_call"], (small, large)
         assert large["call"] <= 1.1 * small["call"], (small, large)
+
+
+class TestBuildAllocations:
+    """A build allocates lanes, not objects: per partition, its three
+    columns, their dict, the partition and its zone-map view stay
+    alive, and no ``ColumnStats`` until something reads one."""
+
+    SCHEMA = Schema.of(a=DataType.INTEGER, v=DataType.DOUBLE,
+                       s=DataType.VARCHAR)
+
+    def alive_after_build(self, partitions):
+        n = partitions * 10
+        columns = {
+            "a": Column.from_numpy(DataType.INTEGER, np.arange(n)),
+            "v": Column.from_numpy(DataType.DOUBLE, np.arange(n) / 7),
+            "s": Column.from_pylist(DataType.VARCHAR,
+                                    [STRINGS[i % 3] for i in range(n)])}
+        gc.collect()
+        before = len(gc.get_objects())
+        table = build_table_from_columns("t", self.SCHEMA, columns, 10)
+        gc.collect()
+        alive = len(gc.get_objects()) - before
+        assert table.num_partitions == partitions
+        return alive
+
+    def test_at_most_six_tracked_objects_per_partition(self):
+        self.alive_after_build(20)  # first-call caches
+        for partitions in (400, 4000):
+            assert self.alive_after_build(partitions) <= 6 * partitions + 20
+
+    def test_needle_warm_up_materialises_no_column_stats(self):
+        def column_stats():
+            return sum(isinstance(o, ColumnStats) for o in gc.get_objects())
+
+        gc.collect()
+        before = column_stats()
+        catalog = TestSurvivorsOnly._catalog(400)
+        catalog.metadata.stats_index("t")
+        for sql in TestSurvivorsOnly.NEEDLES:
+            assert catalog.sql(sql).rows
+        gc.collect()
+        assert column_stats() == before
 
 
 class TestCatalogIntegration:
