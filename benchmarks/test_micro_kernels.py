@@ -3,11 +3,12 @@
 Unlike the figure/table benches (one-shot experiment reproductions),
 these measure raw throughput of the pruning primitives: zone-map
 checks, scan-set pruning, expression evaluation, summary probes, and
-the top-k heap.
+the top-k heap, plus a table build and a checkpoint.
 """
 
 import random
 
+from repro import Catalog
 from repro.expr.ast import And, Compare, If, InList, Like, col, lit
 from repro.expr.eval import evaluate_predicate
 from repro.expr.pruning import prune_partition
@@ -113,6 +114,23 @@ def test_build_table_10k_partitions(benchmark):
         return table.num_partitions, index.column("ts").kind
 
     assert benchmark(build) == (10_000, "int64")
+
+
+def test_checkpoint_50k_rows(benchmark, tmp_path):
+    """Checkpoint a 50 000-row, 500-partition table: one column-codec
+    table file; recovery cuts it back like a build."""
+    catalog = Catalog(rows_per_partition=100)
+    catalog.create_table(build_table("t", SCHEMA, _ROWS,
+                                     rows_per_partition=100,
+                                     layout=Layout.sorted_by("ts")))
+    catalog.enable_durability(tmp_path / "d")
+    benchmark(catalog.checkpoint)
+    catalog.durability.close()
+    recovered = Catalog.recover(tmp_path / "d")
+    recovered.durability.close()
+    assert [(p.partition_id, p.checksum)
+            for p in recovered.tables["t"].partitions] == \
+        [(p.partition_id, p.checksum) for p in catalog.tables["t"].partitions]
 
 
 def test_scalar_pruner_500_partitions_compilable(benchmark):

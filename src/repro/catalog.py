@@ -511,25 +511,23 @@ class Catalog:
         replayed mutation reproduces partition ids, contents, version
         bumps, and cache invalidations identically.
         """
-        from .durability.codec import decode_partitions, decode_schema
+        from .durability.codec import decode_schema, record_partitions
 
         op = record["op"]
         if op == "create":
             schema = decode_schema(record["schema"])
-            self.create_table(Table(
-                record["table"], schema,
-                decode_partitions(schema, record["partitions"])))
+            self.create_table(Table(record["table"], schema,
+                                    record_partitions(schema, record)))
         elif op == "insert":
             table = self._table(record["table"])
-            self._apply_insert(table, decode_partitions(
-                table.schema, record["partitions"]))
+            self._apply_insert(table,
+                               record_partitions(table.schema, record))
         elif op == "rewrite":
             table = self._table(record["table"])
             removed = [table.partition(pid)
                        for pid in record["removed"]]
-            added = decode_partitions(table.schema,
-                                      record["partitions"])
-            self._apply_rewrite(table, removed, added,
+            self._apply_rewrite(table, removed,
+                                record_partitions(table.schema, record),
                                 kind=record["kind"],
                                 columns=record.get("columns"))
         elif op == "drop":
@@ -1038,8 +1036,7 @@ class Catalog:
         if appended.partitions and self._durable:
             from .durability.codec import insert_record
 
-            self._wal_log(insert_record(table.name,
-                                        appended.partitions))
+            self._wal_log(insert_record(table, appended.partitions))
         return self._apply_insert(table, appended.partitions)
 
     def _apply_insert(self, table: Table,
@@ -1290,7 +1287,7 @@ class Catalog:
             from .durability.codec import rewrite_record
 
             self._wal_log(rewrite_record(
-                table.name, kind,
+                table, kind,
                 [p.partition_id for p in removed], added, columns),
                 profile=profile, tracer=tracer)
         self._apply_rewrite(table, removed, added, kind=kind,

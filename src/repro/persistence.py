@@ -2,10 +2,9 @@
 
 Layout: a directory containing ``manifest.json`` (schemas, partition
 ids, each table's data version, catalog settings) plus one
-``<table>.npz`` per table holding every partition's column values and
-null masks. No pickling: VARCHAR columns
-are stored as fixed-width unicode arrays and converted back to object
-arrays on load.
+``<table>.npz`` per table holding its column-codec arrays
+(:mod:`repro.durability.codec`; no pickling), which loading cuts back
+into partitions the way a build does.
 
 Saves are **atomic**: the snapshot is written to a hidden temp sibling
 directory and swapped into place with directory renames, so a crash at
@@ -22,23 +21,21 @@ import json
 import os
 import shutil
 import zipfile
+import zlib
 from pathlib import Path
 from typing import Any, Mapping
 
 import numpy as np
 
 from .catalog import Catalog
+from .durability.codec import (decode_partitions, decode_schema,
+                               encode_partitions, encode_schema)
 from .errors import StorageError
-from .storage.column import Column
-from .storage.micropartition import (
-    MicroPartition,
-    partition_id_generator,
-)
+from .storage.micropartition import partition_id_generator
 from .storage.table import Table
-from .types import DataType, Field, Schema
 
 MANIFEST_NAME = "manifest.json"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def save_catalog(catalog: Catalog, path: str | Path,
@@ -72,17 +69,12 @@ def save_catalog(catalog: Catalog, path: str | Path,
         manifest["sketches"] = catalog.sketch_config.to_manifest()
     for name, table in catalog.tables.items():
         manifest["tables"][name] = {
-            "schema": [[f.name, f.dtype.value] for f in table.schema],
+            "schema": encode_schema(table.schema),
             "partitions": table.partition_ids,
             "data_version": table.version,
         }
-        arrays: dict[str, np.ndarray] = {}
-        for partition in table.partitions:
-            for column_name, column in partition.columns().items():
-                key = f"{partition.partition_id}__{column_name}"
-                arrays[f"{key}__v"] = _encode_values(column)
-                arrays[f"{key}__n"] = column.nulls
-        np.savez_compressed(staging / f"{name}.npz", **arrays)
+        write_table_file(staging / f"{name}.npz",
+                         encode_partitions(table.schema, table.partitions))
     with open(staging / MANIFEST_NAME, "w") as handle:
         json.dump(manifest, handle, indent=2)
     if not root.exists():
@@ -98,6 +90,19 @@ def save_catalog(catalog: Catalog, path: str | Path,
     os.rename(root, backup)
     os.rename(staging, root)
     shutil.rmtree(backup)
+
+
+def write_table_file(path: Path, arrays: Mapping[str, np.ndarray]
+                     ) -> None:
+    """``arrays`` as one ``.npz`` deflated at zlib level 1 (level 6 takes
+    ~5x as long for ~6 % fewer bytes)."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED,
+                         compresslevel=1) as archive:
+        for key, array in arrays.items():
+            with archive.open(f"{key}.npy", "w",
+                              force_zip64=True) as member:
+                np.lib.format.write_array(member, array,
+                                          allow_pickle=False)
 
 
 def load_manifest(path: str | Path) -> dict:
@@ -148,9 +153,9 @@ def load_tables(path: str | Path, manifest: Mapping[str, Any]
 def _load_table(root: Path, name: str, entry: Mapping[str, Any]
                 ) -> Table:
     try:
-        schema = Schema(Field(col, DataType(dtype))
-                        for col, dtype in entry["schema"])
-        # Snapshots written before versions were persisted read as 1.
+        schema = decode_schema(entry["schema"])
+        listed = [int(pid) for pid in entry["partitions"]]
+        # A manifest without a data version reads as 1.
         version = int(entry.get("data_version", 1))
     except (KeyError, TypeError, ValueError) as exc:
         raise StorageError(
@@ -159,23 +164,12 @@ def _load_table(root: Path, name: str, entry: Mapping[str, Any]
     npz_path = root / f"{name}.npz"
     try:
         with np.load(npz_path, allow_pickle=False) as data:
-            partitions = []
-            for partition_id in entry["partitions"]:
-                columns = {}
-                for field in schema:
-                    key = f"{partition_id}__{field.name}"
-                    values = _decode_values(data[f"{key}__v"],
-                                            field.dtype)
-                    nulls = np.asarray(data[f"{key}__n"],
-                                       dtype=np.bool_)
-                    columns[field.name] = Column(field.dtype, values,
-                                                 nulls)
-                partitions.append(MicroPartition(
-                    schema, columns, partition_id=partition_id))
-    except StorageError:
-        raise
-    except (OSError, KeyError, ValueError, TypeError,
-            zipfile.BadZipFile) as exc:
+            if data["ids"].tolist() != listed:
+                raise ValueError("its partition ids differ from the "
+                                 "manifest's")
+            partitions = decode_partitions(schema, data)
+    except (OSError, EOFError, KeyError, ValueError, TypeError,
+            NotImplementedError, zipfile.BadZipFile, zlib.error) as exc:
         raise StorageError(
             f"failed to load table {name!r} from {npz_path}: "
             f"{exc!r}") from exc
@@ -217,19 +211,3 @@ def load_catalog(path: str | Path, **catalog_kwargs) -> Catalog:
         catalog.create_table(table)
     partition_id_generator.ensure_floor(max_id)
     return catalog
-
-
-def _encode_values(column: Column) -> np.ndarray:
-    if column.dtype == DataType.VARCHAR:
-        # Fixed-width unicode instead of object dtype: avoids pickle.
-        encoded = np.asarray(column.values, dtype=np.str_)
-        if encoded.dtype.itemsize == 0:  # all-empty or zero rows
-            encoded = encoded.astype("<U1")
-        return encoded
-    return column.values
-
-
-def _decode_values(values: np.ndarray, dtype: DataType) -> np.ndarray:
-    if dtype == DataType.VARCHAR:
-        return np.asarray([str(v) for v in values], dtype=object)
-    return np.asarray(values, dtype=dtype.numpy_dtype())

@@ -40,8 +40,9 @@ def tokenize(text: str) -> list[Token]:
             i = n if newline < 0 else newline + 1
             continue
         if ch == "'":
-            value, i = _read_string(text, i)
+            value, end = _read_string(text, i)
             tokens.append(Token("STRING", value, i))
+            i = end
             continue
         if ch.isdigit() or (ch == "." and i + 1 < n
                             and text[i + 1].isdigit()):

@@ -101,7 +101,18 @@ def build_table_from_columns(
              if layout is not None else None)
     if not n:
         return Table(name, schema)
-    starts = np.arange(0, n, rows_per_partition)
+    return Table(name, schema, cut_partitions(
+        schema, columns, np.arange(0, n, rows_per_partition), order))
+
+
+def cut_partitions(schema: Schema, columns: dict[str, Column],
+                   starts: np.ndarray, order: np.ndarray | None = None,
+                   ids: Sequence[int] | None = None
+                   ) -> list[MicroPartition]:
+    """Cut checked whole-table columns, popped one at a time and permuted
+    by ``order`` if given, into a partition per slice from ``starts``
+    (ascending, non-empty, the last to the end), ``ids`` or fresh ones."""
+    n = len(next(iter(columns.values())))
     lows = starts.tolist()
     highs = lows[1:] + [n]  # no list of (low, high) tuples: GC-tracked
     block = StatsBlock(np.diff(starts, append=n))
@@ -115,8 +126,10 @@ def build_table_from_columns(
         pieces[key] = [Column(c.dtype, c.values[a:b].copy(),
                               c.nulls[a:b].copy())
                        for a, b in zip(lows, highs)]
-    return Table(name, schema, [MicroPartition(
+    ids = [None] * len(lows) if ids is None else ids
+    return [MicroPartition(
         schema, {key: p[i] for key, p in pieces.items()},
+        partition_id=ids[i],
         zone_map=ZoneMap(row_count, block=block, row=i),
         checksum=checksums[i], checked=True)
-        for i, row_count in enumerate(block.row_counts.tolist())])
+        for i, row_count in enumerate(block.row_counts.tolist())]

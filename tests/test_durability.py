@@ -526,3 +526,28 @@ class TestWalStatsAccounting:
         catalog.sql("DELETE FROM events WHERE ts < 0")  # matches none
         catalog.insert("events", [])
         assert catalog.durability.wal.appends == before
+
+
+class TestVarcharSurvivesRecovery:
+    """Checkpoints used to store VARCHAR as fixed-width unicode, which
+    drops trailing NULs: ``'a\\x00'`` came back as ``'a'`` with a new
+    checksum."""
+
+    ROWS = [(1, "a"), (5, "a\x00"), (6, "\x00"), (7, "\ud800")]
+
+    def _snapshot(self, catalog):
+        table = catalog.tables["t"]
+        return (table.to_rows(), table.partition_ids,
+                [p.checksum for p in table.partitions])
+
+    def test_checkpoint_and_replay_keep_nul_suffixes(self, tmp_path):
+        catalog = Catalog(rows_per_partition=1)
+        catalog.create_table_from_rows("t", DIMS_SCHEMA, self.ROWS)
+        catalog.enable_durability(tmp_path / "d")  # baseline checkpoint
+        catalog.insert("t", [(9, "b\x00\x00")])      # WAL tail
+        expected = self._snapshot(catalog)
+        catalog.durability.close()
+        recovered = Catalog.recover(tmp_path / "d")
+        assert self._snapshot(recovered) == expected
+        assert recovered.tables["t"].to_rows()[1] == (5, "a\x00")
+        recovered.durability.close()

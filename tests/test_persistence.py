@@ -6,7 +6,8 @@ import pytest
 
 from repro import Catalog, DataType, Layout, Schema
 from repro.errors import StorageError
-from repro.persistence import load_catalog, save_catalog
+from repro import persistence
+from repro.persistence import FORMAT_VERSION, load_catalog, save_catalog
 
 
 def make_catalog():
@@ -112,6 +113,22 @@ class TestRoundtrip:
             [("",), (None,), ("x",), ("",)]
 
 
+    def test_varchar_nul_suffixes_survive(self, tmp_path):
+        """Fixed-width unicode storage used to drop trailing NULs."""
+        catalog = Catalog(rows_per_partition=1)
+        catalog.create_table_from_rows(
+            "t", Schema.of(k=DataType.INTEGER, s=DataType.VARCHAR),
+            [(1, "a"), (5, "a\x00"), (6, "\x00"), (7, "\ud800")])
+        catalog.save(tmp_path / "cat")
+        loaded = Catalog.load(tmp_path / "cat")
+        table, original = loaded.tables["t"], catalog.tables["t"]
+        assert table.to_rows() == original.to_rows()
+        assert [p.checksum for p in table.partitions] == \
+            [p.checksum for p in original.partitions]
+        assert loaded.sql(
+            "SELECT count(*) AS n FROM t WHERE s = 'a\x00'").rows == [(1,)]
+
+
 class TestErrors:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(StorageError):
@@ -126,6 +143,48 @@ class TestErrors:
             json.dump({"version": 99, "tables": {}}, handle)
         with pytest.raises(StorageError):
             load_catalog(directory)
+
+    def test_version_one_snapshot_is_refused(self, tmp_path):
+        import json
+
+        save_catalog(make_catalog(), tmp_path / "cat")
+        manifest_path = tmp_path / "cat" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["version"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(StorageError,
+                           match="unsupported catalog format version 1"):
+            load_catalog(tmp_path / "cat")
+
+    def test_damaged_table_file_fails_typed(self, tmp_path):
+        """Flipped or cut bytes anywhere in a table file either leave
+        its contents intact or raise StorageError: corrupt deflate
+        streams, short members and bogus zip headers used to escape as
+        zlib.error, EOFError or NotImplementedError."""
+        import random
+        import shutil
+
+        original = make_catalog()
+        save_catalog(original, tmp_path / "good")
+        data = (tmp_path / "good" / "events.npz").read_bytes()
+        rng = random.Random(7)
+        for trial in range(300):
+            damaged = bytearray(data)
+            if trial % 2:
+                damaged = damaged[:rng.randrange(len(damaged))]
+            else:
+                for _ in range(rng.randint(1, 4)):
+                    damaged[rng.randrange(len(damaged))] = rng.randrange(256)
+            shutil.rmtree(tmp_path / "bad", ignore_errors=True)
+            shutil.copytree(tmp_path / "good", tmp_path / "bad")
+            (tmp_path / "bad" / "events.npz").write_bytes(bytes(damaged))
+            try:
+                loaded = load_catalog(tmp_path / "bad")
+            except StorageError as exc:
+                assert "events" in str(exc)
+            else:
+                assert loaded.tables["events"].to_rows() == \
+                    original.tables["events"].to_rows()
 
     def test_dml_after_load(self, tmp_path):
         original = make_catalog()
@@ -146,8 +205,6 @@ class TestAtomicSave:
         """Regression: ``save_catalog`` used to write into the target
         directory in place, so dying mid-save left a half-written,
         unloadable snapshot. Now the old copy survives any crash."""
-        import numpy as np
-
         original = make_catalog()
         save_catalog(original, tmp_path / "cat")
         before_events = original.tables["events"].to_rows()
@@ -155,16 +212,16 @@ class TestAtomicSave:
         # Grow the catalog, then kill the re-save midway through
         # writing its second table.
         original.insert("dims", [(100, "added-after-save")])
-        real_savez = np.savez_compressed
+        real_write = persistence.write_table_file
         calls = {"n": 0}
 
-        def dying_savez(path, **arrays):
+        def dying_write(path, arrays):
             calls["n"] += 1
             if calls["n"] >= 2:
                 raise OSError("disk full mid-save")
-            return real_savez(path, **arrays)
+            return real_write(path, arrays)
 
-        monkeypatch.setattr(np, "savez_compressed", dying_savez)
+        monkeypatch.setattr(persistence, "write_table_file", dying_write)
         with pytest.raises(OSError):
             save_catalog(original, tmp_path / "cat")
         monkeypatch.undo()
@@ -181,14 +238,12 @@ class TestAtomicSave:
 
     def test_crash_during_first_save_leaves_no_target(
             self, tmp_path, monkeypatch):
-        import numpy as np
-
         original = make_catalog()
 
-        def dying_savez(path, **arrays):
+        def dying_write(path, arrays):
             raise OSError("disk full")
 
-        monkeypatch.setattr(np, "savez_compressed", dying_savez)
+        monkeypatch.setattr(persistence, "write_table_file", dying_write)
         with pytest.raises(OSError):
             save_catalog(original, tmp_path / "cat")
         monkeypatch.undo()
@@ -246,7 +301,7 @@ class TestLoadFailureModes:
 
         root = self._saved(tmp_path)
         (root / "manifest.json").write_text(
-            json.dumps({"version": 1, "tables": "oops"}))
+            json.dumps({"version": FORMAT_VERSION, "tables": "oops"}))
         with pytest.raises(StorageError, match="table map"):
             load_catalog(root)
 

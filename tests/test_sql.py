@@ -66,6 +66,17 @@ class TestLexer:
         tokens = tokenize("SELECT 1.5e3")
         assert any(t.value == "1.5e3" for t in tokens)
 
+    def test_string_token_records_its_start(self):
+        tokens = tokenize("SELECT 'ab' FROM t")
+        assert [(t.kind, t.pos) for t in tokens[1:3]] == \
+            [("STRING", 7), ("IDENT", 12)]
+
+    def test_trailing_string_error_points_at_its_quote(self):
+        sql = "SELECT * FROM t WHERE k = 1 'oops'"
+        with pytest.raises(ParseError) as raised:
+            parse_select(sql)
+        assert raised.value.position == sql.index("'") == 28
+
 
 class TestParser:
     def test_star_and_table(self):
