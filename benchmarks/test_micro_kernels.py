@@ -222,3 +222,38 @@ def test_scan_set_serialization(benchmark):
 
     result = benchmark(roundtrip)
     assert result == len(_SCAN_SET)
+
+
+#: 20 000 rows in 200 partitions, ``score`` unclustered (nothing prunes),
+#: ``v`` distinct (no tie decides which rows a top-k keeps)
+_SCAN_ROWS = [(i, _rng.randrange(10_000), v)
+              for i, v in enumerate(_rng.sample(range(10**6), 20_000))]
+_SCAN_SCHEMA = Schema.of(id=DataType.INTEGER, score=DataType.INTEGER,
+                         v=DataType.INTEGER)
+
+
+def _scan_catalog() -> Catalog:
+    catalog = Catalog(rows_per_partition=100)
+    catalog.create_table_from_rows("f", _SCAN_SCHEMA, _SCAN_ROWS,
+                                   layout=Layout.sorted_by("id"))
+    return catalog
+
+
+def test_scan_batches_filter_project_20k_rows(benchmark):
+    """Filter and Project over a 200-partition scan: one batch per few
+    thousand rows, not one chunk per partition."""
+    catalog = _scan_catalog()
+    sql = "SELECT id, v * 2 AS w FROM f WHERE score >= 8000"
+    rows = benchmark(lambda: catalog.sql(sql).rows)
+    assert rows == [(i, v * 2) for i, score, v in _SCAN_ROWS
+                    if score >= 8000]
+
+
+def test_topk_limit_10k_of_20k(benchmark):
+    """ORDER BY v DESC LIMIT 10000 over 20 000 rows, streamed one
+    partition at a time for the boundary: each row is sorted once."""
+    catalog = _scan_catalog()
+    sql = "SELECT id, v FROM f ORDER BY v DESC LIMIT 10000"
+    rows = benchmark(lambda: catalog.sql(sql).rows)
+    assert rows == sorted(((i, v) for i, _, v in _SCAN_ROWS),
+                          key=lambda row: -row[1])[:10_000]

@@ -12,14 +12,14 @@ from ..types import Schema
 
 
 class Chunk:
-    """A batch of rows in columnar form."""
+    """A batch of rows in columnar form. ``runs``: ``(partition_id,
+    rows)`` per micro-partition its rows came from, in row order; empty
+    once an operator (join, aggregate) destroys provenance."""
 
-    __slots__ = ("schema", "columns", "num_rows", "source_partition")
+    __slots__ = ("schema", "columns", "num_rows", "runs")
 
     def __init__(self, schema: Schema, columns: Mapping[str, Column]):
-        #: id of the micro-partition this chunk came from, or None once
-        #: an operator (join, aggregate) destroys provenance.
-        self.source_partition: int | None = None
+        self.runs: tuple[tuple[int, int], ...] = ()
         normalized = {name.lower(): col for name, col in columns.items()}
         if set(normalized) != set(schema.names()):
             raise SchemaError(
@@ -37,7 +37,7 @@ class Chunk:
         """A chunk derived from a validated one (same or selected names,
         every column cut alike): skips the constructor's checks."""
         chunk = object.__new__(cls)
-        chunk.source_partition = None
+        chunk.runs = ()
         chunk.schema = schema
         chunk.columns = columns
         chunk.num_rows = len(next(iter(columns.values()), ()))

@@ -177,7 +177,11 @@ class QueryProfile:
     query_id: str = ""
     scans: list[ScanProfile] = field(default_factory=list)
     compile_ms: float = 0.0
-    exec_ms: float = 0.0
+    #: exec charges but the per-row CPU term, kept as a count of rows so
+    #: that :attr:`exec_ms` does not depend on how rows are chunked
+    exec_charges_ms: float = 0.0
+    rows_charged: int = 0
+    cpu_ms_per_krow: float = 0.0
     limit_eligible: bool = False
     topk_eligible: bool = False
     join_eligible: bool = False
@@ -199,6 +203,11 @@ class QueryProfile:
     #: root trace span when the query ran with tracing enabled
     #: (see :mod:`repro.obs.trace`); None otherwise.
     trace: "Optional[Span]" = None
+
+    @property
+    def exec_ms(self) -> float:
+        return (self.exec_charges_ms
+                + self.cpu_ms_per_krow * self.rows_charged / 1000.0)
 
     @property
     def total_ms(self) -> float:
@@ -436,7 +445,9 @@ class ExecContext:
         self.storage = storage
         self.metadata = metadata
         self.cost_model = storage.cost_model
-        self.profile = QueryProfile(query_id=query_id)
+        self.profile = QueryProfile(
+            query_id=query_id,
+            cpu_ms_per_krow=self.cost_model.cpu_ms_per_krow)
         #: optional warehouse-local data cache scans route loads through
         #: (per-cluster when running under a :class:`WarehousePool`).
         self.cache = cache
@@ -479,7 +490,7 @@ class ExecContext:
         self.profile.compile_ms += ms
 
     def charge_exec(self, ms: float) -> None:
-        self.profile.exec_ms += ms
+        self.profile.exec_charges_ms += ms
 
     def charge_partition_load(self, nbytes: int) -> None:
         self.charge_exec(self.cost_model.load_cost(nbytes))
@@ -489,7 +500,7 @@ class ExecContext:
         self.charge_exec(self.cost_model.cached_load_cost(nbytes))
 
     def charge_rows(self, rows: int) -> None:
-        self.charge_exec(self.cost_model.scan_cost(rows))
+        self.profile.rows_charged += rows
 
     def charge_prune_checks(self, checks: int,
                             at_compile_time: bool = False,

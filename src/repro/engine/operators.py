@@ -9,6 +9,7 @@ so pruning savings show up as runtime improvements deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -27,6 +28,9 @@ from .chunk import Chunk
 from .context import ExecContext, ScanProfile
 from .kernels import (
     group_rows, join_keys, segment_extreme, segment_sum, sort_order)
+
+#: rows per batch a scan hands up when nothing steers it (see Scan)
+BATCH_ROWS = 4096
 
 
 class Operator:
@@ -84,6 +88,13 @@ class Scan(Operator):
     (b) an optional deferred filter pruner (compile-time cutoff pushed
     the filter to the warehouse, §3.2).
 
+    Operators above get batches of about :data:`BATCH_ROWS` rows (the
+    partitions as runs), cut where fully-matching status changes, unless
+    the scan streams: one chunk per partition for top-k pruners
+    (the boundary tightens before each skip check) or a :class:`Limit`
+    above (stopping must not load more). Loads, charges and counters
+    stay per partition either way.
+
     When ``ExecContext.scan_parallelism`` > 1 the scan fans partition
     loads out as morsels to a thread pool (the paper's execution
     engine scans surviving partitions in parallel, §2), with
@@ -128,6 +139,10 @@ class Scan(Operator):
             self.profile.total_partitions = len(scan_set)
         self.topk_pruners: list[TopKPruner] = []
         self.runtime_filter_pruner: VectorizedFilterPruner | None = None
+        #: set by a :class:`Limit` above: stream, one partition a chunk
+        self.limited = False
+        #: set by a :class:`Filter` above: the partitions it bypasses
+        self.fully_matching: frozenset[int] = frozenset()
         #: ids the deferred filter proves empty, classified for the
         #: whole scan set in one pass on first use.
         self._deferred_pruned: frozenset[int] | None = None
@@ -167,6 +182,8 @@ class Scan(Operator):
         self.profile.scan_parallelism = workers
         iterator = (self._iter_parallel(workers) if workers > 1
                     else self._iter_serial())
+        if not (self.limited or self.topk_pruners):
+            iterator = self._batches(iterator)
         if self.context.tracer is None:
             return iterator
         return self._iter_traced(iterator, workers)
@@ -222,6 +239,21 @@ class Scan(Operator):
                               cache_misses=profile.cache_misses)
             span.end()
             self._span = None
+
+    def _batches(self, chunks: Iterator[Chunk]) -> Iterator[Chunk]:
+        """Partition chunks joined up to :data:`BATCH_ROWS` rows, cut
+        where fully-matching status changes."""
+        for _, group in groupby(
+                chunks, lambda chunk: chunk.runs[0][0] in self.fully_matching):
+            batch, rows = [], 0
+            for chunk in group:
+                batch.append(chunk)
+                rows += chunk.num_rows
+                if rows >= BATCH_ROWS:
+                    yield _concat_runs(self.schema, batch)
+                    batch, rows = [], 0
+            if batch:
+                yield _concat_runs(self.schema, batch)
 
     @property
     def order_dependent(self) -> bool:
@@ -466,13 +498,14 @@ class Scan(Operator):
                 self.profile.cache_misses += 1
                 if prefetched:
                     self.profile.prefetched_partitions += 1
-        self.context.charge_rows(partition.row_count)
+        rows = partition.row_count
+        self.context.charge_rows(rows)
         self.profile.partitions_loaded += 1
-        self.profile.rows_scanned += partition.row_count
+        self.profile.rows_scanned += rows
         self.profile.bytes_scanned += nbytes
         # The partition validated these columns when it was built.
         chunk = Chunk._derived(self.schema, partition.columns(self.columns))
-        chunk.source_partition = partition_id
+        chunk.runs = ((partition_id, rows),)
         return chunk
 
     def _trace_evictions(self, evicted: Sequence[int]) -> None:
@@ -604,8 +637,24 @@ class Scan(Operator):
         result.add_pruned((-1,))
 
 
+def _concat_runs(schema: Schema, chunks: list[Chunk]) -> Chunk:
+    """The chunks as one, their runs in order (one chunk: itself). The
+    columns are a scan's, alike in type: no checks, so that joining a
+    few tiny partitions costs no more than the passes it saves."""
+    if len(chunks) == 1:
+        return chunks[0]
+    merged = Chunk._derived(schema, {name: Column(
+        first.dtype, np.concatenate([c.columns[name].values for c in chunks]),
+        np.concatenate([c.columns[name].nulls for c in chunks]))
+        for name, first in chunks[0].columns.items()})
+    merged.runs = tuple(run for chunk in chunks for run in chunk.runs)
+    return merged
+
+
 class Filter(Operator):
-    """Row-level predicate application (WHERE)."""
+    """Row-level predicate application (WHERE). An output chunk keeps
+    its input's runs, each counting its rows that pass; a batch of
+    fully-matching partitions passes as it is, unevaluated."""
 
     def __init__(self, context: ExecContext, child: Operator,
                  predicate: ast.Expr,
@@ -618,6 +667,8 @@ class Filter(Operator):
         #: partitions of the child :class:`Scan` proven at compile time to
         #: hold only matching rows (§4.2): their chunks pass unevaluated
         self.fully_matching = frozenset(fully_matching)
+        if isinstance(child, Scan):
+            child.fully_matching = self.fully_matching
         #: micro-partitions that produced at least one qualifying row;
         #: feeds the filter predicate cache (§8.2)
         self.partitions_with_matches: set[int] = set()
@@ -625,18 +676,31 @@ class Filter(Operator):
     def __iter__(self) -> Iterator[Chunk]:
         for chunk in self.child:
             self.context.charge_rows(chunk.num_rows)
-            source = chunk.source_partition
-            if source in self.fully_matching:
-                self.child.profile.filter_bypassed += 1
+            runs = chunk.runs
+            if runs and runs[0][0] in self.fully_matching:
+                self.child.profile.filter_bypassed += len(runs)
                 filtered = chunk
             else:
-                filtered = chunk.filter(
-                    self._mask(chunk.columns, chunk.num_rows))
-                filtered.source_partition = source
+                mask = self._mask(chunk.columns, chunk.num_rows)
+                filtered = chunk.filter(mask)
+                if len(runs) > 1:
+                    runs = _kept_runs(runs, mask)
+                elif runs:
+                    runs = ((runs[0][0], filtered.num_rows),)
+                filtered.runs = runs
             if filtered.num_rows:
-                if source is not None:
-                    self.partitions_with_matches.add(source)
+                self.partitions_with_matches.update(
+                    pid for pid, rows in runs if rows)
                 yield filtered
+
+
+def _kept_runs(runs: tuple, mask: np.ndarray) -> tuple:
+    """The runs of the rows ``mask`` selects: its cumsum at run ends
+    (``reduceat`` would misread zero-row runs)."""
+    ids, rows = zip(*runs)
+    before = np.concatenate(([0], np.cumsum(mask)))
+    counts = np.diff(before[np.cumsum((0,) + rows)]).tolist()
+    return tuple(run for run in zip(ids, counts) if run[1])
 
 
 class Project(Operator):
@@ -662,7 +726,7 @@ class Project(Operator):
             out = Chunk._derived(self.schema, {
                 name: bound(chunk.columns, chunk.num_rows)
                 for name, bound in self._bound})
-            out.source_partition = chunk.source_partition
+            out.runs = chunk.runs
             yield out
 
 
@@ -966,17 +1030,17 @@ def _key_order(chunk: Chunk, keys: Sequence[SortKey]) -> np.ndarray:
 class TopK(Operator):
     """ORDER BY ... LIMIT k with boundary feedback (§5.2).
 
-    Keeps the best ``k + offset`` rows so far, sorted: a chunk loses
-    the rows whose *leading* key is strictly worse than the worst kept
-    row's, joins the kept rows, and one stable sort keeps the first
-    ``k + offset`` again (the row seen first wins a tie). Once per
-    chunk, when the kept rows are full, the *leading* key's rank of the
-    last one is published to the shared :class:`Boundary`, which the
-    upstream scan uses to skip partitions (sound for multi-key
-    orderings because a row whose leading rank is strictly worse than
-    the k-th row's is lexicographically worse overall). Also records
-    which micro-partition each kept row came from (the skipped OFFSET
-    rows too), enabling the top-k predicate cache (§8.2).
+    Tracks the *leading* keys of the best ``k + offset`` rows seen; a
+    chunk loses the rows whose leading key is strictly worse than the
+    last of them, and the rest wait (re-filtered as that key improves,
+    once twice as many as are needed wait). Only they are sorted, once,
+    at the end; the row seen first wins a tie. Once per chunk, when
+    ``k + offset`` rows were seen, the last leading key is published to
+    the shared :class:`Boundary`, which the upstream scan uses to skip
+    partitions (sound for multi-key orderings: a row whose leading rank
+    is strictly worse than the k-th row's is lexicographically worse
+    overall). Records which partition each kept row came from (OFFSET
+    rows too), for the top-k predicate cache (§8.2).
     """
 
     def __init__(self, context: ExecContext, child: Operator,
@@ -1007,45 +1071,104 @@ class TopK(Operator):
         keep = self.k + self.offset
         if keep == 0:
             return
-        best = Chunk.empty(self.schema)
-        #: partition each kept row came from (-1: none recorded)
-        sources = np.empty(0, dtype=np.int64)
+        leading = _Leading(self.schema.dtype_of(self.order_column),
+                           self.desc, keep)
+        #: (chunk, its rows' source partitions, which rows may enter)
+        waiting: list[tuple[Chunk, np.ndarray, np.ndarray]] = []
+        waiting_rows, compact_at = 0, max(2 * keep, BATCH_ROWS)
         for chunk in self.child:
             self.context.charge_rows(chunk.num_rows)
-            source = chunk.source_partition
-            if best.num_rows == keep:
-                chunk = chunk.filter(self._may_enter(chunk, best))
-            if chunk.num_rows == 0:
+            column = chunk.column(self.order_column)
+            mask = leading.may_enter(column)
+            if not mask.any():
                 continue
-            merged = Chunk.concat(self.schema, [best, chunk])
-            order = _key_order(merged, self.keys)[:keep]
-            best = merged.take(order)
-            sources = np.concatenate((sources, np.full(
-                chunk.num_rows, -1 if source is None else source)))[order]
-            if best.num_rows == keep and self.boundary is not None:
-                _publish(self.boundary, best.column(self.order_column),
-                         keep - 1, self.desc)
+            leading.add(column, mask)
+            ids, rows = (zip(*chunk.runs) if chunk.runs
+                         else ((-1,), (chunk.num_rows,)))
+            waiting.append((chunk, np.repeat(np.array(ids, dtype=np.int64),
+                                             rows), mask))
+            waiting_rows += chunk.num_rows
+            if waiting_rows >= compact_at:
+                waiting = [self._entering(waiting, leading)]
+                waiting_rows = waiting[0][0].num_rows
+                compact_at = max(compact_at, 2 * waiting_rows)
+            if (self.boundary is not None
+                    and len(leading.values) + leading.nulls >= keep):
+                _publish(self.boundary, leading.last(), 0, self.desc)
+        rows, sources, _ = self._entering(waiting, leading)
+        order = _key_order(rows, self.keys)[:keep]
         # OFFSET rows included: a repeat over these partitions alone
         # must find the same first ``k + offset`` rows to skip into.
-        self.contributing_partitions = set(
-            sources[sources >= 0].tolist())
-        yield best.slice(self.offset, best.num_rows)
+        sources = sources[order]
+        self.contributing_partitions = set(sources[sources >= 0].tolist())
+        yield rows.take(order[self.offset:])
 
-    def _may_enter(self, chunk: Chunk, best: Chunk) -> np.ndarray:
-        """Rows whose leading key is not strictly worse than the last
-        kept row's (nothing is worse than a NULL)."""
-        worst = best.column(self.order_column)
-        if worst.nulls[-1]:
-            return np.ones(chunk.num_rows, dtype=np.bool_)
-        leading = chunk.column(self.order_column)
-        # [-1:]: as a str scalar numpy would drop its trailing NULs
-        worse = (np.less if self.desc else np.greater)(
-            leading.values, worst.values[-1:])
-        return ~(worse | leading.nulls)
+    def _entering(self, waiting: list, leading: "_Leading"
+                  ) -> tuple[Chunk, np.ndarray, np.ndarray]:
+        """The waiting rows that may still enter, as one chunk."""
+        if not waiting:
+            return Chunk.empty(self.schema), np.empty(0, np.int64), None
+        chunks, sources, masks = zip(*waiting)
+        rows = Chunk.concat(self.schema, chunks)
+        mask = np.concatenate(masks) & leading.may_enter(
+            rows.column(self.order_column))
+        return (rows.filter(mask), np.concatenate(sources)[mask],
+                np.ones(int(mask.sum()), dtype=np.bool_))
+
+
+class _Leading:
+    """The leading keys of the ``keep`` best rows seen and how many are
+    NULL: TopK's threshold. Keys are ranked as :func:`sort_order` ranks
+    them, so that ascending is better (a descending key is negated; NaN
+    stays last), but a descending VARCHAR key, which cannot be negated,
+    keeps the largest values instead."""
+
+    def __init__(self, dtype: DataType, desc: bool, keep: int):
+        self.dtype, self.desc, self.keep = dtype, desc, keep
+        self.tail = desc and dtype == DataType.VARCHAR
+        self.values = np.empty(0, dtype=dtype.numpy_dtype())
+        self.nulls = 0
+        #: the ``keep``-th best key as a 1-array (numpy would strip a str
+        #: scalar's trailing NULs), None while that is NULL
+        self.worst: np.ndarray | None = None
+
+    def add(self, column: Column, mask: np.ndarray) -> None:
+        """Take in the keys of the rows ``mask`` selects."""
+        values = np.concatenate((self.values, self._ranked(
+            column.values[mask & ~column.nulls])))
+        self.nulls += int(np.count_nonzero(mask & column.nulls))
+        if len(values) >= self.keep:
+            kth = len(values) - self.keep if self.tail else self.keep - 1
+            values = np.partition(values, kth)
+            self.worst = values[kth:kth + 1]
+            values = values[kth:] if self.tail else values[:kth + 1]
+        self.values = values
+
+    def last(self) -> Column:
+        """The ``keep``-th best key, as a one-row column."""
+        if self.worst is None:
+            return Column.all_null(self.dtype, 1)
+        return Column(self.dtype, self._ranked(self.worst),
+                      np.zeros(1, dtype=np.bool_))
+
+    def _ranked(self, values: np.ndarray) -> np.ndarray:
+        if not self.desc or self.tail:
+            return values
+        return -values if self.dtype == DataType.DOUBLE else ~values
+
+    def may_enter(self, column: Column) -> np.ndarray:
+        """Rows whose key is not strictly worse than :meth:`last`
+        (nothing is worse than a NULL)."""
+        if self.worst is None:
+            return np.ones(len(column), dtype=np.bool_)
+        ranked = self._ranked(column.values)
+        worse = ranked < self.worst if self.tail else ranked > self.worst
+        return ~(worse | column.nulls)
 
 
 class Limit(Operator):
-    """LIMIT k OFFSET m with early termination."""
+    """LIMIT k OFFSET m with early termination; the scan its chain
+    reaches (through Filter, Project, join probe sides) streams."""
 
     def __init__(self, context: ExecContext, child: Operator, k: int,
                  offset: int = 0):
@@ -1056,6 +1179,11 @@ class Limit(Operator):
         self.k = k
         self.offset = offset
         self.schema = child.schema
+        while isinstance(child, (Filter, Project, HashJoin)):
+            child = child.probe if isinstance(child, HashJoin) \
+                else child.child
+        if isinstance(child, Scan):
+            child.limited = True
 
     def __iter__(self) -> Iterator[Chunk]:
         to_skip = self.offset

@@ -875,10 +875,10 @@ class QueryCompiler:
 
 
 def _chunks_of(op: Operator) -> Operator:
-    """The operator whose chunks ``op`` passes on one for one, each
-    still tagged with its source partition: Filter and Project keep the
-    tag, a join drops it (and changes which rows rank first), so a TopK
-    above one cannot tell the predicate cache what contributed."""
+    """The operator whose chunks ``op`` passes on one for one, their
+    runs (source partitions) kept: Filter and Project keep them, a join
+    drops them (and changes which rows rank first), so a TopK above one
+    cannot tell the predicate cache what contributed."""
     while isinstance(op, (Filter, Project)):
         op = op.child
     return op

@@ -20,25 +20,44 @@ guarantee of §6.2.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
+
+import numpy as np
 
 
 class RangeSetSummary:
     """A bounded set of disjoint intervals covering all build values.
 
-    Built by sorting the distinct values and greedily merging the
-    closest adjacent gaps until at most ``max_ranges`` intervals remain.
-    This keeps the largest gaps — exactly where probe partitions can be
-    pruned.
+    Built from the distinct values (``np.unique`` of the key array, or
+    of a list's non-NULL items) by splitting at the ``max_ranges - 1``
+    widest gaps — exactly where probe partitions can be pruned. Strings
+    cannot measure a gap and get one covering range. NaN never joins,
+    so it adds no range.
     """
 
     def __init__(self, values: Iterable[Any], max_ranges: int = 64):
         if max_ranges < 1:
             raise ValueError("max_ranges must be >= 1")
-        distinct = sorted({v for v in values if v is not None})
+        if not isinstance(values, np.ndarray):
+            items = [v for v in values if v is not None]
+            values = np.asarray(items)
+            if values.dtype.kind not in "iuf":   # strings keep their NULs
+                values = np.array(items, dtype=object)
+        if values.dtype.kind == "f":
+            values = values[~np.isnan(values)]
+        distinct = np.unique(values)
         self.max_ranges = max_ranges
-        self.ranges: list[tuple[Any, Any]] = _build_ranges(
-            distinct, max_ranges)
+        if len(distinct) <= max_ranges:
+            lo = hi = distinct
+        elif max_ranges > 1 and distinct.dtype.kind in "iuf":
+            gaps = np.diff(distinct.astype(np.float64))
+            cut = np.sort(np.argpartition(gaps, -(max_ranges - 1))
+                          [-(max_ranges - 1):])
+            lo, hi = distinct[np.r_[0, cut + 1]], distinct[np.r_[cut, -1]]
+        else:
+            lo, hi = distinct[:1], distinct[-1:]
+        self.ranges: list[tuple[Any, Any]] = list(zip(lo.tolist(),
+                                                      hi.tolist()))
         #: upper endpoints, sorted (intervals are disjoint and ordered);
         #: probes bisect this instead of hand-rolling the search
         self._upper_bounds: list[Any] = [hi for _, hi in self.ranges]
@@ -59,7 +78,10 @@ class RangeSetSummary:
         only candidate: intervals are disjoint and sorted, so every
         earlier one ends below ``lo`` and every later one starts past
         the candidate. It intersects iff it starts at or below ``hi``.
+        A NaN bound (a zone map's NaN wins min and max) fails open.
         """
+        if lo != lo or hi != hi:
+            return True
         i = bisect_left(self._upper_bounds, lo)
         return i < len(self.ranges) and self.ranges[i][0] <= hi
 
@@ -69,26 +91,3 @@ class RangeSetSummary:
     def __repr__(self) -> str:
         return f"RangeSetSummary({len(self.ranges)} ranges)"
 
-
-def _build_ranges(distinct: Sequence[Any],
-                  max_ranges: int) -> list[tuple[Any, Any]]:
-    if not distinct:
-        return []
-    if len(distinct) <= max_ranges:
-        return [(v, v) for v in distinct]
-    # Strings cannot measure gap width; fall back to one covering range.
-    first = distinct[0]
-    if not isinstance(first, (int, float)):
-        return [(distinct[0], distinct[-1])]
-    # Keep the max_ranges-1 widest gaps as splits.
-    gaps = [(distinct[i + 1] - distinct[i], i)
-            for i in range(len(distinct) - 1)]
-    gaps.sort(reverse=True)
-    split_after = sorted(i for _, i in gaps[:max_ranges - 1])
-    ranges = []
-    start = 0
-    for i in split_after:
-        ranges.append((distinct[start], distinct[i]))
-        start = i + 1
-    ranges.append((distinct[start], distinct[-1]))
-    return ranges

@@ -92,7 +92,10 @@ class TestDirectPlanExecution:
                     ScanSet((p.partition_id, p.zone_map)
                             for p in table.partitions))
         chunks = collect_chunks(scan)
-        assert len(chunks) == 5
+        # one batch: the five partitions as runs, in scan-set order
+        assert len(chunks) == 1
+        assert chunks[0].runs == tuple((p.partition_id, 10)
+                                       for p in table.partitions)
         assert sum(c.num_rows for c in chunks) == 50
 
 

@@ -266,7 +266,7 @@ class RowTopK(TopK):
             self.context.charge_rows(chunk.num_rows)
             order_cols = [chunk.column(key.column)
                           for key in self.keys]
-            source = chunk.source_partition
+            source = chunk.runs[0][0] if chunk.runs else None
             for i in range(chunk.num_rows):
                 rank = tuple(
                     rank_of(column.value_at(i), key.desc)
@@ -331,7 +331,7 @@ def to_chunks(schema: Schema, rows: list[tuple], cuts: list[int],
         chunks.append(Chunk.from_rows(schema, rows[start:]))
     if partitions:
         for number, chunk in enumerate(chunks):
-            chunk.source_partition = 100 + number // 2
+            chunk.runs = ((100 + number // 2, chunk.num_rows),)
     return chunks
 
 
@@ -613,7 +613,7 @@ def test_topk_matches_row_loop(rows, cuts, keys, k, offset):
         kept = run(RowSort(context(), ChunkSource(SCHEMA, chunks),
                            keys))[:offset + k]
         assert results[1] == kept[offset:]
-        partition_of = {row[5]: chunk.source_partition
+        partition_of = {row[5]: chunk.runs[0][0]
                         for chunk in chunks for row in chunk.to_rows()}
         # the skipped OFFSET rows count: a repeat over these partitions
         # alone must find the same rows to skip

@@ -108,11 +108,18 @@ class TestScan:
         assert ctx.profile.scans[0].topk_skipped == 9
 
     def test_source_partition_provenance(self):
+        """A batch names every partition it holds, in row order, with
+        its row count; a streaming scan's chunk is a run of one."""
         storage, scan_set = make_storage()
         ctx = ExecContext(storage)
-        chunks = list(Scan(ctx, "t", SCHEMA, scan_set))
-        assert [c.source_partition for c in chunks] == \
-            scan_set.partition_ids
+        (batch,) = list(Scan(ctx, "t", SCHEMA, scan_set))
+        assert batch.runs == tuple((pid, 10)
+                                   for pid in scan_set.partition_ids)
+        assert [r[0] for r in batch.to_rows()] == list(range(100))
+        scan = Scan(ExecContext(storage), "t", SCHEMA, scan_set)
+        scan.limited = True
+        assert [c.runs for c in scan] == \
+            [((pid, 10),) for pid in scan_set.partition_ids]
 
 
 class TestFilterProject:

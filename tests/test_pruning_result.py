@@ -235,7 +235,9 @@ class TestAddPruned:
         scan.attach_deferred_filter(VectorizedFilterPruner(
             ast.Compare("<", ast.col("a"), ast.lit(25)), SCHEMA,
             detect_fully_matching=False))
-        loaded = sum(1 for _ in scan)
+        # the surviving partitions reach the operator above as runs
+        loaded = sum(len(chunk.runs) for chunk in scan)
         result = scan.profile.filter_result
         assert (loaded, result.pruned) == (3, 7)
+        assert scan.profile.partitions_loaded == 3
         assert result.pruned_ids == [-1] * 7

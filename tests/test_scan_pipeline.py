@@ -72,10 +72,12 @@ class SpyFilter(operators.Filter):
         super().__init__(context, child, predicate,
                          fully_matching if self.bypass else ())
         self.mask_calls = 0
+        self.mask_rows = 0
         bound = self._mask
 
         def counted(columns, length):
             self.mask_calls += 1
+            self.mask_rows += length
             return bound(columns, length)
 
         self._mask = counted
@@ -165,7 +167,11 @@ def test_bypass_changes_nothing_but_the_work(predicate, seed, clustered,
             f"SELECT {select} FROM t WHERE {predicate}", monkeypatch)
         scan = result.profile.scans[0]
         assert bypassed == scan.filter_bypassed <= scan.partitions_loaded
-        assert sum(op.mask_calls for op in filters) == \
+        # the mask sees exactly the rows of the partitions not bypassed
+        # (every partition holds 10 rows), in no more calls than those
+        assert sum(op.mask_rows for op in filters) == \
+            scan.rows_scanned - 10 * bypassed
+        assert sum(op.mask_calls for op in filters) <= \
             scan.partitions_loaded - bypassed
 
 
@@ -186,24 +192,46 @@ def test_bound_predicate_runs_once_per_partition_not_proven(monkeypatch):
 def test_bypassed_chunk_is_the_scan_chunk_itself(monkeypatch):
     catalog = make_catalog(make_rows(0, null_rate=0.0))
     scan_set = catalog.scan_set("t")
-    first = scan_set.partition_ids[0]
-    context = operators.ExecContext(catalog.storage)
-    scan = operators.Scan(context, "t", SCHEMA, scan_set)
-    seen = []
-    consume = scan._consume_partition
+    ids = scan_set.partition_ids
+    seen, batches = [], []
+    consume = operators.Scan._consume_partition
+    concat = operators._concat_runs
 
     def remember(*args, **kwargs):
         seen.append(consume(*args, **kwargs))
         return seen[-1]
 
-    monkeypatch.setattr(scan, "_consume_partition", remember)
-    filter_op = operators.Filter(
-        context, scan, ast.Compare("<", ast.col("a"), ast.lit(1000)),
-        [first])
-    out = list(filter_op)
-    assert out[0] is seen[0]                    # no column copy
-    assert out[1] is not seen[1]
-    assert out[1].to_rows() == seen[1].to_rows()
+    def remember_batch(schema, chunks):
+        batches.append(concat(schema, chunks))
+        return batches[-1]
+
+    monkeypatch.setattr(operators.Scan, "_consume_partition", remember)
+    monkeypatch.setattr(operators, "_concat_runs", remember_batch)
+
+    def filtered(fully_matching):
+        seen.clear()
+        batches.clear()
+        context = operators.ExecContext(catalog.storage)
+        scan = operators.Scan(context, "t", SCHEMA, scan_set)
+        return list(operators.Filter(
+            context, scan, ast.Compare("<", ast.col("a"), ast.lit(1000)),
+            fully_matching))
+
+    def runs(pids):
+        return tuple((pid, 10) for pid in pids)
+
+    # a lone bypassed partition is its scan chunk: no column copy
+    out = filtered(ids[:1])
+    assert out[0] is batches[0] is seen[0]
+    assert out[1] is not batches[1]
+    assert out[1].to_rows() == batches[1].to_rows()
+    assert out[1].runs == batches[1].runs == runs(ids[1:])
+    # a bypassed batch passes as the scan built it
+    out = filtered(ids[:3])
+    assert out[0] is batches[0]
+    assert out[0].runs == runs(ids[:3])
+    assert out[1] is not batches[1]
+    assert out[1].runs == batches[1].runs == runs(ids[3:])
 
 
 # ----------------------------------------------------------------------
