@@ -15,6 +15,7 @@ from repro.expr.pruning import prune_partition
 from repro.pruning.base import ScanSet
 from repro.pruning.filter_pruning import FilterPruner
 from repro.pruning.filters import XorFilter
+from repro.pruning.sketches import SketchPruner
 from repro.pruning.stats_index import (
     StatsIndex,
     VectorizedFilterPruner,
@@ -42,7 +43,7 @@ _PREDICATE = And(
     Compare(">", If(Compare("=", col("category"), lit("cat01")),
                     col("score"), lit(0)), lit(-1)),
 )
-#: LIKE/IF never compile to kernels; this shape exercises the
+#: IF never compiles to a kernel; this shape exercises the
 #: vectorized path end to end.
 _COMPILABLE_PREDICATE = And(
     Compare(">=", col("ts"), lit(40_000)),
@@ -257,3 +258,49 @@ def test_topk_limit_10k_of_20k(benchmark):
     rows = benchmark(lambda: catalog.sql(sql).rows)
     assert rows == sorted(((i, v) for i, _, v in _SCAN_ROWS),
                           key=lambda row: -row[1])[:10_000]
+
+
+_LOG_SCHEMA = Schema.of(msg=DataType.VARCHAR, region=DataType.VARCHAR)
+
+
+def test_like_and_sketch_prune_200_partitions(benchmark):
+    """LIKE filter pruning, then sketch pruning, over 200 partitions;
+    the even ones span the whole domain (an anchor row at each end), so
+    only the sketches can prune them. The kernel classifies the LIKE
+    and the sketch lanes prune probe by probe; both must equal the
+    scalar references."""
+    rows = [("aaa" if i == 0 and p % 2 == 0 else
+             "zzz" if i == 1 and p % 2 == 0 else f"mk{p % 24:02d}x-{i}",
+             f"r{(p * 7 + i % 2 * 3) % 16:02d}")
+            for p in range(200) for i in range(20)]
+    catalog = Catalog(rows_per_partition=20)
+    catalog.create_table_from_rows("logs", _LOG_SCHEMA, rows)
+    catalog.enable_sketches()
+    scan_set = catalog.scan_set("logs")
+    sketches, index = catalog.sketches_of("logs"), catalog.sketch_index("logs")
+    predicates = [And(Like(col("msg"), "%mk03x%"),
+                      Compare("=", col("region"), lit("r05"))),
+                  Like(col("msg"), "mk1%"),
+                  Like(col("msg"), "%k1_x-1%")]
+
+    def prune(scalar=False):
+        out = []
+        for predicate in predicates:
+            pruner = (FilterPruner if scalar else VectorizedFilterPruner)(
+                predicate, _LOG_SCHEMA)
+            filtered = pruner.prune(ScanSet(scan_set.entries) if scalar
+                                    else scan_set)
+            sketch = SketchPruner(predicate, _LOG_SCHEMA, sketches,
+                                  index=None if scalar else index)
+            result = sketch.prune(filtered.kept)
+            out.append((filtered.pruned_ids, filtered.fully_matching_ids,
+                        filtered.checks, result.kept.partition_ids,
+                        result.pruned_ids, result.checks,
+                        sketch.pruned_by_kind))
+        return out
+
+    got = benchmark(prune)
+    assert got == prune(scalar=True)
+    assert [(len(filter_pruned), len(fm), len(kept))
+            for filter_pruned, fm, _, kept, *_ in got] == \
+        [(113, 0, 5), (60, 40, 80), (0, 0, 200)]

@@ -29,6 +29,8 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
+import numpy as np
+
 from ..engine.context import ExecContext, ScanProfile
 from ..engine.chunk import Chunk
 from ..engine.operators import (
@@ -393,10 +395,10 @@ class QueryCompiler:
                 span.annotate(before=result.before,
                               after=result.after,
                               by_kind=dict(pruner.pruned_by_kind))
-        if result.pruned:
-            surviving = set(result.kept.partition_ids)
-            fully_matching = [pid for pid in fully_matching
-                              if pid in surviving]
+        if result.pruned and fully_matching:
+            fully_matching = np.compress(
+                np.isin(fully_matching, result.kept.ids),
+                fully_matching).tolist()
         return result.kept, fully_matching
 
     @staticmethod

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from ..expr import ast
 from ..expr.pruning import TriState, prune_partition
-from ..expr.rewrite import widen_for_pruning
 from ..storage.zonemap import ZoneMap
 from ..types import Schema
 from .base import VERDICT_CODE, PruneCategory, PruningResult, ScanSet
@@ -36,36 +35,28 @@ def is_prunable(predicate: ast.Expr) -> bool:
 class FilterPruner:
     """Prunes a scan set against one predicate.
 
-    The predicate is widened once (imprecise filter rewrite, §3.1) for
-    the not-matching test; the *original* predicate decides
-    fully-matching status, because widening weakens a predicate and a
-    weakened ALWAYS proves nothing about the original.
+    One pass over the *original* predicate decides both tests: the
+    imprecise LIKE rewrite of §3.1 (``widen_for_pruning``) is applied
+    inside range derivation, which tests a LIKE's literal prefix and
+    certifies ALWAYS only for a ``prefix%`` pattern, so a partition is
+    NEVER under the predicate exactly when it is NEVER under its
+    widened form.
     """
 
     def __init__(self, predicate: ast.Expr, schema: Schema,
                  detect_fully_matching: bool = True):
         self.predicate = predicate
         self.schema = schema
-        self.widened = widen_for_pruning(predicate)
         self.detect_fully_matching = detect_fully_matching
         self.checks = 0
 
     def classify(self, zone_map: ZoneMap) -> TriState:
         """Classify one partition: NEVER / MAYBE / ALWAYS."""
         self.checks += 1
-        verdict = prune_partition(self.widened, zone_map, self.schema)
-        if verdict == TriState.NEVER:
-            return TriState.NEVER
-        if not self.detect_fully_matching:
+        verdict = prune_partition(self.predicate, zone_map, self.schema)
+        if verdict == TriState.ALWAYS and not self.detect_fully_matching:
             return TriState.MAYBE
-        if self.widened == self.predicate:
-            # No widening happened; the first verdict is authoritative.
-            return verdict
-        self.checks += 1
-        if prune_partition(self.predicate, zone_map,
-                           self.schema) == TriState.ALWAYS:
-            return TriState.ALWAYS
-        return TriState.MAYBE
+        return verdict
 
     def classify_code(self, zone_map: ZoneMap) -> int:
         """:meth:`classify` as an int8 verdict code."""

@@ -889,14 +889,25 @@ class SketchIndex:
                  ngram_size: int = 3):
         self._items = [(pid, sketches) for pid, sketches in entries
                        if sketches is not None]
-        self.row_of = {pid: i
-                       for i, (pid, _) in enumerate(self._items)}
+        #: int64 partition-id lane, in row order
+        self.partition_ids = np.array([pid for pid, _ in self._items],
+                                      dtype=np.int64)
+        self._by_id = np.argsort(self.partition_ids, kind="stable")
+        self._sorted_ids = self.partition_ids[self._by_id]
         self.ngram_size = ngram_size
         self._ngram_lanes: dict[str, _NGramLane] = {}
         self._member_lanes: dict[str, _MemberLane] = {}
 
     def __len__(self) -> int:
         return len(self._items)
+
+    def rows_of(self, ids: np.ndarray) -> np.ndarray:
+        """Per partition id, its row in this index, or -1."""
+        if not len(self._items):
+            return np.full(len(ids), -1, dtype=np.intp)
+        at = np.searchsorted(self._sorted_ids, ids).clip(
+            max=len(self._items) - 1)
+        return np.where(self._sorted_ids[at] == ids, self._by_id[at], -1)
 
     def _ngram_lane(self, column: str) -> _NGramLane | None:
         lane = self._ngram_lanes.get(column)
@@ -972,47 +983,41 @@ class SketchPruner:
     def eligible(self) -> bool:
         return bool(self.probes)
 
-    def _might_match(self, position: int, probe: SketchProbe,
-                     partition_id: int) -> bool:
-        vector = self._vector.get(position)
-        if vector is not None:
-            row = self.index.row_of.get(partition_id)
-            if row is not None and vector[1][row]:
-                return bool(vector[0][row])
-        sketches = self.sketches.get(partition_id)
-        if sketches is None:
-            return True
-        return sketches.might_match(probe)
-
-    def classify(self, partition_id: int) -> str | None:
-        """The kind of the first failing probe, or None (keep)."""
-        for position, probe in enumerate(self.probes):
-            self.checks += 1
-            if not self._might_match(position, probe, partition_id):
-                return probe.kind
-        return None
-
     def prune(self, scan_set: ScanSet) -> PruningResult:
-        kept: list[tuple[int, Any]] = []
-        pruned_ids: list[int] = []
+        """Probe by probe over the rows no earlier probe pruned: lane
+        verdicts where a lane covers the row, the scalar probe
+        elsewhere. The first failing probe prunes and is credited."""
+        ids = scan_set.ids
+        pending = np.zeros(len(ids), dtype=bool)
         if self.probes and self.sketches:
-            for partition_id, zone_map in scan_set:
-                if partition_id in scan_set.degraded_ids:
-                    kept.append((partition_id, zone_map))
-                    continue  # degraded metadata: always fail open
-                failed = self.classify(partition_id)
-                if failed is None:
-                    kept.append((partition_id, zone_map))
-                else:
-                    pruned_ids.append(partition_id)
-                    self.pruned_by_kind[failed] = (
-                        self.pruned_by_kind.get(failed, 0) + 1)
-        else:
-            kept = list(scan_set)
+            # degraded metadata: always fail open
+            pending = ~np.isin(ids, list(scan_set.degraded_ids))
+        rows = self.index.rows_of(ids) if self._vector else None
+        pruned = np.zeros(len(ids), dtype=bool)
+        for position, probe in enumerate(self.probes):
+            at = np.flatnonzero(pending)
+            self.checks += len(at)
+            ok = np.ones(len(at), dtype=bool)
+            covered = np.zeros(len(at), dtype=bool)
+            vector = self._vector.get(position)
+            if vector is not None:
+                row = rows[at]
+                covered[row >= 0] = vector[1][row[row >= 0]]
+                ok[covered] = vector[0][row[covered]]
+            scalar = ~covered
+            ok[scalar] = [
+                sketches is None or sketches.might_match(probe)
+                for sketches in map(self.sketches.get,
+                                    ids[at[scalar]].tolist())]
+            failed = at[~ok]
+            if len(failed):
+                pending[failed], pruned[failed] = False, True
+                self.pruned_by_kind[probe.kind] = (
+                    self.pruned_by_kind.get(probe.kind, 0) + len(failed))
         return PruningResult(
             technique=PruneCategory.SKETCH,
             before=len(scan_set),
-            kept=scan_set.with_entries(kept),
-            pruned_ids=pruned_ids,
+            kept=scan_set.take(np.flatnonzero(~pruned)),
+            pruned_ids=ids[pruned],
             checks=self.checks,
         )

@@ -13,18 +13,19 @@ This module turns that loop inside out:
   (min/max/null-count/row-count) for *all* partitions of a table into
   struct-of-arrays numpy vectors, built lazily per referenced column.
 * :func:`compile_pruning_kernel` compiles a prunable predicate
-  (Compare / InList / IsNull / StartsWith / boolean literals combined
-  with And/Or/Not — BETWEEN arrives as an And of Compares) into a tree
-  of numpy kernels that classify every partition in one vectorized
-  pass, producing the same NEVER/MAYBE/ALWAYS verdicts as
+  (Compare / InList / IsNull / StartsWith / Like / EndsWith / Contains /
+  boolean literals combined with And/Or/Not — BETWEEN arrives as an And
+  of Compares) into a tree of numpy kernels that classify every
+  partition in one vectorized pass, producing the same
+  NEVER/MAYBE/ALWAYS verdicts as
   :func:`repro.expr.pruning.prune_partition`.
 * :class:`VectorizedFilterPruner` runs the kernel over the index a
   :class:`~repro.pruning.ScanSet` carries and is **bit-identical** to
   ``FilterPruner``: any entry the index cannot vouch for (degraded /
   stat-less zone maps, stale index rows — the scan set decides, see
-  ``ScanSet.trusted_rows``) or predicate shape (LIKE, arithmetic,
-  mixed-type literals…) the kernels cannot prove they handle exactly
-  falls back to the per-partition AST path.
+  ``ScanSet.trusted_rows``) or predicate shape (arithmetic, CAST,
+  functions, mixed-type literals…) the kernels cannot prove they
+  handle exactly falls back to the per-partition AST path.
 
 Soundness strategy: rather than re-deriving pruning theory, every
 kernel replicates the *exact* case analysis of ``expr/ranges.py`` on
@@ -384,8 +385,9 @@ def _leaf(name: str,
     """Assemble a leaf node from its valued-case mask builder.
 
     The unknown / NULL-only / empty cases are identical for Compare,
-    InList and StartsWith (see ``_range_compare`` and friends): unknown
-    → (T, T, T); min None with nulls → (F, F, T); empty → (F, F, F).
+    InList and the string predicates (see ``_range_compare`` and
+    friends): unknown → (T, T, T); min None with nulls → (F, F, T);
+    empty → (F, F, F).
     ``extra_maybe_null`` forces NULL possibility even for null-free
     partitions (an IN list containing NULL).
     """
@@ -450,39 +452,69 @@ def _compile_in_list(expr: ast.InList) -> _NodeFn | None:
     return _leaf(name, value_masks, extra_maybe_null=list_has_null)
 
 
+def _prefix_masks(prefix: str, vectors: _ColumnVectors, name: str
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(can_true, can_false) of "column starts with ``prefix``" for
+    valued rows: ``ranges._prefix_flags`` over the lanes."""
+    if vectors.kind != _STR_KIND:
+        # Scalar path raises TypeError comparing str vs numbers;
+        # route there so behavior (the raise) is identical.
+        raise _Unbindable(f"prefix test on non-string lane {name!r}")
+    lo, hi = vectors.lo, vectors.hi
+    n = len(lo)
+    if prefix == "":
+        return np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    # Strings starting with the prefix form [prefix, succ(prefix));
+    # succ is None when every character is maximal (interval is
+    # [prefix, +inf)). Mirrors ``ranges._prefix_flags`` exactly — a
+    # fixed-length max-codepoint cap would wrongly prune lo values
+    # that extend the prefix with more maximal characters.
+    succ = prefix_successor(prefix)
+    if succ is None:
+        below_succ = np.ones(n, dtype=bool)
+    else:
+        below_succ = _as_bool(lo < object_scalar(succ))
+    can_true = below_succ & _as_bool(object_scalar(prefix) <= hi)
+    all_match = np.fromiter(
+        (a.startswith(prefix) and b.startswith(prefix)
+         for a, b in zip(lo, hi)),
+        dtype=bool, count=n)
+    return can_true, ~all_match
+
+
 def _compile_startswith(expr: ast.StartsWith) -> _NodeFn | None:
     if not isinstance(expr.child, ast.ColumnRef):
         return None
-    needle = expr.needle
-    name = expr.child.name
+    needle, name = expr.needle, expr.child.name
+    return _leaf(name, lambda vectors: _prefix_masks(needle, vectors, name))
+
+
+def _compile_like(expr: ast.Like) -> _NodeFn | None:
+    """``ranges._range_like``: an exact pattern is ``=``; any other
+    tests its literal prefix, and proves ALWAYS only as ``prefix%``."""
+    if not isinstance(expr.child, ast.ColumnRef):
+        return None
+    pattern, prefix, name = expr.pattern, expr.literal_prefix, expr.child.name
 
     def value_masks(vectors: _ColumnVectors):
-        if vectors.kind != _STR_KIND:
-            # Scalar path raises TypeError comparing str vs numbers;
-            # route there so behavior (the raise) is identical.
-            raise _Unbindable(f"STARTSWITH on non-string lane {name!r}")
-        lo, hi = vectors.lo, vectors.hi
-        n = len(lo)
-        if needle == "":
-            return np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
-        # Strings starting with the needle form [needle, succ(needle));
-        # succ is None when every character is maximal (interval is
-        # [needle, +inf)). Mirrors ``ranges._prefix_flags`` exactly —
-        # a fixed-length max-codepoint cap would wrongly prune lo
-        # values that extend the needle with more maximal characters.
-        succ = prefix_successor(needle)
-        if succ is None:
-            below_succ = np.ones(n, dtype=bool)
-        else:
-            below_succ = _as_bool(lo < object_scalar(succ))
-        can_true = below_succ & _as_bool(object_scalar(needle) <= hi)
-        all_match = np.fromiter(
-            (a.startswith(needle) and b.startswith(needle)
-             for a, b in zip(lo, hi)),
-            dtype=bool, count=n)
-        return can_true, ~all_match
+        if expr.is_exact:
+            return _compare_masks("=", vectors.lo, vectors.hi,
+                                  _bind_literal(pattern, vectors.kind))
+        can_true, can_false = _prefix_masks(prefix, vectors, name)
+        if pattern != prefix + "%":
+            can_false = np.ones_like(can_true)
+        return can_true, can_false
 
     return _leaf(name, value_masks)
+
+
+def _compile_opaque_string(expr: ast.EndsWith | ast.Contains
+                           ) -> _NodeFn | None:
+    """``ranges._range_opaque_string_pred``: min/max decide nothing."""
+    if not isinstance(expr.child, ast.ColumnRef):
+        return None
+    return _leaf(expr.child.name, lambda vectors: (
+        np.ones(len(vectors.lo), dtype=bool),) * 2)
 
 
 def _compile_is_null(expr: ast.IsNull) -> _NodeFn | None:
@@ -568,6 +600,10 @@ def _compile_node(expr: ast.Expr) -> _NodeFn | None:
         return _compile_is_null(expr)
     if isinstance(expr, ast.StartsWith):
         return _compile_startswith(expr)
+    if isinstance(expr, ast.Like):
+        return _compile_like(expr)
+    if isinstance(expr, (ast.EndsWith, ast.Contains)):
+        return _compile_opaque_string(expr)
     if isinstance(expr, ast.Literal):
         return _compile_literal(expr)
     return None
@@ -679,13 +715,11 @@ class VectorizedFilterPruner(FilterPruner):
     Compiles the predicate once; :meth:`prune` classifies the scan
     set's index in one kernel pass and reads the verdicts back through
     :meth:`ScanSet.gather`, so entries the index cannot vouch for —
-    and every entry of a predicate the kernels do not cover (LIKE,
-    arithmetic, mixed-type literals) — are judged by the inherited
-    per-partition :meth:`~FilterPruner.classify`. Results are
-    **bit-identical** to ``FilterPruner.prune``, check counts
-    included: one check per partition, as the scalar path counts for
-    unwidened predicates (widening only rewrites LIKE, which never
-    compiles, so a compiled kernel always runs single-pass).
+    and every entry of a predicate the kernels do not cover
+    (arithmetic, CAST, functions, mixed-type literals) — are judged by
+    the inherited per-partition :meth:`~FilterPruner.classify`.
+    Results are **bit-identical** to ``FilterPruner.prune``, check
+    counts included: one check per partition on either path.
 
     ``checks`` counts the scalar checks, ``vector_checks`` the ones a
     kernel served; ``mode`` after :meth:`prune`: see
@@ -695,9 +729,7 @@ class VectorizedFilterPruner(FilterPruner):
     def __init__(self, predicate: ast.Expr, schema: Schema,
                  detect_fully_matching: bool = True):
         super().__init__(predicate, schema, detect_fully_matching)
-        self.kernel: PruningKernel | None = None
-        if self.widened == predicate:
-            self.kernel = compile_pruning_kernel(predicate)
+        self.kernel = compile_pruning_kernel(predicate)
         self.vector_checks = 0
         self.mode = "fallback"
 

@@ -15,6 +15,8 @@ generated expressions and data.
 
 from __future__ import annotations
 
+import datetime
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
@@ -172,3 +174,139 @@ def test_inverted_pass_agrees_with_tristate(predicate, rows):
     if prune_partition(inverted, partition.zone_map,
                        SCHEMA) == TriState.NEVER:
         assert all(t is True for t in truths)
+
+
+# ----------------------------------------------------------------------
+# Widening is implicit in range derivation
+# ----------------------------------------------------------------------
+FULL_SCHEMA = Schema.of(a=DataType.INTEGER, v=DataType.DOUBLE,
+                        s=DataType.VARCHAR, d=DataType.DATE)
+_TOP = "\U0010ffff"
+_TEXTS = ["alpha", "alp", "alphabet", "beta", "", "a\x00", _TOP + "a"]
+_PATTERNS = st.one_of(
+    st.sampled_from(["", "%", "_", "alp%", "alp_%", "a%t", "%a", "alpha",
+                     "a\x00%", _TOP + "%", "b_t%", "alp%%"]),
+    st.lists(st.sampled_from(["%", "_", "a", "l", "\x00", _TOP]),
+             max_size=4).map("".join),
+    # a literal prefix and a wildcard: what widening rewrites
+    st.tuples(st.sampled_from(["a", "al", "alp", "b", "a\x00", _TOP]),
+              st.sampled_from(["%", "_", "%a", "_%", "%%"])).map("".join))
+full_rows_strategy = st.lists(st.tuples(
+    st.one_of(st.none(), st.integers(-20, 20)),
+    st.one_of(st.none(), st.floats(-20, 20, allow_nan=False)),
+    st.one_of(st.none(), st.sampled_from(_TEXTS)),
+    st.one_of(st.none(), st.dates(datetime.date(1999, 12, 1),
+                                  datetime.date(2001, 2, 1)))),
+    min_size=1, max_size=12)
+
+
+def full_numeric(depth: int = 2):
+    """INTEGER / DOUBLE expressions over every numeric node."""
+    leaf = st.one_of(
+        st.sampled_from([ast.col("a"), ast.col("v"),
+                         ast.lit(None, DataType.INTEGER)]),
+        st.integers(-25, 25).map(ast.lit),
+        st.floats(-25, 25, allow_nan=False).map(ast.lit),
+        st.sampled_from(["year", "month", "day"]).map(
+            lambda f: ast.FunctionCall(f, [ast.col("d")])),
+        full_string(0).map(lambda e: ast.FunctionCall("length", [e])))
+    if depth == 0:
+        return leaf
+    sub = full_numeric(depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(st.sampled_from(ast.ARITH_OPS), sub, sub).map(
+            lambda t: ast.Arith(*t)),
+        sub.map(ast.Neg),
+        st.tuples(st.sampled_from(["abs", "ceil", "floor", "round"]),
+                  sub).map(lambda t: ast.FunctionCall(t[0], [t[1]])),
+        st.tuples(st.sampled_from(["least", "greatest", "coalesce"]),
+                  sub, sub).map(
+            lambda t: ast.FunctionCall(t[0], [t[1], t[2]])),
+        st.tuples(sub, st.sampled_from([DataType.INTEGER,
+                                        DataType.DOUBLE])).map(
+            lambda t: ast.Cast(*t)),
+        st.tuples(st.one_of(
+            _PATTERNS.map(lambda p: ast.Like(ast.col("s"), p)),
+            st.sampled_from(["a", "s"]).map(
+                lambda c: ast.IsNull(ast.col(c)))), sub, sub).map(
+            lambda t: ast.If(*t)))
+
+
+def full_string(depth: int = 1):
+    leaf = st.one_of(st.just(ast.col("s")),
+                     st.sampled_from(_TEXTS).map(ast.lit))
+    if depth == 0:
+        return leaf
+    sub = full_string(depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(st.sampled_from(["upper", "lower"]), sub).map(
+            lambda t: ast.FunctionCall(t[0], [t[1]])),
+        st.tuples(sub, sub).map(
+            lambda t: ast.FunctionCall("coalesce", [t[0], t[1]])))
+
+
+def full_predicate(depth: int = 2):
+    """Boolean expressions over the whole ``expr/ast.py`` grammar."""
+    string = full_string()
+    leaf = st.one_of(
+        st.tuples(st.sampled_from(ast.COMPARE_OPS), full_numeric(1),
+                  full_numeric(1)).map(lambda t: ast.Compare(*t)),
+        st.tuples(st.sampled_from(ast.COMPARE_OPS), string, string).map(
+            lambda t: ast.Compare(*t)),
+        st.tuples(st.sampled_from(ast.COMPARE_OPS),
+                  st.dates(datetime.date(2000, 1, 1),
+                           datetime.date(2000, 12, 31))).map(
+            lambda t: ast.Compare(t[0], ast.col("d"), ast.lit(t[1]))),
+        st.tuples(string, _PATTERNS).map(lambda t: ast.Like(*t)),
+        _PATTERNS.map(lambda p: ast.Like(ast.col("s"), p)),
+        _PATTERNS.map(lambda p: ast.Like(ast.col("s"), p)),
+        st.tuples(st.sampled_from([ast.StartsWith, ast.EndsWith,
+                                   ast.Contains]), string,
+                  st.sampled_from(_TEXTS)).map(lambda t: t[0](t[1], t[2])),
+        st.tuples(full_numeric(0), st.lists(
+            st.one_of(st.none(), st.integers(-20, 20)), min_size=1,
+            max_size=3)).map(lambda t: ast.InList(*t)),
+        st.tuples(string, st.lists(st.sampled_from(_TEXTS), min_size=1,
+                                   max_size=3)).map(
+            lambda t: ast.InList(*t)),
+        st.tuples(st.sampled_from(["a", "v", "s", "d"]),
+                  st.booleans()).map(
+            lambda t: ast.IsNull(ast.col(t[0]), negated=t[1])),
+        st.sampled_from([True, False, None]).map(
+            lambda b: ast.lit(b, DataType.BOOLEAN)))
+    if depth == 0:
+        return leaf
+    sub = full_predicate(depth - 1)
+    return st.one_of(
+        leaf,
+        st.lists(sub, min_size=2, max_size=3).map(lambda cs: ast.And(*cs)),
+        st.lists(sub, min_size=2, max_size=3).map(lambda cs: ast.Or(*cs)),
+        sub.map(ast.Not),
+        st.tuples(sub, sub, sub).map(lambda t: ast.If(*t)))
+
+
+def _verdict(predicate, zone_map):
+    try:
+        return prune_partition(predicate, zone_map, FULL_SCHEMA)
+    except Exception as error:  # noqa: BLE001 - both sides must agree
+        return type(error)
+
+
+@settings(max_examples=500, deadline=None)
+@given(predicate=full_predicate(), rows=full_rows_strategy,
+       degraded=st.booleans())
+def test_widening_never_changes_a_never_verdict(predicate, rows,
+                                                degraded):
+    """``prune_partition(p)`` is NEVER iff it is NEVER for
+    ``widen_for_pruning(p)``: range derivation applies the §3.1 LIKE
+    rewrite itself, so ``FilterPruner`` needs no second pass."""
+    zone_map = MicroPartition.from_rows(FULL_SCHEMA, rows).zone_map
+    if degraded:
+        zone_map = zone_map.without_stats()
+    original = _verdict(predicate, zone_map)
+    widened = _verdict(widen_for_pruning(predicate), zone_map)
+    assert (original is TriState.NEVER) == (widened is TriState.NEVER)
+    if not isinstance(original, TriState):
+        assert widened is original

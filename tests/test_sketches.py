@@ -31,6 +31,7 @@ from repro.pruning.sketches import (
     SketchConfig,
     SketchIndex,
     SketchPruner,
+    build_partition_sketches,
     compile_sketch_probes,
     is_sketch_prunable,
     normalize_member,
@@ -109,6 +110,46 @@ def assert_pruner_sound(catalog, predicate):
                                   schema)
         assert not mask.any(), (
             f"partition {pid} pruned but has matching rows")
+
+
+def per_partition_prune(pruner, scan_set):
+    """The per-partition loop ``SketchPruner.prune`` replaced, kept as
+    its reference: each partition runs the probes in order, a lane
+    answering where its row is covered and the scalar sketch probe
+    elsewhere, and the first failing probe prunes it. Returns (kept
+    ids, pruned ids, checks, pruned-by-kind)."""
+    vectors, row_of = {}, {}
+    if pruner.index is not None and pruner.sketches:
+        row_of = {pid: row for row, pid
+                  in enumerate(pruner.index.partition_ids.tolist())}
+        for position, probe in enumerate(pruner.probes):
+            result = pruner.index.evaluate(probe)
+            if result is not None:
+                vectors[position] = result
+
+    def might_match(position, probe, pid):
+        vector, row = vectors.get(position), row_of.get(pid)
+        if vector is not None and row is not None and vector[1][row]:
+            return bool(vector[0][row])
+        sketches = pruner.sketches.get(pid)
+        return sketches is None or sketches.might_match(probe)
+
+    kept, pruned, checks, by_kind = [], [], 0, Counter()
+    for pid in scan_set.partition_ids:
+        failed = None
+        if pruner.probes and pruner.sketches \
+                and pid not in scan_set.degraded_ids:
+            for position, probe in enumerate(pruner.probes):
+                checks += 1
+                if not might_match(position, probe, pid):
+                    failed = probe.kind
+                    break
+        if failed is None:
+            kept.append(pid)
+        else:
+            pruned.append(pid)
+            by_kind[failed] += 1
+    return kept, pruned, checks, dict(by_kind)
 
 
 def sql_safe(needle: str) -> bool:
@@ -502,6 +543,130 @@ class TestIndexCoverage:
         assert median(ratios) >= 0.5
         block = QueryService(sketched).describe()["sketches"]
         assert block["partitions_with_sketches"] == 16
+
+
+class TestArrayPass:
+    """``SketchPruner.prune`` classifies by arrays, probe by probe;
+    :func:`per_partition_prune` is the loop it replaced. Kept and
+    pruned ids (in order), checks and the per-kind attribution must
+    agree over degraded ids, partitions without sketches, rows no lane
+    covers (sketches of another n-gram size), stale or missing
+    indexes, several probes, and hand-built or empty scan sets."""
+
+    TEXTS = ["alpha-1", "beta-22", "gamma-333", "alphabet", "ab", "",
+             None, "x\U0010ffffy"]
+    CONJUNCTS = st.one_of(
+        st.sampled_from(["alp", "beta", "333", "zzz", "ab", "a-"]).map(
+            lambda n: ast.Contains(ast.col("s"), n)),
+        st.sampled_from(["%alp%", "%ta-2%", "gamma%", "%zzz%", "alpha-1",
+                         "%a_1"]).map(lambda p: ast.Like(ast.col("s"), p)),
+        st.sampled_from(["et", "-1", "qq"]).map(
+            lambda n: ast.EndsWith(ast.col("s"), n)),
+        st.integers(-6, 6).map(
+            lambda k: ast.Compare("=", ast.col("k"), ast.lit(k))),
+        st.lists(st.integers(-6, 6), min_size=1, max_size=3).map(
+            lambda ks: ast.InList(ast.col("k"), ks)),
+        st.sampled_from([0.5, 2.0, -3.0]).map(
+            lambda v: ast.Compare("=", ast.col("v"), ast.lit(v))),
+        st.sampled_from(["beta-22", "ab", "nope"]).map(
+            lambda t: ast.Compare("=", ast.col("s"), ast.lit(t))))
+
+    @staticmethod
+    def _setup(data):
+        rows = data.draw(st.lists(st.tuples(
+            st.sampled_from(TestArrayPass.TEXTS),
+            st.one_of(st.none(), st.integers(-6, 6)),
+            st.sampled_from([None, 0.5, 2.0, -3.0, 7.25])),
+            min_size=1, max_size=40))
+        catalog = Catalog(rows_per_partition=3)
+        catalog.create_table_from_rows("t", SCHEMA,
+                                       [list(row) for row in rows])
+        catalog.enable_sketches(SketchConfig(dictionary_max_entries=4))
+        sketches = dict(catalog.sketches_of("t"))
+        partitions = catalog.tables["t"].partitions
+        for partition in partitions:
+            fate = data.draw(st.sampled_from(
+                ["keep", "keep", "drop", "bigram"]))
+            if fate == "drop":
+                del sketches[partition.partition_id]
+            elif fate == "bigram":
+                sketches[partition.partition_id] = build_partition_sketches(
+                    partition, SketchConfig(ngram_size=2,
+                                            dictionary_max_entries=4))
+        index = data.draw(st.sampled_from(
+            ["none", "same", "catalog", "partial", "empty"]))
+        index = {
+            "none": None,
+            "same": SketchIndex(sketches.items()),
+            "catalog": catalog.sketch_index("t"),
+            "partial": SketchIndex(list(sketches.items())[::2]),
+            "empty": SketchIndex([]),
+        }[index]
+        return catalog, sketches, index
+
+    @staticmethod
+    def _scan_set(catalog, data):
+        base = catalog.scan_set("t")
+        positions = data.draw(st.lists(
+            st.integers(0, len(base) - 1), unique=True, max_size=len(base)))
+        degraded = data.draw(st.lists(st.sampled_from(base.partition_ids),
+                                      max_size=3))
+        return data.draw(st.sampled_from([
+            base,
+            base.take(positions),
+            ScanSet([base.entries[i] for i in positions]),
+            ScanSet(base.entries, degraded_ids=degraded),
+            base.take(positions).take(list(range(len(positions)))[::-1]),
+            ScanSet([]),
+        ]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_partition_reference(self, data):
+        catalog, sketches, index = self._setup(data)
+        scan_set = self._scan_set(catalog, data)
+        conjuncts = data.draw(st.lists(self.CONJUNCTS, min_size=1,
+                                       max_size=4))
+        predicate = (conjuncts[0] if len(conjuncts) == 1
+                     else ast.And(*conjuncts))
+        pruner = SketchPruner(predicate, SCHEMA, sketches, index=index)
+        result = pruner.prune(scan_set)
+        reference = SketchPruner(predicate, SCHEMA, sketches, index=index)
+        kept, pruned, checks, by_kind = per_partition_prune(reference,
+                                                            scan_set)
+        assert result.kept.partition_ids == kept
+        assert result.pruned_ids == pruned
+        assert result.checks == pruner.checks == checks
+        assert pruner.pruned_by_kind == by_kind
+        assert result.before == len(scan_set)
+        assert result.kept.degraded_ids == \
+            scan_set.degraded_ids & set(kept)
+
+    def test_no_zone_map_materialised_for_10000_partitions(
+            self, monkeypatch):
+        from repro.pruning import StatsIndex
+
+        n = 10_000
+        catalog = Catalog(rows_per_partition=2)
+        catalog.create_table_from_rows(
+            "t", SCHEMA, [[None, i // 2 % 50, None] for i in range(2 * n)])
+        catalog.enable_sketches(SketchConfig(columns=["k"]))
+        scan_set = catalog.scan_set("t")
+        assert scan_set._entries is None and len(scan_set) == n
+        built = []
+        zone_map_at = StatsIndex.zone_map_at
+        monkeypatch.setattr(
+            StatsIndex, "zone_map_at",
+            lambda index, row: built.append(row) or zone_map_at(index,
+                                                                 row))
+        pruner = SketchPruner(
+            ast.InList(ast.col("k"), [3, 17]), SCHEMA,
+            catalog.sketches_of("t"), index=catalog.sketch_index("t"))
+        result = pruner.prune(scan_set)
+        assert result.after == n * 2 // 50
+        assert pruner.pruned_by_kind == {"member": n - result.after}
+        assert result.kept._entries is None
+        assert built == []
 
 
 class TestPersistenceRoundTrip:

@@ -67,9 +67,20 @@ partitions_strategy = st.lists(rows_strategy, min_size=0, max_size=8)
 
 # ----------------------------------------------------------------------
 # Predicate strategies: compilable shapes, plus shapes that must fall
-# back (LIKE, arithmetic, NaN / lossy literals)
+# back (arithmetic, NaN / lossy literals)
 # ----------------------------------------------------------------------
 _OPS = ["<", "<=", ">", ">=", "=", "<>"]
+_TOP = "\U0010ffff"
+
+#: LIKE patterns from ``%``, ``_``, the empty and exact patterns, NUL
+#: and U+10FFFF (the prefix-successor trap)
+LIKE_PATTERNS = st.one_of(
+    st.sampled_from(["", "%", "_", "%%", "alpha", "alp", "alp%", "alp_",
+                     "a_p%", "%a", "a%t", "alp%%", "a\x00", "a\x00%",
+                     "\x00%", _TOP + "%", _TOP + _TOP + "%", _TOP + "_",
+                     "a" + _TOP + "%", "z%", "beta"]),
+    st.lists(st.sampled_from(["%", "_", "a", "l", "p", "\x00", _TOP]),
+             max_size=5).map("".join))
 
 
 def _compare(col: str, lit_strategy):
@@ -99,10 +110,7 @@ def leaf_predicate():
             lambda vs: ast.InList(ast.col("s"), vs)),
         st.sampled_from(["alp", "bet", "z", ""]).map(
             lambda p: ast.StartsWith(ast.col("s"), p)),
-        # never-compilable shapes: the pruner must fall back and
-        # still agree with itself via the embedded scalar path.
-        st.sampled_from(["alp%", "%a", "a%t", "alpha"]).map(
-            lambda p: ast.Like(ast.col("s"), p)),
+        LIKE_PATTERNS.map(lambda p: ast.Like(ast.col("s"), p)),
         st.sampled_from([True, False]).map(ast.lit),
     )
 
@@ -205,12 +213,13 @@ class TestDirectedFallbacks:
         assert pruner.kernel is not None
         assert pruner.fallback_checks == 0
 
-    def test_like_predicate_falls_back(self):
+    def test_like_predicate_compiles(self):
         predicate = ast.Like(ast.col("s"), "alp%")
         pruner = assert_differential(
             predicate, self._entries(), True,
-            expect_mode="fallback")
-        assert pruner.kernel is None
+            expect_mode="vectorized")
+        assert pruner.kernel is not None
+        assert pruner.fallback_checks == 0
 
     def test_nan_literal_falls_back(self):
         predicate = ast.Compare("=", ast.col("v"),
@@ -301,6 +310,90 @@ class TestNulSuffixedStrings:
                              for _, zm in scan_set]
 
 
+class TestLikeKernel:
+    """LIKE is a kernel leaf transcribing ``ranges._range_like``: an
+    exact pattern is ``=``, any other tests its literal prefix and
+    proves ALWAYS only as ``prefix%``. Patterns mix ``%``, ``_``, NUL
+    and U+10FFFF (the prefix-successor trap) over strings built from
+    the same pieces, under NOT / AND / OR, on every kind of scan-set
+    row the kernel may or may not vouch for."""
+
+    VALUES = STRINGS + ["a\x00", "\x00", "alp\x00", "al\x00p", _TOP,
+                        _TOP + _TOP, _TOP + "a", "a" + _TOP, "alp" + _TOP]
+
+    @classmethod
+    def predicates(cls, depth=2):
+        like = LIKE_PATTERNS.map(lambda p: ast.Like(ast.col("s"), p))
+        leaf = st.one_of(
+            like, like,
+            _compare("a", st.integers(-60, 60)),
+            st.sampled_from(["alp", "a\x00", _TOP, ""]).map(
+                lambda p: ast.StartsWith(ast.col("s"), p)),
+            st.booleans().map(
+                lambda n: ast.IsNull(ast.col("s"), negated=n)))
+        if depth == 0:
+            return leaf
+        sub = cls.predicates(depth - 1)
+        return st.one_of(
+            leaf,
+            st.tuples(sub, sub).map(lambda t: ast.And(t[0], t[1])),
+            st.tuples(sub, sub).map(lambda t: ast.Or(t[0], t[1])),
+            sub.map(ast.Not))
+
+    @classmethod
+    def partitions(cls):
+        row = st.tuples(int_values, float_values,
+                        st.one_of(st.none(), st.sampled_from(cls.VALUES)))
+        return st.lists(st.one_of(
+            st.lists(row, min_size=1, max_size=8),
+            st.just([]),                                  # empty
+            st.just([(None, None, None)] * 3)),           # all-NULL
+            min_size=0, max_size=8)
+
+    @staticmethod
+    def scan_set(kind, entries, other, draw):
+        """A scan set of ``entries`` whose rows the index vouches for
+        (``index``, ``hand_built``) or not (``degraded``, ``stale``)."""
+        if kind == "index":
+            return ScanSet.of_index(StatsIndex(entries))
+        if kind == "hand_built":
+            return ScanSet(entries)
+        lost = draw(st.lists(st.booleans(), min_size=len(entries),
+                             max_size=len(entries)))
+        if kind == "degraded":
+            return ScanSet(
+                [(pid, zm.without_stats() if gone else zm)
+                 for (pid, zm), gone in zip(entries, lost)],
+                degraded_ids=[pid for (pid, _), gone
+                              in zip(entries, lost) if gone],
+                index=StatsIndex(entries))
+        # stale: the index holds another zone map at a lost id, or
+        # lacks the id altogether
+        snapshot = [(pid, other[i % len(other)] if gone else zm)
+                    for i, ((pid, zm), gone)
+                    in enumerate(zip(entries, lost))
+                    if not (gone and i % 3 == 0)]
+        return ScanSet(entries, index=StatsIndex(snapshot))
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(),
+           kind=st.sampled_from(["index", "hand_built", "degraded",
+                                 "stale"]),
+           detect_fm=st.booleans())
+    def test_matches_scalar_pruner(self, data, kind, detect_fm):
+        predicate = data.draw(self.predicates())
+        entries = make_entries(data.draw(self.partitions()))
+        other = [zm for _, zm in make_entries(
+            data.draw(self.partitions().filter(bool)))]
+        scan_set = self.scan_set(kind, entries, other, data.draw)
+        pruner = assert_scan_set_differential(predicate, scan_set,
+                                              detect_fm)
+        assert pruner.kernel is not None
+        if len(scan_set):
+            assert pruner.vector_checks == int(
+                (scan_set.trusted_rows >= 0).sum())
+
+
 class TestKernelCompilation:
     def test_compilable_shapes(self):
         for predicate in (
@@ -315,9 +408,26 @@ class TestKernelCompilation:
             assert compile_pruning_kernel(predicate) is not None, \
                 predicate.to_sql()
 
+    #: LIKE transcribes ``ranges._range_like``; ENDSWITH and CONTAINS
+    #: are the opaque string leaf
+    COMPILED_STRING_SHAPES = [
+        ast.Like(ast.col("s"), "a%"),
+        ast.Like(ast.col("s"), "%lph%"),
+        ast.Like(ast.col("s"), "alpha"),
+        ast.Like(ast.col("s"), ""),
+        ast.Not(ast.Like(ast.col("s"), "a_c%")),
+        ast.EndsWith(ast.col("s"), "ha"),
+        ast.Contains(ast.col("s"), "lph"),
+    ]
+
+    @pytest.mark.parametrize("predicate", COMPILED_STRING_SHAPES,
+                             ids=lambda p: p.to_sql())
+    def test_compiled_string_shapes(self, predicate):
+        assert compile_pruning_kernel(predicate) is not None
+
     def test_uncompilable_shapes(self):
         for predicate in (
-                ast.Like(ast.col("s"), "a%"),
+                ast.Like(ast.FunctionCall("upper", [ast.col("s")]), "A%"),
                 ast.Compare("<", ast.col("a"), ast.col("a")),
                 ast.Compare("=", ast.col("a"),
                             ast.lit(None, DataType.INTEGER)),
@@ -451,9 +561,7 @@ class TestScanSetTrust:
             for candidate in (scan_set, derived):
                 pruner = assert_scan_set_differential(
                     predicate, candidate)
-                if pruner.kernel is None:   # LIKE: all scalar
-                    assert pruner.vector_checks == 0
-                    continue
+                assert pruner.kernel is not None
                 kernel_served = int(
                     (candidate.trusted_rows >= 0).sum())
                 assert pruner.vector_checks == kernel_served
@@ -483,8 +591,8 @@ class TestScanSetOrigins:
         ast.Or(ast.And(ast.Compare("<", ast.col("a"), ast.lit(12)),
                        ast.Not(ast.IsNull(ast.col("s")))),
                ast.Not(ast.Compare("<=", ast.col("v"), ast.lit(35.0)))),
-        # do not compile: every entry takes the scalar path
         ast.Like(ast.col("s"), "%lph%"),
+        # do not compile: every entry takes the scalar path
         ast.Compare(">", ast.Arith("+", ast.col("a"), ast.lit(1)),
                     ast.lit(60)),
         # compiles, fails to bind: float literal on the int64 lane
@@ -903,7 +1011,11 @@ class TestCatalogIntegration:
         explain = catalog.explain("SELECT * FROM t WHERE a > 350")
         assert "pruning: vectorized" in explain
         like = catalog.sql("SELECT * FROM t WHERE s LIKE 'x%'")
-        assert like.profile.scans[0].pruning_mode == "fallback"
+        assert like.profile.scans[0].pruning_mode == "vectorized"
+        arith = catalog.sql("SELECT * FROM t WHERE a + 1 = 2")
+        assert arith.profile.scans[0].pruning_mode == "fallback"
+        assert "pruning: fallback" in catalog.explain(
+            "SELECT * FROM t WHERE a + 1 = 2")
 
     def test_parallel_annotation_in_explain(self):
         catalog = self._catalog(scan_parallelism=4)
