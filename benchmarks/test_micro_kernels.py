@@ -250,6 +250,25 @@ def test_scan_batches_filter_project_20k_rows(benchmark):
                     if score >= 8000]
 
 
+def test_scan_load_batches_1000_partitions(benchmark):
+    """A filter and projection, then a filtered aggregate, over 1 000
+    partitions of 20 rows: the scan loads a batch per few thousand
+    rows, one storage call each; the rows are checked."""
+    catalog = Catalog(rows_per_partition=20)
+    catalog.create_table_from_rows("f", _SCAN_SCHEMA, _SCAN_ROWS,
+                                   layout=Layout.sorted_by("id"))
+    project = "SELECT id, v * 2 AS w FROM f WHERE score >= 2500"
+    aggregate = ("SELECT count(*) AS c, sum(v) AS s, min(id) AS lo, "
+                 "max(v) AS hi FROM f WHERE score >= 2500")
+    rows, totals = benchmark(lambda: (catalog.sql(project).rows,
+                                      catalog.sql(aggregate).rows))
+    kept = [(i, v) for i, score, v in _SCAN_ROWS if score >= 2500]
+    assert rows == [(i, v * 2) for i, v in kept]
+    assert totals == [(len(kept), sum(v for _, v in kept), kept[0][0],
+                       max(v for _, v in kept))]
+    assert catalog.sql(project).profile.scans[0].partitions_loaded == 1000
+
+
 def test_topk_limit_10k_of_20k(benchmark):
     """ORDER BY v DESC LIMIT 10000 over 20 000 rows, streamed one
     partition at a time for the boundary: each row is sorted once."""

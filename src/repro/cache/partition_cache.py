@@ -157,8 +157,7 @@ class PartitionCache:
         given, to match it (a mismatch invalidates the entry: the id
         was reused for different content, which the storage layer
         normally makes impossible). ``record=False`` skips hit/miss
-        accounting (used by prefetch consumption, where the bytes were
-        read from storage moments ago and nothing was saved).
+        accounting (the caller counts with :meth:`record_lookups`).
         """
         with self._lock:
             entry = self._find(partition_id)
@@ -179,11 +178,14 @@ class PartitionCache:
                 self._stats.bytes_saved += saved
             return entry.partition
 
-    def record_miss(self) -> None:
-        """Account a demand lookup that the caller resolved elsewhere
-        (e.g. consumption of a partition this scan just prefetched)."""
+    def record_lookups(self, hits: int, bytes_saved: int,
+                       misses: int) -> None:
+        """Account lookups made with ``record=False`` (a scan counts a
+        partition its readahead fetched as a miss: storage was read)."""
         with self._lock:
-            self._stats.misses += 1
+            self._stats.hits += hits
+            self._stats.bytes_saved += bytes_saved
+            self._stats.misses += misses
 
     def record_prefetch_load(self) -> None:
         """Account one background readahead fetch."""

@@ -21,7 +21,7 @@ from ..pruning.base import PruneCategory, PruningResult
 from ..pruning.flow import FlowRecord
 from ..pruning.limit_pruning import LimitPruneReport
 from ..storage.metadata_store import MetadataStore
-from ..storage.storage_layer import StorageLayer
+from ..storage.storage_layer import CostModel, StorageLayer
 
 
 @dataclass
@@ -177,11 +177,17 @@ class QueryProfile:
     query_id: str = ""
     scans: list[ScanProfile] = field(default_factory=list)
     compile_ms: float = 0.0
-    #: exec charges but the per-row CPU term, kept as a count of rows so
-    #: that :attr:`exec_ms` does not depend on how rows are chunked
+    #: exec charges but those kept as counts below, at ``cost_model``'s
+    #: rates, so that :attr:`exec_ms` does not depend on how rows are
+    #: chunked or loads batched
     exec_charges_ms: float = 0.0
     rows_charged: int = 0
-    cpu_ms_per_krow: float = 0.0
+    loads_charged: int = 0
+    load_bytes_charged: int = 0
+    cached_loads_charged: int = 0
+    cached_bytes_charged: int = 0
+    lookups_charged: int = 0
+    cost_model: CostModel = field(default_factory=CostModel)
     limit_eligible: bool = False
     topk_eligible: bool = False
     join_eligible: bool = False
@@ -206,8 +212,15 @@ class QueryProfile:
 
     @property
     def exec_ms(self) -> float:
-        return (self.exec_charges_ms
-                + self.cpu_ms_per_krow * self.rows_charged / 1000.0)
+        """The charges, the counts, and the retry backoff and latency
+        spikes the query's loads absorbed."""
+        cost = self.cost_model
+        return (self.exec_charges_ms + self.retry_stats.penalty_ms()
+                + cost.scan_cost(self.rows_charged)
+                + cost.load_cost(self.load_bytes_charged, self.loads_charged)
+                + cost.cached_load_cost(self.cached_bytes_charged,
+                                        self.cached_loads_charged)
+                + cost.metadata_lookup_ms * self.lookups_charged)
 
     @property
     def total_ms(self) -> float:
@@ -445,9 +458,8 @@ class ExecContext:
         self.storage = storage
         self.metadata = metadata
         self.cost_model = storage.cost_model
-        self.profile = QueryProfile(
-            query_id=query_id,
-            cpu_ms_per_krow=self.cost_model.cpu_ms_per_krow)
+        self.profile = QueryProfile(query_id=query_id,
+                                    cost_model=self.cost_model)
         #: optional warehouse-local data cache scans route loads through
         #: (per-cluster when running under a :class:`WarehousePool`).
         self.cache = cache
@@ -492,12 +504,16 @@ class ExecContext:
     def charge_exec(self, ms: float) -> None:
         self.profile.exec_charges_ms += ms
 
-    def charge_partition_load(self, nbytes: int) -> None:
-        self.charge_exec(self.cost_model.load_cost(nbytes))
-
-    def charge_cached_load(self, nbytes: int) -> None:
-        """Charge a data-cache hit: local read, no object-store trip."""
-        self.charge_exec(self.cost_model.cached_load_cost(nbytes))
+    def charge_loads(self, loads: int, nbytes: int, rows: int,
+                     cached_loads: int = 0, cached_bytes: int = 0) -> None:
+        """Charge loads, data-cache hits (local reads, no object-store
+        trip) and the rows they hold."""
+        profile = self.profile
+        profile.rows_charged += rows
+        profile.loads_charged += loads
+        profile.load_bytes_charged += nbytes
+        profile.cached_loads_charged += cached_loads
+        profile.cached_bytes_charged += cached_bytes
 
     def charge_rows(self, rows: int) -> None:
         self.profile.rows_charged += rows
@@ -515,8 +531,7 @@ class ExecContext:
 
     def charge_metadata_lookups(self, lookups: int,
                                 at_compile_time: bool = False) -> None:
-        ms = lookups * self.cost_model.metadata_lookup_ms
         if at_compile_time:
-            self.charge_compile(ms)
+            self.charge_compile(lookups * self.cost_model.metadata_lookup_ms)
         else:
-            self.charge_exec(ms)
+            self.profile.lookups_charged += lookups

@@ -9,7 +9,6 @@ so pruning savings show up as runtime improvements deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -23,6 +22,7 @@ from ..pruning.stats_index import VectorizedFilterPruner
 from ..pruning.summaries import RangeSetSummary
 from ..pruning.topk_pruning import Boundary, TopKPruner, rank_of
 from ..storage.column import Column
+from ..storage.micropartition import concat_columns, project_bytes
 from ..types import DataType, Field, Schema
 from .chunk import Chunk
 from .context import ExecContext, ScanProfile
@@ -88,12 +88,13 @@ class Scan(Operator):
     (b) an optional deferred filter pruner (compile-time cutoff pushed
     the filter to the warehouse, §3.2).
 
-    Operators above get batches of about :data:`BATCH_ROWS` rows (the
-    partitions as runs), cut where fully-matching status changes, unless
-    the scan streams: one chunk per partition for top-k pruners
-    (the boundary tightens before each skip check) or a :class:`Limit`
-    above (stopping must not load more). Loads, charges and counters
-    stay per partition either way.
+    The scan cuts its scan set (ids and row counts) into batches of
+    about :data:`BATCH_ROWS` rows, and where fully-matching status
+    changes, before loading: a batch is one storage call, one charge,
+    one accounting update and one chunk (its partitions as runs). It
+    streams, one partition a batch, under a :class:`Limit` (stopping
+    must not load more) or with runtime pruners, whose skip check runs
+    right before each load.
 
     When ``ExecContext.scan_parallelism`` > 1 the scan fans partition
     loads out as morsels to a thread pool (the paper's execution
@@ -133,6 +134,7 @@ class Scan(Operator):
                         if columns is not None else None)
         self.schema = (schema if columns is None
                        else schema.select(self.columns))
+        self._names = self.schema.names()
         self.scan_set = scan_set
         self.profile = profile or context.profile.new_scan(table)
         if self.profile.total_partitions == 0:
@@ -182,8 +184,6 @@ class Scan(Operator):
         self.profile.scan_parallelism = workers
         iterator = (self._iter_parallel(workers) if workers > 1
                     else self._iter_serial())
-        if not (self.limited or self.topk_pruners):
-            iterator = self._batches(iterator)
         if self.context.tracer is None:
             return iterator
         return self._iter_traced(iterator, workers)
@@ -240,20 +240,26 @@ class Scan(Operator):
             span.end()
             self._span = None
 
-    def _batches(self, chunks: Iterator[Chunk]) -> Iterator[Chunk]:
-        """Partition chunks joined up to :data:`BATCH_ROWS` rows, cut
-        where fully-matching status changes."""
-        for _, group in groupby(
-                chunks, lambda chunk: chunk.runs[0][0] in self.fully_matching):
-            batch, rows = [], 0
-            for chunk in group:
-                batch.append(chunk)
-                rows += chunk.num_rows
-                if rows >= BATCH_ROWS:
-                    yield _concat_runs(self.schema, batch)
-                    batch, rows = [], 0
-            if batch:
-                yield _concat_runs(self.schema, batch)
+    def _batch_bounds(self, ids: list[int]) -> Iterator[tuple[int, int]]:
+        """Each batch's ``[start, stop)`` in the scan set: one partition
+        when the scan streams, else :data:`BATCH_ROWS` rows (by the scan
+        set's row counts), cut where fully-matching status changes."""
+        budget = 0 if self.limited or self.order_dependent else BATCH_ROWS
+        fully_matching, status = self.fully_matching, None
+        start = rows = 0
+        for stop, (pid, count) in enumerate(
+                zip(ids, self.scan_set.row_counts.tolist())):
+            matching = pid in fully_matching
+            if matching != status and stop > start:
+                yield start, stop
+                start, rows = stop, 0
+            status = matching
+            rows += count
+            if rows >= budget:
+                yield start, stop + 1
+                start, rows = stop + 1, 0
+        if start < len(ids):
+            yield start, len(ids)
 
     @property
     def order_dependent(self) -> bool:
@@ -310,59 +316,82 @@ class Scan(Operator):
             should_fetch=should_fetch)
 
     def _iter_serial(self) -> Iterator[Chunk]:
-        entries = self.scan_set.entries
-        cache = self.context.cache
+        ids = self.scan_set.partition_ids
+        zone_maps = ([zone_map for _, zone_map in self.scan_set]
+                     if self.order_dependent else None)
         prefetcher = self._make_prefetcher()
         consumed = 0
         try:
-            for partition_id, zone_map in entries:
-                consumed += 1
-                self.context.charge_metadata_lookups(1)
-                if self._runtime_skip(partition_id, zone_map):
+            for start, stop in self._batch_bounds(ids):
+                consumed = stop
+                self.context.charge_metadata_lookups(stop - start)
+                if zone_maps is not None and self._runtime_skip(
+                        ids[start], zone_maps[start]):
                     if prefetcher is not None:
                         self._account_prefetch_drop(
-                            partition_id, *prefetcher.drop(partition_id))
+                            ids[start], *prefetcher.drop(ids[start]))
                     continue
-                if cache is not None:
-                    prefetched = (prefetcher.claim(partition_id)
-                                  if prefetcher is not None else False)
-                    partition = cache.get(
-                        partition_id, columns=self.columns,
-                        record=not prefetched)
-                    if prefetched:
-                        # Readahead fetched it moments ago: the bytes
-                        # were read from storage this query, so this
-                        # counts as a miss (nothing saved) — just off
-                        # the critical path.
-                        cache.record_miss()
-                    if partition is not None:
-                        yield self._consume_partition(
-                            partition_id, partition,
-                            partition.project_bytes(self.columns),
-                            cache_hit=not prefetched,
-                            prefetched=prefetched)
-                        continue
-                retry_stats = self.context.profile.retry_stats
-                penalty_before = retry_stats.penalty_ms()
-                partition, nbytes = self.context.storage.load(
-                    partition_id, columns=self.columns,
-                    retry_stats=retry_stats, with_bytes=True)
-                # Retry backoff and latency spikes absorbed by this
-                # load slow the query down on the simulated clock.
-                penalty = retry_stats.penalty_ms() - penalty_before
-                if penalty:
-                    self.context.charge_exec(penalty)
-                if cache is not None:
-                    self._trace_evictions(
-                        cache.put(partition, self.columns))
-                yield self._consume_partition(partition_id, partition,
-                                              nbytes)
+                yield self._load_batch(ids[start:stop], prefetcher)
         finally:
             if prefetcher is not None:
                 prefetcher.close()
             self._record_boundary_updates()
-            if consumed < len(entries):
+            if consumed < len(ids):
                 self.profile.early_terminated = True
+
+    def _load_batch(self, ids: list[int], prefetcher) -> Chunk:
+        """Load and account one batch, returning its chunk. What the data
+        cache misses is one storage call, but a lookup that may hit
+        loads the misses before it first: the cache sees lookups and
+        admissions in scan-set order. When a load fails, the partitions
+        before it are accounted and the typed error propagates."""
+        cache = self.context.cache
+        loaded, missing = [], [] if cache is not None else ids
+        nbytes = hits = hit_bytes = prefetched = 0
+        failed = 1
+        try:
+            for pid in ids if cache is not None else ():
+                fetched = prefetcher is not None and prefetcher.claim(pid)
+                if missing and pid in cache:
+                    nbytes += self._load_misses(missing, loaded)
+                    missing = []
+                partition = cache.get(pid, columns=self.columns,
+                                      record=False)
+                if partition is None:
+                    missing.append(pid)
+                    continue
+                loaded.append(partition)
+                size = partition.project_bytes(self.columns)
+                nbytes += size
+                # Readahead fetched it moments ago: a miss (the bytes
+                # were read from storage), just off the critical path.
+                prefetched += fetched
+                if not fetched:
+                    hits, hit_bytes = hits + 1, hit_bytes + size
+                    self.context.trace_event("cache:hit", parent=self._span,
+                                             partition=pid, bytes=size)
+            nbytes += self._load_misses(missing, loaded)
+            failed = 0
+        finally:
+            if cache is not None:
+                cache.record_lookups(hits, hit_bytes,
+                                     len(loaded) - hits + failed)
+            if failed and loaded:
+                self._account(loaded, project_bytes(loaded, self.columns),
+                              hits, hit_bytes, prefetched)
+        return self._account(loaded, nbytes, hits, hit_bytes, prefetched)
+
+    def _load_misses(self, ids: list[int], loaded: list) -> int:
+        """Load ``ids`` onto ``loaded`` in one storage call, admitting
+        each to the data cache; returns the bytes read."""
+        start, cache = len(loaded), self.context.cache
+        try:
+            return self.context.storage.load_many(
+                ids, self.columns, self.context.profile.retry_stats,
+                loaded=loaded)[1]
+        finally:
+            for partition in loaded[start:] if cache is not None else ():
+                self._trace_evictions(cache.put(partition, self.columns))
 
     def _iter_parallel(self, workers: int) -> Iterator[Chunk]:
         from collections import deque
@@ -394,9 +423,8 @@ class Scan(Operator):
                 if cached is not None:
                     return (cached, cached.project_bytes(columns), local,
                             True, [])
-            partition, nbytes = storage.load(
-                partition_id, columns=columns, retry_stats=local,
-                with_bytes=True)
+            (partition,), nbytes = storage.load_many(
+                [partition_id], columns, local)
             evicted = (cache.put(partition, columns)
                        if cache is not None else [])
             return partition, nbytes, local, False, evicted
@@ -449,31 +477,32 @@ class Scan(Operator):
                     # inline so correctness never rests on that proof.
                     result = load_morsel(partition_id, zone_map, False)
                 partition, nbytes, local, cache_hit, evicted = result
-                penalty = local.penalty_ms()
                 self.context.profile.retry_stats.absorb(local)
-                if penalty:
-                    self.context.charge_exec(penalty)
                 if local.retries:
                     # Recorded here on the consumer thread — the
                     # tracer is single-threaded by design.
                     self.context.trace_event(
                         "retry", parent=self._span,
                         partition=partition_id, retries=local.retries,
-                        backoff_ms=penalty)
+                        backoff_ms=local.penalty_ms())
                 self._trace_evictions(evicted)
-                yield self._consume_partition(partition_id, partition,
-                                              nbytes, cache_hit=cache_hit)
+                if cache_hit:
+                    self.context.trace_event(
+                        "cache:hit", parent=self._span,
+                        partition=partition_id, bytes=nbytes)
+                yield self._account([partition], nbytes, int(cache_hit),
+                                    nbytes if cache_hit else 0)
         finally:
             executor.shutdown(wait=False, cancel_futures=True)
             self._record_boundary_updates()
             if not completed:
                 self.profile.early_terminated = True
 
-    def _consume_partition(self, partition_id: int, partition,
-                           nbytes: int, cache_hit: bool = False,
-                           prefetched: bool = False) -> Chunk:
-        """Charge and account one loaded partition (``nbytes``: its
-        projected size, as the load counted it), returning its chunk.
+    def _account(self, loaded: list, nbytes: int, hits: int = 0,
+                 hit_bytes: int = 0, prefetched: int = 0) -> Chunk:
+        """Charge and account loaded partitions of ``nbytes``, returning
+        their chunk: ``hits`` of them (``hit_bytes``) came from the data
+        cache, ``prefetched`` of the rest from this scan's readahead.
 
         ``partitions_loaded``/``rows_scanned``/``bytes_scanned`` keep
         their cache-independent meaning (what the scan consumed), so
@@ -482,30 +511,26 @@ class Scan(Operator):
         ``IOStats.bytes_read`` (hits never touch storage), and on the
         simulated clock (hits charge the local-read cost).
         """
-        stats = self.context.storage.stats
-        if cache_hit:
-            self.context.charge_cached_load(nbytes)
-            stats.record_cache_hit(nbytes)
-            self.profile.cache_hits += 1
-            self.profile.cache_bytes_saved += nbytes
-            self.context.trace_event("cache:hit", parent=self._span,
-                                     partition=partition_id,
-                                     bytes=nbytes)
-        else:
-            self.context.charge_partition_load(nbytes)
-            if self.context.cache is not None:
-                stats.record_cache_miss()
-                self.profile.cache_misses += 1
-                if prefetched:
-                    self.profile.prefetched_partitions += 1
-        rows = partition.row_count
-        self.context.charge_rows(rows)
-        self.profile.partitions_loaded += 1
-        self.profile.rows_scanned += rows
-        self.profile.bytes_scanned += nbytes
-        # The partition validated these columns when it was built.
-        chunk = Chunk._derived(self.schema, partition.columns(self.columns))
-        chunk.runs = ((partition_id, rows),)
+        context, profile = self.context, self.profile
+        rows = [partition.zone_map.row_count for partition in loaded]
+        total = sum(rows)
+        loads = len(loaded) - hits
+        context.charge_loads(loads, nbytes - hit_bytes, total, hits,
+                             hit_bytes)
+        if context.cache is not None:
+            context.storage.stats.record_cache_traffic(hits, hit_bytes,
+                                                       loads)
+            profile.cache_hits += hits
+            profile.cache_bytes_saved += hit_bytes
+            profile.cache_misses += loads
+            profile.prefetched_partitions += prefetched
+        profile.partitions_loaded += len(loaded)
+        profile.rows_scanned += total
+        profile.bytes_scanned += nbytes
+        # The partitions validated these columns when they were built.
+        chunk = Chunk._derived(self.schema, concat_columns(
+            loaded, self._names))
+        chunk.runs = tuple(zip([p.partition_id for p in loaded], rows))
         return chunk
 
     def _trace_evictions(self, evicted: Sequence[int]) -> None:
@@ -635,20 +660,6 @@ class Scan(Operator):
                 kept=ScanSet(),
             )
         result.add_pruned((-1,))
-
-
-def _concat_runs(schema: Schema, chunks: list[Chunk]) -> Chunk:
-    """The chunks as one, their runs in order (one chunk: itself). The
-    columns are a scan's, alike in type: no checks, so that joining a
-    few tiny partitions costs no more than the passes it saves."""
-    if len(chunks) == 1:
-        return chunks[0]
-    merged = Chunk._derived(schema, {name: Column(
-        first.dtype, np.concatenate([c.columns[name].values for c in chunks]),
-        np.concatenate([c.columns[name].nulls for c in chunks]))
-        for name, first in chunks[0].columns.items()})
-    merged.runs = tuple(run for chunk in chunks for run in chunk.runs)
-    return merged
 
 
 class Filter(Operator):

@@ -93,8 +93,8 @@ class Warehouse:
                 if round_index >= len(stripe):
                     continue
                 partition_id, zone_map = stripe[round_index]
-                partition, nbytes = self.storage.load(partition_id,
-                                                      with_bytes=True)
+                (partition,), nbytes = self.storage.load_many(
+                    [partition_id])
                 worker_times[worker] += cost_model.load_cost(nbytes)
                 worker_times[worker] += cost_model.scan_cost(
                     partition.row_count)

@@ -187,7 +187,7 @@ class FaultInjector:
         return stable_uniform(f"{self.seed}|{scope}|{key!r}|{n}")
 
     def storage_check(self, partition_id: int) -> FaultDecision:
-        """Consulted by :meth:`StorageLayer.load` before each attempt.
+        """Consulted by :meth:`StorageLayer.load_many` before each attempt.
 
         Raises :class:`PartitionUnavailableError` (permanent),
         :class:`StorageTimeout` or :class:`StorageThrottled`

@@ -141,12 +141,18 @@ class ScanSet:
     def __contains__(self, partition_id: int) -> bool:
         return partition_id in self._positions()
 
-    def total_rows(self) -> int:
+    @property
+    def row_counts(self) -> np.ndarray:
+        """The entries' row counts as int64, beside :attr:`ids` (the
+        index's lane, or a hand-built set's zone maps')."""
         entries = self._entries
         if entries is None:
-            return int(self._stats_index.row_counts[
-                self._trusted_rows].sum())
-        return sum(zm.row_count for _, zm in entries)
+            return self._stats_index.row_counts[self._trusted_rows]
+        return np.array([zm.row_count for _, zm in entries],
+                        dtype=np.int64)
+
+    def total_rows(self) -> int:
+        return int(self.row_counts.sum())
 
     # ------------------------------------------------------------------
     # The stats index and which of its rows this scan set may trust

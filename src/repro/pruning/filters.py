@@ -41,7 +41,7 @@ def _canonical_bytes(value: Any) -> bytes:
     if isinstance(value, (float, np.floating)):
         return b"f" + repr(float(value)).encode()
     if isinstance(value, str):
-        return b"s" + value.encode("utf-8")
+        return b"s" + value.encode("utf-8", "surrogatepass")
     if isinstance(value, datetime.date):
         return b"d" + value.isoformat().encode()
     return b"o" + repr(value).encode()

@@ -693,17 +693,36 @@ def join_may_join_mask(index: StatsIndex, column: str,
     vectors = index.column(column)
     if vectors is None:
         return None
-    overlap = np.zeros(len(index), dtype=bool)
+    valued = vectors.present & vectors.has_min
     try:
-        for lo, hi in summary.ranges:
-            b_lo = _bind_literal(lo, vectors.kind)
-            b_hi = _bind_literal(hi, vectors.kind)
-            overlap |= (_as_bool(vectors.lo <= b_hi)
-                        & _as_bool(b_lo <= vectors.hi))
+        bounds = _bind_endpoints([x for r in summary.ranges for x in r],
+                                 vectors.kind)
     except _Unbindable:
         return None
-    valued = vectors.present & vectors.has_min
+    los, his = bounds[0::2], bounds[1::2]
+    # The ranges are sorted and disjoint: the first reaching a row's
+    # min is the only candidate (as ``might_overlap_range`` bisects).
+    first = np.searchsorted(his, vectors.lo)
+    reached = first < len(his)
+    overlap = np.zeros(len(index), dtype=bool)
+    overlap[reached] = _as_bool(los[first[reached]] <= vectors.hi[reached])
     return vectors.unknown | (valued & overlap)
+
+
+def _bind_endpoints(values: list, kind: str) -> np.ndarray:
+    """:func:`_bind_literal` over ``values`` at once: one array of the
+    lane's dtype, each value of the lane's type and converted exactly."""
+    python_type, dtype = {_INT_KIND: (int, np.int64),
+                          _FLOAT_KIND: ((int, float), np.float64),
+                          _STR_KIND: (str, object)}[kind]
+    try:
+        if all(issubclass(t, python_type) for t in set(map(type, values))):
+            bound = np.array(values, dtype=dtype)
+            if bound.tolist() == values:
+                return bound
+    except OverflowError:
+        pass
+    raise _Unbindable(f"endpoints {values!r} not exact on the {kind} lane")
 
 
 # ----------------------------------------------------------------------

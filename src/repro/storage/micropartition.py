@@ -125,9 +125,7 @@ class MicroPartition:
     def project_bytes(self, names: Sequence[str] | None) -> int:
         """Size of just the named columns (PAX enables column-level
         reads); ``None`` names them all."""
-        if names is None:
-            return self.nbytes()
-        return sum(self.column(n).nbytes() for n in names)
+        return project_bytes([self], names)
 
     def compute_checksum(self) -> int:
         """CRC-32 over every column's values and null masks.
@@ -175,3 +173,27 @@ class MicroPartition:
     def __repr__(self) -> str:
         return (f"MicroPartition(id={self.partition_id}, "
                 f"rows={self.row_count}, cols={self.schema.names()})")
+
+
+def project_bytes(partitions: Sequence[MicroPartition],
+                  names: Sequence[str] | None) -> int:
+    """The named columns' size summed over ``partitions`` (``None``
+    names them all), with no call per partition."""
+    try:
+        columns = ([c for p in partitions for c in p._columns.values()]
+                   if names is None else
+                   [p._columns[n] for n in map(str.lower, names)
+                    for p in partitions])
+    except KeyError as missing:
+        raise SchemaError(f"unknown column {missing}") from None
+    return sum(map(Column.nbytes, columns))
+
+
+def concat_columns(partitions: Sequence[MicroPartition],
+                   names: Sequence[str]) -> dict[str, Column]:
+    """The (lower-case) named columns of ``partitions`` end to end; one
+    partition's are its own, uncopied."""
+    if len(partitions) == 1:
+        return partitions[0].columns(names)
+    return {name: Column.concat([p._columns[name] for p in partitions])
+            for name in names}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..errors import (
@@ -21,7 +21,7 @@ from ..errors import (
     StorageError,
     TransientError,
 )
-from .micropartition import MicroPartition
+from .micropartition import MicroPartition, project_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..faults.injector import FaultInjector
@@ -67,13 +67,15 @@ class CostModel:
     #: a plan-cache hit (replaces parse + bind entirely).
     plan_rebind_cost_ms: float = 0.05
 
-    def load_cost(self, nbytes: int) -> float:
+    def load_cost(self, nbytes: int, loads: int = 1) -> float:
         """Cost of fetching ``nbytes`` from object storage."""
-        return self.request_latency_ms + self.ms_per_mb * nbytes / 2**20
+        return (loads * self.request_latency_ms
+                + self.ms_per_mb * nbytes / 2**20)
 
-    def cached_load_cost(self, nbytes: int) -> float:
+    def cached_load_cost(self, nbytes: int, loads: int = 1) -> float:
         """Cost of reading ``nbytes`` from the warehouse-local cache."""
-        return self.cached_hit_cost_ms + self.cached_ms_per_mb * nbytes / 2**20
+        return (loads * self.cached_hit_cost_ms
+                + self.cached_ms_per_mb * nbytes / 2**20)
 
     def scan_cost(self, rows: int) -> float:
         """CPU cost of scanning/filtering ``rows`` rows."""
@@ -102,27 +104,23 @@ class IOStats:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_bytes_saved: int = 0
-    loaded_partition_ids: list[int] = field(default_factory=list)
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False, compare=False)
 
-    def record_load(self, partition_id: int, nbytes: int) -> None:
-        """Atomically account one partition fetch."""
+    def record_load(self, count: int, nbytes: int) -> None:
+        """Atomically account partition fetches."""
         with self._lock:
-            self.requests += 1
+            self.requests += count
             self.bytes_read += nbytes
-            self.partitions_loaded += 1
-            self.loaded_partition_ids.append(partition_id)
+            self.partitions_loaded += count
 
-    def record_cache_hit(self, nbytes: int) -> None:
-        """Account one data-cache hit: ``nbytes`` never left storage."""
+    def record_cache_traffic(self, hits: int, nbytes: int,
+                             misses: int) -> None:
+        """Account data-cache lookups: hits kept ``nbytes`` in storage."""
         with self._lock:
-            self.cache_hits += 1
+            self.cache_hits += hits
             self.cache_bytes_saved += nbytes
-
-    def record_cache_miss(self) -> None:
-        with self._lock:
-            self.cache_misses += 1
+            self.cache_misses += misses
 
     @property
     def cache_hit_ratio(self) -> float:
@@ -147,37 +145,20 @@ class IOStats:
         with self._lock:
             self.injected_latency_ms += ms
 
+    def _counters(self) -> dict[str, float]:
+        """Every counter by name (all fields but the lock)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.compare}
+
     def reset(self) -> None:
         with self._lock:
-            self.requests = 0
-            self.bytes_read = 0
-            self.partitions_loaded = 0
-            self.failed_requests = 0
-            self.retries = 0
-            self.retry_backoff_ms = 0.0
-            self.corrupt_reads = 0
-            self.injected_latency_ms = 0.0
-            self.cache_hits = 0
-            self.cache_misses = 0
-            self.cache_bytes_saved = 0
-            self.loaded_partition_ids.clear()
+            for f in fields(self):
+                if f.compare:
+                    setattr(self, f.name, f.default)
 
     def snapshot(self) -> "IOStats":
         with self._lock:
-            return IOStats(
-                requests=self.requests,
-                bytes_read=self.bytes_read,
-                partitions_loaded=self.partitions_loaded,
-                failed_requests=self.failed_requests,
-                retries=self.retries,
-                retry_backoff_ms=self.retry_backoff_ms,
-                corrupt_reads=self.corrupt_reads,
-                injected_latency_ms=self.injected_latency_ms,
-                cache_hits=self.cache_hits,
-                cache_misses=self.cache_misses,
-                cache_bytes_saved=self.cache_bytes_saved,
-                loaded_partition_ids=list(self.loaded_partition_ids),
-            )
+            return IOStats(**self._counters())
 
     def diff(self, earlier: "IOStats") -> "IOStats":
         """Counters accumulated since ``earlier`` was snapshotted.
@@ -185,36 +166,16 @@ class IOStats:
         The minuend is taken as one locked :meth:`snapshot`, never as a
         sequence of live field reads: with parallel morsel scans
         mutating the counters concurrently, unlocked field-by-field
-        reads produce torn diffs (e.g. ``retries > failed_requests``,
-        or ``loaded_partition_ids`` longer than ``partitions_loaded``).
+        reads produce torn diffs (e.g. ``retries > failed_requests``).
         """
-        current = self.snapshot()
-        return IOStats(
-            requests=current.requests - earlier.requests,
-            bytes_read=current.bytes_read - earlier.bytes_read,
-            partitions_loaded=current.partitions_loaded
-            - earlier.partitions_loaded,
-            failed_requests=current.failed_requests
-            - earlier.failed_requests,
-            retries=current.retries - earlier.retries,
-            retry_backoff_ms=current.retry_backoff_ms
-            - earlier.retry_backoff_ms,
-            corrupt_reads=current.corrupt_reads - earlier.corrupt_reads,
-            injected_latency_ms=current.injected_latency_ms
-            - earlier.injected_latency_ms,
-            cache_hits=current.cache_hits - earlier.cache_hits,
-            cache_misses=current.cache_misses - earlier.cache_misses,
-            cache_bytes_saved=current.cache_bytes_saved
-            - earlier.cache_bytes_saved,
-            loaded_partition_ids=current.loaded_partition_ids[
-                len(earlier.loaded_partition_ids):],
-        )
+        return IOStats(**{name: value - getattr(earlier, name) for name, value
+                          in self.snapshot()._counters().items()})
 
 
 class StorageLayer:
     """An addressable store of micro-partitions with traffic accounting.
 
-    Every data access goes through :meth:`load`, which records request
+    Every data access goes through :meth:`load_many`, which records request
     counts and bytes so pruning effectiveness translates into observable
     I/O savings. Metadata access is *not* a data load — it goes through
     the metadata store — mirroring the paper's architecture where the
@@ -326,34 +287,65 @@ class StorageLayer:
 
     def load(self, partition_id: int,
              columns: Sequence[str] | None = None,
-             retry_stats: "RetryStats | None" = None,
-             retries: bool = True, with_bytes: bool = False
-             ) -> "MicroPartition | tuple[MicroPartition, int]":
-        """Fetch a partition, charging one request plus bytes read.
+             retries: bool = True) -> MicroPartition:
+        """One partition: :meth:`load_many` of one id."""
+        return self.load_many([partition_id], columns,
+                              retries=retries)[0][0]
 
-        ``columns`` restricts accounting to the named columns (PAX layout
-        allows reading a column subset), but the full partition object is
-        returned for simplicity. ``with_bytes=True`` returns
-        ``(partition, bytes charged)`` to a caller that accounts for the
-        same bytes itself.
+    def load_many(self, partition_ids: Sequence[int],
+                  columns: Sequence[str] | None = None,
+                  retry_stats: "RetryStats | None" = None,
+                  retries: bool = True,
+                  loaded: "list[MicroPartition] | None" = None
+                  ) -> "tuple[list[MicroPartition], int]":
+        """Fetch partitions in order, charging one request each plus the
+        bytes of ``columns`` (PAX reads a column subset; the whole
+        partitions are returned); returns ``(partitions, bytes)``.
 
-        With a fault injector attached, every attempt may fail with a
-        typed error; the configured :class:`RetryPolicy` absorbs
-        transient faults and corrupt reads with capped, jittered
-        backoff (simulated time). ``retry_stats`` additionally
-        receives per-query attribution of retries, backoff, and
-        injected latency. ``retries=False`` makes the load
-        single-attempt regardless of the policy (background prefetch
-        uses this so readahead never burns a query's retry budget).
-
-        Raises:
-            PartitionUnavailableError: the partition does not exist or
-                is permanently unreachable.
-            CorruptionError: checksum verification failed after
-                exhausting retries.
-            StorageTimeout / StorageThrottled: a transient fault
-                survived the retry budget.
+        One map lookup and one :class:`IOStats` update, unless a fault
+        injector or checksum verification is attached: then each id
+        is fetched on its own and may fail with a typed error, retried
+        under the :class:`RetryPolicy` (``retries=False``: once) into
+        ``retry_stats``. ``loaded`` is extended with the partitions
+        loaded, when an id fails with those before it; they are
+        accounted before the error (``PartitionUnavailableError``,
+        ``CorruptionError``, ``StorageTimeout``, ``StorageThrottled``)
+        propagates.
         """
+        got: list[MicroPartition] = []
+        nbytes = 0
+        try:
+            if (self.fault_injector is not None
+                    or self._verification_enabled()):
+                for partition_id in partition_ids:
+                    got.append(self._load_checked(
+                        partition_id, retry_stats, retries))
+            else:
+                with self._map_lock:
+                    got = list(map(self._partitions.get, partition_ids))
+                if None in got:
+                    end = got.index(None)
+                    del got[end:]
+                    raise PartitionUnavailableError(
+                        f"no partition with id {partition_ids[end]}",
+                        partition_id=partition_ids[end])
+        except StorageError:
+            self.stats.record_failed_request()
+            raise
+        finally:
+            if got:
+                if self.io_sleep_ms:
+                    time.sleep(self.io_sleep_ms * len(got) / 1000.0)
+                nbytes = project_bytes(got, columns)
+                self.stats.record_load(len(got), nbytes)
+                if loaded is not None:
+                    loaded.extend(got)
+        return got, nbytes
+
+    def _load_checked(self, partition_id: int,
+                      retry_stats: "RetryStats | None",
+                      retries: bool) -> MicroPartition:
+        """One id's attempts under the retry policy."""
         latency_sink = [0.0]
 
         def on_retry(exc: BaseException, delay_ms: float) -> None:
@@ -361,23 +353,15 @@ class StorageLayer:
             if retry_stats is not None:
                 retry_stats.record_retry(exc, delay_ms)
 
-        try:
-            if self.retry_policy is not None and retries:
-                partition = self.retry_policy.run(
-                    lambda: self._load_attempt(partition_id, latency_sink),
-                    on_retry=on_retry)
-            else:
-                partition = self._load_attempt(partition_id, latency_sink)
-        except StorageError:
-            self.stats.record_failed_request()
-            raise
+        if self.retry_policy is not None and retries:
+            partition = self.retry_policy.run(
+                lambda: self._load_attempt(partition_id, latency_sink),
+                on_retry=on_retry)
+        else:
+            partition = self._load_attempt(partition_id, latency_sink)
         if retry_stats is not None and latency_sink[0]:
             retry_stats.add_latency(latency_sink[0])
-        if self.io_sleep_ms:
-            time.sleep(self.io_sleep_ms / 1000.0)
-        nbytes = partition.project_bytes(columns)
-        self.stats.record_load(partition_id, nbytes)
-        return (partition, nbytes) if with_bytes else partition
+        return partition
 
     def peek(self, partition_id: int) -> MicroPartition:
         """Access a partition without accounting (testing/admin only)."""

@@ -608,20 +608,20 @@ class TestServiceResilience:
         class SlowStorage(StorageLayer):
             pass
 
-        original_load = catalog.storage.load
+        original_load_many = catalog.storage.load_many
 
-        def slow_load(*args, **kwargs):
+        def slow_load_many(*args, **kwargs):
             release.wait(5.0)
-            return original_load(*args, **kwargs)
+            return original_load_many(*args, **kwargs)
 
-        catalog.storage.load = slow_load
+        catalog.storage.load_many = slow_load_many
         try:
             with pytest.raises(QueryTimeout):
                 service.sql("SELECT count(*) FROM events "
                             "WHERE value > 0", timeout=0.15)
         finally:
             release.set()
-            catalog.storage.load = original_load
+            catalog.storage.load_many = original_load_many
         assert service.metrics.counter("queries_timed_out").value == 1
 
     def test_sql_without_timeout_unchanged(self):

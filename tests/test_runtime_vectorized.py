@@ -23,6 +23,8 @@ from repro.pruning.filters import XorFilter
 from repro.pruning.join_pruning import JoinPruner
 from repro.pruning.stats_index import (
     StatsIndex,
+    _bind_literal,
+    _Unbindable,
     join_may_join_mask,
     topk_skip_mask,
 )
@@ -216,20 +218,43 @@ def assert_join_differential(entries, column, summary):
     return vector
 
 
-build_values = st.lists(
-    st.one_of(st.none(), st.integers(-60, 60)),
-    min_size=0, max_size=30)
+#: a probe column with build keys of one type: ints (some beyond
+#: float64's exact range) or floats (fractional, whole, beyond int64:
+#: none binds to the int64 lane) on a numeric lane, strings (NUL-suffixed
+#: among them) on the str lane
+probe_and_keys = st.one_of(
+    st.tuples(st.sampled_from(["a", "v"]), st.one_of(
+        st.lists(st.one_of(st.none(), st.integers(-60, 60),
+                           st.sampled_from([2**53 + 1, -(2**62)])),
+                 max_size=30),
+        st.lists(st.one_of(st.none(), st.floats(-60, 60, allow_nan=False),
+                           st.sampled_from([2.5, 3.0, -0.0, 2.0**63])),
+                 max_size=30))),
+    st.tuples(st.just("s"), st.lists(st.one_of(st.none(), st.sampled_from(
+        STRINGS + ["alp\x00", "beta\x00"])), max_size=12)))
 
 
-@settings(max_examples=200, deadline=None)
-@given(partition_rows=partitions_strategy, values=build_values,
-       max_ranges=st.sampled_from([1, 4, 64]))
-def test_join_mask_matches_scalar(partition_rows, values, max_ranges):
+@settings(max_examples=400, deadline=None)
+@given(partition_rows=partitions_strategy, probe=probe_and_keys,
+       max_ranges=st.sampled_from([1, 2, 4, 64]))
+def test_join_mask_matches_scalar(partition_rows, probe, max_ranges):
+    """Point ranges (64 ranges over at most 30 keys), one range, and
+    key types each lane refuses: the mask equals the per-partition
+    oracle, and it is None exactly when some endpoint does not bind."""
+    column, values = probe
     entries = make_entries(partition_rows)
     summary = RangeSetSummary(values, max_ranges=max_ranges)
-    pruner = assert_join_differential(entries, "a", summary)
-    if entries:
-        assert pruner.mode in ("vectorized", "mixed", "fallback")
+    pruner = assert_join_differential(entries, column, summary)
+    vectors = StatsIndex(entries).column(column)
+    if not entries or vectors is None:
+        return
+    try:
+        for endpoint in (x for pair in summary.ranges for x in pair):
+            _bind_literal(endpoint, vectors.kind)
+        binds = True
+    except _Unbindable:
+        binds = False
+    assert pruner.mode == ("vectorized" if binds else "fallback")
 
 
 @settings(max_examples=100, deadline=None)

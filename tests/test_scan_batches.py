@@ -1,12 +1,14 @@
-"""Scans hand operators batches; what is per partition stays so.
+"""Scans load batches; what is per partition stays so.
 
-A ``Scan`` concatenates its partitions into batches of about
-``operators.BATCH_ROWS`` rows, each carrying the partitions it holds as
-runs, unless a ``Limit`` or top-k boundary above steers it one partition
-at a time. Patched to 0, the constant makes every scan stream one chunk
-per partition, as before batching. Every statement below must give the
-same rows, per-scan counters, predicate-cache records and simulated
-clocks either way.
+A ``Scan`` cuts its scan set into batches of about
+``operators.BATCH_ROWS`` rows before loading them, one storage call and
+one chunk a batch, each carrying the partitions it holds as runs,
+unless a ``Limit`` or a runtime pruner steers it one partition at a
+time. Patched to 0, the constant makes every scan stream one partition
+a batch. Every statement below must give the same rows, per-scan
+counters, predicate-cache records, simulated clocks, storage counters
+and data-cache traffic either way, and the same typed error, counters
+included, under injected faults.
 
 Also here: ``TopK`` sorts each scanned row at most once (against
 ``Sort`` plus a slice), and ``RangeSetSummary`` builds the same ranges
@@ -15,8 +17,11 @@ from a key array as from a list.
 
 from __future__ import annotations
 
+import cProfile
 import math
+import pstats
 import random
+import sys
 from collections import Counter
 
 import hypothesis.strategies as st
@@ -29,10 +34,13 @@ from repro.engine import operators
 from repro.engine.chunk import Chunk
 from repro.engine.context import ExecContext
 from repro.engine.executor import execute
+from repro.errors import StorageError
 from repro.expr import ast
+from repro.faults import FaultInjector, FaultSpec, RetryPolicy
 from repro.plan.compiler import CompilerOptions
 from repro.pruning.summaries import RangeSetSummary
 from repro.pruning.topk_pruning import Boundary, rank_of
+from repro.storage import micropartition
 from repro.storage.micropartition import MicroPartition
 from repro.storage.storage_layer import StorageLayer
 from repro.storage.table import Table
@@ -46,7 +54,10 @@ SIZES = [10, 0, 7, 10, 10, 0, 3, 10, 10, 10, 1, 10, 0, 10, 10, 8, 10, 10,
          10, 10, 10, 4, 10, 0, 10, 10, 10, 10]
 
 
-def make_catalog(seed: int, clustered: bool, data_cache: bool) -> Catalog:
+def make_catalog(seed: int, clustered: bool,
+                 data_cache: str | None) -> Catalog:
+    """``data_cache``: None, ``"default"`` (large, with readahead) or
+    ``"tiny"`` (a few partitions' worth, no readahead: it evicts)."""
     rng = random.Random(seed)
 
     def maybe(value):
@@ -67,8 +78,10 @@ def make_catalog(seed: int, clustered: bool, data_cache: bool) -> Catalog:
     catalog.create_table_from_rows(
         "d", DIM, [(key, key * 3) for key in range(0, 30, 3)])
     catalog.enable_predicate_cache()
-    if data_cache:
+    if data_cache == "default":
         catalog.enable_data_cache()
+    elif data_cache == "tiny":
+        catalog.enable_data_cache(budget_bytes=2000, prefetch=False)
     return catalog
 
 
@@ -99,12 +112,40 @@ STATEMENTS = [
 SCAN_COUNTERS = ("table", "partitions_loaded", "rows_scanned",
                  "bytes_scanned", "filter_bypassed", "topk_checks",
                  "topk_skipped", "early_terminated", "cache_hit",
-                 "skip_set_pruned")
+                 "skip_set_pruned", "cache_hits", "cache_misses",
+                 "cache_bytes_saved")
+IO_COUNTERS = ("requests", "bytes_read", "partitions_loaded",
+               "failed_requests", "retries", "retry_backoff_ms",
+               "corrupt_reads", "injected_latency_ms", "cache_hits",
+               "cache_misses", "cache_bytes_saved")
+
+
+def positions(catalog: Catalog) -> dict[int, int]:
+    """Partition ids are process-wide: compare positions in the tables."""
+    return {pid: n for name in ("t", "d") for n, pid in
+            enumerate(catalog.tables[name].partition_ids)}
+
+
+def traffic(catalog: Catalog) -> tuple:
+    """Storage counters, and the data cache's unless it reads ahead
+    (its readahead may still be loading when a statement returns)."""
+    stats = catalog.storage.stats.snapshot()
+    cache = catalog.data_cache
+    if cache is not None and cache.prefetch:
+        return ()
+    io = tuple(getattr(stats, name) for name in IO_COUNTERS)
+    if cache is None:
+        return io
+    position = positions(catalog)
+    return io, cache.stats().to_dict(), {
+        segment: [position[pid] for pid in ids]
+        for segment, ids in cache.segment_ids().items()}
 
 
 def observe(catalog: Catalog, predicate: str) -> list:
     """Every statement twice (the repeat may hit the predicate cache):
-    rows, per-scan counters and clocks, then the cache's records."""
+    rows, per-scan counters, clocks and storage / data-cache traffic,
+    then the predicate cache's records."""
     seen = []
     for _ in range(2):
         for template, ordered, options in STATEMENTS:
@@ -114,10 +155,9 @@ def observe(catalog: Catalog, predicate: str) -> list:
             profile = result.profile
             seen.append((rows, profile.exec_ms, profile.total_ms,
                          [tuple(getattr(scan, name) for name in
-                                SCAN_COUNTERS) for scan in profile.scans]))
-    # partition ids are process-wide: compare positions in the tables
-    position = {pid: n for name in ("t", "d") for n, pid in
-                enumerate(catalog.tables[name].partition_ids)}
+                                SCAN_COUNTERS) for scan in profile.scans],
+                         traffic(catalog)))
+    position = positions(catalog)
     records = {key: (sorted(position[pid] for pid in entry.partition_ids),
                      position[entry.high_water])
                for key, entry in catalog.predicate_cache._entries.items()}
@@ -152,9 +192,10 @@ _predicates = st.recursive(
     max_leaves=3)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(predicate=_predicates, seed=st.integers(0, 5),
-       clustered=st.booleans(), data_cache=st.booleans())
+       clustered=st.booleans(),
+       data_cache=st.sampled_from([None, "default", "tiny"]))
 def test_batched_equals_streamed(predicate, seed, clustered, data_cache):
     streamed, batched = streamed_and_batched(
         lambda: make_catalog(seed, clustered, data_cache), predicate)
@@ -162,9 +203,83 @@ def test_batched_equals_streamed(predicate, seed, clustered, data_cache):
         assert got == want, predicate
 
 
+def test_a_tiny_data_cache_evicts_and_hits():
+    """The tiny cache the differential above uses is exercised: it
+    evicts, and statements still hit it."""
+    catalog = make_catalog(0, True, "tiny")
+    observe(catalog, "a >= 0")
+    stats = catalog.data_cache.stats()
+    assert stats.evictions > 0 and stats.hits > 0 and stats.misses > 0
+
+
+def observe_faults(catalog: Catalog, predicate: str,
+                   monkeypatch) -> list:
+    """Every statement under injected storage faults: its rows and
+    clocks, or its typed error; either way the per-scan counters and
+    retries of the query and the storage counters after it."""
+    contexts = []
+    init = ExecContext.__init__
+
+    def remember(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        contexts.append(self)
+
+    monkeypatch.setattr(ExecContext, "__init__", remember)
+    seen = []
+    for template, ordered, options in STATEMENTS:
+        try:
+            result = catalog.sql(template.format(p=predicate), options)
+            outcome = (result.rows if ordered
+                       else Counter(map(repr, result.rows)),
+                       result.profile.exec_ms)
+        except StorageError as error:
+            outcome = (type(error).__name__, str(error))
+        profile = contexts[-1].profile
+        seen.append((outcome, [tuple(getattr(scan, name) for name in
+                                     SCAN_COUNTERS)
+                               for scan in profile.scans],
+                     profile.retry_stats.snapshot(), traffic(catalog)))
+    return seen
+
+
+def faulty_catalog(seed: int, data_cache: str | None) -> Catalog:
+    catalog = make_catalog(seed, False, data_cache)
+    catalog.enable_fault_injection(
+        FaultInjector(seed=seed, storage=FaultSpec(
+            timeout_rate=0.08, corruption_rate=0.04, latency_rate=0.1,
+            latency_ms=3.0)),
+        retry_policy=RetryPolicy(max_attempts=2, seed=seed))
+    return catalog
+
+
+@pytest.mark.parametrize("data_cache", [None, "tiny"])
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_equals_streamed_under_faults(seed, data_cache):
+    """Faults fire per id and attempt, so batching moves none; a load
+    the retry budget cannot save raises the same typed error with the
+    loads before it accounted the same. The statements' errors differ
+    by seed: some raise, some absorb retries."""
+    outcomes = []
+    for batch_rows in (0, operators.BATCH_ROWS):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(operators, "BATCH_ROWS", batch_rows)
+            # faults roll per partition id: both catalogs get the same
+            ids = micropartition._IdGenerator()
+            ids.ensure_floor(10**9)
+            monkeypatch.setattr(micropartition, "partition_id_generator",
+                                ids)
+            outcomes.append(observe_faults(
+                faulty_catalog(seed, data_cache), "a >= 3", monkeypatch))
+    streamed, batched = outcomes
+    assert batched == streamed
+    kinds = Counter(type(outcome[0]).__name__ for outcome, *_ in batched)
+    assert kinds["str"] and kinds["Counter"] + kinds["list"]
+    assert any(retries["retries"] for *_, retries, _ in batched)
+
+
 def test_an_unsteered_scan_batches_and_a_limited_one_streams():
     """The differential above compares something: batches form."""
-    catalog = make_catalog(0, True, False)
+    catalog = make_catalog(0, True, None)
     scan_set = catalog.scan_set("t")
     runs = tuple((pid, size) for pid, size
                  in zip(scan_set.partition_ids, SIZES))
@@ -178,8 +293,49 @@ def test_an_unsteered_scan_batches_and_a_limited_one_streams():
     assert [chunk.runs for chunk in scan] == [(run,) for run in runs]
 
 
+class TestScanCallBudget:
+    """Python calls (cProfile's count, builtins included) per extra
+    loaded partition, 100 vs 1 000 partitions of 10 rows: a scan that
+    batches pays per batch, not per partition (43 and 45 calls a
+    partition when each took its own load, charge and chunk); one that
+    streams pays no more than then (105)."""
+
+    @staticmethod
+    def calls(partitions: int, sql: str) -> tuple[int, int]:
+        catalog = Catalog(rows_per_partition=10)
+        catalog.create_table_from_rows(
+            "t", Schema.of(k=DataType.INTEGER, v=DataType.INTEGER),
+            [(i, i * 37 % 100) for i in range(10 * partitions)])
+        catalog.sql(sql)                        # first-call costs
+        previous = sys.getprofile()
+        profiler = cProfile.Profile()
+        profiler.enable()
+        try:
+            result = catalog.sql(sql)
+        finally:
+            calls = pstats.Stats(profiler).total_calls    # disables it
+            # a profiler watching the whole suite gets its hook back
+            sys.setprofile(previous)
+        return calls, result.profile.partitions_loaded
+
+    def per_partition(self, sql: str) -> float:
+        (small, loaded_small), (large, loaded_large) = (
+            self.calls(100, sql), self.calls(1000, sql))
+        assert (loaded_small, loaded_large) == (100, 1000)
+        return (large - small) / 900
+
+    @pytest.mark.parametrize("sql", ["SELECT sum(v) FROM t",
+                                     "SELECT sum(v) FROM t WHERE v < 50"])
+    def test_a_batched_scan(self, sql):
+        assert self.per_partition(sql) <= 8
+
+    def test_a_streamed_scan(self):
+        assert self.per_partition(
+            "SELECT k FROM t WHERE v < 50 LIMIT 100000") <= 105
+
+
 def test_limit_marks_its_chain_and_nothing_else():
-    catalog = make_catalog(0, True, False)
+    catalog = make_catalog(0, True, None)
     context = ExecContext(catalog.storage)
 
     def scan(table, schema):

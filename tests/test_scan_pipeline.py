@@ -193,23 +193,16 @@ def test_bypassed_chunk_is_the_scan_chunk_itself(monkeypatch):
     catalog = make_catalog(make_rows(0, null_rate=0.0))
     scan_set = catalog.scan_set("t")
     ids = scan_set.partition_ids
-    seen, batches = [], []
-    consume = operators.Scan._consume_partition
-    concat = operators._concat_runs
+    batches = []
+    load_batch = operators.Scan._load_batch
 
-    def remember(*args, **kwargs):
-        seen.append(consume(*args, **kwargs))
-        return seen[-1]
-
-    def remember_batch(schema, chunks):
-        batches.append(concat(schema, chunks))
+    def remember_batch(*args, **kwargs):
+        batches.append(load_batch(*args, **kwargs))
         return batches[-1]
 
-    monkeypatch.setattr(operators.Scan, "_consume_partition", remember)
-    monkeypatch.setattr(operators, "_concat_runs", remember_batch)
+    monkeypatch.setattr(operators.Scan, "_load_batch", remember_batch)
 
     def filtered(fully_matching):
-        seen.clear()
         batches.clear()
         context = operators.ExecContext(catalog.storage)
         scan = operators.Scan(context, "t", SCHEMA, scan_set)
@@ -222,7 +215,8 @@ def test_bypassed_chunk_is_the_scan_chunk_itself(monkeypatch):
 
     # a lone bypassed partition is its scan chunk: no column copy
     out = filtered(ids[:1])
-    assert out[0] is batches[0] is seen[0]
+    assert out[0] is batches[0]
+    assert out[0].columns["a"] is catalog.storage.peek(ids[0]).column("a")
     assert out[1] is not batches[1]
     assert out[1].to_rows() == batches[1].to_rows()
     assert out[1].runs == batches[1].runs == runs(ids[1:])

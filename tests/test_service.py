@@ -143,7 +143,6 @@ class TestIOStatsThreadSafety:
         expected = n_threads * loads_per_thread
         assert stats.requests == expected
         assert stats.partitions_loaded == expected
-        assert len(stats.loaded_partition_ids) == expected
         assert stats.bytes_read > 0
 
 

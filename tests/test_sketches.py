@@ -312,6 +312,17 @@ class TestDifferentialHypothesis:
         assert_pruner_sound(
             sketched, ast.Compare("=", ast.col("k"), ast.lit(point)))
 
+    def test_lone_surrogate_needle(self):
+        """A needle holding a lone surrogate (a str, not UTF-8) probes
+        and hashes like any other string; found by the test above."""
+        for texts in ([None], ["a\ud800b", None]):
+            sketched, _ = build_pair(make_rows(texts, [None], [None]))
+            for needle in ("00\ud800", "\ud800"):
+                assert_pruner_sound(sketched,
+                                    ast.Contains(ast.col("s"), needle))
+                assert_pruner_sound(sketched,
+                                    ast.EndsWith(ast.col("s"), needle))
+
 
 class TestFaultTolerance:
     def _rows(self):

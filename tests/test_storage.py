@@ -237,7 +237,6 @@ class TestStorageLayer:
         assert storage.stats.requests == 1
         assert storage.stats.partitions_loaded == 1
         assert storage.stats.bytes_read == partition.nbytes()
-        assert storage.stats.loaded_partition_ids == [pid]
 
     def test_column_projection_reads_fewer_bytes(self, small_table):
         storage = StorageLayer()
