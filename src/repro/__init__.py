@@ -68,7 +68,7 @@ from .storage import (
     StorageLayer,
 )
 from .storage.builder import build_table
-from .cache import CacheStats, PartitionCache, Prefetcher
+from .cache import CacheStats, PartitionCache
 from .plancache import (
     ParameterizedQuery,
     PlanCache,
@@ -151,7 +151,6 @@ __all__ = [
     "build_table",
     "CacheStats",
     "PartitionCache",
-    "Prefetcher",
     "ParameterizedQuery",
     "PlanCache",
     "PlanCacheStats",

@@ -2,12 +2,9 @@
 
 :class:`PartitionCache` keeps recently scanned micro-partitions
 resident under a byte budget (segmented LRU, column-subset-aware
-accounting, metadata-driven invalidation); :class:`Prefetcher` walks a
-pruned scan set ahead of the consumer to overlap storage fetches with
-execution.
+accounting, metadata-driven invalidation).
 """
 
 from .partition_cache import CacheStats, PartitionCache
-from .prefetcher import Prefetcher
 
-__all__ = ["CacheStats", "PartitionCache", "Prefetcher"]
+__all__ = ["CacheStats", "PartitionCache"]

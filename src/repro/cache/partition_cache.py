@@ -27,7 +27,7 @@ set, the local cache absorbs the repeated fraction of what remains.
   unavailable loads raise before :meth:`put` and never pollute it.
 
 The cache is shared by all queries of one warehouse cluster and is
-safe to use from concurrent scan (morsel / prefetch) threads.
+safe to use from concurrent query threads.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     bytes_saved: int = 0
-    prefetch_loads: int = 0
     evictions: int = 0
     invalidations: int = 0
     rejected: int = 0
@@ -78,7 +77,6 @@ class CacheStats:
             "misses": self.misses,
             "hit_ratio": round(self.hit_ratio, 6),
             "bytes_saved": self.bytes_saved,
-            "prefetch_loads": self.prefetch_loads,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
             "rejected": self.rejected,
@@ -117,8 +115,6 @@ class PartitionCache:
 
     def __init__(self, budget_bytes: int, *,
                  protected_fraction: float = 0.8,
-                 prefetch: bool = True,
-                 prefetch_workers: int = 2,
                  name: str = "data-cache"):
         if budget_bytes <= 0:
             raise ValueError("cache budget must be positive")
@@ -127,10 +123,6 @@ class PartitionCache:
         self.budget_bytes = budget_bytes
         self.protected_budget = int(budget_bytes * protected_fraction)
         self.name = name
-        #: scans may run an async readahead over this cache
-        #: (see :class:`~repro.cache.prefetcher.Prefetcher`).
-        self.prefetch = prefetch
-        self.prefetch_workers = max(1, prefetch_workers)
         self._lock = threading.RLock()
         # Both segments are OrderedDicts in LRU -> MRU order; an entry
         # lives in exactly one of them (entry.segment says which).
@@ -180,17 +172,12 @@ class PartitionCache:
 
     def record_lookups(self, hits: int, bytes_saved: int,
                        misses: int) -> None:
-        """Account lookups made with ``record=False`` (a scan counts a
-        partition its readahead fetched as a miss: storage was read)."""
+        """Account lookups made with ``record=False`` (a scan counts its
+        batch's lookups once)."""
         with self._lock:
             self._stats.hits += hits
             self._stats.bytes_saved += bytes_saved
             self._stats.misses += misses
-
-    def record_prefetch_load(self) -> None:
-        """Account one background readahead fetch."""
-        with self._lock:
-            self._stats.prefetch_loads += 1
 
     def put(self, partition: "MicroPartition",
             columns: Sequence[str] | None = None) -> list[int]:
@@ -337,8 +324,7 @@ class PartitionCache:
         with self._lock:
             snap = CacheStats(**{
                 k: getattr(self._stats, k)
-                for k in ("hits", "misses", "bytes_saved",
-                          "prefetch_loads", "evictions",
+                for k in ("hits", "misses", "bytes_saved", "evictions",
                           "invalidations", "rejected")})
             snap.resident_bytes = self._resident_bytes
             snap.entries = sum(len(s)

@@ -111,15 +111,11 @@ class Catalog:
 
     def __init__(self, cost_model: CostModel | None = None,
                  rows_per_partition: int = DEFAULT_ROWS_PER_PARTITION,
-                 scan_parallelism: int = 1,
                  enable_tracing: bool = True):
         self.storage = StorageLayer(cost_model)
         self.metadata = MetadataStore()
         self.tables: dict[str, Table] = {}
         self.rows_per_partition = rows_per_partition
-        #: worker count for morsel-driven parallel scans (1 = serial);
-        #: typically set to the warehouse cluster size by the service.
-        self.scan_parallelism = max(1, scan_parallelism)
         #: per-query trace spans (parse → plan → prune → scan → retry);
         #: cheap enough to stay on (gated < 5% on the scan benches).
         self.enable_tracing = enable_tracing
@@ -374,8 +370,7 @@ class Catalog:
         return self.metadata.sketch_index(table, ngram_size)
 
     def enable_data_cache(self, budget_bytes: int = 64 * 2**20,
-                          protected_fraction: float = 0.8,
-                          prefetch: bool = True) -> PartitionCache:
+                          protected_fraction: float = 0.8) -> PartitionCache:
         """Turn on the warehouse-local data cache (§2) for subsequent
         queries: scans serve repeated partitions from local storage
         instead of re-fetching them from simulated object storage.
@@ -385,9 +380,9 @@ class Catalog:
         automatically. Idempotent — an existing cache is kept.
         """
         if self.data_cache is None:
-            self.data_cache = PartitionCache(
-                budget_bytes, protected_fraction=protected_fraction,
-                prefetch=prefetch).attach(self.metadata)
+            cache = PartitionCache(budget_bytes,
+                                   protected_fraction=protected_fraction)
+            self.data_cache = cache.attach(self.metadata)
         return self.data_cache
 
     def enable_plan_cache(self, max_entries: int = 256,
@@ -901,8 +896,7 @@ class Catalog:
         stmt = parse_select(text)
         plan = plan_select(stmt, self.schema_of)
         context = ExecContext(self.storage, self.metadata,
-                              query_id="explain",
-                              scan_parallelism=self.scan_parallelism)
+                              query_id="explain")
         compiled = self._compiler.compile(plan, context, options)
         rendered = render_plan(compiled.root)
         versions = ", ".join(
@@ -993,7 +987,6 @@ class Catalog:
             tracer = self._new_tracer()
         context = ExecContext(self.storage, self.metadata,
                               query_id=f"q{next(_QUERY_COUNTER)}",
-                              scan_parallelism=self.scan_parallelism,
                               tracer=tracer,
                               cache=self._effective_cache(cache))
         if pre_compile_ms:

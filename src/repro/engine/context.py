@@ -38,16 +38,9 @@ class ScanProfile:
     limit_report: Optional[LimitPruneReport] = None
     topk_checks: int = 0
     topk_skipped: int = 0
-    #: successful tightenings of this scan's top-k boundary (shared
-    #: CAS updates published by the downstream TopK / GROUP BY heap).
+    #: successful tightenings of this scan's top-k boundary (updates
+    #: published by the downstream TopK / GROUP BY heap).
     topk_boundary_updates: int = 0
-    #: partitions speculatively read ahead (prefetcher or parallel
-    #: morsel window) that a later, tighter runtime-prune decision
-    #: then skipped. Wasted wire bytes, never charged to the query;
-    #: allowed to differ from a serial scan (which reads ahead
-    #: nothing), unlike every other counter here.
-    prefetched_then_skipped: int = 0
-    prefetched_then_skipped_bytes: int = 0
     partitions_loaded: int = 0
     #: loaded partitions the row filter passed through unevaluated
     #: because compile-time pruning proved them fully matching (§4.2)
@@ -80,9 +73,6 @@ class ScanProfile:
     cache_misses: int = 0
     #: bytes the data cache kept off the object-store wire
     cache_bytes_saved: int = 0
-    #: cache misses satisfied by this scan's own async readahead
-    #: (bytes were still read from storage, but off the critical path)
-    prefetched_partitions: int = 0
     #: the scan was answered entirely from the metadata store
     metadata_only: bool = False
     #: partitions whose metadata could not be fetched; they were
@@ -99,8 +89,6 @@ class ScanProfile:
     #: wall-clock milliseconds spent classifying partitions (real
     #: time, not the simulated cost-model clock).
     pruning_ms: float = 0.0
-    #: worker threads the scan actually fanned morsels out to.
-    scan_parallelism: int = 1
 
     @property
     def degraded(self) -> bool:
@@ -276,14 +264,6 @@ class QueryProfile:
         return sum(s.topk_boundary_updates for s in self.scans)
 
     @property
-    def prefetched_then_skipped(self) -> int:
-        return sum(s.prefetched_then_skipped for s in self.scans)
-
-    @property
-    def prefetched_then_skipped_bytes(self) -> int:
-        return sum(s.prefetched_then_skipped_bytes for s in self.scans)
-
-    @property
     def partitions_pruned(self) -> int:
         return sum(s.partitions_pruned for s in self.scans)
 
@@ -291,11 +271,6 @@ class QueryProfile:
     def pruning_time(self) -> float:
         """Wall-clock ms spent classifying partitions, across scans."""
         return sum(s.pruning_ms for s in self.scans)
-
-    @property
-    def scan_parallelism(self) -> int:
-        """Widest worker fan-out any scan of this query used."""
-        return max((s.scan_parallelism for s in self.scans), default=1)
 
     def new_scan(self, table: str) -> ScanProfile:
         profile = ScanProfile(table=table)
@@ -361,15 +336,10 @@ class QueryProfile:
                 1 for s in self.scans if s.cache_hit)),
             "skip_set_pruned": float(sum(
                 s.skip_set_pruned for s in self.scans)),
-            "scan_parallelism": float(self.scan_parallelism),
             "data_cache_hits": float(self.data_cache_hits),
             "data_cache_misses": float(self.data_cache_misses),
             "data_cache_bytes_saved": float(self.data_cache_bytes_saved),
             "topk_boundary_updates": float(self.topk_boundary_updates),
-            "prefetched_then_skipped": float(
-                self.prefetched_then_skipped),
-            "prefetched_then_skipped_bytes": float(
-                self.prefetched_then_skipped_bytes),
             "plan_cache_hits": 1.0 if self.plan_cache_hit else 0.0,
             "plan_cache_misses": 1.0 if (self.plan_cache_checked
                                          and not self.plan_cache_hit)
@@ -452,7 +422,6 @@ class ExecContext:
     def __init__(self, storage: StorageLayer,
                  metadata: MetadataStore | None = None,
                  query_id: str = "",
-                 scan_parallelism: int = 1,
                  tracer: "Optional[Tracer]" = None,
                  cache: "Optional[PartitionCache]" = None):
         self.storage = storage
@@ -463,11 +432,7 @@ class ExecContext:
         #: optional warehouse-local data cache scans route loads through
         #: (per-cluster when running under a :class:`WarehousePool`).
         self.cache = cache
-        #: worker threads table scans may fan morsels out to (1 =
-        #: serial execution; typically the warehouse cluster size).
-        self.scan_parallelism = max(1, int(scan_parallelism))
-        #: per-query tracer (single-threaded; morsel workers must not
-        #: touch it — the consumer thread records on their behalf).
+        #: per-query tracer (single-threaded, like the scan).
         self.tracer = tracer
         #: the span runtime operators parent their scan spans under
         #: (set by the catalog around the execute phase).

@@ -96,26 +96,9 @@ class Scan(Operator):
     must not load more) or with runtime pruners, whose skip check runs
     right before each load.
 
-    When ``ExecContext.scan_parallelism`` > 1 the scan fans partition
-    loads out as morsels to a thread pool (the paper's execution
-    engine scans surviving partitions in parallel, §2), with
-    deterministic semantics: runtime-pruning decisions happen on the
-    consumer thread in scan-set order, chunks are merged back in that
-    same order, per-worker retry stats fold into the query profile as
-    each morsel is consumed, and a failing load surfaces its typed
-    error at the same position the serial scan would.
-
-    Adaptive top-k boundary pruning parallelizes too (PR 8): the
-    boundary is a shared tighten-only CAS, so workers re-check it per
-    morsel at claim time (skipping loads the consumer's check will
-    provably also skip) while the *accounted* check still runs on the
-    consumer thread at the partition's scan-set position — where the
-    boundary state is exactly what a serial scan would have seen,
-    because the downstream TopK heap consumes chunks in that same
-    order. Rows, order, typed errors, and every profile counter except
-    the explicitly speculative ``prefetched_then_skipped`` pair are
-    therefore bit-identical to serial execution; skip counts observed
-    by workers can only exceed (never miss) the serial decisions.
+    The scan runs on the query's thread. The paper's warehouse scans
+    surviving partitions in parallel across its nodes (§2); that effect
+    is modelled without threads by :mod:`~repro.engine.warehouse`.
     """
 
     def __init__(self, context: ExecContext, table: str, schema: Schema,
@@ -180,16 +163,11 @@ class Scan(Operator):
 
     # -- iteration ---------------------------------------------------------
     def __iter__(self) -> Iterator[Chunk]:
-        workers = self._parallel_workers()
-        self.profile.scan_parallelism = workers
-        iterator = (self._iter_parallel(workers) if workers > 1
-                    else self._iter_serial())
         if self.context.tracer is None:
-            return iterator
-        return self._iter_traced(iterator, workers)
+            return self._iter_serial()
+        return self._iter_traced(self._iter_serial())
 
-    def _iter_traced(self, iterator: Iterator[Chunk],
-                     workers: int) -> Iterator[Chunk]:
+    def _iter_traced(self, iterator: Iterator[Chunk]) -> Iterator[Chunk]:
         """Wrap the scan in an explicitly-parented span.
 
         The span is ended in ``finally`` so a suspended-then-closed
@@ -197,14 +175,11 @@ class Scan(Operator):
         abandoned without closing is repaired by ``Tracer.finish``.
 
         While this scan iterates, the query's retry stats carry a
-        trace hook so each serially-absorbed retry becomes a child
-        event with its error class (parallel morsels retry on worker
-        threads with private hook-free stats; the consumer emits one
-        summary event per morsel instead).
+        trace hook so each absorbed retry becomes a child event with
+        its error class.
         """
         span = self.context.start_span(
-            f"scan:{self.table}", partitions_in=len(self.scan_set),
-            workers=workers)
+            f"scan:{self.table}", partitions_in=len(self.scan_set))
         self._span = span
         retry_stats = self.context.profile.retry_stats
         previous_hook = retry_stats.trace_hook
@@ -230,10 +205,6 @@ class Scan(Operator):
             if profile.topk_boundary_updates:
                 span.annotate(
                     boundary_updates=profile.topk_boundary_updates)
-            if profile.prefetched_then_skipped:
-                span.annotate(
-                    prefetched_then_skipped=profile
-                    .prefetched_then_skipped)
             if profile.cache_hits or profile.cache_misses:
                 span.annotate(cache_hits=profile.cache_hits,
                               cache_misses=profile.cache_misses)
@@ -267,59 +238,16 @@ class Scan(Operator):
         partition, mid-scan, whether to load?".
 
         True when top-k boundary pruners or a deferred runtime filter
-        are attached. Such scans still parallelize and prefetch — the
-        decisions are *monotone* (a boundary only tightens; a deferred
-        verdict is a pure function of the zone map), so readahead
-        re-validates them at claim time and surrenders anything a
-        tightened boundary later skips. Both speculation gates
-        (:meth:`_make_prefetcher` and the morsel loop's advisory
-        checks) derive from this one predicate so they cannot drift.
+        are attached: such a scan streams one partition a batch, so
+        each skip check sees the boundary its predecessors left.
         """
         return bool(self.topk_pruners) \
             or self.runtime_filter_pruner is not None
-
-    def _parallel_workers(self) -> int:
-        """Morsel workers this scan may use (1 = stay serial)."""
-        workers = getattr(self.context, "scan_parallelism", 1)
-        if workers <= 1 or len(self.scan_set) <= 1:
-            return 1
-        return min(workers, len(self.scan_set))
-
-    def _make_prefetcher(self):
-        """Async readahead for the serial scan path.
-
-        Order-dependent scans (:attr:`order_dependent`) prefetch too:
-        each fetch is re-validated against the current prune decision
-        as it is issued, and a prefetched partition the boundary has
-        since tightened past is dropped at consume time without
-        charging the query (counted as prefetched-then-skipped). The
-        parallel morsel loop needs no prefetcher — its bounded
-        in-flight window *is* the readahead.
-        """
-        cache = self.context.cache
-        if (cache is None or not cache.prefetch
-                or len(self.scan_set) <= 1):
-            return None
-        from ..cache.prefetcher import Prefetcher
-
-        window = max(4, self.context.scan_parallelism * 2)
-        should_fetch = None
-        if self.order_dependent:
-            zone_maps = dict(self.scan_set.entries)
-
-            def should_fetch(pid: int) -> bool:
-                return not self._advisory_skip(pid, zone_maps[pid])
-
-        return Prefetcher(
-            cache, self.context.storage, self.scan_set.partition_ids,
-            columns=self.columns, window=window,
-            should_fetch=should_fetch)
 
     def _iter_serial(self) -> Iterator[Chunk]:
         ids = self.scan_set.partition_ids
         zone_maps = ([zone_map for _, zone_map in self.scan_set]
                      if self.order_dependent else None)
-        prefetcher = self._make_prefetcher()
         consumed = 0
         try:
             for start, stop in self._batch_bounds(ids):
@@ -327,19 +255,14 @@ class Scan(Operator):
                 self.context.charge_metadata_lookups(stop - start)
                 if zone_maps is not None and self._runtime_skip(
                         ids[start], zone_maps[start]):
-                    if prefetcher is not None:
-                        self._account_prefetch_drop(
-                            ids[start], *prefetcher.drop(ids[start]))
                     continue
-                yield self._load_batch(ids[start:stop], prefetcher)
+                yield self._load_batch(ids[start:stop])
         finally:
-            if prefetcher is not None:
-                prefetcher.close()
             self._record_boundary_updates()
             if consumed < len(ids):
                 self.profile.early_terminated = True
 
-    def _load_batch(self, ids: list[int], prefetcher) -> Chunk:
+    def _load_batch(self, ids: list[int]) -> Chunk:
         """Load and account one batch, returning its chunk. What the data
         cache misses is one storage call, but a lookup that may hit
         loads the misses before it first: the cache sees lookups and
@@ -347,11 +270,10 @@ class Scan(Operator):
         before it are accounted and the typed error propagates."""
         cache = self.context.cache
         loaded, missing = [], [] if cache is not None else ids
-        nbytes = hits = hit_bytes = prefetched = 0
+        nbytes = hits = hit_bytes = 0
         failed = 1
         try:
             for pid in ids if cache is not None else ():
-                fetched = prefetcher is not None and prefetcher.claim(pid)
                 if missing and pid in cache:
                     nbytes += self._load_misses(missing, loaded)
                     missing = []
@@ -363,13 +285,9 @@ class Scan(Operator):
                 loaded.append(partition)
                 size = partition.project_bytes(self.columns)
                 nbytes += size
-                # Readahead fetched it moments ago: a miss (the bytes
-                # were read from storage), just off the critical path.
-                prefetched += fetched
-                if not fetched:
-                    hits, hit_bytes = hits + 1, hit_bytes + size
-                    self.context.trace_event("cache:hit", parent=self._span,
-                                             partition=pid, bytes=size)
+                hits, hit_bytes = hits + 1, hit_bytes + size
+                self.context.trace_event("cache:hit", parent=self._span,
+                                         partition=pid, bytes=size)
             nbytes += self._load_misses(missing, loaded)
             failed = 0
         finally:
@@ -378,8 +296,8 @@ class Scan(Operator):
                                      len(loaded) - hits + failed)
             if failed and loaded:
                 self._account(loaded, project_bytes(loaded, self.columns),
-                              hits, hit_bytes, prefetched)
-        return self._account(loaded, nbytes, hits, hit_bytes, prefetched)
+                              hits, hit_bytes)
+        return self._account(loaded, nbytes, hits, hit_bytes)
 
     def _load_misses(self, ids: list[int], loaded: list) -> int:
         """Load ``ids`` onto ``loaded`` in one storage call, admitting
@@ -393,116 +311,11 @@ class Scan(Operator):
             for partition in loaded[start:] if cache is not None else ():
                 self._trace_evictions(cache.put(partition, self.columns))
 
-    def _iter_parallel(self, workers: int) -> Iterator[Chunk]:
-        from collections import deque
-        from concurrent.futures import ThreadPoolExecutor
-
-        from ..faults.retry import RetryStats
-
-        entries = self.scan_set.entries
-        storage = self.context.storage
-        columns = self.columns
-        cache = self.context.cache
-        order_dependent = self.order_dependent
-
-        def load_morsel(partition_id: int, zone_map, recheck: bool):
-            # Private stats per morsel: retry attribution merges into
-            # the query profile when the morsel is consumed, in order.
-            # Cache lookups happen here on the worker thread (the
-            # cache is thread-safe); profile accounting and trace
-            # events stay on the consumer thread.
-            if recheck and self._boundary_skip(partition_id, zone_map):
-                # Claim-time re-check: the boundary tightened since
-                # submission. By monotonicity the consumer's accounted
-                # check will also skip this partition, so the load is
-                # provably wasted — don't issue it.
-                return None
-            local = RetryStats()
-            if cache is not None:
-                cached = cache.get(partition_id, columns=columns)
-                if cached is not None:
-                    return (cached, cached.project_bytes(columns), local,
-                            True, [])
-            (partition,), nbytes = storage.load_many(
-                [partition_id], columns, local)
-            evicted = (cache.put(partition, columns)
-                       if cache is not None else [])
-            return partition, nbytes, local, False, evicted
-
-        executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="scan-morsel")
-        window = workers * 2
-        pending: deque = deque()
-        submitted = 0
-        completed = False
-        try:
-            while True:
-                # Keep up to `window` morsels in flight. Runtime
-                # pruning here is *advisory* only (counter- and
-                # charge-free): it throttles speculation but every
-                # entry still flows through the accounted check at its
-                # consume position below.
-                while submitted < len(entries) and len(pending) < window:
-                    partition_id, zone_map = entries[submitted]
-                    submitted += 1
-                    future = None
-                    if not (order_dependent and self._advisory_skip(
-                            partition_id, zone_map)):
-                        future = executor.submit(
-                            load_morsel, partition_id, zone_map,
-                            order_dependent)
-                    pending.append((partition_id, zone_map, future))
-                if not pending:
-                    completed = submitted == len(entries)
-                    break
-                # Consume in submission order: the accounted pruning
-                # decision runs here, where the shared boundary holds
-                # exactly the state a serial scan would have seen
-                # (the downstream heap has consumed precisely the
-                # preceding partitions), so chunk order, skip/check
-                # counters, simulated-clock charges, and the position
-                # at which a failing partition raises all match serial
-                # execution bit for bit.
-                partition_id, zone_map, future = pending.popleft()
-                self.context.charge_metadata_lookups(1)
-                if self._runtime_skip(partition_id, zone_map):
-                    if future is not None:
-                        self._discard_morsel(partition_id, future)
-                    continue
-                result = future.result() if future is not None else None
-                if result is None:
-                    # The speculative path skipped the load but the
-                    # accounted check kept the partition. Monotone
-                    # boundaries make this unreachable; demand-load
-                    # inline so correctness never rests on that proof.
-                    result = load_morsel(partition_id, zone_map, False)
-                partition, nbytes, local, cache_hit, evicted = result
-                self.context.profile.retry_stats.absorb(local)
-                if local.retries:
-                    # Recorded here on the consumer thread — the
-                    # tracer is single-threaded by design.
-                    self.context.trace_event(
-                        "retry", parent=self._span,
-                        partition=partition_id, retries=local.retries,
-                        backoff_ms=local.penalty_ms())
-                self._trace_evictions(evicted)
-                if cache_hit:
-                    self.context.trace_event(
-                        "cache:hit", parent=self._span,
-                        partition=partition_id, bytes=nbytes)
-                yield self._account([partition], nbytes, int(cache_hit),
-                                    nbytes if cache_hit else 0)
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
-            self._record_boundary_updates()
-            if not completed:
-                self.profile.early_terminated = True
-
     def _account(self, loaded: list, nbytes: int, hits: int = 0,
-                 hit_bytes: int = 0, prefetched: int = 0) -> Chunk:
+                 hit_bytes: int = 0) -> Chunk:
         """Charge and account loaded partitions of ``nbytes``, returning
         their chunk: ``hits`` of them (``hit_bytes``) came from the data
-        cache, ``prefetched`` of the rest from this scan's readahead.
+        cache.
 
         ``partitions_loaded``/``rows_scanned``/``bytes_scanned`` keep
         their cache-independent meaning (what the scan consumed), so
@@ -523,7 +336,6 @@ class Scan(Operator):
             profile.cache_hits += hits
             profile.cache_bytes_saved += hit_bytes
             profile.cache_misses += loads
-            profile.prefetched_partitions += prefetched
         profile.partitions_loaded += len(loaded)
         profile.rows_scanned += total
         profile.bytes_scanned += nbytes
@@ -539,11 +351,8 @@ class Scan(Operator):
                                      partition=pid)
 
     def _runtime_skip(self, partition_id: int, zone_map) -> bool:
-        """The *accounted* runtime-prune decision for one partition.
-
-        Runs exactly once per consumed entry, on the consumer thread,
-        in scan-set order — serial and parallel scans therefore charge
-        and count identically. Degraded entries (zone maps lost to
+        """The runtime-prune decision for one partition, made once per
+        entry in scan-set order. Degraded entries (zone maps lost to
         metadata failures) skip the boundary checks entirely, fail
         open: a stats-free zone map can never prove a skip, and not
         counting it as a check keeps fleet pruning-ratio CDFs
@@ -572,30 +381,6 @@ class Scan(Operator):
                 return True
         return False
 
-    def _advisory_skip(self, partition_id: int, zone_map) -> bool:
-        """Counter- and charge-free preview of :meth:`_runtime_skip`.
-
-        Used where a serial scan performs no check at all — morsel
-        submission and prefetch issue — to avoid speculative loads the
-        accounted check will provably discard. Sound because runtime
-        prune decisions are monotone: the boundary only tightens and
-        deferred verdicts are pure functions of the zone map, so a
-        skip here implies a skip at the accounted position.
-        """
-        if partition_id in self.scan_set.degraded_ids:
-            return False
-        return (self._boundary_skip(partition_id, zone_map)
-                or (self.runtime_filter_pruner is not None
-                    and self._deferred_skip(partition_id)))
-
-    def _boundary_skip(self, partition_id: int, zone_map) -> bool:
-        """Worker-thread claim-time boundary re-check (boundary only:
-        deferred-filter verdicts are static and already previewed at
-        submission). Counter-free; degraded entries never skip because
-        their stats-free zone maps answer "best possible rank"."""
-        return any(pruner.peek_skip(zone_map, partition_id, self.scan_set)
-                   for pruner in self.topk_pruners)
-
     def _deferred_skip(self, partition_id: int) -> bool:
         """Does the deferred runtime filter prove the partition empty?
 
@@ -608,30 +393,6 @@ class Scan(Operator):
             self._deferred_pruned = frozenset(
                 self.runtime_filter_pruner.prune(self.scan_set).pruned_ids)
         return partition_id in self._deferred_pruned
-
-    def _discard_morsel(self, partition_id: int, future) -> None:
-        """Drop a speculatively loaded morsel the accounted check
-        skipped. A serial scan never loads this partition, so nothing
-        is charged to the simulated clock, its retry stats are not
-        absorbed, and a typed error it may have hit is swallowed; the
-        wasted wire bytes surface as ``prefetched_then_skipped``."""
-        if future.cancel():
-            return
-        try:
-            result = future.result()
-        except Exception:
-            return
-        if result is not None:
-            self._account_prefetch_drop(partition_id, 1, result[1])
-
-    def _account_prefetch_drop(self, partition_id: int, dropped: int,
-                               nbytes: int) -> None:
-        if not dropped:
-            return
-        self.profile.prefetched_then_skipped += dropped
-        self.profile.prefetched_then_skipped_bytes += nbytes
-        self.context.trace_event("prefetch:drop", parent=self._span,
-                                 partition=partition_id, bytes=nbytes)
 
     def _record_boundary_updates(self) -> None:
         """Publish boundary-tightening totals into the scan profile

@@ -75,8 +75,7 @@ class RetryStats:
         self.by_class: dict[str, int] = {}
         #: optional ``hook(error_class_name, delay_ms)`` observing each
         #: absorbed retry (trace events). Set only on per-query stats
-        #: used from the query's own thread — :meth:`absorb` never
-        #: copies it, so morsel workers' private stats stay hook-free.
+        #: used from the query's own thread.
         self.trace_hook: Callable[[str, float], None] | None = None
 
     def record_retry(self, exc: BaseException, delay_ms: float) -> None:
@@ -101,26 +100,6 @@ class RetryStats:
         """Total simulated slowdown: backoff plus latency spikes."""
         with self._lock:
             return self.backoff_ms + self.injected_latency_ms
-
-    def absorb(self, other: "RetryStats") -> None:
-        """Fold another instance's counters into this one.
-
-        Parallel scans give each worker a private ``RetryStats`` per
-        partition load and merge it into the query's stats when the
-        morsel is consumed, so per-query attribution stays exact
-        without contending on one lock inside every load attempt.
-        """
-        with other._lock:
-            retries = other.retries
-            backoff_ms = other.backoff_ms
-            injected_latency_ms = other.injected_latency_ms
-            by_class = dict(other.by_class)
-        with self._lock:
-            self.retries += retries
-            self.backoff_ms += backoff_ms
-            self.injected_latency_ms += injected_latency_ms
-            for name, count in by_class.items():
-                self.by_class[name] = self.by_class.get(name, 0) + count
 
     def snapshot(self) -> dict[str, float]:
         with self._lock:

@@ -201,8 +201,6 @@ def fleet_summary(records: Sequence[TelemetryRecord]
         "wal_bytes": sum(r.wal_bytes for r in records),
         "topk_boundary_updates": sum(r.topk_boundary_updates
                                      for r in executed),
-        "prefetched_then_skipped": sum(r.prefetched_then_skipped
-                                       for r in executed),
         "metadata_only": sum(1 for r in executed if r.metadata_only),
         "degraded_queries": sum(1 for r in executed if r.degraded),
         "retried_queries": sum(1 for r in executed if r.retries),
@@ -281,12 +279,10 @@ def render_fleet_report(records: Sequence[TelemetryRecord],
                    f"{summary['recluster_partitions_rewritten']} "
                    f"partitions "
                    f"({summary['recluster_bytes_rewritten']} bytes)")
-    if summary["topk_boundary_updates"] \
-            or summary["prefetched_then_skipped"]:
+    if summary["topk_boundary_updates"]:
         report.add(f"  runtime pruning: "
                    f"{summary['topk_boundary_updates']} boundary "
-                   f"updates, {summary['prefetched_then_skipped']} "
-                   f"speculative loads discarded")
+                   f"updates")
     report.add(f"  rows scanned: {summary['rows_scanned']}, "
                f"returned: {summary['rows_returned']}, bytes "
                f"scanned: {summary['bytes_scanned']}")

@@ -118,9 +118,6 @@ class TelemetryRecord:
     #: successful tightenings of shared top-k boundaries during scans
     #: (runtime-pruning feedback activity; 0 for non-top-k queries).
     topk_boundary_updates: int = 0
-    #: speculative loads (morsel readahead / prefetch) a tightened
-    #: boundary later discarded — wasted wire bytes, not query cost.
-    prefetched_then_skipped: int = 0
     metadata_only: bool = False
     degraded: bool = False
     degraded_partitions: int = 0
@@ -134,7 +131,6 @@ class TelemetryRecord:
     wall_ms: float = 0.0
     queue_wait_ms: float = 0.0
     cluster: str = ""
-    scan_parallelism: int = 1
 
     @property
     def data_cache_hit_ratio(self) -> float:
@@ -215,7 +211,6 @@ class TelemetryRecord:
             wal_appends=profile.wal_appends,
             wal_bytes=profile.wal_bytes,
             topk_boundary_updates=profile.topk_boundary_updates,
-            prefetched_then_skipped=profile.prefetched_then_skipped,
             metadata_only=bool(profile.scans) and all(
                 s.metadata_only for s in profile.scans),
             degraded=profile.degraded,
@@ -225,7 +220,6 @@ class TelemetryRecord:
             exec_ms=profile.exec_ms,
             simulated_ms=profile.total_ms,
             wall_ms=wall_ms,
-            scan_parallelism=profile.scan_parallelism,
         )
 
     def to_dict(self) -> dict[str, Any]:
@@ -265,7 +259,6 @@ class TelemetryRecord:
             "wal_appends": self.wal_appends,
             "wal_bytes": self.wal_bytes,
             "topk_boundary_updates": self.topk_boundary_updates,
-            "prefetched_then_skipped": self.prefetched_then_skipped,
             "metadata_only": self.metadata_only,
             "degraded": self.degraded,
             "degraded_partitions": self.degraded_partitions,
@@ -277,7 +270,6 @@ class TelemetryRecord:
             "wall_ms": round(self.wall_ms, 4),
             "queue_wait_ms": round(self.queue_wait_ms, 4),
             "cluster": self.cluster,
-            "scan_parallelism": self.scan_parallelism,
         }
 
 

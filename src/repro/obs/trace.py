@@ -18,8 +18,7 @@ Design constraints:
   via :meth:`Tracer.start_span` so an out-of-order end cannot corrupt
   the tree, and :meth:`Tracer.finish` closes anything left open.
 * **Single-threaded.** A tracer belongs to one query and is only
-  touched from the query's executing thread (morsel workers never
-  trace; the consumer thread records on their behalf).
+  touched from the query's executing thread.
 """
 
 from __future__ import annotations

@@ -138,14 +138,6 @@ def _describe_scan(scan: Scan) -> str:
             f"data cache: {profile.cache_hits} hits / "
             f"{profile.cache_misses} misses "
             f"(saved {profile.cache_bytes_saved} bytes)")
-    if profile.prefetched_partitions:
-        annotations.append(
-            f"prefetched: {profile.prefetched_partitions}")
-    if profile.prefetched_then_skipped:
-        annotations.append(
-            f"prefetched-then-skipped: "
-            f"{profile.prefetched_then_skipped} "
-            f"({profile.prefetched_then_skipped_bytes} bytes)")
     if profile.degraded:
         annotations.append(
             f"DEGRADED: {profile.degraded_partitions} partition(s) "
@@ -153,7 +145,4 @@ def _describe_scan(scan: Scan) -> str:
     if profile.metadata_retries:
         annotations.append(
             f"metadata retries: {profile.metadata_retries}")
-    workers = scan._parallel_workers()
-    if workers > 1:
-        annotations.append(f"parallel scan x{workers}")
     return f"Scan {scan.table} [{', '.join(annotations)}]"

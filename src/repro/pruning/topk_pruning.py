@@ -18,7 +18,6 @@ of §5.3 and the upfront boundary initialization of §5.4.
 from __future__ import annotations
 
 import enum
-import threading
 from typing import Any, Iterable
 
 import numpy as np
@@ -77,28 +76,19 @@ class _Reversed:
 
 
 class Boundary:
-    """Shared, monotonically tightening pruning boundary.
+    """Monotonically tightening pruning boundary.
 
     Owned by a TopK (or top-k-aware GROUP BY) operator and consulted by
-    its upstream scan. ``rank`` is ``None`` until the heap holds k rows;
-    afterwards it is the rank of the k-th best row and only ever
-    increases.
-
-    Thread safety: parallel top-k scans share one boundary between the
-    consumer (which publishes tightenings) and morsel/prefetch workers
-    (which read it for claim-time re-checks). :meth:`update` is a
-    lock-guarded tighten-only compare-and-swap, so ``rank`` is monotone
-    under concurrency and ``updates`` counts exactly the successful
-    tightenings. Readers take no lock: a single attribute read sees
-    either the old or the new rank, both of which are sound (the old
-    one merely skips less).
+    its upstream scan, both on the query's thread. ``rank`` is ``None``
+    until the heap holds k rows; afterwards it is the rank of the k-th
+    best row and only ever increases. ``updates`` counts the
+    tightenings.
     """
 
     def __init__(self, desc: bool = True):
         self.desc = desc
         self.rank: tuple | None = None
         self.updates = 0
-        self._lock = threading.Lock()
 
     @property
     def is_active(self) -> bool:
@@ -106,15 +96,9 @@ class Boundary:
 
     def update(self, rank: tuple) -> None:
         """Raise the boundary to ``rank`` (ignores loosening updates)."""
-        # Cheap unlocked reject: the boundary is monotone, so a rank
-        # already at-or-below the published one can never win the CAS.
-        current = self.rank
-        if current is not None and rank <= current:
-            return
-        with self._lock:
-            if self.rank is None or rank > self.rank:
-                self.rank = rank
-                self.updates += 1
+        if self.rank is None or rank > self.rank:
+            self.rank = rank
+            self.updates += 1
 
     def update_value(self, value: Any) -> None:
         self.update(rank_of(value, self.desc))
@@ -158,10 +142,8 @@ class TopKPruner:
         self.fallback_checks = 0
         #: vectorized mask recomputations (one per boundary epoch).
         self.mask_epochs = 0
-        self._mask_lock = threading.Lock()
-        #: (boundary rank, index, skip mask) published atomically so
-        #: concurrent readers never pair a mask with the wrong rank or
-        #: with another index's row numbering.
+        #: (boundary rank, index, skip mask): a mask is served only for
+        #: the rank and the index row numbering it was computed for.
         self._mask_state: tuple[tuple, StatsIndex, Any] | None = None
         self._mask_unusable = False
 
@@ -193,26 +175,6 @@ class TopKPruner:
             self.skipped += 1
         return verdict
 
-    def peek_skip(self, zone_map: ZoneMap,
-                  partition_id: int | None = None,
-                  scan_set: ScanSet | None = None) -> bool:
-        """Counter-free skip check for advisory call sites.
-
-        Morsel workers (claim-time re-checks) and the prefetcher
-        (fetch-time re-validation) use this so profile counters and the
-        simulated clock stay bit-identical to a serial scan, where those
-        call sites do not exist. Sound because the boundary only
-        tightens: a skip observed here implies the consumer's accounted
-        check also skips.
-        """
-        rank = self.boundary.rank
-        if rank is None:
-            return False
-        verdict = self._vector_verdict(scan_set, partition_id, rank)
-        if verdict is None:
-            verdict = self.best_possible_rank(zone_map) < rank
-        return verdict
-
     # -- vectorized boundary classification ----------------------------
     def _vector_verdict(self, scan_set: ScanSet | None,
                         partition_id: int | None,
@@ -236,20 +198,13 @@ class TopKPruner:
         state = self._mask_state
         if state is not None and state[0] == rank and state[1] is index:
             return state[2]
-        with self._mask_lock:
-            state = self._mask_state
-            if (state is not None and state[0] == rank
-                    and state[1] is index):
-                return state[2]
-            if self._mask_unusable:
-                return None
-            mask = self._compute_mask(rank, index)
-            if mask is None:
-                self._mask_unusable = True
-                return None
-            self._mask_state = (rank, index, mask)
-            self.mask_epochs += 1
-            return mask
+        mask = self._compute_mask(rank, index)
+        if mask is None:
+            self._mask_unusable = True
+            return None
+        self._mask_state = (rank, index, mask)
+        self.mask_epochs += 1
+        return mask
 
     def _compute_mask(self, rank: tuple, index: StatsIndex):
         if rank == _NULL_RANK:

@@ -121,9 +121,8 @@ class MetricsRegistry:
     - counters ``retries`` / ``retry_backoff_ms`` /
       ``injected_latency_ms`` / ``partitions_degraded`` plus
       ``queries_retried`` / ``queries_degraded`` (resilience)
-    - counters ``pruning_time_ms`` / ``scans_vectorized`` and
-      histogram ``scan_parallelism`` (vectorized pruning + morsel
-      scan execution)
+    - counters ``pruning_time_ms`` / ``scans_vectorized`` (vectorized
+      pruning)
     - counters ``wal_appends`` / ``wal_bytes`` / ``checkpoints``
       (durability subsystem, see :mod:`repro.durability`)
     - histograms ``queue_wait_ms`` / ``latency_ms`` (wall clock) and
@@ -166,8 +165,6 @@ class MetricsRegistry:
                     "plan_cache_hits", "plan_cache_misses",
                     "wal_appends", "wal_bytes"):
             self.counter(key).inc(export[key])
-        self.histogram("scan_parallelism").observe(
-            export["scan_parallelism"])
 
     def observe_query(self, latency_ms: float,
                       queue_wait_ms: float) -> None:

@@ -104,7 +104,6 @@ class QueryService:
                  enable_result_cache: bool = True,
                  query_retry_policy: RetryPolicy | None = None,
                  metrics: MetricsRegistry | None = None,
-                 scan_parallelism: int | None = None,
                  telemetry_capacity: int = 4096,
                  data_cache_bytes: int | None = None,
                  warm_new_caches: bool = True,
@@ -136,11 +135,6 @@ class QueryService:
         #: failures (which never reach the catalog's recorder).
         self.telemetry = catalog.enable_telemetry(
             capacity=telemetry_capacity)
-        #: morsel workers per table scan. ``None`` keeps the catalog's
-        #: setting; the common deployment sets it to the warehouse slot
-        #: count so one query's scan saturates one cluster.
-        if scan_parallelism is not None:
-            catalog.scan_parallelism = max(1, int(scan_parallelism))
         #: optional whole-query retry of transient failures that
         #: escaped the storage/metadata retry layers. SELECT-only:
         #: DML is not idempotent, so it never re-runs.
@@ -301,7 +295,6 @@ class QueryService:
             if self.result_cache is not None else 0,
             "cache_hit_ratio": self.metrics.cache_hit_ratio(),
             "pruning_ratio": self.metrics.pruning_ratio(),
-            "scan_parallelism": self.catalog.scan_parallelism,
             "pruning_time_ms": self.metrics.counter(
                 "pruning_time_ms").value,
             "scans_vectorized": self.metrics.counter(

@@ -11,7 +11,6 @@ deterministically.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -164,8 +163,8 @@ class IOStats:
         """Counters accumulated since ``earlier`` was snapshotted.
 
         The minuend is taken as one locked :meth:`snapshot`, never as a
-        sequence of live field reads: with parallel morsel scans
-        mutating the counters concurrently, unlocked field-by-field
+        sequence of live field reads: with concurrent queries
+        mutating the counters, unlocked field-by-field
         reads produce torn diffs (e.g. ``retries > failed_requests``).
         """
         return IOStats(**{name: value - getattr(earlier, name) for name, value
@@ -188,8 +187,8 @@ class StorageLayer:
                  verify_checksums: bool | None = None):
         self._partitions: dict[int, MicroPartition] = {}
         # Guards _partitions: DML put/delete runs concurrently with
-        # parallel scan workers loading (CPython dict ops are atomic,
-        # but the put-collision check-then-set below is not).
+        # other queries' scans (CPython dict ops are atomic, but the
+        # put-collision check-then-set below is not).
         self._map_lock = threading.Lock()
         self.cost_model = cost_model or CostModel()
         self.stats = IOStats()
@@ -203,12 +202,6 @@ class StorageLayer:
         #: verify only when a fault injector is attached (verification
         #: costs a full content re-hash per load).
         self.verify_checksums = verify_checksums
-        #: optional *real* per-load sleep (milliseconds) emulating
-        #: object-storage latency with actual wall time. The simulated
-        #: cost model is unaffected; this exists so parallel-scan
-        #: benchmarks exhibit genuine I/O overlap (the sleep releases
-        #: the GIL). 0 disables it.
-        self.io_sleep_ms: float = 0.0
 
     def put(self, partition: MicroPartition) -> int:
         """Store a partition; returns its id (see :meth:`put_all`)."""
@@ -286,16 +279,13 @@ class StorageLayer:
         return partition
 
     def load(self, partition_id: int,
-             columns: Sequence[str] | None = None,
-             retries: bool = True) -> MicroPartition:
+             columns: Sequence[str] | None = None) -> MicroPartition:
         """One partition: :meth:`load_many` of one id."""
-        return self.load_many([partition_id], columns,
-                              retries=retries)[0][0]
+        return self.load_many([partition_id], columns)[0][0]
 
     def load_many(self, partition_ids: Sequence[int],
                   columns: Sequence[str] | None = None,
                   retry_stats: "RetryStats | None" = None,
-                  retries: bool = True,
                   loaded: "list[MicroPartition] | None" = None
                   ) -> "tuple[list[MicroPartition], int]":
         """Fetch partitions in order, charging one request each plus the
@@ -305,12 +295,11 @@ class StorageLayer:
         One map lookup and one :class:`IOStats` update, unless a fault
         injector or checksum verification is attached: then each id
         is fetched on its own and may fail with a typed error, retried
-        under the :class:`RetryPolicy` (``retries=False``: once) into
-        ``retry_stats``. ``loaded`` is extended with the partitions
-        loaded, when an id fails with those before it; they are
-        accounted before the error (``PartitionUnavailableError``,
-        ``CorruptionError``, ``StorageTimeout``, ``StorageThrottled``)
-        propagates.
+        under the :class:`RetryPolicy` into ``retry_stats``. ``loaded``
+        is extended with the partitions loaded, when an id fails with
+        those before it; they are accounted before the error
+        (``PartitionUnavailableError``, ``CorruptionError``,
+        ``StorageTimeout``, ``StorageThrottled``) propagates.
         """
         got: list[MicroPartition] = []
         nbytes = 0
@@ -319,7 +308,7 @@ class StorageLayer:
                     or self._verification_enabled()):
                 for partition_id in partition_ids:
                     got.append(self._load_checked(
-                        partition_id, retry_stats, retries))
+                        partition_id, retry_stats))
             else:
                 with self._map_lock:
                     got = list(map(self._partitions.get, partition_ids))
@@ -334,8 +323,6 @@ class StorageLayer:
             raise
         finally:
             if got:
-                if self.io_sleep_ms:
-                    time.sleep(self.io_sleep_ms * len(got) / 1000.0)
                 nbytes = project_bytes(got, columns)
                 self.stats.record_load(len(got), nbytes)
                 if loaded is not None:
@@ -343,8 +330,7 @@ class StorageLayer:
         return got, nbytes
 
     def _load_checked(self, partition_id: int,
-                      retry_stats: "RetryStats | None",
-                      retries: bool) -> MicroPartition:
+                      retry_stats: "RetryStats | None") -> MicroPartition:
         """One id's attempts under the retry policy."""
         latency_sink = [0.0]
 
@@ -353,7 +339,7 @@ class StorageLayer:
             if retry_stats is not None:
                 retry_stats.record_retry(exc, delay_ms)
 
-        if self.retry_policy is not None and retries:
+        if self.retry_policy is not None:
             partition = self.retry_policy.run(
                 lambda: self._load_attempt(partition_id, latency_sink),
                 on_retry=on_retry)

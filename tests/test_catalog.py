@@ -176,16 +176,14 @@ class TestPredicateCacheIntegration:
         assert catalog.predicate_cache.lookup(
             "t", Compare(">=", col("score"), lit(0))) is None
 
-    @pytest.mark.parametrize("scan_parallelism", [1, 4])
-    def test_join_pruned_scan_is_not_recorded(self, scan_parallelism):
+    def test_join_pruned_scan_is_not_recorded(self):
         """Join pruning cuts t to the partitions holding u's keys; the
         bare filter that follows must not inherit that as "the
         partitions with x < 3" (6 rows instead of 44 at the parent)."""
         rows = [(i, (i * 7) % 10) for i in range(150)]
 
         def build(with_cache):
-            catalog = Catalog(rows_per_partition=15,
-                              scan_parallelism=scan_parallelism)
+            catalog = Catalog(rows_per_partition=15)
             catalog.create_table_from_rows(
                 "t", Schema.of(k=DataType.INTEGER, x=DataType.INTEGER),
                 rows, layout=Layout.sorted_by("k"))

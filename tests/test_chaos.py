@@ -58,10 +58,8 @@ CHAOS_SEEDS = (11, 23, 47)
 
 
 def make_catalog(n_rows: int = 2000,
-                 rows_per_partition: int = 100,
-                 scan_parallelism: int = 1) -> Catalog:
-    catalog = Catalog(rows_per_partition=rows_per_partition,
-                      scan_parallelism=scan_parallelism)
+                 rows_per_partition: int = 100) -> Catalog:
+    catalog = Catalog(rows_per_partition=rows_per_partition)
     catalog.create_table_from_rows(
         "events", SCHEMA, make_events_rows(n_rows),
         layout=Layout.sorted_by("ts"))
@@ -97,22 +95,14 @@ class TestChaosStress:
         self._run_chaos(seed)
 
     @pytest.mark.parametrize("seed", CHAOS_SEEDS[:2])
-    def test_transient_chaos_with_parallel_scans(self, seed):
-        """Same zero-tolerance stress with every scan fanning morsels
-        out to 4 worker threads on top of the 12 client threads."""
-        self._run_chaos(seed, scan_parallelism=4)
-
-    @pytest.mark.parametrize("seed", CHAOS_SEEDS[:2])
     def test_transient_chaos_with_durability(self, seed, tmp_path):
         """Same stress with the WAL on and background checkpoints
         firing mid-storm; afterwards a recovery from the durability
         directory must reproduce the live catalog exactly."""
         self._run_chaos(seed, durability_dir=tmp_path / "wal")
 
-    def _run_chaos(self, seed, scan_parallelism: int = 1,
-                   durability_dir=None):
-        catalog = make_catalog(2000,
-                               scan_parallelism=scan_parallelism)
+    def _run_chaos(self, seed, durability_dir=None):
+        catalog = make_catalog(2000)
         # Oracle answers computed before any fault injection exists.
         expected = {
             sql: sorted(run_plan(catalog.plan_sql(sql), catalog)[1])

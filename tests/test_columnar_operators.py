@@ -791,14 +791,13 @@ _QUERIES = [
 ]
 
 
-def star_catalog(scan_parallelism: int = 1) -> Catalog:
+def star_catalog() -> Catalog:
     rng = np.random.default_rng(7)
     n_customers, n_orders, n_items = 30, 300, 1500
     segments = ["AUTO", "BUILD", "FURN", "HOUSE", "MACH"]
     priorities = ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-LOW", "5-NONE"]
     modes = ["AIR", "FOB", "MAIL", "RAIL", "SHIP"]
-    catalog = Catalog(rows_per_partition=50,
-                      scan_parallelism=scan_parallelism)
+    catalog = Catalog(rows_per_partition=50)
     catalog.create_table_from_rows(
         "customer",
         Schema.of(c_custkey=DataType.INTEGER, c_mktsegment=DataType.VARCHAR),
@@ -838,9 +837,9 @@ def run_all(catalog: Catalog) -> list:
     return [catalog.sql(sql) for sql in _QUERIES]
 
 
-def reference_results(scan_parallelism: int = 1) -> list:
+def reference_results() -> list:
     with mock.patch.multiple(compiler, **_REFERENCE):
-        return run_all(star_catalog(scan_parallelism))
+        return run_all(star_catalog())
 
 
 def test_end_to_end_counts_and_simulated_clock_match_row_loops():
@@ -874,9 +873,3 @@ def test_end_to_end_counts_and_simulated_clock_match_row_loops():
                 scan_s.topk_boundary_updates, sql
             pruned_somewhere += scan_g.topk_skipped
     assert pruned_somewhere > 0     # the boundary did reach the scans
-
-
-def test_end_to_end_rows_match_row_loops_under_parallel_scans():
-    for sql, want, got in zip(_QUERIES, reference_results(4),
-                              run_all(star_catalog(4))):
-        assert got.rows == want.rows, sql

@@ -27,7 +27,6 @@ from repro import (
     Schema,
     StorageError,
 )
-from repro.cache.prefetcher import Prefetcher
 from repro.obs.fleet import render_fleet_report
 from repro.obs.telemetry import TelemetryRecord
 from repro.storage.metadata_store import MetadataStore
@@ -291,54 +290,7 @@ class TestCacheProperties:
 
 
 # ----------------------------------------------------------------------
-# Prefetcher
-# ----------------------------------------------------------------------
-class TestPrefetcher:
-    def make_storage(self, n=6):
-        storage = StorageLayer()
-        parts = [make_partition(i * 10) for i in range(n)]
-        for p in parts:
-            storage.put(p)
-        return storage, parts
-
-    def test_prefetch_populates_cache_in_scan_order(self):
-        storage, parts = self.make_storage()
-        cache = PartitionCache(1 << 20)
-        order = [p.partition_id for p in parts]
-        prefetcher = Prefetcher(cache, storage, order, window=2)
-        try:
-            for pid in order:
-                claimed = prefetcher.claim(pid)
-                assert cache.get(pid, record=False) is not None \
-                    or not claimed
-        finally:
-            prefetcher.close()
-        assert cache.stats().prefetch_loads >= 1
-
-    def test_prefetch_failure_never_populates(self):
-        storage, parts = self.make_storage(3)
-        missing = parts[1].partition_id
-        storage.delete(missing)
-        cache = PartitionCache(1 << 20)
-        order = [p.partition_id for p in parts]
-        prefetcher = Prefetcher(cache, storage, order, window=3)
-        try:
-            assert prefetcher.claim(missing) is False
-        finally:
-            prefetcher.close()
-        assert missing not in cache
-
-    def test_close_is_idempotent(self):
-        storage, parts = self.make_storage(2)
-        cache = PartitionCache(1 << 20)
-        prefetcher = Prefetcher(cache, storage,
-                                [p.partition_id for p in parts])
-        prefetcher.close()
-        prefetcher.close()
-
-
-# ----------------------------------------------------------------------
-# Engine wiring: hits, prefetch, invalidation end-to-end
+# Engine wiring: hits, invalidation end-to-end
 # ----------------------------------------------------------------------
 class TestCatalogWiring:
     SQL = "SELECT ts, score FROM events WHERE ts >= 200"
@@ -437,15 +389,6 @@ class TestCatalogWiring:
         plain = catalog.sql(self.SQL)
         assert plain.profile.data_cache_hits == 0
         assert plain.profile.data_cache_misses == 0
-
-    def test_parallel_scan_uses_cache(self):
-        catalog = make_catalog(scan_parallelism=4)
-        catalog.enable_data_cache()
-        cold = catalog.sql(self.SQL)
-        hot = catalog.sql(self.SQL)
-        assert cold.rows == hot.rows
-        assert hot.profile.data_cache_hits == \
-            hot.profile.partitions_loaded
 
     def test_enable_is_idempotent(self):
         catalog = make_catalog()

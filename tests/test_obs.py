@@ -194,6 +194,18 @@ class TestCatalogTracing:
             "SELECT * FROM events ORDER BY score DESC LIMIT 5")
         assert result.profile.trace.find("prune:topk") is not None
 
+    def test_boundary_updates_surface_in_profile_and_export(self):
+        catalog = make_catalog()
+        result = catalog.sql(
+            "SELECT * FROM events ORDER BY score DESC LIMIT 5")
+        profile = result.profile
+        assert profile.topk_boundary_updates > 0
+        assert profile.metrics_export()["topk_boundary_updates"] == \
+            float(profile.topk_boundary_updates)
+        scan = profile.trace.find("scan:events")
+        assert scan.attrs["boundary_updates"] == \
+            profile.topk_boundary_updates
+
     def test_dml_trace(self):
         catalog = make_catalog()
         result = catalog.sql("DELETE FROM events WHERE ts < 50")
@@ -564,12 +576,3 @@ class TestRetryTraceHook:
         stats.record_retry(TimeoutError("x"), delay_ms=2.5)
         assert seen == [("TimeoutError", 2.5)]
         assert stats.retries == 1
-
-    def test_absorb_does_not_copy_hook(self):
-        parent = RetryStats()
-        parent.trace_hook = lambda error, delay: None
-        local = RetryStats()
-        local.record_retry(TimeoutError("x"), delay_ms=1.0)
-        parent.absorb(local)
-        assert local.trace_hook is None
-        assert parent.retries == 1

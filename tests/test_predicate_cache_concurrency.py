@@ -318,16 +318,12 @@ PROJECTED_TOPK = [("select", i)
 
 
 @settings(max_examples=100, deadline=None)
-@given(scan_parallelism=st.sampled_from([1, 4]),
-       initial=st.lists(_rows, min_size=0, max_size=40),
+@given(initial=st.lists(_rows, min_size=0, max_size=40),
        ops=diff_operations)
-@example(scan_parallelism=1, initial=SPREAD_ROWS, ops=PROJECTED_TOPK)
-@example(scan_parallelism=4, initial=SPREAD_ROWS, ops=PROJECTED_TOPK)
-@example(scan_parallelism=1, initial=SPREAD_ROWS, ops=JOIN_THEN_FILTER)
-@example(scan_parallelism=4, initial=SPREAD_ROWS, ops=JOIN_THEN_FILTER)
-@example(scan_parallelism=1, initial=SPREAD_ROWS, ops=LIMIT_THEN_OFFSET)
-@example(scan_parallelism=4, initial=SPREAD_ROWS, ops=LIMIT_THEN_OFFSET)
-def test_cache_enabled_matches_cache_free(scan_parallelism, initial, ops):
+@example(initial=SPREAD_ROWS, ops=PROJECTED_TOPK)
+@example(initial=SPREAD_ROWS, ops=JOIN_THEN_FILTER)
+@example(initial=SPREAD_ROWS, ops=LIMIT_THEN_OFFSET)
+def test_cache_enabled_matches_cache_free(initial, ops):
     """Random interleaving of SELECT / INSERT / DELETE / UPDATE /
     recluster: the cache-enabled catalog must return exactly what a
     cache-free one does. Queries come from a small pool (filters,
@@ -335,9 +331,9 @@ def test_cache_enabled_matches_cache_free(scan_parallelism, initial, ops):
     a select list or above an outer join) so repeats produce genuine
     predicate-cache hits on entries recorded before the DML in
     between."""
-    cached = diff_catalog(initial, scan_parallelism=scan_parallelism)
+    cached = diff_catalog(initial)
     cached.enable_predicate_cache(max_partitions_per_entry=8)
-    plain = diff_catalog(initial, scan_parallelism=scan_parallelism)
+    plain = diff_catalog(initial)
 
     for op in ops:
         if op[0] != "select":

@@ -188,16 +188,6 @@ class TestTopKFallbackRoutes:
         assert pruner.vector_checks == 0
         assert pruner.fallback_checks == 0
 
-    def test_peek_skip_counter_free(self):
-        entries = self._entries([1, 2, 3])
-        boundary = Boundary(desc=True)
-        boundary.update_value(100)
-        pruner = TopKPruner("a", boundary)
-        pid, zone_map = entries[0]
-        assert pruner.peek_skip(zone_map, pid, ScanSet(entries)) is True
-        assert pruner.checks == 0
-        assert pruner.skipped == 0
-
 
 # ----------------------------------------------------------------------
 # join_may_join_mask vs the scalar JoinPruner

@@ -8,7 +8,9 @@ time. Patched to 0, the constant makes every scan stream one partition
 a batch. Every statement below must give the same rows, per-scan
 counters, predicate-cache records, simulated clocks, storage counters
 and data-cache traffic either way, and the same typed error, counters
-included, under injected faults.
+included, under injected faults. Either way each statement reads from
+storage exactly what its scans account: a request per partition the
+data cache did not serve, and the bytes scanned less the bytes it saved.
 
 Also here: ``TopK`` sorts each scanned row at most once (against
 ``Sort`` plus a slice), and ``RangeSetSummary`` builds the same ranges
@@ -56,8 +58,8 @@ SIZES = [10, 0, 7, 10, 10, 0, 3, 10, 10, 10, 1, 10, 0, 10, 10, 8, 10, 10,
 
 def make_catalog(seed: int, clustered: bool,
                  data_cache: str | None) -> Catalog:
-    """``data_cache``: None, ``"default"`` (large, with readahead) or
-    ``"tiny"`` (a few partitions' worth, no readahead: it evicts)."""
+    """``data_cache``: None, ``"default"`` (large) or ``"tiny"`` (a few
+    partitions' worth: it evicts)."""
     rng = random.Random(seed)
 
     def maybe(value):
@@ -81,7 +83,7 @@ def make_catalog(seed: int, clustered: bool,
     if data_cache == "default":
         catalog.enable_data_cache()
     elif data_cache == "tiny":
-        catalog.enable_data_cache(budget_bytes=2000, prefetch=False)
+        catalog.enable_data_cache(budget_bytes=2000)
     return catalog
 
 
@@ -127,12 +129,9 @@ def positions(catalog: Catalog) -> dict[int, int]:
 
 
 def traffic(catalog: Catalog) -> tuple:
-    """Storage counters, and the data cache's unless it reads ahead
-    (its readahead may still be loading when a statement returns)."""
+    """Storage counters, and the data cache's."""
     stats = catalog.storage.stats.snapshot()
     cache = catalog.data_cache
-    if cache is not None and cache.prefetch:
-        return ()
     io = tuple(getattr(stats, name) for name in IO_COUNTERS)
     if cache is None:
         return io
@@ -142,17 +141,35 @@ def traffic(catalog: Catalog) -> tuple:
         for segment, ids in cache.segment_ids().items()}
 
 
+def assert_storage_matches_profile(catalog: Catalog, before, profile,
+                                   sql: str) -> None:
+    """What a statement read from storage is what its scans account:
+    one request per partition not served by the data cache, and the
+    bytes scanned less the bytes the cache saved."""
+    read = catalog.storage.stats.diff(before)
+    scans = profile.scans
+    assert read.requests == sum(
+        scan.cache_misses if catalog.data_cache is not None
+        else scan.partitions_loaded for scan in scans), sql
+    assert read.bytes_read == sum(
+        scan.bytes_scanned - scan.cache_bytes_saved for scan in scans), sql
+
+
 def observe(catalog: Catalog, predicate: str) -> list:
     """Every statement twice (the repeat may hit the predicate cache):
     rows, per-scan counters, clocks and storage / data-cache traffic,
-    then the predicate cache's records."""
+    then the predicate cache's records. Each statement's storage
+    traffic must equal what its scans account."""
     seen = []
     for _ in range(2):
         for template, ordered, options in STATEMENTS:
-            result = catalog.sql(template.format(p=predicate), options)
+            sql = template.format(p=predicate)
+            before = catalog.storage.stats.snapshot()
+            result = catalog.sql(sql, options)
             rows = (result.rows if ordered
                     else Counter(map(repr, result.rows)))
             profile = result.profile
+            assert_storage_matches_profile(catalog, before, profile, sql)
             seen.append((rows, profile.exec_ms, profile.total_ms,
                          [tuple(getattr(scan, name) for name in
                                 SCAN_COUNTERS) for scan in profile.scans],

@@ -321,14 +321,6 @@ def test_pruning_tree(monkeypatch):
     assert bypassed > 0
 
 
-def test_parallel_scan(monkeypatch):
-    serial, _ = _check(lambda: make_catalog(ROWS), monkeypatch)
-    bypassed, result = _check(
-        lambda: make_catalog(ROWS, scan_parallelism=4), monkeypatch)
-    assert result.profile.scan_parallelism == 4
-    assert bypassed == serial
-
-
 def test_residual_filter_above_a_join_gets_no_set(monkeypatch):
     catalog = make_catalog(make_rows(0, null_rate=0.0))
     catalog.create_table_from_rows(

@@ -846,11 +846,12 @@ class TestSurvivorsOnly:
                 nonlocal count
                 count += event == "call"
 
+            previous = sys.getprofile()
             sys.setprofile(on_event)
             try:
                 catalog.sql(sql)
             finally:
-                sys.setprofile(None)
+                sys.setprofile(previous)
             return count
 
         assert calls_at(4000) <= 1.1 * calls_at(400)
@@ -907,11 +908,12 @@ class TestNoPerPartitionObjects:
                 if event in counts:
                     counts[event] += 1
 
+            previous = sys.getprofile()
             sys.setprofile(on_event)
             try:
                 catalog.sql(sql)
             finally:
-                sys.setprofile(None)
+                sys.setprofile(previous)
             return counts
 
         small, large = calls_at(400), calls_at(4000)
@@ -1016,8 +1018,3 @@ class TestCatalogIntegration:
         assert arith.profile.scans[0].pruning_mode == "fallback"
         assert "pruning: fallback" in catalog.explain(
             "SELECT * FROM t WHERE a + 1 = 2")
-
-    def test_parallel_annotation_in_explain(self):
-        catalog = self._catalog(scan_parallelism=4)
-        explain = catalog.explain("SELECT * FROM t WHERE a >= 0")
-        assert "parallel scan x4" in explain

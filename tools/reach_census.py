@@ -53,11 +53,10 @@ NOTES = {
                          "6(a) trims it together with `workload/`",
     "repro/bench/": "a table helper of the figure reproductions; "
                     "`bench/` leaves `src/` with ROADMAP 6(a)",
-    "repro/cache/": "`Prefetcher` (read-ahead, discarded under top-k) "
-                    "runs only with `cache.prefetch` on, which "
-                    "`serve_repeat` turns off; warm-up, invalidation "
-                    "and the stats surface are ROADMAP 6(b)'s one "
-                    "bounded cache",
+    "repro/cache/": "warm-up from a sibling cluster, invalidation on "
+                    "rewrite and the stats surface: `serve_repeat`'s "
+                    "one client never scales out or rewrites; ROADMAP "
+                    "6(b)'s one bounded cache",
     "repro/catalog.py": "Iceberg ingest (§8.1), `explain_analyze` (aim "
                         "4), `drop_table`, and the `enable_data_cache` "
                         "/ `enable_fault_injection` switches `bench/` "
@@ -65,13 +64,12 @@ NOTES = {
     "repro/durability/": "WAL records of CREATE / DROP TABLE and the "
                          "checkpoint threshold: aim 3 (state survives "
                          "recovery); `dml_mix` logs DML only",
-    "repro/engine/": "`Scan._iter_parallel` and its morsel helpers run "
-                     "only at `scan_parallelism > 1` and the prefetch "
-                     "hooks only with read-ahead on, neither of which "
-                     "`bench/` sets (ROADMAP 5, 7: morsel workers never "
-                     "trace); `Warehouse.scan_runtime_ms` is §4.4; "
-                     "`Chunk.row_at` is the reference operators' "
-                     "accessor (PR 13)",
+    "repro/engine/": "`Warehouse.scan_runtime_ms` is §2 / §4.4's "
+                     "parallel scan across warehouse nodes, modelled "
+                     "without threads; `Chunk.row_at` / `select` serve "
+                     "the reference operators (PR 13); the scan's retry "
+                     "trace hook and `resilience_summary` run only under "
+                     "injected faults (ROADMAP 13)",
     "repro/errors.py": "typed errors raised on malformed input and on "
                        "injected faults only",
     "repro/expr/": "expression forms no workload generates (NOT, NEG, "
