@@ -37,20 +37,11 @@ from .errors import (
     MetadataTimeout,
     MetadataThrottled,
     MetadataUnavailableError,
-    CircuitOpenError,
     QueryTimeout,
     DurabilityError,
     WalCorruptionError,
 )
-from .faults import (
-    CircuitBreaker,
-    CrashInjector,
-    FaultInjector,
-    FaultSpec,
-    RetryPolicy,
-    RetryStats,
-    SimulatedCrash,
-)
+from .faults import CrashInjector, SimulatedCrash
 from .durability import (
     CheckpointManager,
     DurabilityManager,
@@ -125,16 +116,10 @@ __all__ = [
     "MetadataTimeout",
     "MetadataThrottled",
     "MetadataUnavailableError",
-    "CircuitOpenError",
     "QueryTimeout",
     "DurabilityError",
     "WalCorruptionError",
-    "CircuitBreaker",
     "CrashInjector",
-    "FaultInjector",
-    "FaultSpec",
-    "RetryPolicy",
-    "RetryStats",
     "SimulatedCrash",
     "CheckpointManager",
     "DurabilityManager",

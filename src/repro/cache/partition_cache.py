@@ -306,11 +306,6 @@ class PartitionCache:
         with self._lock:
             return self._resident_bytes
 
-    @property
-    def hit_ratio(self) -> float:
-        with self._lock:
-            return self._stats.hit_ratio
-
     def __len__(self) -> int:
         with self._lock:
             return sum(len(s) for s in self._segments.values())

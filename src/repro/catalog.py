@@ -30,7 +30,6 @@ from .cache.partition_cache import PartitionCache
 from .engine.context import ExecContext, QueryProfile
 from .engine.executor import execute
 from .errors import (
-    CircuitOpenError,
     DurabilityError,
     MetadataError,
     MetadataUnavailableError,
@@ -116,7 +115,7 @@ class Catalog:
         self.metadata = MetadataStore()
         self.tables: dict[str, Table] = {}
         self.rows_per_partition = rows_per_partition
-        #: per-query trace spans (parse → plan → prune → scan → retry);
+        #: per-query trace spans (parse → plan → prune → scan);
         #: cheap enough to stay on (gated < 5% on the scan benches).
         self.enable_tracing = enable_tracing
         #: fleet telemetry sink; off until :meth:`enable_telemetry`.
@@ -544,43 +543,36 @@ class Catalog:
         return self._table(table).schema
 
     #: metadata failures that degrade pruning instead of failing the
-    #: query: exhausted transient faults, a metadata-service outage,
-    #: and a tripped circuit breaker. A plain :class:`MetadataError`
-    #: (key genuinely missing) is a logical error and still propagates.
-    _DEGRADABLE = (TransientError, MetadataUnavailableError,
-                   CircuitOpenError)
+    #: query: transient faults and a metadata-service outage. A plain
+    #: :class:`MetadataError` (key genuinely missing) is a logical
+    #: error and still propagates.
+    _DEGRADABLE = (TransientError, MetadataUnavailableError)
 
     def scan_set(self, table: str) -> ScanSet:
         """A table's full scan set from the metadata store.
 
-        With no fault injector, retry policy or breaker configured
-        the fetch cannot fail, so the scan set *is* the metadata
-        store's stats index for the table (``ScanSet.of_index``): no
-        per-partition read happens and no entry is built until
-        someone iterates it, while the store still counts one lookup
-        per partition and the caller charges the same simulated cost.
+        One read: the scan set *is* the metadata store's stats index
+        for the table (``ScanSet.of_index``), so no per-partition read
+        happens and no entry is built until someone iterates it, while
+        the store counts one lookup per partition and the caller
+        charges the same simulated cost.
 
-        Under a fault stack every partition is read through it and
-        pruning fails open: when a partition's metadata cannot be
-        fetched (after retries), the partition enters the scan set
-        with a stats-free zone map — every pruning check answers MAYBE
-        and the partition is scanned. A full metadata outage degrades
-        the partition *listing* to the in-memory table as well. The
-        returned scan set carries ``degraded_ids`` plus metadata retry
-        accounting for the query profile, and the stats index as an
-        internal structure read beside the entries (outside the fault
-        stack), which the scan set trusts per entry only where it
-        holds the very zone map that was fetched.
+        Pruning fails open. When that read fails with a degradable
+        error, each partition is read on its own, and one whose
+        metadata cannot be fetched enters the scan set with a
+        stats-free zone map — every pruning check answers MAYBE and
+        the partition is scanned. A failed partition *listing* falls
+        back to the in-memory table. The returned scan set carries
+        ``degraded_ids``, and the stats index as an internal structure
+        read beside the entries, which the scan set trusts per entry
+        only where it holds the very zone map that was fetched.
         """
         meta = self.metadata
-        if (meta.fault_injector is None and meta.retry_policy is None
-                and meta.breaker is None):
-            return ScanSet.of_index(meta._fetch_as_index(table))
+        try:
+            return ScanSet.of_index(meta.fetch_index(table))
+        except self._DEGRADABLE:
+            pass
         index = meta.stats_index(table)
-
-        from .faults.retry import RetryStats
-
-        stats = RetryStats()
         in_memory: dict[int, MicroPartition] | None = None
 
         def partitions_by_id() -> dict[int, MicroPartition]:
@@ -591,7 +583,7 @@ class Catalog:
             return in_memory
 
         try:
-            pids = meta.partitions_of(table, retry_stats=stats)
+            pids = meta.partitions_of(table)
         except self._DEGRADABLE:
             # Listing outage: the compiler still knows which partitions
             # exist (the in-memory table is the simulated data plane).
@@ -600,8 +592,7 @@ class Catalog:
         degraded_ids: list[int] = []
         for pid in pids:
             try:
-                entries.append((pid, meta.get(table, pid,
-                                              retry_stats=stats)))
+                entries.append((pid, meta.get(table, pid)))
                 continue
             except self._DEGRADABLE:
                 pass
@@ -616,35 +607,7 @@ class Catalog:
             # every pruning check answer MAYBE.
             entries.append((pid, partition.zone_map.without_stats()))
             degraded_ids.append(pid)
-        scan = ScanSet(entries, degraded_ids=degraded_ids, index=index)
-        snap = stats.snapshot()
-        scan.metadata_retries = int(snap["retries"])
-        scan.metadata_backoff_ms = snap["backoff_ms"]
-        return scan
-
-    def enable_fault_injection(self, injector, retry_policy=None,
-                               breaker=None):
-        """Wire a :class:`~repro.faults.FaultInjector` (plus retry
-        policy and metadata circuit breaker) into storage and metadata.
-
-        ``retry_policy`` defaults to ``RetryPolicy()``; ``breaker``
-        defaults to a fresh ``CircuitBreaker()``. Returns the injector
-        for chaining.
-        """
-        from .faults import CircuitBreaker, RetryPolicy
-        from .faults.retry import RetryStats
-
-        if retry_policy is None:
-            retry_policy = RetryPolicy()
-        self.storage.fault_injector = injector
-        self.storage.retry_policy = retry_policy
-        self.metadata.fault_injector = injector
-        self.metadata.retry_policy = retry_policy
-        self.metadata.breaker = (breaker if breaker is not None
-                                 else CircuitBreaker())
-        if self.metadata.retry_stats is None:
-            self.metadata.retry_stats = RetryStats()
-        return injector
+        return ScanSet(entries, degraded_ids=degraded_ids, index=index)
 
     def _table(self, name: str) -> Table:
         try:
@@ -916,13 +879,12 @@ class Catalog:
     def explain_analyze(self, text: str,
                         options: CompilerOptions | None = None) -> str:
         """Execute a statement, then render its plan annotated with
-        the *observed* pruning, retry, and degradation counters.
+        the *observed* pruning and degradation counters.
 
         Unlike :meth:`explain`, the query actually runs — a SELECT
         through :meth:`execute_plan`, exactly as :meth:`sql`'s cold
-        path runs it; the report includes the resilience summary
-        (retries absorbed, backoff, degraded partitions) so operators
-        can see how a query behaved under faults.
+        path runs it; the report says which partitions, if any, were
+        scanned without metadata (fail open).
         """
         from .plan.explain import render_plan
         from .sql.parser import DeleteStmt, UpdateStmt, parse_statement
@@ -954,8 +916,7 @@ class Catalog:
                          f"{sum(s.topk_skipped for s in profile.scans)}"
                          f" skipped / {profile.topk_boundary_updates} "
                          f"boundary updates")
-        resilience = profile.resilience_summary().replace("\n", "\n-- ")
-        report = f"{header}\n{body}\n-- {resilience}"
+        report = f"{header}\n{body}\n-- {profile.resilience_summary()}"
         if self.durability is not None:
             report += (f"\n-- wal: {profile.wal_appends} appends / "
                        f"{profile.wal_bytes} bytes")

@@ -12,8 +12,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from ..faults.retry import RetryStats
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..cache.partition_cache import PartitionCache
     from ..obs.trace import Span, Tracer
@@ -78,9 +76,6 @@ class ScanProfile:
     #: partitions whose metadata could not be fetched; they were
     #: scanned unconditionally instead of being pruned (fail open)
     degraded_partitions: int = 0
-    #: metadata-read retries absorbed while building this scan set
-    metadata_retries: int = 0
-    metadata_backoff_ms: float = 0.0
     #: how filter pruning classified this scan's partitions:
     #: "vectorized" (one bulk kernel pass), "fallback" (per-partition
     #: AST walk), or "mixed" (bulk pass with per-partition exceptions,
@@ -190,21 +185,15 @@ class QueryProfile:
     wal_appends: int = 0
     #: framed bytes those appends wrote to the WAL.
     wal_bytes: int = 0
-    #: retries/backoff/latency absorbed below this query (storage reads
-    #: attribute into it directly; metadata retries are folded in from
-    #: the scan profiles).
-    retry_stats: RetryStats = field(default_factory=RetryStats)
     #: root trace span when the query ran with tracing enabled
     #: (see :mod:`repro.obs.trace`); None otherwise.
     trace: "Optional[Span]" = None
 
     @property
     def exec_ms(self) -> float:
-        """The charges, the counts, and the retry backoff and latency
-        spikes the query's loads absorbed."""
+        """The charges and the counts."""
         cost = self.cost_model
-        return (self.exec_charges_ms + self.retry_stats.penalty_ms()
-                + cost.scan_cost(self.rows_charged)
+        return (self.exec_charges_ms + cost.scan_cost(self.rows_charged)
                 + cost.load_cost(self.load_bytes_charged, self.loads_charged)
                 + cost.cached_load_cost(self.cached_bytes_charged,
                                         self.cached_loads_charged)
@@ -224,17 +213,6 @@ class QueryProfile:
         return sum(s.degraded_partitions for s in self.scans)
 
     @property
-    def total_retries(self) -> int:
-        """Retries absorbed anywhere below this query (storage + metadata)."""
-        return self.retry_stats.retries + sum(s.metadata_retries
-                                              for s in self.scans)
-
-    @property
-    def total_backoff_ms(self) -> float:
-        return self.retry_stats.backoff_ms + sum(s.metadata_backoff_ms
-                                                 for s in self.scans)
-
-    @property
     def total_partitions(self) -> int:
         return sum(s.total_partitions for s in self.scans)
 
@@ -249,11 +227,6 @@ class QueryProfile:
     @property
     def data_cache_bytes_saved(self) -> int:
         return sum(s.cache_bytes_saved for s in self.scans)
-
-    @property
-    def data_cache_hit_ratio(self) -> float:
-        lookups = self.data_cache_hits + self.data_cache_misses
-        return self.data_cache_hits / lookups if lookups else 0.0
 
     @property
     def partitions_loaded(self) -> int:
@@ -317,9 +290,6 @@ class QueryProfile:
             "filter_bypassed": float(sum(s.filter_bypassed
                                          for s in self.scans)),
             "scans": float(len(self.scans)),
-            "retries": float(self.total_retries),
-            "retry_backoff_ms": self.total_backoff_ms,
-            "injected_latency_ms": self.retry_stats.injected_latency_ms,
             "degraded": 1.0 if self.degraded else 0.0,
             "partitions_degraded": float(self.degraded_partitions),
             "pruning_time_ms": self.pruning_time,
@@ -349,29 +319,14 @@ class QueryProfile:
         }
 
     def resilience_summary(self) -> str:
-        """Human-readable retry/degradation report for this query."""
-        lines = [f"retries: {self.total_retries} "
-                 f"(backoff {self.total_backoff_ms:.2f} ms, "
-                 f"injected latency "
-                 f"{self.retry_stats.injected_latency_ms:.2f} ms)"]
-        by_class = self.retry_stats.snapshot()
-        classes = sorted(k.split(".", 1)[1] for k in by_class
-                         if k.startswith("retries."))
-        if classes:
-            detail = ", ".join(
-                f"{name}={int(by_class[f'retries.{name}'])}"
-                for name in classes)
-            lines.append(f"retried errors: {detail}")
-        if self.degraded:
-            degraded = [f"{s.table}({s.degraded_partitions})"
-                        for s in self.scans if s.degraded]
-            lines.append(
-                f"DEGRADED: pruning unavailable for "
+        """One line: which scans, if any, ran without metadata."""
+        if not self.degraded:
+            return "degraded: no"
+        degraded = [f"{s.table}({s.degraded_partitions})"
+                    for s in self.scans if s.degraded]
+        return (f"DEGRADED: pruning unavailable for "
                 f"{self.degraded_partitions} partition(s) — scanned "
                 f"without metadata: {', '.join(degraded)}")
-        else:
-            lines.append("degraded: no")
-        return "\n".join(lines)
 
     def pruning_summary(self) -> str:
         """Human-readable per-scan pruning report."""

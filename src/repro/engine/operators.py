@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ..errors import PlanError
+from ..errors import PlanError, StorageError
 from ..expr import ast
 from ..expr.eval import bind, bind_predicate
 from ..pruning.base import ScanSet
@@ -133,6 +133,9 @@ class Scan(Operator):
         self._deferred_pruned: frozenset[int] | None = None
         #: open trace span while the scan iterates (tracing only)
         self._span = None
+        #: the typed error of a load that failed mid-batch, raised once
+        #: the partitions before it are delivered
+        self._failure: StorageError | None = None
 
     # -- runtime pruning hooks -------------------------------------------
     def attach_topk_pruner(self, pruner: TopKPruner) -> None:
@@ -173,27 +176,13 @@ class Scan(Operator):
         The span is ended in ``finally`` so a suspended-then-closed
         generator (LIMIT early termination) still records; a generator
         abandoned without closing is repaired by ``Tracer.finish``.
-
-        While this scan iterates, the query's retry stats carry a
-        trace hook so each absorbed retry becomes a child event with
-        its error class.
         """
         span = self.context.start_span(
             f"scan:{self.table}", partitions_in=len(self.scan_set))
         self._span = span
-        retry_stats = self.context.profile.retry_stats
-        previous_hook = retry_stats.trace_hook
-
-        def on_retry(error_class: str, delay_ms: float) -> None:
-            self.context.trace_event("retry", parent=span,
-                                     error=error_class,
-                                     backoff_ms=delay_ms)
-
-        retry_stats.trace_hook = on_retry
         try:
             yield from iterator
         finally:
-            retry_stats.trace_hook = previous_hook
             profile = self.profile
             span.annotate(loaded=profile.partitions_loaded,
                           rows=profile.rows_scanned,
@@ -257,6 +246,8 @@ class Scan(Operator):
                         ids[start], zone_maps[start]):
                     continue
                 yield self._load_batch(ids[start:stop])
+                if self._failure is not None:
+                    raise self._failure
         finally:
             self._record_boundary_updates()
             if consumed < len(ids):
@@ -267,11 +258,13 @@ class Scan(Operator):
         cache misses is one storage call, but a lookup that may hit
         loads the misses before it first: the cache sees lookups and
         admissions in scan-set order. When a load fails, the partitions
-        before it are accounted and the typed error propagates."""
+        before it are accounted and make the chunk, and ``_failure``
+        keeps the typed error for the scan to raise once the chunk is
+        delivered, as a scan streaming one partition a batch delivers
+        them; with no partition before it, the error propagates."""
         cache = self.context.cache
         loaded, missing = [], [] if cache is not None else ids
         nbytes = hits = hit_bytes = 0
-        failed = 1
         try:
             for pid in ids if cache is not None else ():
                 if missing and pid in cache:
@@ -289,14 +282,14 @@ class Scan(Operator):
                 self.context.trace_event("cache:hit", parent=self._span,
                                          partition=pid, bytes=size)
             nbytes += self._load_misses(missing, loaded)
-            failed = 0
-        finally:
-            if cache is not None:
-                cache.record_lookups(hits, hit_bytes,
-                                     len(loaded) - hits + failed)
-            if failed and loaded:
-                self._account(loaded, project_bytes(loaded, self.columns),
-                              hits, hit_bytes)
+        except StorageError as error:
+            self._failure = error
+            nbytes = project_bytes(loaded, self.columns)
+        if cache is not None:
+            cache.record_lookups(hits, hit_bytes, len(loaded) - hits
+                                 + (self._failure is not None))
+        if not loaded:
+            raise self._failure
         return self._account(loaded, nbytes, hits, hit_bytes)
 
     def _load_misses(self, ids: list[int], loaded: list) -> int:
@@ -305,8 +298,7 @@ class Scan(Operator):
         start, cache = len(loaded), self.context.cache
         try:
             return self.context.storage.load_many(
-                ids, self.columns, self.context.profile.retry_stats,
-                loaded=loaded)[1]
+                ids, self.columns, loaded=loaded)[1]
         finally:
             for partition in loaded[start:] if cache is not None else ():
                 self._trace_evictions(cache.put(partition, self.columns))

@@ -66,12 +66,12 @@ class WalCorruptionError(DurabilityError):
 
 
 # ----------------------------------------------------------------------
-# Fault / resilience hierarchy (repro.faults)
+# Storage and metadata faults
 #
 # Cloud object storage and the metadata KV service are separate
 # networks that throttle, time out, and corrupt bytes. Transient
-# classes derive from :class:`TransientError` so retry policies can
-# decide retryability structurally; permanent classes do not.
+# classes derive from :class:`TransientError`; permanent classes do
+# not. ``Catalog.scan_set`` fails open on the metadata ones.
 # ----------------------------------------------------------------------
 class TransientError(ReproError):
     """A failure that may succeed on retry (timeout, throttling)."""
@@ -89,7 +89,7 @@ class CorruptionError(StorageError):
     """A loaded partition failed checksum verification.
 
     Corruption is modelled as a wire-level fault, so a re-read may
-    succeed; retry policies treat it as retryable by default.
+    succeed.
 
     Attributes:
         partition_id: the partition whose bytes failed verification,
@@ -125,11 +125,6 @@ class MetadataThrottled(TransientError, MetadataError):
 class MetadataUnavailableError(MetadataError):
     """The metadata service is down (outage). Pruning layers fail
     open: the scan proceeds without metadata instead of failing."""
-
-
-class CircuitOpenError(MetadataError):
-    """A circuit breaker is open and the call was rejected without
-    reaching the backing service."""
 
 
 class QueryTimeout(ReproError):

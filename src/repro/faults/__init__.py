@@ -1,67 +1,13 @@
-"""Fault injection, retries, and graceful degradation (robustness).
+"""Crash points for the durability subsystem.
 
-The paper's architecture reads micro-partitions from cloud object
-storage and zone maps from a metadata KV service (§2) — two networks
-that throttle, time out, and corrupt bytes in production. Pruning is
-an *optimization* layered on those networks: it must never change
-results, and when its metadata inputs fail it must fail open to a
-full scan, never fail the query.
-
-This package supplies the resilience building blocks the rest of the
-stack plumbs through:
-
-- :mod:`.injector` — :class:`FaultInjector`, a deterministic seedable
-  source of transient faults (timeouts, throttling), latency spikes,
-  wire corruption, and permanent unavailability;
-- :mod:`.retry` — :class:`RetryPolicy` (capped exponential backoff,
-  deterministic jitter, retry budgets, per-class retryability) and
-  :class:`RetryStats` accounting;
-- :mod:`.breaker` — :class:`CircuitBreaker`, fail-fast protection
-  around the metadata store during outages;
-- :mod:`.crash` — :class:`CrashInjector`, deterministic process-death
-  simulation at named commit-path points (``pre-append``,
-  ``mid-append`` torn writes, ...) for the durability subsystem's
-  crash-recovery sweep (see :mod:`repro.durability`).
-
-Quickstart::
-
-    from repro import Catalog
-    from repro.faults import FaultInjector, FaultSpec, RetryPolicy
-
-    catalog = Catalog()
-    ...
-    catalog.enable_fault_injection(
-        FaultInjector(seed=7,
-                      storage=FaultSpec(timeout_rate=0.05,
-                                        corruption_rate=0.02),
-                      metadata=FaultSpec(timeout_rate=0.05)),
-        retry_policy=RetryPolicy(max_attempts=6))
-    result = catalog.sql("SELECT ...")   # identical rows, plus
-    result.profile.resilience_summary()  # retries/degradation report
+:class:`CrashInjector` simulates process death at named commit-path
+points (``pre-append``, ``mid-append`` torn writes, ...) for the
+crash-recovery sweep of :mod:`repro.durability`. Network faults on
+storage and metadata reads are a test fixture (``tests/faults.py``):
+the product's one rule for them is to fail open, see
+``Catalog.scan_set``.
 """
 
-from .breaker import CircuitBreaker
 from .crash import CRASH_POINTS, CrashInjector, SimulatedCrash
-from .injector import (
-    METADATA,
-    STORAGE,
-    FaultDecision,
-    FaultInjector,
-    FaultSpec,
-)
-from .retry import DEFAULT_RETRYABLE, RetryPolicy, RetryStats
 
-__all__ = [
-    "CRASH_POINTS",
-    "CircuitBreaker",
-    "CrashInjector",
-    "FaultDecision",
-    "FaultInjector",
-    "FaultSpec",
-    "RetryPolicy",
-    "RetryStats",
-    "SimulatedCrash",
-    "DEFAULT_RETRYABLE",
-    "STORAGE",
-    "METADATA",
-]
+__all__ = ["CRASH_POINTS", "CrashInjector", "SimulatedCrash"]

@@ -1,9 +1,7 @@
 """Deterministic crash injection for the durability subsystem.
 
-Where :class:`~repro.faults.injector.FaultInjector` models *transient*
-network faults (timeouts, throttling, corruption-on-the-wire), this
-module models the one fault retries cannot absorb: the process dying
-mid-operation. A :class:`CrashInjector` is armed at one of the
+This module models the one fault a re-read cannot absorb: the process
+dying mid-operation. A :class:`CrashInjector` is armed at one of the
 enumerated :data:`CRASH_POINTS` on the commit path and raises
 :class:`SimulatedCrash` the moment execution reaches it, leaving
 whatever bytes were already written exactly as a real crash would.

@@ -3,7 +3,7 @@
 Three layers:
 
 * :mod:`repro.obs.trace` — hierarchical spans per query (parse → plan
-  → prune-per-technique → scan → retry), rendered by
+  → prune-per-technique → scan), rendered by
   ``EXPLAIN ANALYZE``;
 * :mod:`repro.obs.telemetry` — one :class:`TelemetryRecord` per query,
   collected in a bounded thread-safe :class:`TelemetrySink`;

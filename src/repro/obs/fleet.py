@@ -9,7 +9,7 @@ reproduces the shape of the paper's fleet study:
   removes >99% of partitions for a large fraction of queries");
 * **latency percentile histograms** (compile, exec, wall) via
   :func:`repro.bench.stats.describe`;
-* cache-hit / degradation / retry **fleet counters**;
+* cache-hit / degradation **fleet counters**;
 * a **slow-query log**.
 
 Rendering reuses :mod:`repro.bench.reporting` so the fleet report looks
@@ -203,7 +203,6 @@ def fleet_summary(records: Sequence[TelemetryRecord]
                                      for r in executed),
         "metadata_only": sum(1 for r in executed if r.metadata_only),
         "degraded_queries": sum(1 for r in executed if r.degraded),
-        "retried_queries": sum(1 for r in executed if r.retries),
         "partitions_total": population,
         "partitions_pruned": pruned,
         "partitions_loaded": sum(r.partitions_loaded
@@ -258,8 +257,7 @@ def render_fleet_report(records: Sequence[TelemetryRecord],
     report.add(f"  predicate-cache hits: "
                f"{summary['predicate_cache_hits']}, metadata-only: "
                f"{summary['metadata_only']}, degraded: "
-               f"{summary['degraded_queries']}, retried: "
-               f"{summary['retried_queries']}")
+               f"{summary['degraded_queries']}")
     if summary["data_cache_hits"] or summary["data_cache_misses"]:
         report.add(f"  data cache: {summary['data_cache_hits']} hits "
                    f"/ {summary['data_cache_misses']} misses "

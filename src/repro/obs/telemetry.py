@@ -41,7 +41,6 @@ _SUM_KEYS = (
     "wal_appends",
     "wal_bytes",
     "degraded_queries",
-    "retried_queries",
     "partitions_total",
     "partitions_pruned",
     "bytes_scanned",
@@ -121,8 +120,6 @@ class TelemetryRecord:
     metadata_only: bool = False
     degraded: bool = False
     degraded_partitions: int = 0
-    retries: int = 0
-    attempts: int = 1
     compile_ms: float = 0.0
     exec_ms: float = 0.0
     #: simulated cost-model total (compile + exec)
@@ -215,7 +212,6 @@ class TelemetryRecord:
                 s.metadata_only for s in profile.scans),
             degraded=profile.degraded,
             degraded_partitions=profile.degraded_partitions,
-            retries=profile.total_retries,
             compile_ms=profile.compile_ms,
             exec_ms=profile.exec_ms,
             simulated_ms=profile.total_ms,
@@ -262,8 +258,6 @@ class TelemetryRecord:
             "metadata_only": self.metadata_only,
             "degraded": self.degraded,
             "degraded_partitions": self.degraded_partitions,
-            "retries": self.retries,
-            "attempts": self.attempts,
             "compile_ms": round(self.compile_ms, 4),
             "exec_ms": round(self.exec_ms, 4),
             "simulated_ms": round(self.simulated_ms, 4),
@@ -317,8 +311,6 @@ class TelemetrySink:
             s["plan_cache_hits"] += sign
         if record.degraded:
             s["degraded_queries"] += sign
-        if record.retries:
-            s["retried_queries"] += sign
         s["data_cache_hits"] += sign * record.data_cache_hits
         s["data_cache_misses"] += sign * record.data_cache_misses
         s["data_cache_bytes_saved"] += (

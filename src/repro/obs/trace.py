@@ -2,7 +2,7 @@
 
 The paper's evaluation is built from per-query telemetry; operating
 the fleet additionally needs to see *where* a single query spent its
-time — parsing, planning, pruning per technique, scanning, retrying.
+time — parsing, planning, pruning per technique, scanning.
 A :class:`Tracer` records that as a tree of :class:`Span` objects,
 attached to the query's :class:`~repro.engine.context.QueryProfile`
 and rendered by ``EXPLAIN ANALYZE``.
@@ -142,7 +142,7 @@ class Tracer:
 
     def event(self, name: str, parent: Span | None = None,
               **attrs: Any) -> Span:
-        """A zero-duration marker (retry, cache hit, degradation)."""
+        """A zero-duration marker (cache hit, eviction, degradation)."""
         span = Span(name, attrs)
         span.end_s = span.start_s
         (parent or self._stack[-1]).children.append(span)
@@ -181,7 +181,7 @@ def render_span_tree(root: Span, indent: str = "  ") -> str:
             prune:filter               0.80 ms [table=t, before=20, after=3]
           execute                      2.90 ms
             scan:t                     2.80 ms [partitions=3, rows=300]
-              retry                      ·    [error=StorageTimeout]
+              cache:hit                  ·    [partition=7]
 
     Events (zero-duration spans) print ``·`` instead of a duration.
     """

@@ -240,16 +240,10 @@ class QueryCompiler:
                     compiled: CompiledQuery,
                     required: set[str] | None = None) -> _Built:
         schema = self.catalog.schema_of(node.table)
-        scan_set, first_fetch = self._fetch_scan_set(
-            node.table, context, compiled)
+        scan_set = self._fetch_scan_set(node.table, context, compiled)
         profile = context.profile.new_scan(node.table)
         profile.total_partitions = len(scan_set)
         profile.degraded_partitions = len(scan_set.degraded_ids)
-        if first_fetch:
-            # Retry/backoff accounting belongs to whichever stage
-            # actually performed the fetch (exactly one per query).
-            profile.metadata_retries = scan_set.metadata_retries
-            profile.metadata_backoff_ms = scan_set.metadata_backoff_ms
         predicate = node.predicate
         # Without predicates every partition is fully-matching (§4.2).
         fully_matching: list[int] = (
@@ -327,27 +321,20 @@ class QueryCompiler:
         )
 
     def _fetch_scan_set(self, table: str, context: ExecContext,
-                        compiled: CompiledQuery
-                        ) -> tuple[ScanSet, bool]:
+                        compiled: CompiledQuery) -> ScanSet:
         """Fetch a table's scan set once per compiled query.
 
-        Returns ``(scan_set, first_fetch)``. Metadata lookups and
-        retry backoff are charged only on the actual fetch; later
+        Metadata lookups are charged only on the actual fetch; later
         stages (the metadata-aggregate probe falling through to a real
         scan, self-joins) reuse the materialized zone maps.
         """
         key = table.lower()
         scan_set = compiled.scan_sets.get(key)
-        if scan_set is not None:
-            return scan_set, False
-        scan_set = self.catalog.scan_set(table)
-        compiled.scan_sets[key] = scan_set
-        context.charge_metadata_lookups(len(scan_set),
-                                        at_compile_time=True)
-        # Retry backoff spent fetching metadata is compile-time delay.
-        if scan_set.metadata_backoff_ms:
-            context.charge_compile(scan_set.metadata_backoff_ms)
-        return scan_set, True
+        if scan_set is None:
+            scan_set = compiled.scan_sets[key] = self.catalog.scan_set(table)
+            context.charge_metadata_lookups(len(scan_set),
+                                            at_compile_time=True)
+        return scan_set
 
     def _sketch_prune(self, table: str, predicate: ast.Expr,
                       scan_set: ScanSet, schema: Schema,
@@ -708,7 +695,7 @@ class QueryCompiler:
         # Memoized fetch: if this probe declines, the fallback scan
         # reuses the same materialized zone maps instead of re-fetching
         # every partition's metadata.
-        scan_set, _ = self._fetch_scan_set(table, context, compiled)
+        scan_set = self._fetch_scan_set(table, context, compiled)
         if scan_set.degraded_ids:
             # Some zone maps are unavailable: a metadata-only answer
             # would be wrong (e.g. COUNT from partial row counts).

@@ -142,7 +142,4 @@ def _describe_scan(scan: Scan) -> str:
         annotations.append(
             f"DEGRADED: {profile.degraded_partitions} partition(s) "
             f"without metadata, scanned unconditionally")
-    if profile.metadata_retries:
-        annotations.append(
-            f"metadata retries: {profile.metadata_retries}")
     return f"Scan {scan.table} [{', '.join(annotations)}]"

@@ -74,9 +74,6 @@ class ScanSet:
         #: maps are stats-free placeholders, so every pruning check
         #: answers MAYBE and they are always scanned (fail open).
         self.degraded_ids: frozenset[int] = frozenset(degraded_ids)
-        #: metadata-read retry accounting for building this scan set.
-        self.metadata_retries: int = 0
-        self.metadata_backoff_ms: float = 0.0
 
     @classmethod
     def of_index(cls, index: "StatsIndex",
@@ -232,8 +229,8 @@ class ScanSet:
         """The entries at ``positions``, in that order.
 
         Every transform derives through here, so degradation, the
-        metadata-retry accounting, the index snapshot and the trusted
-        rows all travel with the entries. Pruning techniques must not
+        index snapshot and the trusted rows all travel with the
+        entries. Pruning techniques must not
         rebuild their output as ``ScanSet(entries)``: that loses
         ``degraded_ids`` and runtime pruners can no longer tell which
         entries must fail open.
@@ -251,8 +248,6 @@ class ScanSet:
         if self.degraded_ids:
             derived.degraded_ids = self.degraded_ids.intersection(
                 derived.partition_ids)
-        derived.metadata_retries = self.metadata_retries
-        derived.metadata_backoff_ms = self.metadata_backoff_ms
         return derived
 
     def restrict(self, keep_ids: Iterable[int]) -> "ScanSet":

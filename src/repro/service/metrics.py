@@ -118,9 +118,8 @@ class MetricsRegistry:
     - counters ``partitions_total`` / ``partitions_loaded`` /
       ``partitions_pruned`` / ``rows_scanned`` / ``bytes_scanned``
       (from profiles)
-    - counters ``retries`` / ``retry_backoff_ms`` /
-      ``injected_latency_ms`` / ``partitions_degraded`` plus
-      ``queries_retried`` / ``queries_degraded`` (resilience)
+    - counters ``partitions_degraded`` / ``queries_degraded``
+      (fail-open pruning)
     - counters ``pruning_time_ms`` / ``scans_vectorized`` (vectorized
       pruning)
     - counters ``wal_appends`` / ``wal_bytes`` / ``checkpoints``
@@ -157,8 +156,7 @@ class MetricsRegistry:
         for key in ("partitions_total", "partitions_loaded",
                     "partitions_pruned", "rows_scanned",
                     "bytes_scanned", "filter_bypassed",
-                    "retries", "retry_backoff_ms",
-                    "injected_latency_ms", "partitions_degraded",
+                    "partitions_degraded",
                     "pruning_time_ms", "scans_vectorized",
                     "data_cache_hits", "data_cache_misses",
                     "data_cache_bytes_saved",

@@ -35,9 +35,8 @@ from typing import Any
 
 from ..catalog import Catalog, QueryResult
 from ..errors import QueryTimeout, ReproError
-from ..faults.retry import RetryPolicy
 from ..obs.telemetry import TelemetryRecord
-from ..sql.normalize import is_select, normalize_sql, referenced_tables
+from ..sql.normalize import normalize_sql, referenced_tables
 from .admission import CancelToken, QueryCancelled, ReadWriteLock
 from .metrics import MetricsRegistry
 from .pool import WarehousePool
@@ -73,8 +72,6 @@ class QueryHandle:
     #: the query succeeded but pruning degraded to full scans for
     #: some partitions (metadata unavailable); rows are still correct
     degraded: bool = False
-    #: whole-query re-runs after transient failures (SELECT only)
-    attempts: int = 1
     cluster: str = ""
     queue_wait_ms: float = 0.0
     latency_ms: float = 0.0
@@ -102,7 +99,6 @@ class QueryService:
                  queue_timeout: float | None = None,
                  result_cache_entries: int = 256,
                  enable_result_cache: bool = True,
-                 query_retry_policy: RetryPolicy | None = None,
                  metrics: MetricsRegistry | None = None,
                  telemetry_capacity: int = 4096,
                  data_cache_bytes: int | None = None,
@@ -135,10 +131,6 @@ class QueryService:
         #: failures (which never reach the catalog's recorder).
         self.telemetry = catalog.enable_telemetry(
             capacity=telemetry_capacity)
-        #: optional whole-query retry of transient failures that
-        #: escaped the storage/metadata retry layers. SELECT-only:
-        #: DML is not idempotent, so it never re-runs.
-        self.query_retry_policy = query_retry_policy
         #: per-cluster warehouse-local data caches (paper §2): each
         #: cluster caches the partitions it scans on its own local
         #: storage, retired clusters drop theirs, scaled-out clusters
@@ -302,7 +294,7 @@ class QueryService:
         }
         for name in ("queries_completed", "queries_failed",
                      "queries_cancelled", "queries_rejected",
-                     "queries_retried", "queries_degraded",
+                     "queries_degraded",
                      "queries_timed_out"):
             snap[name] = self.metrics.counter(name).value
         caches = [c for c in self.pool.clusters
@@ -357,12 +349,6 @@ class QueryService:
                          "recluster_pauses"):
                 snap[name] = self.metrics.counter(name).value
         snap["telemetry"] = self.telemetry.summary()
-        breaker = self.catalog.metadata.breaker
-        if breaker is not None:
-            snap["metadata_breaker"] = breaker.snapshot()
-        injector = self.catalog.storage.fault_injector
-        if injector is not None:
-            snap["faults_injected"] = injector.total_injected()
         return snap
 
     # ------------------------------------------------------------------
@@ -439,7 +425,7 @@ class QueryService:
              queue_timeout: float | None = None) -> None:
         start = time.perf_counter()
         try:
-            self._execute_with_retries(handle, queue_timeout)
+            self._execute(handle, queue_timeout)
         except QueryCancelled as exc:
             self._record_terminal(handle, "cancelled", exc, start)
             self._finish(handle, QueryStatus.CANCELLED, error=exc)
@@ -462,37 +448,9 @@ class QueryService:
         self.telemetry.record(TelemetryRecord(
             query_id=handle.query_id, sql=handle.sql,
             status=status, error=type(error).__name__,
-            attempts=handle.attempts, cluster=handle.cluster,
+            cluster=handle.cluster,
             queue_wait_ms=handle.queue_wait_ms,
             wall_ms=(time.perf_counter() - start) * 1e3))
-
-    def _execute_with_retries(self, handle: QueryHandle,
-                              queue_timeout: float | None) -> None:
-        """Run a query, re-running SELECTs whose failure is transient.
-
-        The storage/metadata layers already absorb most transient
-        faults with their own retry policies; this is the outer safety
-        net for the rare fault that exhausts them. DML never re-runs —
-        a partially applied statement must surface, not double-apply.
-        """
-        policy = self.query_retry_policy
-        if policy is None:
-            self._execute(handle, queue_timeout)
-            return
-        attempt = 0
-        while True:
-            try:
-                self._execute(handle, queue_timeout)
-                return
-            except policy.retryable:
-                if not is_select(handle.sql):
-                    raise
-                if attempt >= policy.max_attempts - 1:
-                    raise
-                attempt += 1
-                handle.attempts = attempt + 1
-                handle.status = QueryStatus.QUEUED
-                self.metrics.counter("queries_retried").inc()
 
     def _execute(self, handle: QueryHandle,
                  queue_timeout: float | None) -> None:
@@ -602,11 +560,10 @@ class QueryService:
         annotated = self.telemetry.annotate(
             result.profile.query_id,
             queue_wait_ms=handle.queue_wait_ms, wall_ms=wall_ms,
-            cluster=handle.cluster, attempts=handle.attempts)
+            cluster=handle.cluster)
         if not annotated:
             record = TelemetryRecord.from_result(result,
                                                  wall_ms=wall_ms)
             record.queue_wait_ms = handle.queue_wait_ms
             record.cluster = handle.cluster
-            record.attempts = handle.attempts
             self.telemetry.record(record)

@@ -5,13 +5,6 @@ scalable KV store so the compiler can prune "without loading the actual
 data" (§2). We model it as a versioned in-memory KV store keyed by
 ``(table, partition_id)``, with lookup accounting so experiments can
 charge metadata access in the cost model.
-
-Reads can optionally traverse a resilience stack — circuit breaker →
-fault injector → retry policy — mirroring how a real compiler talks to
-a remote metadata service over a flaky network. Writes stay fault-free:
-in the modeled architecture DML commits through a transactional path
-with its own guarantees, and the interesting failure surface for
-*pruning* is the read side.
 """
 
 from __future__ import annotations
@@ -19,13 +12,10 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from ..errors import MetadataError, MetadataUnavailableError, TransientError
+from ..errors import MetadataError
 from .zonemap import ZoneMap
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..faults.breaker import CircuitBreaker
-    from ..faults.injector import FaultInjector
-    from ..faults.retry import RetryPolicy, RetryStats
     from ..pruning.sketches import PartitionSketches, SketchIndex
     from ..pruning.stats_index import StatsIndex
 
@@ -39,9 +29,7 @@ class MetadataStore:
     compile-time reads never observe torn state.
     """
 
-    def __init__(self, fault_injector: "FaultInjector | None" = None,
-                 retry_policy: "RetryPolicy | None" = None,
-                 breaker: "CircuitBreaker | None" = None):
+    def __init__(self):
         self._entries: dict[tuple[str, int], ZoneMap] = {}
         # Dict-backed ordered set: preserves registration order while
         # making unregister O(1) instead of list.remove's O(n).
@@ -68,21 +56,6 @@ class MetadataStore:
         # DML/recluster rewrites evict stale entries automatically.
         # Listeners run *outside* the lock to keep lock ordering simple.
         self._invalidation_listeners: list[Callable[[str, int], None]] = []
-        #: optional :class:`~repro.faults.FaultInjector` consulted on
-        #: every read (simulated metadata-service faults).
-        self.fault_injector = fault_injector
-        #: optional :class:`~repro.faults.RetryPolicy` absorbing
-        #: transient metadata faults per read.
-        self.retry_policy = retry_policy
-        #: optional :class:`~repro.faults.CircuitBreaker` failing fast
-        #: during sustained metadata outages.
-        self.breaker = breaker
-        #: store-wide retry accounting across all reads.
-        self.retry_stats: "RetryStats | None" = None
-        if retry_policy is not None:
-            from ..faults.retry import RetryStats
-
-            self.retry_stats = RetryStats()
 
     # ------------------------------------------------------------------
     # Writes
@@ -173,76 +146,23 @@ class MetadataStore:
                 pass
 
     # ------------------------------------------------------------------
-    # Resilience plumbing
-    # ------------------------------------------------------------------
-    def _guarded_read(self, key: object, fn: Callable[[], object],
-                      retry_stats: "RetryStats | None"):
-        """Run one read through breaker → injector → retry policy.
-
-        The circuit breaker is consulted once per *logical* read (not
-        per attempt): while open it fails fast with
-        :class:`CircuitOpenError` so a metadata outage doesn't stall
-        every query on full retry schedules.
-        """
-        if self.breaker is not None:
-            self.breaker.check()
-
-        def attempt():
-            if self.fault_injector is not None:
-                decision = self.fault_injector.metadata_check(key)
-                if decision.latency_ms:
-                    for sink in (retry_stats, self.retry_stats):
-                        if sink is not None:
-                            sink.add_latency(decision.latency_ms)
-            return fn()
-
-        def on_retry(exc: BaseException, delay_ms: float) -> None:
-            for sink in (retry_stats, self.retry_stats):
-                if sink is not None:
-                    sink.record_retry(exc, delay_ms)
-
-        try:
-            if self.retry_policy is not None:
-                result = self.retry_policy.run(attempt, on_retry=on_retry)
-            else:
-                result = attempt()
-        except (TransientError, MetadataUnavailableError):
-            if self.breaker is not None:
-                self.breaker.record_failure()
-            raise
-        if self.breaker is not None:
-            self.breaker.record_success()
-        return result
-
-    # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def get(self, table: str, partition_id: int,
-            retry_stats: "RetryStats | None" = None) -> ZoneMap:
+    def get(self, table: str, partition_id: int) -> ZoneMap:
         table = table.lower()
+        with self._lock:
+            self.lookups += 1
+            try:
+                return self._entries[(table, partition_id)]
+            except KeyError:
+                raise MetadataError(
+                    f"no metadata for partition {partition_id} of "
+                    f"{table!r}") from None
 
-        def read() -> ZoneMap:
-            with self._lock:
-                self.lookups += 1
-                try:
-                    return self._entries[(table, partition_id)]
-                except KeyError:
-                    raise MetadataError(
-                        f"no metadata for partition {partition_id} of "
-                        f"{table!r}") from None
-
-        return self._guarded_read((table, partition_id), read, retry_stats)
-
-    def partitions_of(self, table: str,
-                      retry_stats: "RetryStats | None" = None) -> list[int]:
+    def partitions_of(self, table: str) -> list[int]:
         """All partition ids of a table, in registration order."""
-        table = table.lower()
-
-        def read() -> list[int]:
-            with self._lock:
-                return list(self._table_partitions.get(table, {}))
-
-        return self._guarded_read(("list", table), read, retry_stats)
+        with self._lock:
+            return list(self._table_partitions.get(table.lower(), {}))
 
     def iter_table(self, table: str) -> Iterator[tuple[int, ZoneMap]]:
         for partition_id in self.partitions_of(table):
@@ -257,12 +177,12 @@ class MetadataStore:
         index and steady-state refreshes cost O(changed partitions)
         bookkeeping rather than a metadata rescan. This is an internal
         metadata-service structure, so reads here are not charged as
-        lookups and do not traverse the fault stack. Its rows hold the
-        very ZoneMap objects :meth:`get` returns: with no fault stack
-        configured ``Catalog.scan_set`` takes the index as the fetch
-        itself (:meth:`_fetch_as_index`); under one, a scan set
-        trusts it per entry only through ``ScanSet.trusted_rows``'
-        zone-map identity check.
+        lookups. Its rows hold the very ZoneMap objects :meth:`get`
+        returns: ``Catalog.scan_set`` takes the index as the fetch
+        itself (:meth:`fetch_index`); when that read fails and it
+        reads per partition, a scan set trusts the index per entry
+        only through ``ScanSet.trusted_rows``' zone-map identity
+        check.
         """
         from ..pruning.stats_index import StatsIndex
 
@@ -279,10 +199,10 @@ class MetadataStore:
             self._stats_indexes[table] = index
             return index
 
-    def _fetch_as_index(self, table: str) -> "StatsIndex":
-        """``Catalog.scan_set``'s fetch when no fault stack is
-        configured: the stats index, counted as one lookup per
-        partition, as reading each through :meth:`get` would be."""
+    def fetch_index(self, table: str) -> "StatsIndex":
+        """``Catalog.scan_set``'s one read of a table's metadata: the
+        stats index, counted as one lookup per partition, as reading
+        each through :meth:`get` would be."""
         with self._lock:
             index = self.stats_index(table)
             self.lookups += len(index)
@@ -303,31 +223,22 @@ class MetadataStore:
             self._sketches.setdefault(table, {})[partition_id] = sketches
             self._sketch_indexes.pop(table, None)
 
-    def sketches_of(self, table: str,
-                    retry_stats: "RetryStats | None" = None
-                    ) -> dict[int, "PartitionSketches"]:
+    def sketches_of(self, table: str) -> dict[int, "PartitionSketches"]:
         """All registered sketches of a table, keyed by partition id.
 
-        Traverses the fault stack like any other compile-time metadata
-        read: an injected outage surfaces here and the caller fails
-        open (scans without sketch pruning).
+        A compile-time metadata read: when it fails, the compiler
+        fails open (scans without sketch pruning).
         """
-        table = table.lower()
-
-        def read() -> dict[int, "PartitionSketches"]:
-            with self._lock:
-                self.lookups += 1
-                return dict(self._sketches.get(table, {}))
-
-        return self._guarded_read(("sketches", table), read, retry_stats)
+        with self._lock:
+            self.lookups += 1
+            return dict(self._sketches.get(table.lower(), {}))
 
     def sketch_index(self, table: str,
                      ngram_size: int = 3) -> "SketchIndex":
         """Cached SoA :class:`~repro.pruning.SketchIndex` for a table.
 
         Like :meth:`stats_index` this is an internal metadata-service
-        structure: reads are not charged as lookups and skip the fault
-        stack. Partition ids are never reused, so a cached row can
+        structure: reads are not charged as lookups. Partition ids are never reused, so a cached row can
         never describe different data than the scalar sketch it was
         packed from — the pruner's covered-row check handles the rest.
         """

@@ -79,8 +79,8 @@ class MicroPartition:
         self.schema = schema
         self._columns = normalized
         self.zone_map = zone_map or ZoneMap.from_columns(normalized)
-        # Content checksum computed at build (write) time; the storage
-        # layer re-verifies it on load to surface corrupt reads.
+        # Content checksum computed at build (write) time;
+        # :meth:`verify_integrity` checks the content against it.
         self.checksum = (checksum if checksum is not None
                          else self.compute_checksum())
 

@@ -12,22 +12,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from ..errors import (
-    CorruptionError,
-    PartitionUnavailableError,
-    StorageError,
-    TransientError,
-)
+from ..errors import PartitionUnavailableError, StorageError
 from .micropartition import MicroPartition, project_bytes
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..faults.injector import FaultInjector
-    from ..faults.retry import RetryPolicy, RetryStats
-
-#: XOR mask applied to a checksum to simulate a wire-level bit flip.
-_CORRUPTION_MASK = 0x5A5A5A5A
 
 
 @dataclass
@@ -96,10 +84,6 @@ class IOStats:
     bytes_read: int = 0
     partitions_loaded: int = 0
     failed_requests: int = 0
-    retries: int = 0
-    retry_backoff_ms: float = 0.0
-    corrupt_reads: int = 0
-    injected_latency_ms: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
     cache_bytes_saved: int = 0
@@ -130,20 +114,6 @@ class IOStats:
         with self._lock:
             self.failed_requests += 1
 
-    def record_retry(self, backoff_ms: float) -> None:
-        with self._lock:
-            self.failed_requests += 1
-            self.retries += 1
-            self.retry_backoff_ms += backoff_ms
-
-    def record_corrupt_read(self) -> None:
-        with self._lock:
-            self.corrupt_reads += 1
-
-    def record_injected_latency(self, ms: float) -> None:
-        with self._lock:
-            self.injected_latency_ms += ms
-
     def _counters(self) -> dict[str, float]:
         """Every counter by name (all fields but the lock)."""
         return {f.name: getattr(self, f.name) for f in fields(self)
@@ -165,7 +135,8 @@ class IOStats:
         The minuend is taken as one locked :meth:`snapshot`, never as a
         sequence of live field reads: with concurrent queries
         mutating the counters, unlocked field-by-field
-        reads produce torn diffs (e.g. ``retries > failed_requests``).
+        reads produce torn diffs (e.g. ``bytes_read`` of loads that
+        ``requests`` does not count yet).
         """
         return IOStats(**{name: value - getattr(earlier, name) for name, value
                           in self.snapshot()._counters().items()})
@@ -181,10 +152,7 @@ class StorageLayer:
     metadata service allows pruning "without loading the actual data".
     """
 
-    def __init__(self, cost_model: CostModel | None = None,
-                 fault_injector: "FaultInjector | None" = None,
-                 retry_policy: "RetryPolicy | None" = None,
-                 verify_checksums: bool | None = None):
+    def __init__(self, cost_model: CostModel | None = None):
         self._partitions: dict[int, MicroPartition] = {}
         # Guards _partitions: DML put/delete runs concurrently with
         # other queries' scans (CPython dict ops are atomic, but the
@@ -192,16 +160,6 @@ class StorageLayer:
         self._map_lock = threading.Lock()
         self.cost_model = cost_model or CostModel()
         self.stats = IOStats()
-        #: optional :class:`~repro.faults.FaultInjector` consulted on
-        #: every load attempt (simulated network faults).
-        self.fault_injector = fault_injector
-        #: optional :class:`~repro.faults.RetryPolicy` absorbing
-        #: transient faults and corrupt reads per load.
-        self.retry_policy = retry_policy
-        #: verify partition checksums on load. ``None`` = auto:
-        #: verify only when a fault injector is attached (verification
-        #: costs a full content re-hash per load).
-        self.verify_checksums = verify_checksums
 
     def put(self, partition: MicroPartition) -> int:
         """Store a partition; returns its id (see :meth:`put_all`)."""
@@ -244,40 +202,6 @@ class StorageLayer:
         with self._map_lock:
             return len(self._partitions)
 
-    def _verification_enabled(self) -> bool:
-        if self.verify_checksums is not None:
-            return self.verify_checksums
-        return self.fault_injector is not None
-
-    def _load_attempt(self, partition_id: int,
-                      latency_sink: list[float]) -> MicroPartition:
-        """One fetch attempt: fault roll, lookup, checksum verify."""
-        decision = None
-        if self.fault_injector is not None:
-            decision = self.fault_injector.storage_check(partition_id)
-        with self._map_lock:
-            partition = self._partitions.get(partition_id)
-        if partition is None:
-            raise PartitionUnavailableError(
-                f"no partition with id {partition_id}",
-                partition_id=partition_id)
-        if decision is not None and decision.latency_ms:
-            self.stats.record_injected_latency(decision.latency_ms)
-            latency_sink[0] += decision.latency_ms
-        if self._verification_enabled():
-            observed = partition.compute_checksum()
-            if decision is not None and decision.corrupt:
-                # Simulate a wire-level bit flip in the received bytes.
-                observed ^= _CORRUPTION_MASK
-            if observed != partition.checksum:
-                self.stats.record_corrupt_read()
-                raise CorruptionError(
-                    f"partition {partition_id} failed checksum "
-                    f"verification (expected "
-                    f"{partition.checksum:#010x}, got "
-                    f"{observed:#010x})", partition_id=partition_id)
-        return partition
-
     def load(self, partition_id: int,
              columns: Sequence[str] | None = None) -> MicroPartition:
         """One partition: :meth:`load_many` of one id."""
@@ -285,69 +209,32 @@ class StorageLayer:
 
     def load_many(self, partition_ids: Sequence[int],
                   columns: Sequence[str] | None = None,
-                  retry_stats: "RetryStats | None" = None,
                   loaded: "list[MicroPartition] | None" = None
                   ) -> "tuple[list[MicroPartition], int]":
         """Fetch partitions in order, charging one request each plus the
         bytes of ``columns`` (PAX reads a column subset; the whole
         partitions are returned); returns ``(partitions, bytes)``.
 
-        One map lookup and one :class:`IOStats` update, unless a fault
-        injector or checksum verification is attached: then each id
-        is fetched on its own and may fail with a typed error, retried
-        under the :class:`RetryPolicy` into ``retry_stats``. ``loaded``
-        is extended with the partitions loaded, when an id fails with
-        those before it; they are accounted before the error
-        (``PartitionUnavailableError``, ``CorruptionError``,
-        ``StorageTimeout``, ``StorageThrottled``) propagates.
+        One map lookup and one :class:`IOStats` update. An id that is
+        not stored raises :class:`PartitionUnavailableError`; the
+        partitions before it are accounted first and, when ``loaded``
+        is given, appended to it.
         """
-        got: list[MicroPartition] = []
-        nbytes = 0
-        try:
-            if (self.fault_injector is not None
-                    or self._verification_enabled()):
-                for partition_id in partition_ids:
-                    got.append(self._load_checked(
-                        partition_id, retry_stats))
-            else:
-                with self._map_lock:
-                    got = list(map(self._partitions.get, partition_ids))
-                if None in got:
-                    end = got.index(None)
-                    del got[end:]
-                    raise PartitionUnavailableError(
-                        f"no partition with id {partition_ids[end]}",
-                        partition_id=partition_ids[end])
-        except StorageError:
+        with self._map_lock:
+            got = list(map(self._partitions.get, partition_ids))
+        end = got.index(None) if None in got else len(got)
+        del got[end:]
+        nbytes = project_bytes(got, columns)
+        if got:
+            self.stats.record_load(len(got), nbytes)
+            if loaded is not None:
+                loaded.extend(got)
+        if end < len(partition_ids):
             self.stats.record_failed_request()
-            raise
-        finally:
-            if got:
-                nbytes = project_bytes(got, columns)
-                self.stats.record_load(len(got), nbytes)
-                if loaded is not None:
-                    loaded.extend(got)
+            raise PartitionUnavailableError(
+                f"no partition with id {partition_ids[end]}",
+                partition_id=partition_ids[end])
         return got, nbytes
-
-    def _load_checked(self, partition_id: int,
-                      retry_stats: "RetryStats | None") -> MicroPartition:
-        """One id's attempts under the retry policy."""
-        latency_sink = [0.0]
-
-        def on_retry(exc: BaseException, delay_ms: float) -> None:
-            self.stats.record_retry(delay_ms)
-            if retry_stats is not None:
-                retry_stats.record_retry(exc, delay_ms)
-
-        if self.retry_policy is not None:
-            partition = self.retry_policy.run(
-                lambda: self._load_attempt(partition_id, latency_sink),
-                on_retry=on_retry)
-        else:
-            partition = self._load_attempt(partition_id, latency_sink)
-        if retry_stats is not None and latency_sink[0]:
-            retry_stats.add_latency(latency_sink[0])
-        return partition
 
     def peek(self, partition_id: int) -> MicroPartition:
         """Access a partition without accounting (testing/admin only)."""

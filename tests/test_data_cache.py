@@ -19,11 +19,8 @@ from hypothesis import given, settings
 from repro import (
     Catalog,
     DataType,
-    FaultInjector,
-    FaultSpec,
     Layout,
     PartitionCache,
-    RetryPolicy,
     Schema,
     StorageError,
 )
@@ -32,6 +29,8 @@ from repro.obs.telemetry import TelemetryRecord
 from repro.storage.metadata_store import MetadataStore
 from repro.storage.micropartition import MicroPartition
 from repro.storage.storage_layer import StorageLayer
+
+from faults import FaultInjector, FaultSpec, install_faults
 
 SCHEMA = Schema.of(ts=DataType.INTEGER, score=DataType.INTEGER,
                    note=DataType.VARCHAR)
@@ -456,13 +455,11 @@ class TestDifferential:
         fault-free oracle. Corrupt/unavailable loads must never
         populate the cache."""
         spec = FaultSpec(timeout_rate=0.04, throttle_rate=0.03,
-                         corruption_rate=0.04, latency_rate=0.02,
-                         latency_ms=1.0)
+                         corruption_rate=0.04)
         cached = make_catalog(2000, rows_per_partition=100)
         cached.enable_data_cache(budget_bytes=1 << 22)
-        cached.enable_fault_injection(
-            FaultInjector(seed=seed, storage=spec),
-            retry_policy=RetryPolicy(max_attempts=8))
+        install_faults(cached, FaultInjector(seed=seed, storage=spec),
+                       attempts=8)
         oracle = make_catalog(2000, rows_per_partition=100)
         assert self.run_script(cached) == self.run_script(oracle)
 

@@ -14,7 +14,6 @@ import threading
 import pytest
 
 from repro import Catalog, DataType, Layout, Schema
-from repro.faults.retry import RetryStats
 from repro.obs import (
     Span,
     Tracer,
@@ -372,8 +371,6 @@ class TestTelemetrySink:
                 "wal_bytes": sum(r.wal_bytes for r in records),
                 "degraded_queries": sum(
                     1 for r in records if r.degraded),
-                "retried_queries": sum(
-                    1 for r in records if r.retries),
                 "partitions_total": population,
                 "partitions_pruned": pruned,
                 "bytes_scanned": sum(r.bytes_scanned
@@ -401,7 +398,6 @@ class TestTelemetrySink:
                 predicate_cache_hit=rng.random() < 0.3,
                 plan_cache_hit=rng.random() < 0.3,
                 degraded=rng.random() < 0.1,
-                retries=rng.randrange(3),
                 partitions_total=rng.randrange(50),
                 partitions_pruned=rng.randrange(20),
                 data_cache_hits=rng.randrange(10),
@@ -419,7 +415,6 @@ class TestTelemetrySink:
                 victim = rng.choice(sink.records())
                 sink.annotate(victim.query_id,
                               wal_appends=rng.randrange(4),
-                              retries=rng.randrange(3),
                               rows_returned=rng.randrange(500))
             assert sink.summary() == brute_force(sink)
         sink.clear()
@@ -562,17 +557,3 @@ class TestFleetAggregation:
     def test_render_empty(self):
         text = render_fleet_report([], title="empty")
         assert "empty" in text
-
-
-# ----------------------------------------------------------------------
-# Retry trace hook
-# ----------------------------------------------------------------------
-class TestRetryTraceHook:
-    def test_hook_fires_on_retry(self):
-        stats = RetryStats()
-        seen = []
-        stats.trace_hook = lambda error, delay: seen.append(
-            (error, delay))
-        stats.record_retry(TimeoutError("x"), delay_ms=2.5)
-        assert seen == [("TimeoutError", 2.5)]
-        assert stats.retries == 1

@@ -22,11 +22,8 @@ from hypothesis import given, settings
 from repro import (
     Catalog,
     DataType,
-    FaultInjector,
-    FaultSpec,
     Layout,
     ReproError,
-    RetryPolicy,
     Schema,
 )
 from repro.plancache import (
@@ -44,6 +41,7 @@ from repro.sql import parse_select
 from repro.types import Field
 
 from conftest import make_events_rows
+from faults import FaultInjector, FaultSpec, install_faults
 
 SCHEMA = Schema.of(
     ts=DataType.INTEGER,
@@ -539,13 +537,10 @@ class TestChaosWithPlanCache:
         plain = make_catalog(800, plan_cache=False)
         expected = {sql: plain.sql(sql).rows for sql in self.QUERIES}
         catalog = make_catalog(800)
-        catalog.enable_fault_injection(
-            FaultInjector(
-                seed=seed,
-                storage=FaultSpec(timeout_rate=0.05,
-                                  corruption_rate=0.03),
-                metadata=FaultSpec(timeout_rate=0.05)),
-            retry_policy=RetryPolicy(max_attempts=8))
+        install_faults(catalog, FaultInjector(
+            seed=seed,
+            storage=FaultSpec(timeout_rate=0.05, corruption_rate=0.03),
+            metadata=FaultSpec(timeout_rate=0.05)), attempts=8)
         for _ in range(3):
             for sql in self.QUERIES:
                 assert catalog.sql(sql).rows == expected[sql], sql

@@ -20,11 +20,11 @@ from hypothesis import example, given, settings
 from repro import Catalog, DataType, Layout, Schema
 from repro.engine.operators import Filter
 from repro.expr.ast import Compare, col, lit
-from repro.faults import METADATA, FaultInjector
 from repro.pruning.predicate_cache import PredicateCache
 from repro.service import QueryService
 
 from conftest import make_events_rows
+from faults import METADATA, FaultInjector, install_faults
 from oracle import run_plan
 
 SCHEMA = Schema.of(
@@ -408,8 +408,7 @@ def test_a_hit_scans_the_entry_the_newer_and_the_degraded(initial, ops):
     scan set pruning alone leaves, and its rows are the cache-free
     rows. ``lose`` makes a partition's metadata unreadable."""
     catalog = diff_catalog(initial)
-    injector = FaultInjector(seed=0)
-    catalog.enable_fault_injection(injector)
+    injector = install_faults(catalog, FaultInjector(seed=0))
     cache = catalog.enable_predicate_cache()
 
     for op in ops:

@@ -38,7 +38,6 @@ from repro.engine.context import ExecContext
 from repro.engine.executor import execute
 from repro.errors import StorageError
 from repro.expr import ast
-from repro.faults import FaultInjector, FaultSpec, RetryPolicy
 from repro.plan.compiler import CompilerOptions
 from repro.pruning.summaries import RangeSetSummary
 from repro.pruning.topk_pruning import Boundary, rank_of
@@ -46,6 +45,8 @@ from repro.storage import micropartition
 from repro.storage.micropartition import MicroPartition
 from repro.storage.storage_layer import StorageLayer
 from repro.storage.table import Table
+
+from faults import FaultInjector, FaultSpec, install_faults
 
 SCHEMA = Schema.of(a=DataType.INTEGER, v=DataType.DOUBLE,
                    s=DataType.VARCHAR, k=DataType.INTEGER)
@@ -117,9 +118,8 @@ SCAN_COUNTERS = ("table", "partitions_loaded", "rows_scanned",
                  "skip_set_pruned", "cache_hits", "cache_misses",
                  "cache_bytes_saved")
 IO_COUNTERS = ("requests", "bytes_read", "partitions_loaded",
-               "failed_requests", "retries", "retry_backoff_ms",
-               "corrupt_reads", "injected_latency_ms", "cache_hits",
-               "cache_misses", "cache_bytes_saved")
+               "failed_requests", "cache_hits", "cache_misses",
+               "cache_bytes_saved")
 
 
 def positions(catalog: Catalog) -> dict[int, int]:
@@ -229,11 +229,12 @@ def test_a_tiny_data_cache_evicts_and_hits():
     assert stats.evictions > 0 and stats.hits > 0 and stats.misses > 0
 
 
-def observe_faults(catalog: Catalog, predicate: str,
-                   monkeypatch) -> list:
+def observe_faults(catalog: Catalog, injector: FaultInjector,
+                   predicate: str, monkeypatch) -> list:
     """Every statement under injected storage faults: its rows and
-    clocks, or its typed error; either way the per-scan counters and
-    retries of the query and the storage counters after it."""
+    clocks, or its typed error; either way the per-scan counters of
+    the query, and the faults injected and storage counters after
+    it."""
     contexts = []
     init = ExecContext.__init__
 
@@ -255,27 +256,26 @@ def observe_faults(catalog: Catalog, predicate: str,
         seen.append((outcome, [tuple(getattr(scan, name) for name in
                                      SCAN_COUNTERS)
                                for scan in profile.scans],
-                     profile.retry_stats.snapshot(), traffic(catalog)))
+                     injector.injected(), traffic(catalog)))
     return seen
 
 
-def faulty_catalog(seed: int, data_cache: str | None) -> Catalog:
+def faulty_catalog(seed: int, data_cache: str | None
+                   ) -> tuple[Catalog, FaultInjector]:
     catalog = make_catalog(seed, False, data_cache)
-    catalog.enable_fault_injection(
-        FaultInjector(seed=seed, storage=FaultSpec(
-            timeout_rate=0.08, corruption_rate=0.04, latency_rate=0.1,
-            latency_ms=3.0)),
-        retry_policy=RetryPolicy(max_attempts=2, seed=seed))
-    return catalog
+    injector = install_faults(catalog, FaultInjector(
+        seed=seed, storage=FaultSpec(timeout_rate=0.08,
+                                     corruption_rate=0.04)), attempts=2)
+    return catalog, injector
 
 
 @pytest.mark.parametrize("data_cache", [None, "tiny"])
 @pytest.mark.parametrize("seed", range(4))
 def test_batched_equals_streamed_under_faults(seed, data_cache):
     """Faults fire per id and attempt, so batching moves none; a load
-    the retry budget cannot save raises the same typed error with the
+    the re-reads cannot save raises the same typed error with the
     loads before it accounted the same. The statements' errors differ
-    by seed: some raise, some absorb retries."""
+    by seed: some raise, some absorb a fault."""
     outcomes = []
     for batch_rows in (0, operators.BATCH_ROWS):
         with pytest.MonkeyPatch.context() as monkeypatch:
@@ -286,12 +286,14 @@ def test_batched_equals_streamed_under_faults(seed, data_cache):
             monkeypatch.setattr(micropartition, "partition_id_generator",
                                 ids)
             outcomes.append(observe_faults(
-                faulty_catalog(seed, data_cache), "a >= 3", monkeypatch))
+                *faulty_catalog(seed, data_cache), "a >= 3", monkeypatch))
     streamed, batched = outcomes
     assert batched == streamed
     kinds = Counter(type(outcome[0]).__name__ for outcome, *_ in batched)
     assert kinds["str"] and kinds["Counter"] + kinds["list"]
-    assert any(retries["retries"] for *_, retries, _ in batched)
+    injected = [{}] + [faults for *_, faults, _ in batched]
+    assert any(type(outcome[0]) is not str and faults != injected[i]
+               for i, (outcome, _, faults, _) in enumerate(batched))
 
 
 def test_an_unsteered_scan_batches_and_a_limited_one_streams():

@@ -28,12 +28,13 @@ from repro.engine import chunk as chunk_module
 from repro.engine import operators
 from repro.expr import ast
 from repro.expr import eval as eval_module
-from repro.faults import METADATA, FaultInjector, RetryPolicy
 from repro.plan import compiler as compiler_module
 from repro.plan.compiler import CompilerOptions
 from repro.pruning import ScanSet
 from repro.pruning.sketches import SketchConfig
 from repro import types as types_module
+
+from faults import METADATA, FaultInjector, install_faults
 
 SCHEMA = Schema.of(a=DataType.INTEGER, v=DataType.DOUBLE,
                    s=DataType.VARCHAR)
@@ -254,8 +255,8 @@ def test_metadata_outage_never_bypasses_degraded(monkeypatch):
 
     def make():
         catalog = make_catalog(ROWS)
-        injector = catalog.enable_fault_injection(
-            FaultInjector(seed=0), retry_policy=RetryPolicy(max_attempts=2))
+        injector = install_faults(catalog, FaultInjector(seed=0),
+                                  attempts=2)
         ids = catalog.tables["t"].partition_ids
         for position in lost_positions:
             injector.mark_unavailable(METADATA, ("t", ids[position]))

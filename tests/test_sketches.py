@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from repro.catalog import Catalog
 from repro.expr import ast
 from repro.expr.eval import evaluate_predicate
-from repro.faults import METADATA, FaultInjector, FaultSpec
 from repro.pruning import ScanSet
 from repro.pruning.sketches import (
     _IMPOSSIBLE,
@@ -37,6 +36,8 @@ from repro.pruning.sketches import (
     normalize_member,
 )
 from repro.types import DataType, Field, Schema
+
+from faults import METADATA, FaultInjector, FaultSpec, install_faults
 
 SCHEMA = Schema([Field("s", DataType.VARCHAR),
                  Field("k", DataType.INTEGER),
@@ -331,8 +332,7 @@ class TestFaultTolerance:
 
     def test_sketch_metadata_outage_fails_open(self):
         sketched, plain = build_pair(self._rows())
-        injector = FaultInjector(seed=7)
-        sketched.enable_fault_injection(injector)
+        injector = install_faults(sketched, FaultInjector(seed=7))
         injector.mark_unavailable(METADATA, ("sketches", "t"))
         sql = "SELECT * FROM t WHERE CONTAINS(s, 'value-3')"
         got = assert_equivalent(sketched, plain, sql)
@@ -341,8 +341,7 @@ class TestFaultTolerance:
 
     def test_full_metadata_outage_still_correct(self):
         sketched, plain = build_pair(self._rows())
-        injector = FaultInjector(seed=11)
-        sketched.enable_fault_injection(injector)
+        injector = install_faults(sketched, FaultInjector(seed=11))
         injector.set_outage(METADATA)
         sql = "SELECT * FROM t WHERE CONTAINS(s, 'value-2') AND k = 2"
         assert_equivalent(sketched, plain, sql)
@@ -365,9 +364,8 @@ class TestFaultTolerance:
 
     def test_transient_faults_equivalent(self):
         sketched, plain = build_pair(self._rows())
-        injector = FaultInjector(
-            seed=13, metadata=FaultSpec(timeout_rate=0.2))
-        sketched.enable_fault_injection(injector)
+        install_faults(sketched, FaultInjector(
+            seed=13, metadata=FaultSpec(timeout_rate=0.2)))
         for point in range(6):
             assert_equivalent(
                 sketched, plain,

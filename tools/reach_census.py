@@ -58,18 +58,19 @@ NOTES = {
                     "one client never scales out or rewrites; ROADMAP "
                     "6(b)'s one bounded cache",
     "repro/catalog.py": "Iceberg ingest (§8.1), `explain_analyze` (aim "
-                        "4), `drop_table`, and the `enable_data_cache` "
-                        "/ `enable_fault_injection` switches `bench/` "
-                        "leaves off: ROADMAP 6(d) splits `Catalog`",
+                        "4), `drop_table`, the `enable_data_cache` "
+                        "switch `bench/` leaves off (ROADMAP 6(d) splits "
+                        "`Catalog`), and `scan_set`'s fail-open loop, "
+                        "which runs only when its one metadata read "
+                        "fails: aim 3, reached through the fault "
+                        "fixture `tests/faults.py`",
     "repro/durability/": "WAL records of CREATE / DROP TABLE and the "
                          "checkpoint threshold: aim 3 (state survives "
                          "recovery); `dml_mix` logs DML only",
     "repro/engine/": "`Warehouse.scan_runtime_ms` is §2 / §4.4's "
                      "parallel scan across warehouse nodes, modelled "
                      "without threads; `Chunk.row_at` / `select` serve "
-                     "the reference operators (PR 13); the scan's retry "
-                     "trace hook and `resilience_summary` run only under "
-                     "injected faults (ROADMAP 13)",
+                     "the reference operators",
     "repro/errors.py": "typed errors raised on malformed input and on "
                        "injected faults only",
     "repro/expr/": "expression forms no workload generates (NOT, NEG, "
@@ -77,10 +78,10 @@ NOTES = {
                    "the §3.1 `not_true` rewrite): the statement space "
                    "ROADMAP 2's oracle and 3's metamorphic suite are to "
                    "cover",
-    "repro/faults/": "fault injection, retry, circuit breaker and crash "
-                     "points: aim 3 (fail open, always), exercised by "
-                     "`tests/test_faults.py`, `test_durability.py` and "
-                     "the chaos suite, never by a benchmark",
+    "repro/faults/": "crash points on the durability commit path: aim "
+                     "3 (state survives recovery), exercised by "
+                     "`tests/test_durability.py` and `test_recluster.py`; "
+                     "read faults are the test fixture `tests/faults.py`",
     "repro/formats/": "§8.1 Iceberg / Parquet hierarchy (append, row "
                       "counts); ROADMAP 4(b) adopts it natively or moves "
                       "it out",
@@ -115,10 +116,13 @@ NOTES = {
                       "closed-loop client calling `sql()`",
     "repro/sql/": "HAVING, DATE literals, `normalize_sql`: statement "
                   "forms no workload generates (ROADMAP 1(b), 2)",
-    "repro/storage/": "`IOStats` fault counters and snapshots (aim 3), "
+    "repro/storage/": "`IOStats.failed_requests` and snapshots, "
                       "integrity verification, stat-less / truncated "
                       "zone maps (§8.1 backfill, metadata-store "
-                      "practice), `drop_table`",
+                      "practice), the per-partition metadata reads "
+                      "`Catalog.scan_set` fails open to (aim 3; only the "
+                      "fault fixture `tests/faults.py` makes its one "
+                      "read fail), `drop_table`",
     "repro/types.py": "DATE conversion and `Schema` hashing / repr",
     "repro/workload/": "query-class predicates and a helper of the "
                        "figure reproductions; leaves `src/` with "
