@@ -82,7 +82,7 @@ from .pruning.sketches import (
     SketchConfig,
     SketchIndex,
     SketchPruner,
-    build_partition_sketches,
+    build_sketches,
 )
 from .recluster import (
     ClusteringAdvice,
@@ -156,7 +156,7 @@ __all__ = [
     "SketchConfig",
     "SketchIndex",
     "SketchPruner",
-    "build_partition_sketches",
+    "build_sketches",
     "ClusteringAdvice",
     "IncrementalReclusterer",
     "ReclusterJob",

@@ -190,9 +190,7 @@ class Catalog:
         self.storage.put_all(partitions)
         self.metadata.register_table(
             table.name, ((p.partition_id, p.zone_map) for p in partitions))
-        cache = self._sketch_build_cache(partitions, table.schema)
-        for partition in partitions:
-            self._build_sketches(table.name, partition, cache)
+        self._build_sketches(table, partitions)
         return table
 
     def create_table_from_rows(
@@ -247,8 +245,7 @@ class Catalog:
         table = self._table(name)
         if name not in self._iceberg_sources:
             raise SchemaError(f"{name!r} is not an Iceberg-backed table")
-        repaired = 0
-        refreshed = []
+        repaired, refreshed = [], []
         for partition in table.partitions:
             if all(s.present
                    for s in partition.zone_map.columns.values()):
@@ -260,11 +257,11 @@ class Catalog:
             self.storage.put(fixed)
             self.metadata.register(name, fixed.partition_id,
                                    fixed.zone_map)
-            self._build_sketches(name, fixed)
             refreshed.append(fixed)
-            repaired += 1
+            repaired.append(fixed)
         table.replace_partitions(refreshed)
-        return repaired
+        self._build_sketches(table, repaired)
+        return len(repaired)
 
     def drop_table(self, name: str) -> None:
         """Remove a table, its partitions, metadata, and cache entries."""
@@ -297,10 +294,10 @@ class Catalog:
         (a repeated shape skips partitions a complete run saw empty).
 
         Sketches are built immediately for every existing partition
-        and from then on at partition build/recluster time. Building
-        fails open: a partition whose sketches cannot be built is
-        simply scanned without them. Idempotent — an existing
-        configuration is kept.
+        and from then on at partition build/recluster time, one batch
+        at a time. Building fails open: the partitions of a batch whose
+        sketches cannot be built are scanned without them. Idempotent —
+        an existing configuration is kept.
         """
         from .pruning.sketches import SketchConfig
 
@@ -309,54 +306,30 @@ class Catalog:
             if self.predicate_cache is None:
                 self.enable_predicate_cache()
             for table in self.tables.values():
-                cache = self._sketch_build_cache(table.partitions,
-                                                 table.schema)
-                for partition in table.partitions:
-                    self._build_sketches(table.name, partition, cache)
+                self._build_sketches(table, table.partitions)
         return self.sketch_config
 
-    def _sketch_build_cache(self, partitions=None, schema=None):
-        """A shared hash cache for one batch of sketch builds.
-
-        When the batch's partitions are known up front they are
-        prewarmed: n-gram extraction and hashing run once for the
-        whole batch instead of per partition. Prewarming is
-        best-effort — on any failure the per-partition path rebuilds
-        everything from scratch.
-        """
-        if self.sketch_config is None:
-            return None
-        from .pruning.sketches import SketchBuildCache
-
-        cache = SketchBuildCache()
-        if partitions is not None and schema is not None:
-            try:
-                started = time.perf_counter()
-                cache.prewarm_ngrams(partitions, schema,
-                                     self.sketch_config)
-                self.sketch_build_ms += (time.perf_counter()
-                                         - started) * 1000.0
-            except Exception:  # noqa: BLE001 - best-effort prewarm
-                cache.grams.clear()
-        return cache
-
-    def _build_sketches(self, table_name: str, partition,
-                        cache=None) -> None:
-        """Build and register one partition's sketches (fail open)."""
-        if self.sketch_config is None:
+    def _build_sketches(self, table: Table,
+                        partitions: Sequence[MicroPartition]) -> None:
+        """Build and register one batch's sketches. A batch whose build
+        raises fails open: none of its partitions gets sketches, and
+        each counts in ``sketch_build_failures``."""
+        if self.sketch_config is None or not partitions:
             return
-        from .pruning.sketches import build_partition_sketches
+        from .pruning.sketches import build_sketches
 
+        started = time.perf_counter()
         try:
-            sketches = build_partition_sketches(partition,
-                                                self.sketch_config,
-                                                cache)
-            self.sketch_build_ms += sketches.build_ms
-            if not sketches.is_empty():
-                self.metadata.register_sketches(
-                    table_name, partition.partition_id, sketches)
+            built = build_sketches(partitions, table.schema,
+                                   self.sketch_config)
         except Exception:  # noqa: BLE001 - sketches are best-effort
-            self.sketch_build_failures += 1
+            built = {}
+            self.sketch_build_failures += len(partitions)
+        self.sketch_build_ms += (time.perf_counter() - started) * 1000.0
+        for partition_id, sketches in built.items():
+            if not sketches.is_empty():
+                self.metadata.register_sketches(table.name, partition_id,
+                                                sketches)
 
     def sketches_of(self, table: str):
         """Registered secondary sketches of a table, by partition id."""
@@ -1004,8 +977,8 @@ class Catalog:
             self.storage.put(partition)
             self.metadata.register(table.name, partition.partition_id,
                                    partition.zone_map)
-            self._build_sketches(table.name, partition)
             new_ids.append(partition.partition_id)
+        self._build_sketches(table, partitions)
         if new_ids:
             self._bump_version(table)
         if not in_order:
@@ -1261,13 +1234,12 @@ class Catalog:
             self.storage.delete(old.partition_id)
             self.metadata.unregister(table.name, old.partition_id)
             removed_ids.append(old.partition_id)
-        cache = self._sketch_build_cache(added, table.schema)
         for new in added:
             table.add_partition(new)
             self.storage.put(new)
             self.metadata.register(table.name, new.partition_id,
                                    new.zone_map)
-            self._build_sketches(table.name, new, cache)
+        self._build_sketches(table, added)
         if self.predicate_cache is not None:
             if kind == "delete":
                 columns = ()  # surviving rows are unchanged

@@ -40,7 +40,7 @@ from .sketches import (
     SketchConfig,
     SketchIndex,
     SketchPruner,
-    build_partition_sketches,
+    build_sketches,
     compile_sketch_probes,
     is_sketch_prunable,
 )
@@ -70,7 +70,7 @@ __all__ = [
     "SketchConfig",
     "SketchIndex",
     "SketchPruner",
-    "build_partition_sketches",
+    "build_sketches",
     "compile_sketch_probes",
     "is_sketch_prunable",
 ]

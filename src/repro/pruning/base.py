@@ -95,11 +95,6 @@ class ScanSet:
         return entries
 
     @property
-    def degraded(self) -> bool:
-        """True when any entry lost its metadata to a failure."""
-        return bool(self.degraded_ids)
-
-    @property
     def partition_ids(self) -> list[int]:
         entries = self._entries
         if entries is None:

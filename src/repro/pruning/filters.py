@@ -27,9 +27,11 @@ _FNV_PRIME = 0x100000001B3
 
 #: seed offset of the fingerprint hash (position hash: the seed itself)
 _FP_SEED = 0x5BF0
-#: key sets up to this size peel over plain Python ints: such filters
-#: are dominated by fixed numpy call overhead (~2x slower there)
-_SMALL_KEYS = 512
+#: seeds tried before a key set is declared unpeelable
+_MAX_SEEDS = 64
+#: fewer filters than this peel one after another in Python: a numpy
+#: step over every filter costs about as much as 20 Python pops
+_SIDE_BY_SIDE = 32
 
 
 def _canonical_bytes(value: Any) -> bytes:
@@ -119,7 +121,7 @@ def _hash64_batch_multi(values: list,
 
 def _xor_hashes(keys: list, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Every key's position hash and non-zero 8-bit fingerprint under
-    ``seed`` — what a build and the seed-0 build cache both store."""
+    ``seed``."""
     h, fp = _hash64_batch_multi(keys, (seed, seed ^ _FP_SEED))
     fp = (fp & np.uint64(0xFF)).astype(np.uint8)
     fp[fp == 0] = 1
@@ -133,36 +135,71 @@ class XorFilter:
     three hash positions; a different seed is retried on (rare) peel
     failures. Every key ends up satisfying ``table[p0] ^ table[p1] ^
     table[p2] == fingerprint``, which is all :meth:`might_contain` and
-    the vectorized n-gram lanes test; *which* of the valid tables a
-    build picks depends on peel order and carries no meaning.
+    the vectorized n-gram lanes test.
 
-    ``cache`` (a :class:`~repro.pruning.sketches.SketchBuildCache`)
-    memoizes the seed-0 hashes across the filters of one build batch,
-    whose key sets largely repeat.
+    ``XorFilter(values)`` is a batch of one: :meth:`batch` builds many
+    filters in one hashing pass and one peel.
     """
 
-    def __init__(self, values: Iterable[Any], cache=None):
-        self.keys = list(dict.fromkeys(
-            v for v in values if v is not None))
-        self.segment = max(32, int(1.23 * len(self.keys)) + 32) // 3
-        self.size = self.segment * 3
-        self.seed = 0
-        self.table = np.zeros(self.size, dtype=np.uint8)
-        if not self.keys:
-            return
-        peel = (_peel_small if len(self.keys) <= _SMALL_KEYS
-                else _peel_rounds)
-        for seed in range(64):
-            if seed == 0 and cache is not None:
-                h, fp = cache.xor_hashes(self.keys)
-            else:
-                h, fp = _xor_hashes(self.keys, seed)
-            table = peel(h, fp, self.segment)
-            if table is not None:
-                self.seed, self.table = seed, table
-                return
-        raise RuntimeError(
-            "xor filter construction failed")  # pragma: no cover
+    def __init__(self, values: Iterable[Any]):
+        keys = list(dict.fromkeys(v for v in values if v is not None))
+        [built] = XorFilter.batch(keys, np.arange(len(keys)),
+                                  np.zeros(len(keys), dtype=np.int64), 1)
+        vars(self).update(vars(built))
+
+    @classmethod
+    def batch(cls, keys: list, key_of: np.ndarray, filter_of: np.ndarray,
+              count: int) -> list["XorFilter"]:
+        """``count`` filters; entry ``i`` puts ``keys[key_of[i]]`` into
+        filter ``filter_of[i]`` (no key twice in one filter).
+
+        All filters peel in one pass (:func:`_peel_stack`), their
+        tables side by side, and each gets the table a build of its own
+        gives it. Filters that fail retry together at the next seed.
+        """
+        sizes = np.bincount(filter_of, minlength=count)
+        segments = ((1.23 * sizes).astype(np.int64) + 32) // 3
+        offsets = np.concatenate(([0], np.cumsum(3 * segments)))
+        table = np.zeros(int(offsets[-1]), dtype=np.uint8)
+        seeds = np.zeros(count, dtype=np.int64)
+        pending = sizes > 0
+        for seed in range(_MAX_SEEDS):
+            entries = np.flatnonzero(pending[filter_of])
+            if not len(entries):
+                break
+            # Hash each key the pending filters hold once, then gather.
+            used = np.zeros(len(keys), dtype=bool)
+            used[key_of[entries]] = True
+            h, fp = _xor_hashes(
+                [keys[k] for k in np.flatnonzero(used).tolist()], seed)
+            at = (np.cumsum(used) - 1)[key_of[entries]]
+            owner = filter_of[entries]
+            h, fp, segment = h[at], fp[at], segments[owner]
+            pos = np.empty((len(entries), 3), dtype=np.int64)
+            for j, shift in enumerate((0, 21, 42)):
+                pos[:, j] = offsets[owner] + j * segment + (
+                    (h >> np.uint64(shift)) % segment.astype(np.uint64)
+                ).astype(np.int64)
+            attempt = np.zeros(len(table), dtype=np.uint8)
+            peeled = _peel_stack(pos, fp, owner, attempt)
+            failed = np.bincount(owner[~peeled], minlength=count) > 0
+            done = pending & ~failed
+            keep = np.repeat(done, 3 * segments)
+            table[keep] = attempt[keep]
+            seeds[done] = seed
+            pending &= failed
+        if pending.any():
+            raise RuntimeError(
+                "xor filter construction failed")  # pragma: no cover
+        filters = []
+        for size, seed, segment, part in zip(
+                sizes.tolist(), seeds.tolist(), segments.tolist(),
+                np.split(table, offsets[1:-1])):
+            built = cls.__new__(cls)
+            built.count, built.seed, built.segment = size, seed, segment
+            built.size, built.table = 3 * segment, part
+            filters.append(built)
+        return filters
 
     def _positions(self, value: Any, seed: int) -> tuple[int, int, int]:
         h = _hash64(value, seed)
@@ -187,7 +224,7 @@ class XorFilter:
         """Range probe by enumerating small integer ranges; for
         non-integer or wide ranges a membership filter cannot answer
         and must say "maybe"."""
-        if not self.keys:
+        if not self.count:
             return False
         if (isinstance(lo, (int, np.integer))
                 and isinstance(hi, (int, np.integer))
@@ -196,104 +233,120 @@ class XorFilter:
                        for v in range(int(lo), int(hi) + 1))
         return True
 
-    @property
-    def count(self) -> int:
-        return len(self.keys)
-
     def nbytes(self) -> int:
         return self.size
 
 
-def _peel_small(h: np.ndarray, fp: np.ndarray,
-                segment: int) -> np.ndarray | None:
-    """Stack-based peel over plain Python ints; None if it fails.
-
-    Identical position/fingerprint math to :func:`_peel_rounds`.
-    """
-    fp, seg = fp.tolist(), segment
-    key_pos = [(hv % seg, seg + ((hv >> 21) % seg),
-                2 * seg + ((hv >> 42) % seg)) for hv in h.tolist()]
-    cnt = [0] * (3 * seg)
-    acc = [0] * (3 * seg)
-    for ki, (a, b, c) in enumerate(key_pos):
-        cnt[a] += 1
-        cnt[b] += 1
-        cnt[c] += 1
-        acc[a] += ki
-        acc[b] += ki
-        acc[c] += ki
-    stack = [i for i, count in enumerate(cnt) if count == 1]
-    order: list[tuple[int, int]] = []
-    while stack:
-        position = stack.pop()
-        if cnt[position] != 1:
-            continue
-        ki = acc[position]
-        order.append((ki, position))
-        for p in key_pos[ki]:
-            cnt[p] -= 1
-            acc[p] -= ki
-            if cnt[p] == 1:
-                stack.append(p)
-    if len(order) != len(key_pos):
-        return None  # rare peel failure; retry with the next seed
-    table = [0] * (3 * seg)
-    for ki, position in reversed(order):
-        a, b, c = key_pos[ki]
-        table[position] = (fp[ki] ^ table[a] ^ table[b]
-                           ^ table[c] ^ table[position]) & 0xFF
-    return np.asarray(table, dtype=np.uint8)
-
-
-def _peel_rounds(h: np.ndarray, fp: np.ndarray,
-                 segment: int) -> np.ndarray | None:
-    """Linear count/sum hypergraph peel in numpy rounds; None if it
-    fails."""
-    n, size, seg = len(h), 3 * segment, np.uint64(segment)
-    pos = np.empty((n, 3), dtype=np.int64)
-    pos[:, 0] = (h % seg).astype(np.int64)
-    pos[:, 1] = segment + ((h >> np.uint64(21)) % seg).astype(np.int64)
-    pos[:, 2] = 2 * segment \
-        + ((h >> np.uint64(42)) % seg).astype(np.int64)
+def _counts(pos: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per table slot, how many keys hash there and the sum of their
+    indices: once a slot's count drops to 1, the sum IS the remaining
+    key's index. (bincount with weights scatters every key at once;
+    indices stay exact in float64, as n << 2**53.)"""
     flat = pos.ravel()
-    # Sum of key indices per position: once a position's count
-    # drops to 1, the sum IS the remaining key's index.
-    cnt = np.bincount(flat, minlength=size)
-    # bincount-with-weights is a much faster scatter-add than
-    # np.add.at; key indices stay exact in float64 (n << 2**53).
-    acc = np.bincount(
-        flat, weights=np.repeat(np.arange(n, dtype=np.float64), 3),
-        minlength=size).astype(np.int64)
-    # Round-based peeling: resolve every singleton position of a
-    # round at once. Two same-round keys can never occupy each
-    # other's singleton position (its count is exactly 1), so the
-    # per-round resolution order is irrelevant and both the peel
-    # and the later assignment stay fully vectorized.
-    rounds: list[tuple[np.ndarray, np.ndarray]] = []
-    peeled = 0
-    while peeled < n:
-        singles = np.flatnonzero(cnt == 1)
-        if len(singles) == 0:
-            return None  # rare peel failure; retry with the next seed
-        # One assignment slot per key, deduped by scatter (a key
-        # with two singleton positions may take either one; the
-        # loser's count drops to 0 with the subtraction below).
-        slot = np.full(n, -1, dtype=np.int64)
-        slot[acc[singles]] = singles
-        keys_u = np.flatnonzero(slot != -1)
-        pos_u = slot[keys_u]
-        rounds.append((keys_u, pos_u))
-        peeled += len(keys_u)
-        gone = pos[keys_u].ravel()
-        cnt -= np.bincount(gone, minlength=size)
-        acc -= np.bincount(
-            gone,
-            weights=np.repeat(keys_u.astype(np.float64), 3),
-            minlength=size).astype(np.int64)
-    table = np.zeros(size, dtype=np.uint8)
-    for keys_u, pos_u in reversed(rounds):
-        kp = pos[keys_u]
-        table[pos_u] = (fp[keys_u] ^ table[kp[:, 0]]
-                        ^ table[kp[:, 1]] ^ table[kp[:, 2]]
-                        ^ table[pos_u])
-    return table
+    return (np.bincount(flat, minlength=size),
+            np.bincount(flat, weights=np.repeat(
+                np.arange(len(pos), dtype=np.float64), 3),
+                minlength=size).astype(np.int64))
+
+
+def _peel_stack(pos: np.ndarray, fp: np.ndarray, owner: np.ndarray,
+                table: np.ndarray) -> np.ndarray:
+    """Depth-first peel of many filters; fills their slices of
+    ``table`` and returns which keys peeled.
+
+    Key ``i`` of filter ``owner[i]`` hashes to slots ``pos[i]``. Each
+    filter runs the classic stack peel: its single-key slots pushed in
+    ascending order, the top popped, a slot a peel leaves with one key
+    pushed. A batch of many filters advances them side by side in
+    numpy, a few one after another in Python; either way each filter
+    peels exactly as it would alone.
+    """
+    if not len(pos):
+        return np.zeros(0, dtype=bool)
+    cnt, acc = _counts(pos, len(table))
+    filters, home = np.unique(owner, return_inverse=True)
+    if len(filters) < _SIDE_BY_SIDE:
+        return _peel_in_turn(pos, fp, cnt, acc, table)
+    return _peel_side_by_side(pos, fp, home, len(filters), cnt, acc, table)
+
+
+def _peel_in_turn(pos: np.ndarray, fp: np.ndarray, cnt: np.ndarray,
+                  acc: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The stack peel over plain Python ints. The filters' slots are
+    disjoint and one stack holds them all in ascending order, so it
+    peels the filters one after another, last first."""
+    slots = pos.tolist()
+    stack = np.flatnonzero(cnt == 1).tolist()
+    cnt, acc = cnt.tolist(), acc.tolist()
+    order = []
+    while stack:
+        slot = stack.pop()
+        if cnt[slot] != 1:
+            continue
+        key = acc[slot]
+        order.append((key, slot))
+        for hit in slots[key]:
+            cnt[hit] -= 1
+            acc[hit] -= key
+            if cnt[hit] == 1:
+                stack.append(hit)
+    values: dict[int, int] = {}
+    fp = fp.tolist()
+    for key, slot in reversed(order):
+        a, b, c = slots[key]
+        values[slot] = (fp[key] ^ values.get(a, 0) ^ values.get(b, 0)
+                        ^ values.get(c, 0) ^ values.get(slot, 0))
+    table[list(values)] = list(values.values())
+    peeled = np.zeros(len(pos), dtype=bool)
+    peeled[[key for key, _ in order]] = True
+    return peeled
+
+
+def _peel_side_by_side(pos: np.ndarray, fp: np.ndarray, home: np.ndarray,
+                       filters: int, cnt: np.ndarray, acc: np.ndarray,
+                       table: np.ndarray) -> np.ndarray:
+    """The stack peel of every filter at once (key ``i`` belongs to
+    filter ``home[i]`` of ``filters``): each numpy step pops one slot
+    of every filter whose stack is not empty."""
+    # A slot is pushed at most once (its count reaches 1 once), so a
+    # filter's stack fits in the span of its slots: stack and table
+    # share one layout.
+    base = np.full(filters, len(table))
+    np.minimum.at(base, home, pos[:, 0])
+    home_of = np.empty(len(table), dtype=np.int64)
+    home_of[pos.ravel()] = np.repeat(home, 3)
+    stack = np.empty(len(table), dtype=np.int64)
+    singles = np.flatnonzero(cnt == 1)
+    first = home_of[singles]
+    depth = np.bincount(first, minlength=filters)
+    stack[base[first] + np.arange(len(singles))
+          - (np.cumsum(depth) - depth)[first]] = singles
+    # The stacks still holding slots: where each starts, one past its top.
+    low = base[depth > 0]
+    top = low + depth[depth > 0]
+    steps: list[tuple[np.ndarray, np.ndarray]] = []
+    while len(top):
+        top -= 1
+        slot = stack[top]
+        single = cnt[slot] == 1
+        slot = slot[single]
+        keys = acc[slot]
+        steps.append((keys, slot))
+        hit = pos[keys]
+        left = cnt[hit] - 1
+        cnt[hit] = left
+        acc[hit] -= keys[:, None]
+        fresh = left == 1
+        pushed = fresh.cumsum(axis=1)
+        stack[(top[single][:, None] + pushed - 1)[fresh]] = hit[fresh]
+        top[single] += pushed[:, 2]
+        alive = top > low
+        if not alive.all():
+            low, top = low[alive], top[alive]
+    peeled = np.zeros(len(pos), dtype=bool)
+    for keys, slot in reversed(steps):
+        hit = pos[keys]
+        table[slot] = (fp[keys] ^ table[hit[:, 0]] ^ table[hit[:, 1]]
+                       ^ table[hit[:, 2]] ^ table[slot])
+        peeled[keys] = True
+    return peeled

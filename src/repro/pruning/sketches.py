@@ -5,8 +5,9 @@ Min/max zone maps cannot prune "hostile" predicates: substring
 as MAYBE, and a low-cardinality ``=`` / ``IN`` literal that happens to
 fall inside a wide [min, max] range is equally invisible (§3.1's
 imprecise-rewrite gap). This module adds three pluggable secondary
-sketches, built per micro-partition at build/recluster time and
-registered in the metadata store alongside the zone maps:
+sketches, built per micro-partition at build/recluster time (a batch
+of partitions at a time, :func:`build_sketches`) and registered in the
+metadata store alongside the zone maps:
 
 * :class:`NGramSketch` — an n-gram (default 3-gram) membership filter
   over a VARCHAR column, backed by the from-scratch
@@ -39,21 +40,19 @@ from __future__ import annotations
 
 import datetime
 import re
-import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ..expr import ast
-from ..types import DataType, Schema
+from ..types import DataType, Schema, days_to_date
 from .base import PruneCategory, PruningResult, ScanSet
 from .filters import (
     XorFilter,
     _hash64,
     _FP_SEED,
     _hash64_batch,
-    _xor_hashes,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -62,6 +61,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: seed for dictionary-sketch value hashes (shared by the scalar
 #: probes and the vectorized lanes, which must agree exactly)
 _DICT_SEED = 0x53_4B_45_54  # "SKET"
+
+#: the largest product of digits a gram sort key word holds (int64)
+_WORD = 2**62
 
 #: sentinel for a literal that provably cannot equal any column value
 #: (e.g. a non-integral float against an INTEGER column)
@@ -119,180 +121,6 @@ def ngrams_of(text: str, n: int) -> set[str]:
     return {text[i:i + n] for i in range(len(text) - n + 1)}
 
 
-def _unique_ngrams_packed(blob: str, n: int) -> Iterable[str]:
-    """Distinct n-grams of ``blob`` that contain no NUL character.
-
-    Every code point fits in 21 bits, so an n-gram with ``n <= 3``
-    packs into one uint64; windows collapse to unique grams via
-    ``np.unique`` in C instead of a Python slice-per-window set
-    comprehension. NUL-containing windows (the bulk-path separators)
-    are masked out before uniquing, which is exactly the separator
-    filter of the scalar path.
-    """
-    codes = np.frombuffer(
-        blob.encode("utf-32-le", "surrogatepass"),
-        dtype=np.uint32).astype(np.uint64)
-    count = len(codes) - n + 1
-    packed = codes[:count].copy()
-    ok = codes[:count] != 0
-    for j in range(1, n):
-        window = codes[j:count + j]
-        packed |= window << np.uint64(21 * j)
-        ok &= window != 0
-    unique = np.unique(packed[ok])
-    matrix = np.empty((len(unique), n), dtype=np.uint32)
-    for j in range(n):
-        matrix[:, j] = ((unique >> np.uint64(21 * j))
-                        & np.uint64(0x1FFFFF)).astype(np.uint32)
-    decoded = matrix.tobytes().decode("utf-32-le", "surrogatepass")
-    return (decoded[i:i + n] for i in range(0, n * len(unique), n))
-
-
-class SketchBuildCache:
-    """Cross-partition memo of seed-0 gram hashes for one build batch.
-
-    A table's partitions share most of their n-grams, so when many
-    partitions are sketched together (table creation, recluster,
-    ``enable_sketches``) only the first occurrence of a gram pays the
-    hash cost. Seed 0 is the only seed worth caching: xor-filter
-    peeling at seed 0 almost never fails, and retries re-hash anyway.
-    """
-
-    __slots__ = ("h", "fp", "dh", "grams")
-
-    def __init__(self):
-        self.h: dict[str, int] = {}
-        self.fp: dict[str, int] = {}
-        self.dh: dict[Any, int] = {}
-        #: (partition_id, column) -> that partition's distinct gram
-        #: list, produced by :meth:`prewarm_ngrams`.
-        self.grams: dict[tuple[int, str], list[str]] = {}
-
-    def ensure(self, grams: list) -> None:
-        missing = [g for g in grams if g not in self.h]
-        if not missing:
-            return
-        hash_arr, print_arr = _xor_hashes(missing, 0)
-        for gram, hv, fpv in zip(missing, hash_arr.tolist(),
-                                 print_arr.tolist()):
-            self.h[gram] = hv
-            self.fp[gram] = fpv
-
-    def xor_hashes(self, keys: list) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`~repro.pruning.filters._xor_hashes` at seed 0,
-        served from the memo."""
-        self.ensure(keys)
-        n = len(keys)
-        return (np.fromiter((self.h[k] for k in keys),
-                            dtype=np.uint64, count=n),
-                np.fromiter((self.fp[k] for k in keys),
-                            dtype=np.uint8, count=n))
-
-    def prewarm_ngrams(self, partitions, schema,
-                       config: SketchConfig) -> None:
-        """Extract and hash every VARCHAR column's n-grams for a whole
-        batch of partitions in one vectorized sweep.
-
-        One encode + window-pack per column (all partitions
-        concatenated), per-partition ``np.unique`` over packed-int
-        slices, one batched hash over the union of grams. Results land
-        in :attr:`grams` / :attr:`h` / :attr:`fp`;
-        :func:`build_partition_sketches` consumes them and any
-        partition not prewarmed (NUL-bearing values, ``n`` too large
-        for packing) falls back to the per-partition path unchanged.
-        """
-        n = config.ngram_size
-        if not 1 <= n * 21 <= 64:
-            return
-        from ..types import DataType
-
-        wanted = set(config.columns) if config.columns else None
-        sep = "\x00" * (n - 1)
-        zero = np.uint64(0)
-        all_packed: list[np.ndarray] = []
-        per_key: list[tuple[tuple[int, str], np.ndarray]] = []
-        for field in schema.fields:
-            if field.dtype != DataType.VARCHAR:
-                continue
-            if wanted is not None and field.name not in wanted:
-                continue
-            blobs: list[str] = []
-            keys: list[tuple[int, str]] = []
-            for part in partitions:
-                values = part.column(field.name).to_pylist()
-                pending = [v for v in values if v is not None]
-                if any("\x00" in v for v in pending):
-                    continue  # legitimate NUL grams: per-value path
-                blobs.append(sep.join(pending))
-                keys.append((part.partition_id, field.name))
-            if not blobs:
-                continue
-            mega = sep.join(blobs)
-            codes = np.frombuffer(
-                mega.encode("utf-32-le", "surrogatepass"),
-                dtype=np.uint32).astype(np.uint64)
-            count = max(0, len(codes) - n + 1)
-            packed = codes[:count].copy()
-            ok = codes[:count] != zero
-            for j in range(1, n):
-                window = codes[j:count + j]
-                packed |= window << np.uint64(21 * j)
-                ok &= window != zero
-            offset = 0
-            for blob, key in zip(blobs, keys):
-                # Windows starting past len(blob)-n span into the
-                # next partition's blob; they all contain a separator
-                # and the ok-mask drops them, but slicing them out
-                # keeps each partition's windows exact.
-                span = len(blob) - n + 1
-                if span <= 0:
-                    per_key.append((key, packed[:0]))
-                else:
-                    lo = offset
-                    window_slice = packed[lo:lo + span]
-                    unique = np.unique(
-                        window_slice[ok[lo:lo + span]])
-                    per_key.append((key, unique))
-                    all_packed.append(unique)
-                offset += len(blob) + n - 1
-        if not per_key:
-            return
-        # Decode + hash the union of grams once for the whole batch.
-        union = np.unique(np.concatenate(all_packed)) \
-            if all_packed else np.zeros(0, dtype=np.uint64)
-        matrix = np.empty((len(union), n), dtype=np.uint32)
-        for j in range(n):
-            matrix[:, j] = ((union >> np.uint64(21 * j))
-                            & np.uint64(0x1FFFFF)).astype(np.uint32)
-        decoded = matrix.tobytes().decode("utf-32-le", "surrogatepass")
-        gram_strs = [decoded[i:i + n]
-                     for i in range(0, n * len(union), n)]
-        self.ensure(gram_strs)
-        for key, unique in per_key:
-            indexes = np.searchsorted(union, unique)
-            self.grams[key] = [gram_strs[i] for i in indexes]
-
-    def dict_hashes(self, members: list) -> np.ndarray:
-        """Seed-``_DICT_SEED`` hashes of normalized dictionary
-        members, memoized across a table's partitions (low-cardinality
-        columns repeat the same members everywhere).
-
-        Keys carry the member's class: ``True == 1 == 1.0`` would
-        otherwise share one dict slot despite hashing to different
-        canonical byte strings.
-        """
-        keyed = [(m.__class__, m) for m in members]
-        missing = [k for k in keyed if k not in self.dh]
-        if missing:
-            for key, hv in zip(
-                    missing,
-                    _hash64_batch([k[1] for k in missing],
-                                  _DICT_SEED).tolist()):
-                self.dh[key] = hv
-        return np.fromiter((self.dh[k] for k in keyed),
-                           dtype=np.uint64, count=len(keyed))
-
-
 class NGramSketch:
     """Membership filter over a column's n-grams.
 
@@ -308,46 +136,6 @@ class NGramSketch:
     def __init__(self, n: int, membership_filter: XorFilter):
         self.n = n
         self.filter = membership_filter
-
-    @classmethod
-    def build(cls, values: Iterable[str | None], config: SketchConfig,
-              cache: SketchBuildCache | None = None,
-              precomputed: list[str] | None = None
-              ) -> "NGramSketch | None":
-        n = config.ngram_size
-        limit = config.max_ngrams
-        if precomputed is not None:
-            # Gram list produced by SketchBuildCache.prewarm_ngrams
-            # over this exact partition's values.
-            if len(precomputed) > limit:
-                return None  # too distinct to bound; fail open
-            return cls(n, XorFilter(sorted(precomputed), cache))
-        grams: set[str] = set()
-        # Bulk path: join the values with an n-1 NUL separator and
-        # slice once — a length-n window can never span two values
-        # without containing a separator char. Values that themselves
-        # contain NUL take the per-value path so their legitimate
-        # NUL-bearing grams are not filtered out.
-        pending: list[str] = []
-        for value in values:
-            if value is None:
-                continue
-            if "\x00" in value:
-                grams |= ngrams_of(value, n)
-            else:
-                pending.append(value)
-        if pending:
-            blob = ("\x00" * (n - 1)).join(pending)
-            if len(blob) >= n:
-                if 1 <= n * 21 <= 64:
-                    grams.update(_unique_ngrams_packed(blob, n))
-                else:
-                    raw = {blob[i:i + n]
-                           for i in range(len(blob) - n + 1)}
-                    grams.update(g for g in raw if "\x00" not in g)
-        if len(grams) > limit:
-            return None  # too distinct to bound; fail open
-        return cls(n, XorFilter(sorted(grams), cache))
 
     def might_match_runs(self, runs: Iterable[str]) -> bool:
         """Could a value containing every literal run exist here?"""
@@ -373,39 +161,6 @@ class DictionarySketch:
 
     def __init__(self, hashes: np.ndarray):
         self.hashes = hashes  # sorted uint64
-
-    @classmethod
-    def build(cls, values: Iterable[Any], dtype: DataType,
-              config: SketchConfig,
-              cache: SketchBuildCache | None = None
-              ) -> "DictionarySketch | None":
-        raw = set(values)  # dedup at C speed before normalizing
-        raw.discard(None)
-        limit = config.dictionary_max_entries
-        if dtype == DataType.VARCHAR and len(raw) > limit:
-            # Normalization is the identity on str, so it can never
-            # merge VARCHAR values under the limit — bail before
-            # normalizing thousands of distinct strings.
-            return None
-        if (dtype == DataType.DOUBLE and len(raw) > limit + 1
-                and all(type(v) is float for v in raw)):
-            # Distinct floats only ever merge -0.0 into 0.0, so the
-            # normalized count is at least len(raw) - 1.
-            return None
-        distinct: set[Any] = set()
-        for value in raw:
-            normalized = normalize_member(value, dtype)
-            if normalized is None or normalized is _IMPOSSIBLE:
-                return None  # un-normalizable stored value; fail open
-            distinct.add(normalized)
-            if len(distinct) > limit:
-                return None
-        members = list(distinct)
-        if cache is not None:
-            hashes = np.sort(cache.dict_hashes(members))
-        else:
-            hashes = np.sort(_hash64_batch(members, _DICT_SEED))
-        return cls(hashes)
 
     def might_contain(self, normalized: Any) -> bool:
         target = np.uint64(_hash64(normalized, _DICT_SEED))
@@ -433,28 +188,6 @@ class HistogramSketch:
         self.width = width
         self.counts = counts  # int64 occupancy per bucket
 
-    @classmethod
-    def build(cls, values: Iterable[Any],
-              config: SketchConfig) -> "HistogramSketch | None":
-        present = [float(v) for v in values if v is not None]
-        if not present:
-            return cls(0.0, 0.0, 0.0, np.zeros(1, dtype=np.int64))
-        arr = np.asarray(present, dtype=np.float64)
-        if not np.isfinite(arr).all():
-            return None  # NaN/inf break bucket math; fail open
-        lo = float(arr.min())
-        hi = float(arr.max())
-        buckets = max(1, config.histogram_buckets)
-        width = (hi - lo) / buckets
-        counts = np.zeros(buckets, dtype=np.int64)
-        if width > 0.0:
-            idx = ((arr - lo) / width).astype(np.int64)
-            np.clip(idx, 0, buckets - 1, out=idx)
-        else:
-            idx = np.zeros(len(arr), dtype=np.int64)
-        np.add.at(counts, idx, 1)
-        return cls(lo, hi, width, counts)
-
     def might_contain(self, value: float) -> bool:
         if not self.counts.any():
             return False  # all-NULL column: equality is never TRUE
@@ -478,8 +211,6 @@ class PartitionSketches:
     ngram: dict[str, NGramSketch] = field(default_factory=dict)
     dictionary: dict[str, DictionarySketch] = field(default_factory=dict)
     histogram: dict[str, HistogramSketch] = field(default_factory=dict)
-    #: wall-clock milliseconds spent building (overhead accounting)
-    build_ms: float = 0.0
 
     def is_empty(self) -> bool:
         return not (self.ngram or self.dictionary or self.histogram)
@@ -551,42 +282,252 @@ def normalize_member(value: Any, dtype: DataType) -> Any:
     return None
 
 
-def build_partition_sketches(partition: "MicroPartition",
-                             config: SketchConfig,
-                             cache: SketchBuildCache | None = None
-                             ) -> PartitionSketches:
-    """Build every configured sketch for one micro-partition.
+# ---------------------------------------------------------------------------
+# Building: one pass per column over a whole batch of partitions
+# ---------------------------------------------------------------------------
+def build_sketches(partitions: Sequence["MicroPartition"], schema: Schema,
+                   config: SketchConfig) -> dict[int, PartitionSketches]:
+    """Every configured sketch of a batch of micro-partitions, by
+    partition id.
 
-    Pass one :class:`SketchBuildCache` across a batch of partitions
-    (table creation, recluster, ``enable_sketches``) to hash each
-    distinct n-gram only once for the whole batch.
+    Each column is one pass over the batch: its n-grams are cut,
+    deduped per partition and hashed once for the batch, and all of its
+    xor filters peel together (:meth:`XorFilter.batch`); dictionary
+    members are normalised and hashed once per distinct value; the
+    histograms bucket every row at once.
     """
-    started = time.perf_counter()
-    sketches = PartitionSketches()
+    built = {p.partition_id: PartitionSketches() for p in partitions}
+    if not partitions:
+        return built
     wanted = (None if config.columns is None
               else {c.lower() for c in config.columns})
-    for column_field in partition.schema:
-        name = column_field.name
+    for column_field in schema:
+        name, dtype = column_field.name, column_field.dtype
         if wanted is not None and name not in wanted:
             continue
-        values = partition.column(name).to_pylist()
-        if column_field.dtype == DataType.VARCHAR:
-            precomputed = None if cache is None else cache.grams.pop(
-                (partition.partition_id, name), None)
-            ngram = NGramSketch.build(values, config, cache,
-                                      precomputed)
-            if ngram is not None:
-                sketches.ngram[name] = ngram
-        dictionary = DictionarySketch.build(values, column_field.dtype,
-                                            config, cache)
-        if dictionary is not None:
-            sketches.dictionary[name] = dictionary
-        if column_field.dtype.is_numeric:
-            histogram = HistogramSketch.build(values, config)
-            if histogram is not None:
-                sketches.histogram[name] = histogram
-    sketches.build_ms = (time.perf_counter() - started) * 1000.0
-    return sketches
+        columns = [p.column(name) for p in partitions]
+        present = ~np.concatenate([c.nulls for c in columns])
+        values = np.concatenate([c.values for c in columns])[present]
+        owner = np.repeat(np.arange(len(columns)),
+                          [len(c) for c in columns])[present]
+        if dtype == DataType.VARCHAR:
+            for sketches, sketch in zip(built.values(), _ngram_sketches(
+                    values.tolist(), owner, len(columns), config)):
+                if sketch is not None:
+                    sketches.ngram[name] = sketch
+        for sketches, sketch in zip(built.values(), _dictionary_sketches(
+                values, owner, len(columns), dtype,
+                config.dictionary_max_entries)):
+            if sketch is not None:
+                sketches.dictionary[name] = sketch
+        if dtype.is_numeric:
+            for sketches, sketch in zip(built.values(), _histogram_sketches(
+                    values.astype(np.float64), owner, len(columns),
+                    max(1, config.histogram_buckets))):
+                if sketch is not None:
+                    sketches.histogram[name] = sketch
+    return built
+
+
+def _changed(column: np.ndarray) -> np.ndarray:
+    """True where a sorted column differs from the entry before it."""
+    out = np.ones(len(column), dtype=bool)
+    np.not_equal(column[1:], column[:-1], out=out[1:])
+    return out
+
+
+def _windows(texts: list[str], owner: np.ndarray, n: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Which length-``n`` windows of ``texts`` joined are grams, and
+    each gram's partition (``owner[i]`` is that of ``texts[i]``).
+
+    A window is a gram when it lies inside one value: its first and
+    last characters have the same value id.
+    """
+    lengths = np.fromiter(map(len, texts), dtype=np.int64,
+                          count=len(texts))
+    value_of = np.repeat(np.arange(len(texts), dtype=np.int32), lengths)
+    count = max(0, len(value_of) - n + 1)
+    valid = value_of[:count] == value_of[n - 1:]
+    return valid, owner.astype(np.int32)[value_of[:count][valid]]
+
+
+def _char_ranks(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted code points of ``texts`` joined, and each
+    character's rank among them."""
+    # One code point per character, lone surrogates included.
+    codes = np.frombuffer("".join(texts).encode("utf-32-le",
+                                                "surrogatepass"),
+                          dtype=np.uint32)
+    seen = np.zeros(int(codes.max()) + 1, dtype=bool)
+    seen[codes] = True
+    return (np.flatnonzero(seen).astype(np.uint32),
+            (np.cumsum(seen, dtype=np.int32) - 1)[codes])
+
+
+def _gram_keys(texts: list[str], owner: np.ndarray, n: int, parts: int
+               ) -> tuple[np.ndarray, list[range], list[np.ndarray]] | None:
+    """Sort keys of every gram of ``texts``: its characters' ranks as
+    base-``radix`` digits, packed into as few int64 words as hold them
+    (``groups`` says which characters each word holds), the partition
+    last. Most columns need one word, so one sort dedupes the pairs.
+    Returns the alphabet, the groups and the words; None when no value
+    is ``n`` characters long."""
+    valid, part = _windows(texts, owner, n)
+    if not len(part):
+        return None
+    alphabet, rank = _char_ranks(texts)
+    radix, held = len(alphabet), 1
+    while held < n and radix ** (held + 1) <= _WORD:
+        held += 1
+    groups = [range(lo, min(lo + held, n)) for lo in range(0, n, held)]
+    words = []
+    for group in groups:
+        word = rank[group[0]:len(valid) + group[0]][valid].astype(np.int64)
+        for j in group[1:]:
+            word *= radix
+            word += rank[j:len(valid) + j][valid]
+        words.append(word)
+    if radix ** len(groups[-1]) > _WORD // parts:
+        groups.append(range(0))
+        words.append(np.zeros(len(part), dtype=np.int64))
+    words[-1] *= parts
+    words[-1] += part
+    return alphabet, groups, words
+
+
+def _gram_pairs(texts: list[str], owner: np.ndarray, n: int, parts: int
+                ) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The distinct (partition, n-gram) pairs of a column's values.
+
+    ``owner[i]`` is the partition of ``texts[i]``. Returns the distinct
+    grams of the batch and, per pair, its gram index and partition.
+    """
+    keys = _gram_keys(texts, owner, n, parts)
+    if keys is None:
+        return [], np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    alphabet, groups, words = keys
+    if len(words) == 1:
+        words[0].sort()
+    else:
+        order = np.lexsort(words[::-1])
+        words = [word[order] for word in words]
+    digits = words[:-1] + [words[-1] // parts]
+    new_gram = _changed(digits[0])
+    for word in digits[1:]:
+        new_gram |= _changed(word)
+    pairs = np.flatnonzero(new_gram | _changed(words[-1]))
+    # Decode each distinct gram from its digits, once for the batch.
+    matrix = np.empty((int(new_gram.sum()), n), dtype=np.int64)
+    for group, word in zip(groups, digits):
+        value = word[new_gram]
+        for j in reversed(group):
+            value, matrix[:, j] = np.divmod(value, len(alphabet))
+    decoded = alphabet[matrix].tobytes().decode("utf-32-le",
+                                                "surrogatepass")
+    return ([decoded[i:i + n] for i in range(0, len(decoded), n)],
+            np.cumsum(new_gram[pairs]) - 1, words[-1][pairs] % parts)
+
+
+def _ngram_sketches(texts: list[str], owner: np.ndarray, parts: int,
+                    config: SketchConfig) -> list[NGramSketch | None]:
+    """Per partition, its n-gram filter; None past ``max_ngrams`` (too
+    distinct to bound: fail open)."""
+    n, limit = config.ngram_size, config.max_ngrams
+    grams, gram_of, part_of = _gram_pairs(texts, owner, n, parts)
+    sizes = np.bincount(part_of, minlength=parts)
+    keep = sizes[part_of] <= limit
+    filters = XorFilter.batch(grams, gram_of[keep], part_of[keep], parts)
+    return [NGramSketch(n, xor) if size <= limit else None
+            for xor, size in zip(filters, sizes.tolist())]
+
+
+def _factorize(values: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct values (Python scalars) of ``values`` and each
+    row's index among them, under Python's equality: ``-0.0`` is
+    ``0.0`` and each NaN row is a value of its own (NaN equals
+    nothing)."""
+    if values.dtype == object:
+        items = values.tolist()
+        distinct = list(dict.fromkeys(items))
+        return distinct, np.fromiter(
+            map(dict(zip(distinct, range(len(distinct)))).__getitem__,
+                items), dtype=np.int64, count=len(items))
+    unique, value_id = np.unique(values, return_inverse=True)
+    distinct = unique.tolist()
+    nan = np.flatnonzero(values != values)
+    value_id[nan] = len(distinct) + np.arange(len(nan))
+    return distinct + values[nan].tolist(), value_id
+
+
+def _dictionary_sketches(values: np.ndarray, owner: np.ndarray,
+                         parts: int, dtype: DataType,
+                         limit: int) -> list[DictionarySketch | None]:
+    """Per partition, its dictionary; None past ``limit`` distinct
+    members or with a value :func:`normalize_member` cannot place.
+
+    Distinct values are Python's: ``-0.0`` is ``0.0``, and each NaN
+    row is a member of its own (NaN equals nothing).
+    """
+    distinct, value_id = _factorize(values)
+    width = max(1, len(distinct))
+    pairs = np.sort(owner * width + value_id)
+    part_of, value_of = np.divmod(pairs[_changed(pairs)], width)
+    eligible = np.bincount(part_of, minlength=parts) <= limit
+    kept = eligible[part_of]
+    part_of, value_of = part_of[kept], value_of[kept]
+    # Normalise and hash each member some dictionary needs, once.
+    needed = np.zeros(len(distinct), dtype=bool)
+    needed[value_of] = True
+    ids = np.flatnonzero(needed)
+    members = [normalize_member(
+        days_to_date(distinct[i]) if dtype == DataType.DATE
+        else distinct[i], dtype) for i in ids.tolist()]
+    placed = np.zeros(len(distinct), dtype=bool)
+    placed[ids] = [member is not None and member is not _IMPOSSIBLE
+                   for member in members]
+    hashes = np.zeros(len(distinct), dtype=np.uint64)
+    hashes[placed] = _hash64_batch(
+        [member for member, ok in zip(members, placed[ids]) if ok],
+        _DICT_SEED)
+    eligible &= np.bincount(part_of[~placed[value_of]],
+                            minlength=parts) == 0
+    member_hashes = hashes[value_of]
+    order = np.lexsort((member_hashes, part_of))
+    per_part = np.split(member_hashes[order], np.cumsum(
+        np.bincount(part_of, minlength=parts))[:-1])
+    return [DictionarySketch(h) if ok else None
+            for h, ok in zip(per_part, eligible.tolist())]
+
+
+def _histogram_sketches(values: np.ndarray, owner: np.ndarray, parts: int,
+                        buckets: int) -> list[HistogramSketch | None]:
+    """Per partition, its equi-width histogram; None when a value is
+    NaN or infinite (bucket math breaks: fail open)."""
+    rows = np.bincount(owner, minlength=parts)
+    usable = np.bincount(owner[~np.isfinite(values)], minlength=parts) == 0
+    filled = np.flatnonzero(rows)
+    lo, hi = np.zeros(parts), np.zeros(parts)
+    if len(filled):
+        starts = (np.cumsum(rows) - rows)[filled]
+        lo[filled] = np.minimum.reduceat(values, starts)
+        hi[filled] = np.maximum.reduceat(values, starts)
+    with np.errstate(invalid="ignore", over="ignore"):
+        width = (hi - lo) / buckets
+        spread = width[owner] > 0.0
+        index = ((values - lo[owner])
+                 / np.where(spread, width[owner], 1.0)).astype(np.int64)
+    index[~spread] = 0
+    np.clip(index, 0, buckets - 1, out=index)
+    counts = np.bincount(owner * buckets + index,
+                         minlength=parts * buckets).reshape(parts, buckets)
+    return [
+        None if not ok
+        else HistogramSketch(low, high, step, row) if size
+        else HistogramSketch(0.0, 0.0, 0.0, np.zeros(1, dtype=np.int64))
+        for ok, size, low, high, step, row in zip(
+            usable.tolist(), rows.tolist(), lo.tolist(), hi.tolist(),
+            width.tolist(), counts)]
 
 
 # ---------------------------------------------------------------------------

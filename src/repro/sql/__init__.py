@@ -19,7 +19,7 @@ plus partition-pruned DML::
 """
 
 from .lexer import tokenize, Token
-from .normalize import is_select, normalize_sql, referenced_tables
+from .normalize import normalize_sql, referenced_tables
 from .parser import (
     DeleteStmt,
     SelectStmt,
@@ -31,7 +31,7 @@ from .planner import plan_select
 
 __all__ = ["tokenize", "Token", "parse_select", "parse_statement",
            "SelectStmt", "DeleteStmt", "UpdateStmt", "plan_select",
-           "normalize_sql", "referenced_tables", "is_select"]
+           "normalize_sql", "referenced_tables"]
 
 
 def parse_sql(text: str) -> SelectStmt:

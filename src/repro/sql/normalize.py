@@ -19,7 +19,7 @@ from __future__ import annotations
 from .lexer import tokenize
 from .parser import SelectStmt, parse_statement
 
-__all__ = ["normalize_sql", "referenced_tables", "is_select"]
+__all__ = ["normalize_sql", "referenced_tables"]
 
 
 def normalize_sql(text: str) -> str:
@@ -62,9 +62,3 @@ def referenced_tables(statement) -> tuple[str, ...]:
     else:
         names = [stmt.table]
     return tuple(sorted({name.lower() for name in names}))
-
-
-def is_select(text: str) -> bool:
-    """True when the statement is a SELECT (cacheable, shared-lock);
-    False for DML (DELETE/UPDATE: never cached, exclusive-lock)."""
-    return isinstance(parse_statement(text), SelectStmt)

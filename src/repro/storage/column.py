@@ -222,13 +222,11 @@ class Column:
 
     def nbytes(self) -> int:
         """Approximate in-memory size, used by the storage cost model
-        (computed once: a VARCHAR column walks every value for it)."""
+        (computed once): a VARCHAR column counts the code points of its
+        non-NULL values plus one per row."""
         if self._nbytes is None:
             if self.dtype == DataType.VARCHAR:
-                payload = sum(
-                    len(v) for v, is_null in zip(self.values, self.nulls)
-                    if not is_null
-                )
+                payload = sum(map(len, self.values[~self.nulls].tolist()))
                 self._nbytes = payload + len(self)  # + per-row offsets
             else:
                 self._nbytes = (int(self.values.nbytes)

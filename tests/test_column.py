@@ -143,3 +143,21 @@ class TestSizes:
     def test_varchar_nbytes_counts_payload(self):
         col = Column.from_pylist(DataType.VARCHAR, ["abc", None, "x"])
         assert col.nbytes() == 4 + 3
+
+    @pytest.mark.parametrize("items", [
+        [],
+        [None, None],
+        ["", None, ""],
+        ["a\ud800b", "\udfff", None, "ok"],
+        ["x\x00", "\x00\x00", None, "é\x00"],
+        ["\U0010ffff", "ＡＢＣ", "", None],
+    ])
+    def test_varchar_nbytes_is_code_points_plus_one_per_row(self, items):
+        col = Column.from_pylist(DataType.VARCHAR, items)
+        assert col.nbytes() == (
+            sum(len(v) for v in items if v is not None) + len(items))
+        # what sits under a NULL slot is never counted
+        masked = Column(DataType.VARCHAR, np.array(
+            ["padding"] * len(items), dtype=object),
+            np.ones(len(items), dtype=bool))
+        assert masked.nbytes() == len(items)

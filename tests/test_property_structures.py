@@ -18,7 +18,6 @@ from repro.pruning.pruning_tree import PruningTree, TreeConfig
 from repro.pruning.sketches import (
     NGramSketch,
     PartitionSketches,
-    SketchBuildCache,
     _NGramLane,
 )
 from repro.storage.builder import build_table
@@ -26,6 +25,8 @@ from repro.storage.column import Column
 from repro.storage.micropartition import MicroPartition
 from repro.storage.zonemap import truncate_string_stats
 from repro.types import DataType, Schema
+
+from sketch_reference import reference_xor
 
 SCHEMA = Schema.of(a=DataType.INTEGER, b=DataType.INTEGER)
 
@@ -102,8 +103,6 @@ def test_scan_set_serialization_roundtrip(ids):
        filler=st.sampled_from([0, 200, 508, 512, 516, 900]),
        absent=st.lists(st.text(min_size=3, max_size=3), max_size=20))
 def test_xor_no_false_negatives_and_lane_agrees(values, filler, absent):
-    # ``filler`` puts the distinct-key count on both sides of the
-    # 512-key boundary between the plain-int and the numpy peel.
     keys = (values + list(range(2 * 10**9, 2 * 10**9 + filler))
             + values[:5])
     xor = XorFilter(keys)
@@ -111,10 +110,20 @@ def test_xor_no_false_negatives_and_lane_agrees(values, filler, absent):
     assert not xor.might_contain(None)
     for key in keys:
         assert key is None or xor.might_contain(key)
-    # seed-0 hashes served by a build cache give the very same filter
-    cached = XorFilter(keys, SketchBuildCache())
-    assert cached.seed == xor.seed
-    assert np.array_equal(cached.table, xor.table)
+    # peeled alone by the reference, the key set gets the same filter
+    reference = reference_xor(keys)
+    assert (reference.seed, reference.segment) == (xor.seed, xor.segment)
+    assert np.array_equal(reference.table, xor.table)
+    # a batch of filters gives each the very table it gets alone
+    distinct = list(dict.fromkeys(k for k in keys if k is not None))
+    half = len(distinct) // 2
+    batch = XorFilter.batch(
+        distinct, np.arange(len(distinct)),
+        (np.arange(len(distinct)) >= half).astype(np.int64), 2)
+    for built, part in zip(batch, (distinct[:half], distinct[half:])):
+        alone = XorFilter(part)
+        assert (built.seed, built.segment) == (alone.seed, alone.segment)
+        assert np.array_equal(built.table, alone.table)
     # the vectorized n-gram lane answers as the scalar probe does,
     # for present and absent grams alike
     lane = _NGramLane(
@@ -123,6 +132,27 @@ def test_xor_no_false_negatives_and_lane_agrees(values, filler, absent):
     grams = [k for k in keys if isinstance(k, str) and len(k) == 3]
     for gram in grams + absent:
         assert bool(lane.probe((gram,))[0]) == xor.might_contain(gram)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sets=st.lists(st.lists(st.integers(-50, 10**6), max_size=60),
+                     min_size=32, max_size=45))
+def test_xor_batch_peels_side_by_side_as_alone(sets):
+    """A batch of 32 or more filters peels them side by side in numpy
+    steps; each still gets the filter the reference peel gives it
+    alone, seed, segment and table."""
+    keys = sorted({k for keys in sets for k in keys})
+    index = {k: i for i, k in enumerate(keys)}
+    entries = [(index[k], f) for f, members in enumerate(sets)
+               for k in dict.fromkeys(members)]
+    key_of, filter_of = (np.array([e[j] for e in entries], dtype=np.int64)
+                         for j in (0, 1))
+    batch = XorFilter.batch(keys, key_of, filter_of, len(sets))
+    for built, members in zip(batch, sets):
+        reference = reference_xor(members)
+        assert (built.seed, built.segment, built.count) \
+            == (reference.seed, reference.segment, reference.count)
+        assert np.array_equal(built.table, reference.table)
 
 
 @settings(max_examples=200, deadline=None)

@@ -29,7 +29,7 @@ from repro.service import (
     ResultCache,
     WarehousePool,
 )
-from repro.sql import is_select, normalize_sql, referenced_tables
+from repro.sql import normalize_sql, referenced_tables
 
 from conftest import make_events_rows
 
@@ -73,11 +73,6 @@ class TestNormalize:
             "SELECT * FROM Big JOIN dim AS d ON fk = d.key "
             "WHERE d.attr = 'x'") == ("big", "dim")
         assert referenced_tables("DELETE FROM T WHERE x = 1") == ("t",)
-
-    def test_is_select(self):
-        assert is_select("SELECT 1 FROM t") is True
-        assert is_select("DELETE FROM t") is False
-        assert is_select("UPDATE t SET x = 1") is False
 
 
 # ----------------------------------------------------------------------

@@ -24,20 +24,19 @@ from repro.expr.eval import evaluate_predicate
 from repro.pruning import ScanSet
 from repro.pruning.sketches import (
     _IMPOSSIBLE,
-    DictionarySketch,
-    HistogramSketch,
-    NGramSketch,
     SketchConfig,
     SketchIndex,
     SketchPruner,
-    build_partition_sketches,
+    build_sketches,
     compile_sketch_probes,
     is_sketch_prunable,
     normalize_member,
 )
+from repro.storage.micropartition import MicroPartition
 from repro.types import DataType, Field, Schema
 
 from faults import METADATA, FaultInjector, FaultSpec, install_faults
+from sketch_reference import build_partition_sketches
 
 SCHEMA = Schema([Field("s", DataType.VARCHAR),
                  Field("k", DataType.INTEGER),
@@ -157,49 +156,59 @@ def sql_safe(needle: str) -> bool:
     return "'" not in needle and "\\" not in needle
 
 
+def sketches_of(values, dtype, config=SketchConfig()):
+    """The sketches :func:`build_sketches` gives one partition whose
+    column ``c`` holds ``values``."""
+    schema = Schema([Field("c", dtype)])
+    partition = MicroPartition.from_rows(schema, [[v] for v in values])
+    return build_sketches([partition], schema,
+                          config)[partition.partition_id]
+
+
 class TestUnitSketches:
     def test_ngram_no_false_negatives(self):
         values = ["hello world", "héllo", None, "", "ab"]
-        sketch = NGramSketch.build(values, SketchConfig())
+        sketch = sketches_of(values, DataType.VARCHAR).ngram["c"]
         for value in values:
             if value:
                 assert sketch.might_match_runs([value])
         assert not sketch.might_match_runs(["zzz"])
 
     def test_ngram_all_null_column_rejects(self):
-        sketch = NGramSketch.build([None, None], SketchConfig())
+        sketch = sketches_of([None, None], DataType.VARCHAR).ngram["c"]
         # CONTAINS over an all-NULL column is NULL everywhere: a
         # needle-bearing probe must prune, which is sound.
         assert not sketch.might_match_runs(["abc"])
 
     def test_ngram_too_distinct_fails_open(self):
         values = [f"unique-string-{i:06d}" for i in range(2000)]
-        assert NGramSketch.build(
-            values, SketchConfig(max_ngrams=64)) is None
+        assert "c" not in sketches_of(
+            values, DataType.VARCHAR, SketchConfig(max_ngrams=64)).ngram
 
     def test_dictionary_membership(self):
-        sketch = DictionarySketch.build(
-            [1, 2, 3, None], DataType.INTEGER, SketchConfig())
+        sketch = sketches_of([1, 2, 3, None],
+                             DataType.INTEGER).dictionary["c"]
         for v in (1, 2, 3):
             assert sketch.might_contain(v)
         assert not sketch.might_contain(99)
 
     def test_dictionary_overflow_fails_open(self):
-        assert DictionarySketch.build(
+        assert "c" not in sketches_of(
             list(range(100)), DataType.INTEGER,
-            SketchConfig(dictionary_max_entries=16)) is None
+            SketchConfig(dictionary_max_entries=16)).dictionary
 
     def test_histogram_occupancy(self):
-        sketch = HistogramSketch.build(
-            [0.0, 1.0, 100.0], SketchConfig(histogram_buckets=10))
+        sketch = sketches_of([0.0, 1.0, 100.0], DataType.DOUBLE,
+                             SketchConfig(histogram_buckets=10)
+                             ).histogram["c"]
         for v in (0.0, 1.0, 100.0):
             assert sketch.might_contain(v)
         assert not sketch.might_contain(-5.0)
         assert not sketch.might_contain(50.0)  # empty middle bucket
 
     def test_histogram_nan_fails_open(self):
-        assert HistogramSketch.build(
-            [1.0, float("nan")], SketchConfig()) is None
+        assert "c" not in sketches_of([1.0, float("nan")],
+                                      DataType.DOUBLE).histogram
 
     def test_normalize_negative_zero(self):
         # -0.0 == 0.0 must hash identically for DOUBLE dictionaries.
@@ -599,9 +608,9 @@ class TestArrayPass:
             if fate == "drop":
                 del sketches[partition.partition_id]
             elif fate == "bigram":
-                sketches[partition.partition_id] = build_partition_sketches(
-                    partition, SketchConfig(ngram_size=2,
-                                            dictionary_max_entries=4))
+                sketches.update(build_sketches(
+                    [partition], SCHEMA,
+                    SketchConfig(ngram_size=2, dictionary_max_entries=4)))
         index = data.draw(st.sampled_from(
             ["none", "same", "catalog", "partial", "empty"]))
         index = {
@@ -760,3 +769,216 @@ class TestPersistenceRoundTrip:
             assert freeze(got.rows) == freeze(want.rows)
             assert len(got.profile.scans[0].sketch_result
                        .pruned_ids) == pruned
+
+
+def frozen(sketches):
+    """A partition's sketches as comparable bytes: filter seed,
+    segment and table, dictionary hashes, histogram floats and
+    counts."""
+    return (
+        {c: (s.n, s.filter.seed, s.filter.segment, s.filter.count,
+             s.filter.table.tobytes()) for c, s in sketches.ngram.items()},
+        {c: s.hashes.tobytes() for c, s in sketches.dictionary.items()},
+        {c: (np.array([s.lo, s.hi, s.width]).tobytes(), s.counts.dtype,
+             s.counts.tobytes()) for c, s in sketches.histogram.items()})
+
+
+class TestBatchBuilder:
+    """:func:`build_sketches` builds a batch in one pass per column;
+    ``tests/sketch_reference.py`` is the per-partition builder it
+    replaced. Over the adversarial pools (NUL-bearing strings, lone
+    surrogates, ``-0.0`` / ``0.0``, NaN, ints stored in a DOUBLE
+    column, all-NULL and empty partitions), every n-gram size and
+    small limits, both give each partition the same sketch kinds, the
+    same xor seed, segment and table, the same dictionary members and
+    bit-identical histograms, and the batch's filters hold every gram."""
+
+    WIDE = Schema([Field("s", DataType.VARCHAR),
+                   Field("k", DataType.INTEGER),
+                   Field("v", DataType.DOUBLE),
+                   Field("b", DataType.BOOLEAN),
+                   Field("d", DataType.DATE)])
+    TEXTS = st.one_of(
+        NASTY, st.none(),
+        st.sampled_from(["a\x00b", "\x00", "ab\x00\x00", "x\x00yz\x00",
+                         "a\ud800b", "\udfff", "𐀀", "ab\ud800"]),
+        st.text(alphabet="ab\x00\ud800", max_size=8))
+    ROWS = st.tuples(
+        TEXTS,
+        st.one_of(st.none(), st.integers(-3, 3),
+                  st.sampled_from([2**63 - 1, -2**63, 2**53 + 1])),
+        st.one_of(st.none(), st.integers(-3, 3), st.floats(),
+                  st.sampled_from([-0.0, 0.0, float("nan"), 1e308,
+                                   -1e308])),
+        st.one_of(st.none(), st.booleans()),
+        st.one_of(st.none(), st.dates()))
+    CONFIGS = st.builds(
+        SketchConfig,
+        ngram_size=st.sampled_from([2, 3, 4]),
+        max_ngrams=st.sampled_from([3, 20, 8192]),
+        dictionary_max_entries=st.sampled_from([1, 3, 64]),
+        histogram_buckets=st.sampled_from([1, 5, 32]),
+        columns=st.sampled_from([None, ("s",), ("K", "v", "d"), ()]))
+
+    def _partitions(self, data):
+        batches = data.draw(st.lists(st.lists(self.ROWS, max_size=10),
+                                     min_size=1, max_size=6))
+        return [MicroPartition.from_rows(self.WIDE, [list(r) for r in rows])
+                for rows in batches]
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_partition_reference(self, data):
+        config = data.draw(self.CONFIGS)
+        partitions = self._partitions(data)
+        built = build_sketches(partitions, self.WIDE, config)
+        assert list(built) == [p.partition_id for p in partitions]
+        for partition in partitions:
+            got = built[partition.partition_id]
+            want = build_partition_sketches(partition, config)
+            assert set(got.ngram) == set(want.ngram)
+            assert set(got.dictionary) == set(want.dictionary)
+            assert set(got.histogram) == set(want.histogram)
+            for column, sketch in got.ngram.items():
+                xor, ref = sketch.filter, want.ngram[column].filter
+                assert (xor.seed, xor.segment, xor.count) \
+                    == (ref.seed, ref.segment, ref.count)
+                assert np.array_equal(xor.table, ref.table)
+                for value in partition.column(column).to_pylist():
+                    if value is not None:
+                        assert sketch.might_match_runs([value])
+            for column, sketch in got.dictionary.items():
+                hashes = sketch.hashes.tolist()
+                assert hashes == sorted(hashes)
+                assert set(hashes) == set(
+                    want.dictionary[column].hashes.tolist())
+            assert frozen(got)[2] == frozen(want)[2]
+
+    @pytest.mark.parametrize("word", [40, 400, 5000])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_grams_past_one_sort_word(self, word, data):
+        """A gram whose digits and partition overflow one int64 sort
+        word takes several: shrink the word so small batches do."""
+        import repro.pruning.sketches as sketches_module
+
+        config = SketchConfig(ngram_size=data.draw(st.sampled_from([2, 3])),
+                              columns=("s",))
+        partitions = self._partitions(data)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sketches_module, "_WORD", word)
+            built = build_sketches(partitions, self.WIDE, config)
+        for partition in partitions:
+            assert frozen(built[partition.partition_id]) == frozen(
+                build_partition_sketches(partition, config))
+
+    @pytest.mark.parametrize("limit", [1, 2, 3])
+    def test_each_nan_row_is_a_member(self, limit):
+        """Python's set semantics, kept: NaN equals nothing, so every
+        NaN row counts against ``dictionary_max_entries``."""
+        schema = Schema([Field("v", DataType.DOUBLE)])
+        config = SketchConfig(dictionary_max_entries=limit)
+        partition = MicroPartition.from_rows(
+            schema, [[float("nan")], [float("nan")], [1.0], [None]])
+        got = build_sketches([partition], schema, config)
+        want = build_partition_sketches(partition, config)
+        assert set(got[partition.partition_id].dictionary) \
+            == set(want.dictionary) == ({"v"} if limit >= 3 else set())
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_batch_alone_and_insert_agree(self, data):
+        """One batch, one partition at a time, and a table built then
+        grown by an insert give identical sketches."""
+        config = data.draw(self.CONFIGS)
+        partitions = self._partitions(data)
+        batch = build_sketches(partitions, self.WIDE, config)
+        for partition in partitions:
+            alone = build_sketches([partition], self.WIDE, config)
+            assert frozen(alone[partition.partition_id]) \
+                == frozen(batch[partition.partition_id])
+        rows = [row for p in partitions for row in p.to_rows()]
+        if not rows:
+            return
+        split = data.draw(st.integers(0, len(rows)))
+        catalog = Catalog(rows_per_partition=3)
+        catalog.enable_sketches(config)
+        catalog.create_table_from_rows("t", self.WIDE, rows[:split])
+        if split < len(rows):
+            catalog.insert("t", rows[split:])
+        table = catalog.tables["t"].partitions
+        whole = build_sketches(table, self.WIDE, config)
+        registered = catalog.sketches_of("t")
+        assert catalog.sketch_build_failures == 0
+        for partition in table:
+            sketches = whole[partition.partition_id]
+            if sketches.is_empty():
+                assert partition.partition_id not in registered
+            else:
+                assert frozen(registered[partition.partition_id]) \
+                    == frozen(sketches)
+
+    def test_failing_batch_fails_open(self, monkeypatch):
+        """A batch whose build raises registers no sketches, counts
+        each of its partitions as a failure and changes no result."""
+        import repro.pruning.sketches as sketches_module
+
+        rows = [[f"word-{i % 4}", i % 6, float(i)] for i in range(24)]
+        sketched, plain = build_pair(rows)
+        before = set(sketched.sketches_of("t"))
+
+        def broken(*args):
+            raise ValueError("injected")
+
+        monkeypatch.setattr(sketches_module, "_histogram_sketches", broken)
+        sketched.insert("t", rows[:10])
+        plain.insert("t", rows[:10])
+        assert sketched.sketch_build_failures == 3
+        assert set(sketched.sketches_of("t")) == before
+        assert_equivalent(sketched, plain,
+                          "SELECT * FROM t WHERE CONTAINS(s, 'word-1')")
+
+
+class TestSketchAuditVolume:
+    """Thousands of sketch NEVER verdicts through ``Catalog.sql``, each
+    checked against the partition's rows by the autouse
+    ``verdict_audit`` fixture of ``tests/conftest.py``."""
+
+    def test_thousands_of_sketch_verdicts_hold(self):
+        import random
+
+        import conftest
+
+        rng = random.Random(41)
+        markers = [f"mk{i:02d}" for i in range(30)]
+        pool = NASTY_FIXED + ["a\x00b", "x\x00", "a\ud800b", "\udfff",
+                              "ab\ud800"]
+        rows = []
+        for p in range(300):
+            # Anchors spread every partition's zone maps over the
+            # whole domain, so the sketches decide.
+            rows.append(["", -10**6, -1e9])
+            rows.append(["\U0010ffff" * 3, 10**6, 1e9])
+            for _ in range(2):
+                text = (rng.choice(pool) + markers[p % 30]
+                        + rng.choice(pool))
+                rows.append([text, p % 37, rng.choice([-0.0, 0.5, p])])
+        catalog = Catalog(rows_per_partition=4)
+        catalog.create_table_from_rows("t", SCHEMA, rows)
+        catalog.enable_sketches(SketchConfig(dictionary_max_entries=8))
+        before = conftest.AUDITED["sketch NEVER"]
+        statements = []
+        for marker in markers[::2]:
+            statements += [
+                f"SELECT * FROM t WHERE CONTAINS(s, '{marker}')",
+                f"SELECT * FROM t WHERE s LIKE '%{marker}%'",
+            ]
+        for k in range(0, 37, 3):
+            statements += [f"SELECT * FROM t WHERE k = {k}",
+                           f"SELECT * FROM t WHERE k IN ({k}, {k + 40})"]
+        statements += ["SELECT * FROM t WHERE CONTAINS(s, 'a\x00b')",
+                       "SELECT * FROM t WHERE CONTAINS(s, 'a\ud800b')",
+                       "SELECT * FROM t WHERE s = 'abc'"]
+        for sql in statements:
+            catalog.sql(sql)
+        assert conftest.AUDITED["sketch NEVER"] - before >= 5000

@@ -17,7 +17,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 #: the most lines ``src/`` may hold
-CEILING = 21303
+CEILING = 21256
 
 
 def count_lines(root: Path) -> int:
