@@ -29,9 +29,6 @@ _FNV_PRIME = 0x100000001B3
 _FP_SEED = 0x5BF0
 #: seeds tried before a key set is declared unpeelable
 _MAX_SEEDS = 64
-#: fewer filters than this peel one after another in Python: a numpy
-#: step over every filter costs about as much as 20 Python pops
-_SIDE_BY_SIDE = 32
 
 
 def _canonical_bytes(value: Any) -> bytes:
@@ -181,7 +178,7 @@ class XorFilter:
                     (h >> np.uint64(shift)) % segment.astype(np.uint64)
                 ).astype(np.int64)
             attempt = np.zeros(len(table), dtype=np.uint8)
-            peeled = _peel_stack(pos, fp, owner, attempt)
+            peeled = _peel_stack(pos, fp, owner, count, attempt)
             failed = np.bincount(owner[~peeled], minlength=count) > 0
             done = pending & ~failed
             keep = np.repeat(done, 3 * segments)
@@ -250,103 +247,58 @@ def _counts(pos: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _peel_stack(pos: np.ndarray, fp: np.ndarray, owner: np.ndarray,
-                table: np.ndarray) -> np.ndarray:
+                filters: int, table: np.ndarray) -> np.ndarray:
     """Depth-first peel of many filters; fills their slices of
     ``table`` and returns which keys peeled.
 
-    Key ``i`` of filter ``owner[i]`` hashes to slots ``pos[i]``. Each
-    filter runs the classic stack peel: its single-key slots pushed in
-    ascending order, the top popped, a slot a peel leaves with one key
-    pushed. A batch of many filters advances them side by side in
-    numpy, a few one after another in Python; either way each filter
-    peels exactly as it would alone.
+    Key ``i`` of filter ``owner[i]`` (of ``filters``) hashes to slots
+    ``pos[i]``. Each filter runs the classic stack peel: its single-key
+    slots pushed in ascending order, the top popped, a slot a peel
+    leaves with one key pushed. The filters advance side by side, each
+    numpy step popping one slot of every filter whose stack is not
+    empty, so each filter peels exactly as it would alone.
     """
-    if not len(pos):
-        return np.zeros(0, dtype=bool)
     cnt, acc = _counts(pos, len(table))
-    filters, home = np.unique(owner, return_inverse=True)
-    if len(filters) < _SIDE_BY_SIDE:
-        return _peel_in_turn(pos, fp, cnt, acc, table)
-    return _peel_side_by_side(pos, fp, home, len(filters), cnt, acc, table)
-
-
-def _peel_in_turn(pos: np.ndarray, fp: np.ndarray, cnt: np.ndarray,
-                  acc: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """The stack peel over plain Python ints. The filters' slots are
-    disjoint and one stack holds them all in ascending order, so it
-    peels the filters one after another, last first."""
-    slots = pos.tolist()
-    stack = np.flatnonzero(cnt == 1).tolist()
-    cnt, acc = cnt.tolist(), acc.tolist()
-    order = []
-    while stack:
-        slot = stack.pop()
-        if cnt[slot] != 1:
-            continue
-        key = acc[slot]
-        order.append((key, slot))
-        for hit in slots[key]:
-            cnt[hit] -= 1
-            acc[hit] -= key
-            if cnt[hit] == 1:
-                stack.append(hit)
-    values: dict[int, int] = {}
-    fp = fp.tolist()
-    for key, slot in reversed(order):
-        a, b, c = slots[key]
-        values[slot] = (fp[key] ^ values.get(a, 0) ^ values.get(b, 0)
-                        ^ values.get(c, 0) ^ values.get(slot, 0))
-    table[list(values)] = list(values.values())
-    peeled = np.zeros(len(pos), dtype=bool)
-    peeled[[key for key, _ in order]] = True
-    return peeled
-
-
-def _peel_side_by_side(pos: np.ndarray, fp: np.ndarray, home: np.ndarray,
-                       filters: int, cnt: np.ndarray, acc: np.ndarray,
-                       table: np.ndarray) -> np.ndarray:
-    """The stack peel of every filter at once (key ``i`` belongs to
-    filter ``home[i]`` of ``filters``): each numpy step pops one slot
-    of every filter whose stack is not empty."""
     # A slot is pushed at most once (its count reaches 1 once), so a
     # filter's stack fits in the span of its slots: stack and table
     # share one layout.
     base = np.full(filters, len(table))
-    np.minimum.at(base, home, pos[:, 0])
-    home_of = np.empty(len(table), dtype=np.int64)
-    home_of[pos.ravel()] = np.repeat(home, 3)
+    np.minimum.at(base, owner, pos[:, 0])
+    owner_of = np.empty(len(table), dtype=np.int64)
+    owner_of[pos.ravel()] = np.repeat(owner, 3)
     stack = np.empty(len(table), dtype=np.int64)
     singles = np.flatnonzero(cnt == 1)
-    first = home_of[singles]
+    first = owner_of[singles]
     depth = np.bincount(first, minlength=filters)
     stack[base[first] + np.arange(len(singles))
           - (np.cumsum(depth) - depth)[first]] = singles
     # The stacks still holding slots: where each starts, one past its top.
     low = base[depth > 0]
     top = low + depth[depth > 0]
-    steps: list[tuple[np.ndarray, np.ndarray]] = []
+    steps: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     while len(top):
         top -= 1
         slot = stack[top]
         single = cnt[slot] == 1
         slot = slot[single]
         keys = acc[slot]
-        steps.append((keys, slot))
         hit = pos[keys]
+        steps.append((keys, slot, hit))
         left = cnt[hit] - 1
         cnt[hit] = left
         acc[hit] -= keys[:, None]
         fresh = left == 1
         pushed = fresh.cumsum(axis=1)
-        stack[(top[single][:, None] + pushed - 1)[fresh]] = hit[fresh]
-        top[single] += pushed[:, 2]
+        at = top[single]
+        stack[(at[:, None] + pushed - 1)[fresh]] = hit[fresh]
+        top[single] = at + pushed[:, 2]
         alive = top > low
         if not alive.all():
             low, top = low[alive], top[alive]
+    # Assign in reverse pop order: each key popped later has set its
+    # slot by then, and this key's own slot still holds 0.
     peeled = np.zeros(len(pos), dtype=bool)
-    for keys, slot in reversed(steps):
-        hit = pos[keys]
-        table[slot] = (fp[keys] ^ table[hit[:, 0]] ^ table[hit[:, 1]]
-                       ^ table[hit[:, 2]] ^ table[slot])
+    for keys, slot, hit in reversed(steps):
+        table[slot] = fp[keys] ^ np.bitwise_xor.reduce(table[hit], axis=1)
         peeled[keys] = True
     return peeled

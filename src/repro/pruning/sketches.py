@@ -359,10 +359,18 @@ def _char_ranks(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     codes = np.frombuffer("".join(texts).encode("utf-32-le",
                                                 "surrogatepass"),
                           dtype=np.uint32)
-    seen = np.zeros(int(codes.max()) + 1, dtype=bool)
-    seen[codes] = True
-    return (np.flatnonzero(seen).astype(np.uint32),
-            (np.cumsum(seen, dtype=np.int32) - 1)[codes])
+    # Ranks are counted only over the 1024-code blocks that occur, so
+    # the work follows the input, not the largest code point.
+    block = codes >> 10
+    used = np.zeros(0x110000 >> 10, dtype=bool)
+    used[block] = True
+    shift = (np.arange(len(used)) - np.cumsum(used) + 1) << 10
+    slot = codes - shift[block]
+    seen = np.zeros(int(used.sum()) << 10, dtype=bool)
+    seen[slot] = True
+    at = np.flatnonzero(seen)
+    return ((at + shift[np.flatnonzero(used)][at >> 10]).astype(np.uint32),
+            (np.cumsum(seen, dtype=np.int32) - 1)[slot])
 
 
 def _gram_keys(texts: list[str], owner: np.ndarray, n: int, parts: int

@@ -801,7 +801,8 @@ class TestBatchBuilder:
     TEXTS = st.one_of(
         NASTY, st.none(),
         st.sampled_from(["a\x00b", "\x00", "ab\x00\x00", "x\x00yz\x00",
-                         "a\ud800b", "\udfff", "𐀀", "ab\ud800"]),
+                         "a\ud800b", "\udfff", "𐀀", "ab\ud800",
+                         "\u03ff\u0400\U0010fffd", "\u07ff\U0010fffdz"]),
         st.text(alphabet="ab\x00\ud800", max_size=8))
     ROWS = st.tuples(
         TEXTS,
