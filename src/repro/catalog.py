@@ -601,16 +601,17 @@ class Catalog:
     def sql(self, text: str,
             options: CompilerOptions | None = None,
             cache: PartitionCache | None = None,
-            parsed=None) -> QueryResult:
+            parsed=None, pq=None) -> QueryResult:
         """Parse, plan, and execute one SELECT, DELETE, or UPDATE.
 
         DML statements return a single-row result with the number of
         affected rows; their profile records the partition pruning the
         DML benefited from (§7's flow covers DML too). ``cache``
         overrides the catalog-wide data cache for this statement
-        (per-warehouse-cluster caches). ``parsed`` lets callers that
-        already hold the parsed statement (the service layer's hot
-        path) skip the re-parse; it must be the parse of ``text``.
+        (per-warehouse-cluster caches). ``parsed`` and ``pq`` let
+        callers that already hold the parsed statement or the
+        :class:`~repro.plancache.ParameterizedQuery` of ``text`` (the
+        service layer's hot path) skip the re-parse and the re-tokenize.
         """
         from .sql.parser import DeleteStmt, UpdateStmt, parse_statement
 
@@ -622,7 +623,7 @@ class Catalog:
         if self.plan_cache is not None and not isinstance(
                 stmt, (DeleteStmt, UpdateStmt)):
             result, stmt = self._sql_via_plan_cache(
-                text, options, cache, tracer, stmt)
+                text, options, cache, tracer, stmt, pq)
         if result is None:
             if stmt is None:
                 with _span(tracer, "parse"):
@@ -660,7 +661,7 @@ class Catalog:
                 pass  # unknown table: the planner raises the real error
         return cost.parse_cost_ms + cost.bind_column_cost_ms * width
 
-    def _sql_via_plan_cache(self, text, options, cache, tracer, stmt):
+    def _sql_via_plan_cache(self, text, options, cache, tracer, stmt, pq):
         """Serve one SELECT through the plan cache if possible.
 
         Returns ``(result, stmt)``: ``result`` is ``None`` when the
@@ -684,8 +685,9 @@ class Catalog:
 
         cost = self.storage.cost_model
         plan_cache = self.plan_cache
-        with _span(tracer, "parameterize"):
-            pq = parameterize_text(text)
+        if pq is None:
+            with _span(tracer, "parameterize"):
+                pq = parameterize_text(text)
         if not pq.is_select or plan_cache.is_uncacheable(pq.shape_key):
             return None, stmt
         entry = plan_cache.lookup(pq.shape_key)
@@ -716,7 +718,7 @@ class Catalog:
         # so a hit can never diverge from what a miss would return.
         if stmt is None:
             with _span(tracer, "parse"):
-                stmt = parse_statement(text)
+                stmt = parse_statement(text, pq.tokens)
         if not isinstance(stmt, SelectStmt):
             return None, stmt
         try:

@@ -27,14 +27,14 @@ whose slots misalign with the token stream.
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from ..errors import ParseError, PlanError, ReproError
 from ..expr import ast
 from ..plan import logical as L
 from ..sql.lexer import tokenize
-from ..sql.parser import AggCall, OrderItem, SelectItem, SelectStmt
+from ..sql.parser import AggCall, OrderItem, SelectItem, SelectStmt, _number
 from ..types import DataType, infer_type
 
 __all__ = [
@@ -80,18 +80,14 @@ class ParameterizedQuery:
     binds: tuple
     #: ``False`` for DELETE/UPDATE statements (never plan-cached).
     is_select: bool
+    #: the token list both were read from, for ``parse_statement``
+    tokens: list = field(default_factory=list, compare=False,
+                         repr=False)
 
     @property
     def cache_key(self) -> tuple:
         """Hashable composite key: shape + bound literals."""
         return (self.shape_key, self.binds)
-
-
-def _bind_number(text: str) -> int | float:
-    """Mirror the parser's literal conversion exactly."""
-    if "." in text or "e" in text or "E" in text:
-        return float(text)
-    return int(text)
 
 
 def parameterize_text(text: str) -> ParameterizedQuery:
@@ -114,12 +110,11 @@ def parameterize_text(text: str) -> ParameterizedQuery:
         if token.kind == "NUMBER":
             if prev_upper in _STRUCTURAL_KEYWORDS:
                 parts.append(token.value)
-            elif any(c in token.value for c in ".eE"):
-                parts.append(_MASK_FLOAT)
-                binds.append(_bind_number(token.value))
             else:
-                parts.append(_MASK_INT)
-                binds.append(_bind_number(token.value))
+                value = _number(token.value)  # as the parser converts it
+                parts.append(_MASK_FLOAT if isinstance(value, float)
+                             else _MASK_INT)
+                binds.append(value)
         elif token.kind == "STRING":
             if prev_upper == "DATE":
                 try:
@@ -137,9 +132,10 @@ def parameterize_text(text: str) -> ParameterizedQuery:
         else:
             parts.append(token.value)
         prev_upper = token.upper if token.kind == "IDENT" else ""
-    while parts and parts[-1] == ";":
+    if parts and parts[-1] == ";":  # the parser allows one
         parts.pop()
-    return ParameterizedQuery(" ".join(parts), tuple(binds), is_select)
+    return ParameterizedQuery(" ".join(parts), tuple(binds), is_select,
+                              tokens)
 
 
 # ----------------------------------------------------------------------

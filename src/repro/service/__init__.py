@@ -8,8 +8,8 @@ A thread-based, multi-tenant front end over a
 - :mod:`.admission` — per-cluster concurrency slots, bounded FIFO
   queueing, queue-wait timeouts, cooperative cancellation, and
   typed backpressure errors;
-- :mod:`.result_cache` — normalized-SQL result cache invalidated by
-  table version bumps;
+- :mod:`.result_cache` — result cache keyed on (shape, binds),
+  invalidated by table version bumps;
 - :mod:`.pool` — elastic multi-cluster warehouse pool (scale-out on
   queueing, scale-in when idle);
 - :mod:`.metrics` — thread-safe counters/histograms fed from each

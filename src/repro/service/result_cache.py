@@ -7,8 +7,9 @@ the statement's *(plan-shape key, bound-literal tuple)* pair (see
 normalize differently as text (``1.0`` vs ``1.00``) share one entry —
 with the normalized statement text (:mod:`repro.sql.normalize`) as a
 fallback key. An entry additionally pins the data **version** of
-every table the query read. A lookup only hits when each referenced table still has the
-version recorded at store time, so DML and reclustering invalidate
+every table the query read (:meth:`~ResultCache.tables` names them, so
+a lookup needs no parse). A lookup only hits when each table still has
+the version recorded at store time, so DML and reclustering invalidate
 results automatically — version-mismatched entries are evicted as
 stale the moment they are seen (and eagerly via
 :meth:`invalidate_table`, wired to the catalog's change listener).
@@ -39,10 +40,6 @@ class CacheStats:
     capacity_evictions: int = 0
     stores: int = 0
     invalidations: int = 0
-
-    @property
-    def hit_ratio(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
 
 
 @dataclass
@@ -75,13 +72,21 @@ class ResultCache:
         return len(self._entries)
 
     # ------------------------------------------------------------------
+    def tables(self, key: Hashable) -> tuple[str, ...]:
+        """Sorted names of the tables the entry under ``key`` read
+        (``()`` if none): whose versions :meth:`lookup` needs."""
+        with self._lock:
+            entry = self._entries.get(key)
+            return () if entry is None else tuple(entry.table_versions)
+
     def lookup(self, key: Hashable,
                current_versions: dict[str, int]) -> QueryResult | None:
         """The cached result, or None on miss/stale.
 
         ``current_versions`` must cover every table the statement
         references (version snapshot taken under the service's read
-        lock, so no DML can commit between the check and the return).
+        lock, so no DML can commit between the check and the return);
+        versions of another table set miss without evicting.
         """
         with self._lock:
             self.stats.lookups += 1
@@ -90,8 +95,9 @@ class ResultCache:
                 self.stats.misses += 1
                 return None
             if entry.table_versions != current_versions:
-                del self._entries[key]
-                self.stats.stale_evictions += 1
+                if entry.table_versions.keys() == current_versions.keys():
+                    del self._entries[key]
+                    self.stats.stale_evictions += 1
                 self.stats.misses += 1
                 return None
             self._entries.move_to_end(key)
@@ -125,7 +131,3 @@ class ResultCache:
                 del self._entries[key]
             self.stats.invalidations += len(doomed)
             return len(doomed)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()

@@ -36,7 +36,9 @@ from typing import Any
 from ..catalog import Catalog, QueryResult
 from ..errors import QueryTimeout, ReproError
 from ..obs.telemetry import TelemetryRecord
+from ..plancache.parameterize import parameterize_text
 from ..sql.normalize import normalize_sql, referenced_tables
+from ..sql.parser import SelectStmt, parse_statement
 from .admission import CancelToken, QueryCancelled, ReadWriteLock
 from .metrics import MetricsRegistry
 from .pool import WarehousePool
@@ -454,21 +456,25 @@ class QueryService:
 
     def _execute(self, handle: QueryHandle,
                  queue_timeout: float | None) -> None:
-        from ..sql.parser import SelectStmt, parse_statement
-
         handle.token.raise_if_cancelled()
-        # Parse exactly once per execution; the parsed statement feeds
-        # the select/DML dispatch, the table-version snapshot, and the
-        # catalog (which would otherwise each re-parse the text).
-        stmt = parse_statement(handle.sql)  # surfaces parse errors
-        select = isinstance(stmt, SelectStmt)
-        if not select:
-            self.metrics.counter("dml_statements").inc()
-        cache_key: Any = ""
-        tables: tuple[str, ...] = ()
+        text = handle.sql
+        # One token pass feeds the result-cache key, the select/DML
+        # dispatch, the parse (a hit runs none) and the plan cache.
+        stmt = None
+        try:
+            pq = parameterize_text(text)
+            select = pq.is_select
+        except (ReproError, ValueError):
+            # The parse reports the text's first error, as it always
+            # did; a text it accepts is keyed on its normalized form.
+            pq = None
+            stmt = parse_statement(text)
+            select = isinstance(stmt, SelectStmt)
+        cache_key: Any = None
         if select and self.result_cache is not None:
-            cache_key = self._result_cache_key(handle.sql)
-            tables = referenced_tables(stmt)
+            cache_key = pq.cache_key if pq is not None \
+                else normalize_sql(text)
+            tables = self.result_cache.tables(cache_key)
             with self._table_lock.read():
                 versions = self.catalog.table_versions(tables)
                 cached = self.result_cache.lookup(cache_key, versions)
@@ -478,19 +484,24 @@ class QueryService:
                 result = QueryResult(schema=cached.schema,
                                      rows=cached.rows,
                                      profile=cached.profile,
-                                     sql=handle.sql)
+                                     sql=text)
                 # No warehouse work happened: record the (near-zero)
                 # serving latency but do not re-count the cached
                 # profile's pruning/I-O numbers.
                 self.metrics.observe_query(0.0, 0.0)
                 self.telemetry.record(TelemetryRecord(
-                    query_id=handle.query_id, sql=handle.sql,
+                    query_id=handle.query_id, sql=text,
                     kind="select", tables=tables,
                     status="cache_hit", result_cache_hit=True,
                     rows_returned=len(result.rows)))
                 self._finish(handle, QueryStatus.DONE, result=result)
                 return
+        if stmt is None:
+            stmt = parse_statement(text, pq.tokens)
+        if cache_key is not None:  # a miss that parses
             self.metrics.counter("result_cache_misses").inc()
+        elif not select:
+            self.metrics.counter("dml_statements").inc()
         cluster, wait = self.pool.acquire(
             timeout=self.queue_timeout
             if queue_timeout is None else queue_timeout,
@@ -503,21 +514,18 @@ class QueryService:
             started = time.perf_counter()
             if select:
                 with self._table_lock.read():
-                    result = self.catalog.sql(handle.sql,
-                                              cache=cluster.cache,
-                                              parsed=stmt)
-                    if self.result_cache is not None:
-                        # Versions cannot move while we hold the read
-                        # lock, so this snapshot matches the data the
-                        # query actually saw.
-                        self.result_cache.store(
-                            cache_key, result,
-                            self.catalog.table_versions(tables))
+                    if cache_key is not None:  # fixed under the lock
+                        versions = self.catalog.table_versions(
+                            referenced_tables(stmt))
+                    result = self.catalog.sql(text, cache=cluster.cache,
+                                              parsed=stmt, pq=pq)
+                    if cache_key is not None:
+                        self.result_cache.store(cache_key, result,
+                                                versions)
             else:
                 with self._table_lock.write():
-                    result = self.catalog.sql(handle.sql,
-                                              cache=cluster.cache,
-                                              parsed=stmt)
+                    result = self.catalog.sql(text, cache=cluster.cache,
+                                              parsed=stmt, pq=pq)
         finally:
             self.pool.release(cluster)
         if not select:
@@ -529,21 +537,6 @@ class QueryService:
             handle.token.raise_if_cancelled()
         self._record(handle, result, started)
         self._finish(handle, QueryStatus.DONE, result=result)
-
-    def _result_cache_key(self, text: str) -> Any:
-        """Parameterized result-cache key: (shape key, bound literals).
-
-        Same-shape statements with equal literal *values* share one
-        entry even when the spellings differ (``1.0`` vs ``1.00``),
-        which the old normalized-text key treated as distinct. Falls
-        back to the normalized text if parameterization fails.
-        """
-        from ..plancache.parameterize import parameterize_text
-
-        try:
-            return parameterize_text(text).cache_key
-        except ReproError:
-            return normalize_sql(text)
 
     def _record(self, handle: QueryHandle, result: QueryResult,
                 started: float) -> None:

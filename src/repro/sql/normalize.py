@@ -1,17 +1,16 @@
-"""SQL text normalization for result-cache keys.
+"""SQL text normalization: the result cache's fallback key.
 
 The service layer's result cache (§2's Cloud Services keep a query
-result cache in front of the warehouses) must treat textually
-different but semantically identical statements as the same key:
-whitespace, comments, keyword/identifier case, and a trailing ``;``
-must not cause cache misses. Normalization is purely lexical — it
-reuses the SQL tokenizer, lowercases identifiers (the parser binds
-names case-insensitively), re-quotes string literals (preserving
-case), and joins tokens with single spaces.
+result cache in front of the warehouses) keys a statement on the
+``(shape_key, binds)`` pair of
+:func:`repro.plancache.parameterize_text`; :func:`normalize_sql` keys
+a text that pair cannot key but the parser accepts. Normalization is
+purely lexical: whitespace, comments, keyword and identifier case and
+a trailing ``;`` vanish, and string literals keep their case.
 
-Beyond the canonical text, the cache needs the set of tables a
-statement touches so it can snapshot their versions:
-:func:`referenced_tables` extracts them from the parsed statement.
+:func:`referenced_tables` names the tables a parsed statement touches.
+The cache stores their versions with each entry, so a lookup reads
+the tables back from the entry and parses nothing.
 """
 
 from __future__ import annotations

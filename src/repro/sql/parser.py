@@ -131,9 +131,11 @@ def parse_select(text: str) -> SelectStmt:
     return statement
 
 
-def parse_statement(text: str) -> "SelectStmt | DeleteStmt | UpdateStmt":
-    """Parse one SELECT, DELETE, or UPDATE statement."""
-    parser = _Parser(tokenize(text))
+def parse_statement(text: str, tokens: list[Token] | None = None
+                    ) -> "SelectStmt | DeleteStmt | UpdateStmt":
+    """Parse one SELECT, DELETE, or UPDATE statement; ``tokens``, when
+    given, must be ``tokenize(text)``."""
+    parser = _Parser(tokenize(text) if tokens is None else tokens)
     if parser.check_keyword("DELETE"):
         return parser.parse_delete()
     if parser.check_keyword("UPDATE"):

@@ -105,9 +105,13 @@ class TestChaosStress:
         injector = install_faults(catalog, FaultInjector(
             seed=seed, storage=TRANSIENT_STORAGE,
             metadata=TRANSIENT_METADATA), attempts=CHAOS_ATTEMPTS)
+        # The result cache would answer most repeats without a read,
+        # so the faults would barely fire: every SELECT reads here
+        # (tests/test_service.py covers the hit path under DML).
         service = QueryService(catalog, slots_per_cluster=4,
                                max_queue_per_cluster=64,
                                min_clusters=1, max_clusters=3,
+                               enable_result_cache=False,
                                durability_dir=durability_dir,
                                durability_checkpoint_bytes=64 * 1024)
         mismatches: list[str] = []
@@ -171,8 +175,10 @@ class TestChaosStress:
             final = service.sql("SELECT count(*) AS c FROM events")
         assert final.rows == [(2000,)]
 
-        # The schedule actually injected faults, and none escaped.
-        assert injector.total_injected() > 0
+        # The schedule injected faults, and none escaped: ~300-360 in
+        # all over the 160 SELECTs and the DML (seeds 11, 23 and 47),
+        # where a result cache answering the repeats leaves ~16.
+        assert injector.total_injected() >= 200
         assert catalog.storage.stats.failed_requests == 0
         snapshot = service.metrics.snapshot()
 

@@ -10,13 +10,14 @@ oracle with zero mismatches and no stale cache reads.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
 import pytest
 
 from oracle import run_plan
-from repro import Catalog, DataType, Layout, ParseError, Schema
+from repro import Catalog, DataType, Layout, ParseError, Schema, SchemaError
 from repro.service import (
     AdmissionController,
     AdmissionRejected,
@@ -29,7 +30,7 @@ from repro.service import (
     ResultCache,
     WarehousePool,
 )
-from repro.sql import normalize_sql, referenced_tables
+from repro.sql import normalize_sql, parse_statement, referenced_tables, tokenize
 
 from conftest import make_events_rows
 
@@ -452,6 +453,139 @@ class TestQueryService:
                         for i in range(10)])
         after = service.sql("SELECT count(*) AS c FROM events")
         assert after.rows[0][0] == before.rows[0][0] + 10
+
+
+# ----------------------------------------------------------------------
+# Result-cache hit path: one token pass, no parse
+# ----------------------------------------------------------------------
+def count_calls(monkeypatch, function) -> list[int]:
+    """Count calls of ``function`` through every ``repro`` module that
+    holds it by name; returns a one-element counter."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "repro" or name.startswith("repro."):
+            for attr, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestResultCacheHitPath:
+    """The service reads a statement's text once: the cache key comes
+    from one tokenize, a hit learns its tables from the entry and never
+    parses, and a miss parses that same token list at most once."""
+
+    SQL = "SELECT count(*) AS c FROM events WHERE ts < 500"
+
+    def counters(self, monkeypatch):
+        return (count_calls(monkeypatch, tokenize),
+                count_calls(monkeypatch, parse_statement))
+
+    @pytest.mark.parametrize("plan_cache", [False, True])
+    def test_hit_tokenizes_once_and_never_parses(self, monkeypatch,
+                                                 plan_cache):
+        service = QueryService(make_catalog(1000),
+                               plan_cache_entries=64 if plan_cache
+                               else None)
+        tokens, parses = self.counters(monkeypatch)
+        assert service.sql(self.SQL).rows == [(500,)]
+        assert (tokens[0], parses[0]) == (1, 1)  # the miss
+        for expected_tokens in (2, 3):
+            assert service.sql(self.SQL).rows == [(500,)]
+            assert (tokens[0], parses[0]) == (expected_tokens, 1)
+        assert service.metrics.counter("result_cache_hits").value == 2
+
+    @pytest.mark.parametrize("plan_cache", [False, True])
+    def test_misses_and_dml_tokenize_once(self, monkeypatch, plan_cache):
+        service = QueryService(make_catalog(1000),
+                               plan_cache_entries=64 if plan_cache
+                               else None)
+        tokens, parses = self.counters(monkeypatch)
+        for bound in (100, 200, 300):
+            sql = f"SELECT count(*) AS c FROM events WHERE ts < {bound}"
+            assert service.sql(sql).rows == [(bound,)]
+        assert (tokens[0], parses[0]) == (3, 3)
+        service.sql("UPDATE events SET score = 0 WHERE ts < 10")
+        service.sql("DELETE FROM events WHERE ts < 10")
+        assert (tokens[0], parses[0]) == (5, 5)
+
+    def test_spellings_case_and_comments_share_one_entry(self):
+        service = QueryService(make_catalog(1000))
+        first = service.sql(
+            "SELECT count(*) AS c FROM events WHERE value > 1.0")
+        again = service.sql(
+            "select COUNT(*) as C from EVENTS -- the same question\n"
+            "where VALUE > 1.00;")
+        assert again.rows == first.rows
+        assert len(service.result_cache) == 1
+        assert service.metrics.counter("result_cache_hits").value == 1
+
+    def test_entry_goes_stale_after_insert(self):
+        service = QueryService(make_catalog(1000))
+        assert service.sql(self.SQL).rows == [(500,)]
+        service.insert("events", [(-1, "alpha", 1.0, 1)])
+        assert service.sql(self.SQL).rows == [(501,)]
+        assert service.metrics.counter("result_cache_hits").value == 0
+
+    @pytest.mark.parametrize("dml,expected", [
+        ("DELETE FROM events WHERE ts < 100", 400),
+        ("UPDATE events SET ts = ts + 1000 WHERE ts < 50", 450),
+    ])
+    def test_entry_goes_stale_after_sql_dml(self, dml, expected):
+        service = QueryService(make_catalog(1000))
+        assert service.sql(self.SQL).rows == [(500,)]
+        service.sql(dml)
+        assert service.sql(self.SQL).rows == [(expected,)]
+        assert service.sql(self.SQL).rows == [(expected,)]  # cached
+        assert service.metrics.counter("result_cache_hits").value == 1
+
+    @pytest.mark.parametrize("text", [
+        "SELECT count(*) AS c FROM events WHERE ts < 500;;",
+        "SELECT count(*) AS c FROM events WHERE",
+        "SELECT count(*) AS c FROM events WHERE ts < DATE 'soon'",
+    ])
+    def test_text_that_does_not_parse_raises_and_is_never_cached(
+            self, text):
+        service = QueryService(make_catalog(1000))
+        service.sql(self.SQL + ";")  # a cached entry beside it
+        for _ in range(2):
+            with pytest.raises(ParseError):
+                service.sql(text)
+        assert len(service.result_cache) == 1
+        assert service.metrics.counter("queries_failed").value == 2
+        assert service.metrics.counter("result_cache_misses").value == 1
+
+    @pytest.mark.parametrize("enable_result_cache", [True, False])
+    def test_unknown_table_raises_as_before(self, enable_result_cache):
+        catalog = make_catalog(200)
+        service = QueryService(catalog,
+                               enable_result_cache=enable_result_cache)
+        for sql in ("SELECT * FROM nosuch",
+                    "SELECT count(*) FROM events JOIN nosuch "
+                    "ON events.ts = nosuch.ts"):
+            with pytest.raises(SchemaError) as direct:
+                catalog.sql(sql)
+            with pytest.raises(SchemaError) as served:
+                service.sql(sql)
+            assert str(served.value) == str(direct.value)
+
+    def test_hit_telemetry_names_the_referenced_tables(self):
+        catalog = make_catalog(400)
+        catalog.create_table_from_rows(
+            "cats", Schema.of(name=DataType.VARCHAR, rank=DataType.INTEGER),
+            [("alpha", 1), ("beta", 2)])
+        service = QueryService(catalog)
+        sql = ("SELECT count(*) AS c FROM events JOIN cats "
+               "ON events.category = cats.name WHERE ts < 100")
+        assert service.sql(sql).rows == service.sql(sql).rows
+        hit = service.telemetry.records()[-1]
+        assert hit.result_cache_hit
+        assert hit.tables == referenced_tables(sql) == ("cats", "events")
 
 
 # ----------------------------------------------------------------------

@@ -39,6 +39,7 @@ from repro.pruning import (
 )
 from repro.sql import parse_select
 from repro.pruning.filters import XorFilter
+from repro.service import QueryService
 from repro.storage.builder import build_table_from_columns
 from repro.storage.column import Column
 from repro.storage.micropartition import MicroPartition
@@ -906,6 +907,35 @@ class TestNoPerPartitionObjects:
         small, large = calls_at(400), calls_at(4000)
         assert large["c_call"] <= 1.1 * small["c_call"], (small, large)
         assert large["call"] <= 1.1 * small["call"], (small, large)
+
+
+class TestResultCacheHitCalls:
+    """A ``QueryService`` result-cache hit is one token pass and
+    dictionary lookups: no parse, no plan, no compile. Its Python-level
+    calls are pinned with margin (68 for these needles when pinned;
+    430 and 342 while every hit still parsed)."""
+
+    BUDGET = 100
+
+    @pytest.mark.parametrize("sql", TestSurvivorsOnly.NEEDLES)
+    def test_python_calls_per_hit(self, sql):
+        service = QueryService(TestSurvivorsOnly._catalog(400))
+        expected = service.sql(sql).rows
+        count = 0
+
+        def on_event(frame, event, arg):
+            nonlocal count
+            count += event == "call"
+
+        previous = sys.getprofile()
+        sys.setprofile(on_event)
+        try:
+            result = service.sql(sql)
+        finally:
+            sys.setprofile(previous)
+        assert result.rows == expected
+        assert service.metrics.counter("result_cache_hits").value == 1
+        assert count <= self.BUDGET, count
 
 
 class TestBuildAllocations:

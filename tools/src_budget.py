@@ -17,7 +17,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 #: the most lines ``src/`` may hold
-CEILING = 21216
+CEILING = 21215
 
 
 def count_lines(root: Path) -> int:
