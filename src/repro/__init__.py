@@ -37,7 +37,6 @@ from .errors import (
     MetadataTimeout,
     MetadataThrottled,
     MetadataUnavailableError,
-    QueryTimeout,
     DurabilityError,
     WalCorruptionError,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "MetadataTimeout",
     "MetadataThrottled",
     "MetadataUnavailableError",
-    "QueryTimeout",
     "DurabilityError",
     "WalCorruptionError",
     "CrashInjector",

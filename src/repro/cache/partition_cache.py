@@ -26,8 +26,8 @@ set, the local cache absorbs the repeated fraction of what remains.
   hold a successfully loaded, checksum-verified partition; corrupt or
   unavailable loads raise before :meth:`put` and never pollute it.
 
-The cache is shared by all queries of one warehouse cluster and is
-safe to use from concurrent query threads.
+The cache is shared by all queries of one warehouse and is safe to
+use from concurrent threads.
 """
 
 from __future__ import annotations
@@ -259,8 +259,7 @@ class PartitionCache:
         return self
 
     def close(self) -> None:
-        """Detach from the metadata store and drop all entries
-        (cluster scale-in)."""
+        """Detach from the metadata store and drop all entries."""
         if self._metadata is not None:
             self._metadata.remove_invalidation_listener(
                 self._on_unregister)
@@ -269,34 +268,6 @@ class PartitionCache:
 
     def _on_unregister(self, table: str, partition_id: int) -> None:
         self.invalidate(partition_id)
-
-    # ------------------------------------------------------------------
-    # Warm-up (cluster scale-out)
-    # ------------------------------------------------------------------
-    def warm_from(self, other: "PartitionCache") -> int:
-        """Copy the hottest entries of ``other`` into this cache until
-        the budget is full (protected segment first, MRU first).
-        Returns the number of entries copied."""
-        with other._lock:
-            donors: list[_Entry] = []
-            for segment in (_PROTECTED, _PROBATION):
-                donors.extend(reversed(
-                    other._segments[segment].values()))
-        copied = 0
-        for entry in donors:
-            with self._lock:
-                if self._resident_bytes + entry.nbytes \
-                        > self.budget_bytes:
-                    continue
-                if self._find(entry.partition.partition_id) is not None:
-                    continue
-                clone = _Entry(entry.partition, entry.columns,
-                               entry.nbytes)
-                self._segments[_PROBATION][
-                    entry.partition.partition_id] = clone
-                self._resident_bytes += entry.nbytes
-                copied += 1
-        return copied
 
     # ------------------------------------------------------------------
     # Introspection

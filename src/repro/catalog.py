@@ -127,7 +127,7 @@ class Catalog:
         self._plan_cache_prune_schemas = True
         #: warehouse-local data cache; off until
         #: :meth:`enable_data_cache` (or a per-call override — the
-        #: service layer passes each cluster's own cache into
+        #: service layer passes its warehouse's cache into
         #: :meth:`sql`).
         self.data_cache: PartitionCache | None = None
         #: secondary-sketch configuration; off until
@@ -155,8 +155,7 @@ class Catalog:
         """Register ``listener(table_name, new_version)``.
 
         Called after any DML or recluster commits a new table version —
-        the hook the service layer's result cache and background
-        services (e.g. workload-aware reclustering) observe.
+        the hook the service layer's result cache observes.
         """
         self._change_listeners.append(listener)
 
@@ -594,8 +593,8 @@ class Catalog:
     def _effective_cache(self,
                          cache: PartitionCache | None
                          ) -> PartitionCache | None:
-        """Per-call cache override (the service layer passes each
-        warehouse cluster's own cache), else the catalog-wide one."""
+        """Per-call cache override (the service layer passes its
+        warehouse's cache), else the catalog-wide one."""
         return cache if cache is not None else self.data_cache
 
     def sql(self, text: str,
@@ -608,7 +607,7 @@ class Catalog:
         affected rows; their profile records the partition pruning the
         DML benefited from (§7's flow covers DML too). ``cache``
         overrides the catalog-wide data cache for this statement
-        (per-warehouse-cluster caches). ``parsed`` and ``pq`` let
+        (the service's warehouse cache). ``parsed`` and ``pq`` let
         callers that already hold the parsed statement or the
         :class:`~repro.plancache.ParameterizedQuery` of ``text`` (the
         service layer's hot path) skip the re-parse and the re-tokenize.

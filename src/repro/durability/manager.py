@@ -48,7 +48,7 @@ class DurabilityManager:
                  sync: bool = False):
         self.root = Path(path)
         self.root.mkdir(parents=True, exist_ok=True)
-        #: WAL size that arms the service's background checkpoint
+        #: WAL size at which the service's next DML checkpoints
         self.checkpoint_bytes = checkpoint_bytes
         self.keep_checkpoints = max(1, keep_checkpoints)
         self.crash_injector = crash_injector
@@ -93,7 +93,7 @@ class DurabilityManager:
         """Snapshot ``catalog`` and truncate the WAL behind it.
 
         The caller must guarantee no mutation is in flight (the service
-        layer holds its exclusive table lock).
+        checkpoints inside a statement, under its lock).
         """
         with self._lock:
             seqno = self.wal.last_seqno

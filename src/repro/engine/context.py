@@ -385,7 +385,7 @@ class ExecContext:
         self.profile = QueryProfile(query_id=query_id,
                                     cost_model=self.cost_model)
         #: optional warehouse-local data cache scans route loads through
-        #: (per-cluster when running under a :class:`WarehousePool`).
+        #: (the :class:`~repro.service.QueryService`'s one data cache).
         self.cache = cache
         #: per-query tracer (single-threaded, like the scan).
         self.tracer = tracer

@@ -125,7 +125,3 @@ class MetadataThrottled(TransientError, MetadataError):
 class MetadataUnavailableError(MetadataError):
     """The metadata service is down (outage). Pruning layers fail
     open: the scan proceeds without metadata instead of failing."""
-
-
-class QueryTimeout(ReproError):
-    """A query exceeded its caller-supplied end-to-end deadline."""

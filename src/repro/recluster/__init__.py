@@ -1,4 +1,4 @@
-"""Telemetry-driven background reclustering (the layout loop).
+"""Telemetry-driven reclustering (the layout loop).
 
 The paper measures pruning; this package *improves* it. Three layers:
 
@@ -8,9 +8,8 @@ The paper measures pruning; this package *improves* it. Three layers:
 * :mod:`~repro.recluster.engine` — rewrites the worst-overlapping
   partition neighbourhood one byte-budgeted slice at a time through
   the catalog's WAL-backed rewrite path;
-* :mod:`~repro.recluster.service` — the background loop that runs
-  slices between queries under the service's writer-preference lock,
-  pausing on admission pressure.
+* :mod:`~repro.recluster.service` — the loop that runs slices between
+  statements under the service's lock.
 
 See ``docs/reclustering.md`` for heuristics and budget semantics.
 """

@@ -1,24 +1,22 @@
-"""Background reclustering service for :class:`QueryService`.
+"""Reclustering for :class:`QueryService`.
 
 Closes the telemetry loop end to end: the advisor mines the service's
 own :class:`TelemetrySink` for hot, poorly-pruning filter columns, the
 engine fixes the layout one budgeted slice at a time, and every slice
-runs through the service's writer-preference lock — SELECT/DML traffic
-continues between slices, sees only fully-committed layouts, and the
-layout work yields to admission pressure instead of competing with it.
+runs under the service's lock, between statements: SELECT/DML traffic
+continues between slices and sees only fully-committed layouts.
 
 Observability mirrors the rest of the service layer: each slice
 increments ``recluster_*`` metrics counters, appends one
 ``kind="recluster"`` telemetry record (so the fleet report can account
 maintenance work separately from queries), optionally records a
 ``recluster:slice`` trace span, and ``describe()["reclustering"]``
-exposes live job progress.
+exposes job progress.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import TYPE_CHECKING, Any
 
 from ..obs.telemetry import TelemetryRecord
@@ -31,28 +29,25 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["ReclusterService"]
 
-#: default max input bytes one slice may rewrite (bounds the exclusive
-#: lock hold; at laptop scale partitions are a few KB each).
+#: default max input bytes one slice may rewrite (bounds how long a
+#: slice holds the service lock; at laptop scale partitions are a few
+#: KB each).
 DEFAULT_BUDGET_BYTES = 256 * 1024
 
 _SLICE_COUNTER = itertools.count(1)
 
 
 class ReclusterService:
-    """Advisor + engine + pause/resume loop over one QueryService.
+    """Advisor + engine + pause/resume over one QueryService.
 
-    Drive it either synchronously — call :meth:`step` from a test or a
-    benchmark until it returns ``None`` with no active job — or as a
-    background daemon via :meth:`start`/:meth:`stop`. Both paths share
-    the same logic; the thread only adds polling.
+    Drive it by calling :meth:`step` between statements until it
+    returns ``None`` with no active job.
     """
 
     def __init__(self, service: "QueryService", *,
                  budget_bytes: int = DEFAULT_BUDGET_BYTES,
                  target_depth: float = 1.05,
                  max_slices_per_job: int = 256,
-                 pause_queue_depth: int = 4,
-                 poll_interval: float = 0.02,
                  advisor: WorkloadAdvisor | None = None,
                  tracer: "Tracer | None" = None):
         self.service = service
@@ -61,18 +56,11 @@ class ReclusterService:
         self.budget_bytes = budget_bytes
         self.target_depth = target_depth
         self.max_slices_per_job = max_slices_per_job
-        #: queued statements at or above which the loop yields
-        self.pause_queue_depth = pause_queue_depth
-        self.poll_interval = poll_interval
         self.tracer = tracer
-        self._lock = threading.Lock()
         self._job: ReclusterJob | None = None
         self._paused = False
-        self._paused_for_pressure = False
         self._last_report: SliceReport | None = None
         self._completed: list[dict[str, Any]] = []
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
 
     # -- control --------------------------------------------------------
     def pause(self) -> None:
@@ -84,63 +72,27 @@ class ReclusterService:
 
     @property
     def paused(self) -> bool:
-        return self._paused or self._paused_for_pressure
-
-    def start(self) -> "ReclusterService":
-        """Run :meth:`step` on a background daemon until stopped."""
-        with self._lock:
-            if self._thread is not None:
-                return self
-            self._stop.clear()
-            self._thread = threading.Thread(
-                target=self._loop, name="recluster-service",
-                daemon=True)
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        with self._lock:
-            thread = self._thread
-            self._thread = None
-        if thread is None:
-            return
-        self._stop.set()
-        thread.join()
-
-    def _loop(self) -> None:
-        while not self._stop.is_set():
-            report = self.step()
-            if report is None:
-                # Nothing actionable right now (paused, pressured, or
-                # no advice): poll instead of spinning.
-                self._stop.wait(self.poll_interval)
+        return self._paused
 
     # -- the state machine ----------------------------------------------
     def step(self) -> SliceReport | None:
         """Run at most one recluster slice; None when nothing ran.
 
-        Order matters: manual pause beats pressure beats work. A slice
-        runs under the service's exclusive table lock, so queued
-        queries resume the moment the slice commits.
+        The slice, and the advice that picks its job, run under the
+        service's lock, so a statement waiting for it resumes the
+        moment the slice commits.
         """
         if self._paused:
             return None
-        if self.service.pool.total_queued >= self.pause_queue_depth:
-            if not self._paused_for_pressure:
-                self._paused_for_pressure = True
-                self.service.metrics.counter(
-                    "recluster_pauses").inc()
-            return None
-        self._paused_for_pressure = False
-        job = self._job
-        if job is None:
-            job = self._next_job()
+        with self.service._lock:
+            job = self._job
             if job is None:
-                return None
-            self._job = job
-        with self.service._table_lock.write():
+                job = self._next_job()
+                if job is None:
+                    return None
+                self._job = job
             report = self._run_slice(job)
-        self._account(job, report)
+            self._account(job, report)
         return report
 
     def _next_job(self) -> ReclusterJob | None:
@@ -203,12 +155,10 @@ class ReclusterService:
 
     # -- introspection --------------------------------------------------
     def status(self) -> dict[str, Any]:
-        """Live snapshot for ``QueryService.describe()``."""
+        """Snapshot for ``QueryService.describe()``."""
         job = self._job
         status: dict[str, Any] = {
-            "running": self._thread is not None,
             "paused": self._paused,
-            "paused_for_pressure": self._paused_for_pressure,
             "budget_bytes": self.budget_bytes,
             "active_job": None,
             "completed_jobs": list(self._completed),

@@ -7,14 +7,13 @@ the reproduction's telemetry sink: a tiny registry of named counters
 and histograms that the :class:`~repro.service.server.QueryService`
 feeds from each query's :class:`~repro.engine.context.QueryProfile`.
 
-Everything is safe to update from many worker threads concurrently.
+Everything is safe to update from many threads concurrently.
 
-Well-known background-maintenance counters (fed by
+Well-known maintenance counters (fed by
 :class:`~repro.recluster.ReclusterService` when reclustering is
 enabled): ``recluster_jobs_started``, ``recluster_jobs_completed``,
 ``recluster_slices``, ``recluster_partitions_rewritten``,
-``recluster_bytes_rewritten``, and ``recluster_pauses`` (slices the
-loop skipped because queued queries exceeded the pressure threshold).
+and ``recluster_bytes_rewritten``.
 """
 
 from __future__ import annotations
@@ -108,8 +107,7 @@ class MetricsRegistry:
     Well-known series fed by :class:`QueryService`:
 
     - counters ``queries_submitted`` / ``queries_completed`` /
-      ``queries_failed`` / ``queries_cancelled`` /
-      ``queries_rejected`` / ``queries_timed_out`` / ``dml_statements``
+      ``queries_failed`` / ``dml_statements``
     - counters ``result_cache_hits`` / ``result_cache_misses``
     - counters ``plan_cache_hits`` / ``plan_cache_misses``
       (compiled-plan cache, see :mod:`repro.plancache`)

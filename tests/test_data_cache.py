@@ -202,17 +202,6 @@ class TestPartitionCache:
         metadata.unregister("t", partition.partition_id)
         assert cache.stats().invalidations == 0
 
-    def test_warm_from_copies_hottest_first(self):
-        parts = [make_partition(i * 10) for i in range(3)]
-        size = parts[0].nbytes()
-        donor = PartitionCache(size * 3)
-        for p in parts:
-            donor.put(p)
-        donor.get(parts[2].partition_id)  # hottest: protected
-        fresh = PartitionCache(size)  # room for exactly one entry
-        assert fresh.warm_from(donor) == 1
-        assert parts[2].partition_id in fresh
-
     def test_bad_budget_rejected(self):
         with pytest.raises(ValueError):
             PartitionCache(0)
@@ -493,7 +482,7 @@ class TestDifferential:
 
 
 # ----------------------------------------------------------------------
-# Per-cluster caches: WarehousePool + QueryService
+# The service's warehouse cache
 # ----------------------------------------------------------------------
 class TestClusterCaches:
     def test_service_serves_hot_queries_from_cluster_cache(self):
@@ -510,47 +499,6 @@ class TestClusterCaches:
         described = service.describe()
         assert described["data_cache"]["hits"] > 0
         assert described["data_cache"]["clusters"]
-
-    def test_scale_in_closes_cache_scale_out_warms(self):
-        from repro.service.pool import WarehousePool
-
-        metadata = MetadataStore()
-        built: dict[str, PartitionCache] = {}
-
-        def factory(name: str) -> PartitionCache:
-            cache = PartitionCache(1 << 24, name=name)
-            cache.attach(metadata)
-            built[name] = cache
-            return cache
-
-        pool = WarehousePool(slots_per_cluster=1,
-                             max_queue_per_cluster=8,
-                             min_clusters=1, max_clusters=2,
-                             scale_out_queue_depth=0,
-                             scale_in_idle_checks=1,
-                             cache_factory=factory)
-        partition = make_partition()
-        donor = pool.clusters[0]
-        donor.cache.put(partition)
-        donor.cache.get(partition.partition_id)  # hottest entry
-        first, _ = pool.acquire()
-        second, _ = pool.acquire()  # saturated: scales out + warms
-        assert pool.n_clusters == 2
-        fresh = pool.clusters[1].cache
-        assert partition.partition_id in fresh
-        pool.release(first)
-        pool.release(second)  # idle observation: scale back in
-        assert pool.n_clusters == 1
-        assert len(built["cluster-1"]) == 0  # closed on retirement
-        # The surviving cluster still hears metadata events; the
-        # retired one is detached and stays empty.
-        metadata.register("t", partition.partition_id,
-                          partition.zone_map)
-        donor.cache.put(partition)
-        metadata.unregister("t", partition.partition_id)
-        assert partition.partition_id not in donor.cache
-        assert len(built["cluster-1"]) == 0
-
 
 # ----------------------------------------------------------------------
 # put() id-collision guard (satellite bugfix)

@@ -24,7 +24,6 @@ from repro import (
     MetadataTimeout,
     MetadataUnavailableError,
     PartitionUnavailableError,
-    QueryTimeout,
     Schema,
     StorageLayer,
 )
@@ -398,36 +397,6 @@ class TestFailOpenSeam:
 # Service-level resilience
 # ----------------------------------------------------------------------
 class TestServiceResilience:
-    def test_sql_timeout_raises_query_timeout(self):
-        catalog = make_catalog(500)
-        service = QueryService(catalog, enable_result_cache=False)
-        release = threading.Event()
-
-        class SlowStorage(StorageLayer):
-            pass
-
-        original_load_many = catalog.storage.load_many
-
-        def slow_load_many(*args, **kwargs):
-            release.wait(5.0)
-            return original_load_many(*args, **kwargs)
-
-        catalog.storage.load_many = slow_load_many
-        try:
-            with pytest.raises(QueryTimeout):
-                service.sql("SELECT count(*) FROM events "
-                            "WHERE value > 0", timeout=0.15)
-        finally:
-            release.set()
-            catalog.storage.load_many = original_load_many
-        assert service.metrics.counter("queries_timed_out").value == 1
-
-    def test_sql_without_timeout_unchanged(self):
-        catalog = make_catalog(500)
-        service = QueryService(catalog)
-        assert service.sql("SELECT count(*) FROM events",
-                           timeout=5.0).rows == [(500,)]
-
     def test_degraded_queries_counted(self):
         catalog = make_catalog(500)
         injector = install_faults(catalog, FaultInjector(seed=0))

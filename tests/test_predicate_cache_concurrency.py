@@ -165,10 +165,7 @@ class TestServicePredicateCacheStress:
         # The service result cache would satisfy repeats without ever
         # consulting the predicate cache; disable it so every SELECT
         # exercises compile-time cache lookups.
-        service = QueryService(catalog, slots_per_cluster=4,
-                               max_queue_per_cluster=64,
-                               min_clusters=1, max_clusters=3,
-                               enable_result_cache=False)
+        service = QueryService(catalog, enable_result_cache=False)
 
         expected = {
             sql: sorted(run_plan(catalog.plan_sql(sql), catalog)[1])

@@ -1,11 +1,11 @@
-"""Tests for the concurrent query service layer (repro.service).
+"""Tests for the query service layer (repro.service).
 
-Covers the admission controller (slots, bounded queue, timeout,
-cancellation, backpressure), the version-keyed result cache, the
-elastic warehouse pool, table version bookkeeping, thread-safe I/O
-accounting, and — the acceptance bar — a mixed SELECT + DML stress
-test whose served results are checked against the single-threaded
-oracle with zero mismatches and no stale cache reads.
+Covers the version-keyed result cache, table version bookkeeping,
+thread-safe I/O accounting, one statement at a time under the
+service lock (lock wait, synchronous checkpoints, no service
+threads), and — the acceptance bar — a mixed SELECT + DML stress test
+from many client threads whose served results are checked against the
+single-threaded oracle with zero mismatches and no stale cache reads.
 """
 
 from __future__ import annotations
@@ -18,18 +18,7 @@ import pytest
 
 from oracle import run_plan
 from repro import Catalog, DataType, Layout, ParseError, Schema, SchemaError
-from repro.service import (
-    AdmissionController,
-    AdmissionRejected,
-    CancelToken,
-    QueryCancelled,
-    QueryService,
-    QueryStatus,
-    QueueWaitTimeout,
-    ReadWriteLock,
-    ResultCache,
-    WarehousePool,
-)
+from repro.service import QueryService, ResultCache
 from repro.sql import normalize_sql, parse_statement, referenced_tables, tokenize
 
 from conftest import make_events_rows
@@ -143,127 +132,6 @@ class TestIOStatsThreadSafety:
 
 
 # ----------------------------------------------------------------------
-# Admission control
-# ----------------------------------------------------------------------
-class TestAdmission:
-    def test_slots_and_fifo_handoff(self):
-        controller = AdmissionController(slots=1, max_queue=4)
-        assert controller.acquire() == 0.0
-        order: list[int] = []
-
-        def wait_then_release(tag: int):
-            controller.acquire(timeout=5)
-            order.append(tag)
-            controller.release()
-
-        threads = []
-        for tag in range(3):
-            t = threading.Thread(target=wait_then_release,
-                                 args=(tag,))
-            t.start()
-            threads.append(t)
-            time.sleep(0.02)  # deterministic queue order
-        assert controller.queue_depth == 3
-        controller.release()
-        for t in threads:
-            t.join()
-        assert order == [0, 1, 2]
-        assert controller.free_slots == 1
-
-    def test_reject_when_queue_full(self):
-        controller = AdmissionController(slots=1, max_queue=0)
-        controller.acquire()
-        with pytest.raises(AdmissionRejected):
-            controller.acquire()
-        controller.release()
-
-    def test_queue_wait_timeout(self):
-        controller = AdmissionController(slots=1, max_queue=4)
-        controller.acquire()
-        with pytest.raises(QueueWaitTimeout):
-            controller.acquire(timeout=0.05)
-        assert controller.queue_depth == 0
-        controller.release()
-        # the slot is reusable after the timed-out waiter withdrew
-        assert controller.acquire() == 0.0
-
-    def test_cancel_while_queued(self):
-        controller = AdmissionController(slots=1, max_queue=4)
-        controller.acquire()
-        token = CancelToken()
-        errors: list[BaseException] = []
-
-        def waiter():
-            try:
-                controller.acquire(timeout=5, token=token)
-            except BaseException as exc:  # noqa: BLE001
-                errors.append(exc)
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        time.sleep(0.02)
-        token.cancel()
-        thread.join(timeout=2)
-        assert not thread.is_alive()
-        assert len(errors) == 1
-        assert isinstance(errors[0], QueryCancelled)
-        # cancelled waiter must not consume the slot
-        controller.release()
-        assert controller.free_slots == 1
-
-    def test_release_skips_cancelled_waiters(self):
-        controller = AdmissionController(slots=1, max_queue=4)
-        controller.acquire()
-        cancelled = CancelToken()
-        cancelled._cancelled = True  # queued-then-cancelled waiter
-        got: list[float] = []
-
-        def doomed_waiter():
-            with pytest.raises(QueryCancelled):
-                controller.acquire(timeout=5, token=cancelled)
-
-        t1 = threading.Thread(target=doomed_waiter)
-        t1.start()
-        time.sleep(0.02)
-        t2 = threading.Thread(
-            target=lambda: got.append(controller.acquire(timeout=5)))
-        t2.start()
-        time.sleep(0.02)
-        controller.release()
-        t1.join(timeout=2)
-        t2.join(timeout=2)
-        assert got and controller.running == 1
-        controller.release()
-
-
-class TestReadWriteLock:
-    def test_readers_share_writers_exclude(self):
-        lock = ReadWriteLock()
-        active: list[str] = []
-        trace: list[int] = []
-        barrier = threading.Barrier(3)
-
-        def reader():
-            barrier.wait()
-            with lock.read():
-                active.append("r")
-                time.sleep(0.05)
-                trace.append(len(active))
-                active.remove("r")
-
-        readers = [threading.Thread(target=reader) for _ in range(2)]
-        for t in readers:
-            t.start()
-        barrier.wait()
-        time.sleep(0.01)
-        with lock.write():
-            assert active == []  # both readers drained first
-        for t in readers:
-            t.join()
-        assert max(trace) == 2  # the two readers overlapped
-
-
-# ----------------------------------------------------------------------
 # Result cache
 # ----------------------------------------------------------------------
 class TestResultCache:
@@ -301,48 +169,6 @@ class TestResultCache:
         assert cache.invalidate_table("t") == 2
         assert len(cache) == 1
         assert cache.lookup("q3", {"u": 1}) is not None
-
-
-# ----------------------------------------------------------------------
-# Warehouse pool
-# ----------------------------------------------------------------------
-class TestWarehousePool:
-    def test_scale_out_when_saturated(self):
-        pool = WarehousePool(slots_per_cluster=1, min_clusters=1,
-                             max_clusters=3,
-                             scale_out_queue_depth=0)
-        c1, _ = pool.acquire()
-        assert pool.n_clusters == 1
-        c2, _ = pool.acquire()  # saturated -> new cluster
-        assert pool.n_clusters == 2
-        assert c1.name != c2.name
-        assert [e.action for e in pool.events] == ["scale_out"]
-        pool.release(c1)
-        pool.release(c2)
-
-    def test_scale_in_after_idle_checks(self):
-        pool = WarehousePool(slots_per_cluster=1, min_clusters=1,
-                             max_clusters=3,
-                             scale_out_queue_depth=0,
-                             scale_in_idle_checks=2)
-        c1, _ = pool.acquire()
-        c2, _ = pool.acquire()
-        assert pool.n_clusters == 2
-        pool.release(c1)
-        pool.release(c2)  # idle check 1
-        pool.poll()       # idle check 2 -> scale in
-        assert pool.n_clusters == 1
-        assert pool.events[-1].action == "scale_in"
-        pool.poll()
-        pool.poll()
-        assert pool.n_clusters == 1  # never below min_clusters
-
-    def test_least_loaded_routing(self):
-        pool = WarehousePool(slots_per_cluster=2, min_clusters=2,
-                             max_clusters=2)
-        grabbed = [pool.acquire()[0].name for _ in range(4)]
-        assert grabbed.count("cluster-0") == 2
-        assert grabbed.count("cluster-1") == 2
 
 
 # ----------------------------------------------------------------------
@@ -391,59 +217,6 @@ class TestQueryService:
         with pytest.raises(ParseError):
             service.sql("SELEC nonsense")
         assert service.metrics.counter("queries_failed").value == 1
-
-    def test_backpressure_rejects_with_typed_error(self):
-        service = QueryService(make_catalog(200),
-                               slots_per_cluster=1,
-                               max_queue_per_cluster=0,
-                               min_clusters=1, max_clusters=1)
-        cluster, _ = service.pool.acquire()  # occupy the only slot
-        try:
-            with pytest.raises(AdmissionRejected):
-                service.sql("SELECT count(*) FROM events")
-            assert service.metrics.counter(
-                "queries_rejected").value == 1
-        finally:
-            service.pool.release(cluster)
-
-    def test_queue_timeout_is_typed(self):
-        service = QueryService(make_catalog(200),
-                               slots_per_cluster=1,
-                               max_queue_per_cluster=4,
-                               min_clusters=1, max_clusters=1)
-        cluster, _ = service.pool.acquire()
-        try:
-            with pytest.raises(QueueWaitTimeout):
-                service.sql("SELECT count(*) FROM events",
-                            queue_timeout=0.05)
-        finally:
-            service.pool.release(cluster)
-
-    def test_cancel_queued_query(self):
-        service = QueryService(make_catalog(200),
-                               slots_per_cluster=1,
-                               max_queue_per_cluster=4,
-                               min_clusters=1, max_clusters=1)
-        cluster, _ = service.pool.acquire()
-        try:
-            handle = service.submit("SELECT count(*) FROM events")
-            time.sleep(0.03)
-            assert service.cancel(handle) is True
-            with pytest.raises(QueryCancelled):
-                service.result(handle, timeout=2)
-            assert handle.status is QueryStatus.CANCELLED
-        finally:
-            service.pool.release(cluster)
-
-    def test_async_submit_result(self):
-        service = QueryService(make_catalog(500))
-        handles = [service.submit(
-            f"SELECT count(*) AS c FROM events WHERE ts < {100 * i}")
-            for i in range(1, 5)]
-        for i, handle in enumerate(handles, start=1):
-            assert service.result(handle, timeout=10).rows == \
-                [(100 * i,)]
-            assert handle.status is QueryStatus.DONE
 
     def test_insert_through_service(self):
         service = QueryService(make_catalog(500))
@@ -574,6 +347,18 @@ class TestResultCacheHitPath:
                 service.sql(sql)
             assert str(served.value) == str(direct.value)
 
+    def test_hit_reports_its_measured_latency(self):
+        service = QueryService(make_catalog(1000))
+        service.sql(self.SQL)
+        service.sql(self.SQL)
+        hit = service.telemetry.records()[-1]
+        assert hit.result_cache_hit
+        assert hit.wall_ms > 0
+        latency = service.metrics.histogram("latency_ms")
+        assert latency.count == 2
+        assert latency.percentile(100) > 0
+        assert latency.percentile(0) > 0  # the hit's own wall time
+
     def test_hit_telemetry_names_the_referenced_tables(self):
         catalog = make_catalog(400)
         catalog.create_table_from_rows(
@@ -589,10 +374,68 @@ class TestResultCacheHitPath:
 
 
 # ----------------------------------------------------------------------
+# One statement at a time
+# ----------------------------------------------------------------------
+class TestOneStatementAtATime:
+    def test_statement_waits_for_the_lock(self):
+        service = QueryService(make_catalog(500))
+        results = []
+        with service._lock:
+            client = threading.Thread(target=lambda: results.append(
+                service.sql("SELECT count(*) AS c FROM events")))
+            client.start()
+            time.sleep(0.2)
+            assert results == []  # still waiting its turn
+        client.join(timeout=10)
+        assert results[0].rows == [(500,)]
+        record = service.telemetry.records()[-1]
+        # the client may start a little late, never early
+        assert record.queue_wait_ms >= 100
+        assert record.cluster == "cluster-0"
+        assert service.metrics.histogram(
+            "queue_wait_ms").percentile(100) >= 100
+
+    @pytest.mark.parametrize("via", ["sql", "insert"])
+    def test_checkpoint_is_written_before_the_statement_returns(
+            self, tmp_path, via):
+        catalog = make_catalog(200)
+        service = QueryService(catalog, durability_dir=tmp_path / "d",
+                               durability_checkpoint_bytes=256)
+        assert service.metrics.counter("checkpoints").value == 0
+        if via == "sql":
+            service.sql("UPDATE events SET score = 0 WHERE ts < 150")
+        else:
+            service.insert("events", make_events_rows(40, seed=5))
+        assert service.metrics.counter("checkpoints").value >= 1
+        assert not catalog.durability.should_checkpoint()
+        assert service.describe()["checkpoints"] >= 1
+
+    def test_no_thread_outlives_a_mixed_script(self, tmp_path):
+        before = threading.active_count()
+        service = QueryService(make_catalog(1000),
+                               durability_dir=tmp_path / "d",
+                               durability_checkpoint_bytes=512,
+                               data_cache_bytes=1 << 22)
+        recluster = service.enable_reclustering(budget_bytes=16 * 1024)
+        for i in range(12):
+            service.sql(f"SELECT count(*) AS c FROM events "
+                        f"WHERE score BETWEEN {i * 70_000} "
+                        f"AND {i * 70_000 + 20_000}")
+        service.insert("events", make_events_rows(30, seed=9))
+        service.sql("DELETE FROM events WHERE ts < 20")
+        while recluster.step() is not None:
+            pass
+        service.sql("SELECT count(*) AS c FROM events")
+        assert service.metrics.counter("recluster_slices").value >= 1
+        assert service.metrics.counter("checkpoints").value >= 1
+        assert threading.active_count() == before
+
+
+# ----------------------------------------------------------------------
 # Concurrent stress: mixed SELECT + DML vs the single-threaded oracle
 # ----------------------------------------------------------------------
 class TestConcurrentStress:
-    """Acceptance: >= 8 concurrent clients, zero oracle mismatches,
+    """Acceptance: >= 8 client threads taking turns, zero oracle mismatches,
     cache hit ratio > 0, no stale reads after DML invalidation.
 
     SELECT threads query the seed region (ts < 2000), which the DML
@@ -625,10 +468,7 @@ class TestConcurrentStress:
 
     def test_stress_mixed_select_dml(self):
         catalog = make_catalog(2000)
-        service = QueryService(catalog, slots_per_cluster=4,
-                               max_queue_per_cluster=64,
-                               min_clusters=1, max_clusters=3,
-                               scale_out_queue_depth=2)
+        service = QueryService(catalog)
         expected = {
             sql: sorted(run_plan(catalog.plan_sql(sql),
                                  catalog)[1])
@@ -696,8 +536,7 @@ class TestConcurrentStress:
         metrics = service.metrics
         submitted = metrics.counter("queries_submitted").value
         finished = (metrics.counter("queries_completed").value
-                    + metrics.counter("queries_failed").value
-                    + metrics.counter("queries_cancelled").value)
+                    + metrics.counter("queries_failed").value)
         assert submitted == finished
 
     def test_no_stale_reads_after_dml(self):

@@ -53,10 +53,9 @@ NOTES = {
                          "6(a) trims it together with `workload/`",
     "repro/bench/": "a table helper of the figure reproductions; "
                     "`bench/` leaves `src/` with ROADMAP 6(a)",
-    "repro/cache/": "warm-up from a sibling cluster, invalidation on "
-                    "rewrite and the stats surface: `serve_repeat`'s "
-                    "one client never scales out or rewrites; ROADMAP "
-                    "6(b)'s one bounded cache",
+    "repro/cache/": "invalidation on rewrite, `close` and the stats "
+                    "surface: `serve_repeat` never rewrites a cached "
+                    "partition; ROADMAP 6(b)'s one bounded cache",
     "repro/catalog.py": "Iceberg ingest (§8.1), `explain_analyze` (aim "
                         "4), `drop_table`, the `enable_data_cache` "
                         "switch `bench/` leaves off (ROADMAP 6(d) splits "
@@ -105,15 +104,17 @@ NOTES = {
                       "reaches `record` / `lookup`); the "
                       "STARTSWITH / IS NULL / OR / NOT kernels serve "
                       "predicates no workload generates (ROADMAP 3)",
-    "repro/recluster/": "§8 background reclustering: the incremental "
+    "repro/recluster/": "§8 automatic reclustering: the incremental "
                         "engine, the workload advisor (ROADMAP 7 "
                         "replaces its heuristic with measured regret) "
-                        "and the service thread; `dml_mix` reclusters "
-                        "through `Catalog.recluster` in the foreground",
-    "repro/service/": "`submit` / `cancel`, `describe()`, background "
-                      "checkpoint and reclustering of `QueryService`: "
-                      "the multi-client surface; `serve_repeat` is one "
-                      "closed-loop client calling `sql()`",
+                        "and `ReclusterService.step()`, which no "
+                        "workload calls; `dml_mix` reclusters through "
+                        "`Catalog.recluster` (ROADMAP 10(c))",
+    "repro/service/": "`describe()`, `enable_reclustering()`, the "
+                      "durability-driven checkpoint and the failure "
+                      "record of `QueryService`: `serve_repeat` calls "
+                      "only `sql()` and `insert()`, with durability "
+                      "off and no failing statement",
     "repro/sql/": "HAVING, DATE literals, `normalize_sql`: statement "
                   "forms no workload generates (ROADMAP 1(b), 2)",
     "repro/storage/": "`IOStats.failed_requests` and snapshots, "
