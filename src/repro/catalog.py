@@ -44,14 +44,14 @@ from .plan.compiler import CompilerOptions, QueryCompiler
 from .plan.logical import LogicalNode
 from .pruning.base import ScanSet
 from .pruning.predicate_cache import PredicateCache
-from .sql import parse_select
+from .sql import parse_select, referenced_tables
 from .sql.planner import plan_select
 from .storage.builder import (DEFAULT_ROWS_PER_PARTITION, build_table,
-                              build_table_from_columns, concat_partitions)
+                              build_table_from_columns)
 from .storage.clustering import Layout
 from .storage.column import Column
 from .storage.metadata_store import MetadataStore
-from .storage.micropartition import MicroPartition
+from .storage.micropartition import MicroPartition, concat_columns
 from .storage.storage_layer import CostModel, StorageLayer
 from .storage.table import Table
 from .types import DataType, Schema
@@ -63,13 +63,6 @@ _QUERY_COUNTER = itertools.count(1)
 
 #: shared no-op for untraced spans in the catalog's own phases
 _NO_SPAN = nullcontext(None)
-
-
-def _tables_of(stmt) -> list[str]:
-    """Lower-cased names of the tables a SELECT reads, FROM first."""
-    return list(dict.fromkeys(
-        t.lower() for t in [stmt.table.name]
-        + [j.table.name for j in stmt.joins]))
 
 
 def _span(tracer: Tracer | None, name: str, **attrs):
@@ -653,7 +646,7 @@ class Catalog:
         """
         cost = self.storage.cost_model
         width = 0
-        for name in _tables_of(stmt):
+        for name in referenced_tables(stmt):
             try:
                 width += len(self.schema_of(name))
             except SchemaError:
@@ -728,7 +721,7 @@ class Catalog:
         if not cacheable:
             plan_cache.mark_uncacheable(pq.shape_key)
             return None, stmt
-        tables = _tables_of(stmt)
+        tables = referenced_tables(stmt)
         try:
             if self._plan_cache_prune_schemas:
                 resolver, width = make_pruned_resolver(
@@ -838,7 +831,7 @@ class Catalog:
         rendered = render_plan(compiled.root)
         versions = ", ".join(
             f"{name}=v{self._table(name).version}"
-            for name in _tables_of(stmt))
+            for name in referenced_tables(stmt))
         report = f"{rendered}\n-- table versions: {versions}"
         if self.plan_cache is not None:
             from .plancache import parameterize_text
@@ -1181,7 +1174,7 @@ class Catalog:
         old_partitions = list(table.partitions)
         rebuilt = build_table_from_columns(
             table.name, table.schema,
-            concat_partitions(table.schema, old_partitions),
+            concat_columns(table.schema, old_partitions),
             rows_per_partition=rows_per_partition
             or self.rows_per_partition,
             layout=Layout.sorted_by(*keys))

@@ -23,9 +23,10 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..storage.builder import concat_partitions, cut_partitions
+from ..storage.builder import cut_partitions
 from ..storage.column import Column
-from ..storage.micropartition import MicroPartition, checked_columns
+from ..storage.micropartition import (MicroPartition, checked_columns,
+                                      concat_columns)
 from ..storage.table import Table
 from ..types import DataType, Field, Schema
 
@@ -58,7 +59,7 @@ def encode_partitions(schema: Schema,
         "ids": np.array([p.partition_id for p in partitions], np.int64),
         "rows": np.array([p.row_count for p in partitions], np.int64),
     }
-    for name, column in concat_partitions(schema, partitions).items():
+    for name, column in concat_columns(schema, partitions).items():
         values = column.values
         if column.dtype == DataType.VARCHAR:
             text = values.tolist()

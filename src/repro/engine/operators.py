@@ -117,7 +117,6 @@ class Scan(Operator):
                         if columns is not None else None)
         self.schema = (schema if columns is None
                        else schema.select(self.columns))
-        self._names = self.schema.names()
         self.scan_set = scan_set
         self.profile = profile or context.profile.new_scan(table)
         if self.profile.total_partitions == 0:
@@ -333,7 +332,7 @@ class Scan(Operator):
         profile.bytes_scanned += nbytes
         # The partitions validated these columns when they were built.
         chunk = Chunk._derived(self.schema, concat_columns(
-            loaded, self._names))
+            self.schema, loaded))
         chunk.runs = tuple(zip([p.partition_id for p in loaded], rows))
         return chunk
 

@@ -27,7 +27,7 @@ reads exactly the columns it would have read cold.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..expr import ast
 from ..sql.parser import AggCall, SelectStmt
@@ -76,7 +76,7 @@ def referenced_columns(stmt: SelectStmt) -> set[str] | None:
 
 def make_pruned_resolver(
         stmt: SelectStmt, base: SchemaResolver,
-        tables: list[str]) -> tuple[SchemaResolver, int]:
+        tables: Sequence[str]) -> tuple[SchemaResolver, int]:
     """Schema resolver restricted to the statement's referenced columns.
 
     Returns ``(resolver, width)`` where ``width`` is the total number

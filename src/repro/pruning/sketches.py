@@ -41,11 +41,12 @@ from __future__ import annotations
 import datetime
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ..expr import ast
+from ..storage.micropartition import MicroPartition, concat_columns
 from ..types import DataType, Schema, days_to_date
 from .base import PruneCategory, PruningResult, ScanSet
 from .filters import (
@@ -54,9 +55,6 @@ from .filters import (
     _FP_SEED,
     _hash64_batch,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..storage.micropartition import MicroPartition
 
 #: seed for dictionary-sketch value hashes (shared by the scalar
 #: probes and the vectorized lanes, which must agree exactly)
@@ -285,7 +283,7 @@ def normalize_member(value: Any, dtype: DataType) -> Any:
 # ---------------------------------------------------------------------------
 # Building: one pass per column over a whole batch of partitions
 # ---------------------------------------------------------------------------
-def build_sketches(partitions: Sequence["MicroPartition"], schema: Schema,
+def build_sketches(partitions: Sequence[MicroPartition], schema: Schema,
                    config: SketchConfig) -> dict[int, PartitionSketches]:
     """Every configured sketch of a batch of micro-partitions, by
     partition id.
@@ -299,30 +297,27 @@ def build_sketches(partitions: Sequence["MicroPartition"], schema: Schema,
     built = {p.partition_id: PartitionSketches() for p in partitions}
     if not partitions:
         return built
-    wanted = (None if config.columns is None
-              else {c.lower() for c in config.columns})
-    for column_field in schema:
-        name, dtype = column_field.name, column_field.dtype
-        if wanted is not None and name not in wanted:
-            continue
-        columns = [p.column(name) for p in partitions]
-        present = ~np.concatenate([c.nulls for c in columns])
-        values = np.concatenate([c.values for c in columns])[present]
-        owner = np.repeat(np.arange(len(columns)),
-                          [len(c) for c in columns])[present]
+    wanted = schema if config.columns is None else Schema(
+        f for f in schema if f.name in {c.lower() for c in config.columns})
+    count = len(partitions)
+    owners = np.repeat(np.arange(count),
+                       [p.zone_map.row_count for p in partitions])
+    for name, column in concat_columns(wanted, partitions).items():
+        dtype, present = column.dtype, ~column.nulls
+        values, owner = column.values[present], owners[present]
         if dtype == DataType.VARCHAR:
             for sketches, sketch in zip(built.values(), _ngram_sketches(
-                    values.tolist(), owner, len(columns), config)):
+                    values.tolist(), owner, count, config)):
                 if sketch is not None:
                     sketches.ngram[name] = sketch
         for sketches, sketch in zip(built.values(), _dictionary_sketches(
-                values, owner, len(columns), dtype,
+                values, owner, count, dtype,
                 config.dictionary_max_entries)):
             if sketch is not None:
                 sketches.dictionary[name] = sketch
         if dtype.is_numeric:
             for sketches, sketch in zip(built.values(), _histogram_sketches(
-                    values.astype(np.float64), owner, len(columns),
+                    values.astype(np.float64), owner, count,
                     max(1, config.histogram_buckets))):
                 if sketch is not None:
                     sketches.histogram[name] = sketch

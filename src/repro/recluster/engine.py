@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
 from ..errors import SchemaError
-from ..storage.builder import build_table_from_columns, concat_partitions
+from ..storage.builder import build_table_from_columns
 from ..storage.clustering import Layout, clustering_information
+from ..storage.micropartition import concat_columns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..catalog import Catalog
@@ -207,7 +208,7 @@ class IncrementalReclusterer:
         slice_bytes = sum(p.nbytes() for p in selected)
         rebuilt = build_table_from_columns(
             table.name, table.schema,
-            concat_partitions(table.schema, selected),
+            concat_columns(table.schema, selected),
             rows_per_partition=catalog.rows_per_partition,
             layout=Layout.sorted_by(*job.keys))
         catalog._commit_rewrite(table, selected, rebuilt.partitions,

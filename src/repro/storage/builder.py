@@ -1,10 +1,12 @@
 """Building tables out of rows or columns.
 
-Rows are transposed once and converted one column at a time, a
-:class:`~.clustering.Layout` orders them with one permutation, and the
-ordered columns are cut into micro-partitions of a target row count
-(Snowflake's are 50–500 MB; sizing by rows preserves all pruning
-behaviour) with zone maps computed one array pass per column.
+Rows are transposed and converted one column at a time, a
+:class:`~.clustering.Layout` orders them with one permutation, and each
+ordered column is copied once into the build's read-only
+:class:`~.micropartition.ColumnBlock`. Micro-partitions are row ranges
+of that block of a target row count (Snowflake's are 50–500 MB; sizing
+by rows preserves all pruning behaviour), with zone maps computed one
+array pass per column; no per-partition column is made until a read.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from ..errors import SchemaError
 from ..types import Schema
 from .clustering import Layout
 from .column import _DUMMY, Column, columns_from_rows
-from .micropartition import MicroPartition, checked_columns
+from .micropartition import ColumnBlock, MicroPartition, checked_columns
 from .table import Table
 from .zonemap import StatsBlock, ZoneMap
 
@@ -68,14 +70,6 @@ def build_table(name: str, schema: Schema, rows: Sequence[Sequence[Any]],
                                     rows_per_partition, layout)
 
 
-def concat_partitions(schema: Schema, partitions: Sequence[MicroPartition]
-                      ) -> dict[str, Column]:
-    """The partitions' columns end to end: a rewrite's input to
-    :func:`build_table_from_columns`, no value converted."""
-    return {f.name: Column.concat([p.column(f.name) for p in partitions])
-            if partitions else Column.all_null(f.dtype, 0) for f in schema}
-
-
 def build_table_from_columns(
         name: str, schema: Schema, columns: Mapping[str, Column],
         rows_per_partition: int = DEFAULT_ROWS_PER_PARTITION,
@@ -84,11 +78,12 @@ def build_table_from_columns(
 
     Names, dtypes and lengths are checked once, before any partition id
     is allocated. NULL slots are reset to their dummy values (a
-    rewritten column may hold anything there). Columns are permuted and
-    cut one at a time, so beside the partitions at most one whole
-    column is alive; each partition owns copies of its slices, so
-    dropping it frees them. Zone maps are views of one
-    :class:`~.zonemap.StatsBlock`.
+    rewritten column may hold anything there). Each column is permuted
+    or copied once into the build's read-only
+    :class:`~.micropartition.ColumnBlock`, and every partition is a row
+    range of it; so a partition that DML drops keeps the block alive
+    while any partition of the same build lives. Zone maps are views
+    of one :class:`~.zonemap.StatsBlock`.
     """
     if rows_per_partition <= 0:
         raise SchemaError("rows_per_partition must be positive")
@@ -111,25 +106,23 @@ def cut_partitions(schema: Schema, columns: dict[str, Column],
                    ) -> list[MicroPartition]:
     """Cut checked whole-table columns, popped one at a time and permuted
     by ``order`` if given, into a partition per slice from ``starts``
-    (ascending, non-empty, the last to the end), ``ids`` or fresh ones."""
+    (ascending, non-empty, the last to the end), ``ids`` or fresh ones:
+    rows of one :class:`ColumnBlock` holding one read-only copy of each
+    column."""
     n = len(next(iter(columns.values())))
-    lows = starts.tolist()
-    highs = lows[1:] + [n]  # no list of (low, high) tuples: GC-tracked
     block = StatsBlock(np.diff(starts, append=n))
-    checksums, pieces = [0] * len(lows), {}
+    checksums, owned = [0] * len(starts), {}
     for key in schema.names():
         c = columns.pop(key)
-        if order is not None:
-            c = c.take(order)
+        c = c.take(order) if order is not None else Column(
+            c.dtype, c.values.copy(), c.nulls.copy())
+        c.values.flags.writeable = c.nulls.flags.writeable = False
         block.add(key, c, starts)
         checksums = c.crc32_slices(starts, checksums)
-        pieces[key] = [Column(c.dtype, c.values[a:b].copy(),
-                              c.nulls[a:b].copy())
-                       for a, b in zip(lows, highs)]
-    ids = [None] * len(lows) if ids is None else ids
-    return [MicroPartition(
-        schema, {key: p[i] for key, p in pieces.items()},
-        partition_id=ids[i],
-        zone_map=ZoneMap(row_count, block=block, row=i),
-        checksum=checksums[i], checked=True)
-        for i, row_count in enumerate(block.row_counts.tolist())]
+        owned[key] = c
+    data = ColumnBlock(owned, np.append(starts, n).tolist())
+    ids = [None] * len(starts) if ids is None else ids
+    return [MicroPartition.of_block(
+        schema, data, i, ids[i], ZoneMap(row_count, block=block, row=i),
+        checksums[i]) for i, row_count in enumerate(
+            block.row_counts.tolist())]

@@ -10,6 +10,7 @@ three-valued logic is implemented on top of the masks in
 from __future__ import annotations
 
 import datetime
+from operator import itemgetter
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -38,7 +39,7 @@ _BULK_TYPES = {
 class Column:
     """An immutable, typed vector of SQL values with a null mask."""
 
-    __slots__ = ("dtype", "values", "nulls", "_nbytes")
+    __slots__ = ("dtype", "values", "nulls")
 
     def __init__(self, dtype: DataType, values: np.ndarray, nulls: np.ndarray):
         if len(values) != len(nulls):
@@ -46,7 +47,6 @@ class Column:
         self.dtype = dtype
         self.values = values
         self.nulls = nulls
-        self._nbytes: int | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -221,17 +221,23 @@ class Column:
                                               bounds[1:])]
 
     def nbytes(self) -> int:
-        """Approximate in-memory size, used by the storage cost model
-        (computed once): a VARCHAR column counts the code points of its
-        non-NULL values plus one per row."""
-        if self._nbytes is None:
-            if self.dtype == DataType.VARCHAR:
-                payload = sum(map(len, self.values[~self.nulls].tolist()))
-                self._nbytes = payload + len(self)  # + per-row offsets
-            else:
-                self._nbytes = (int(self.values.nbytes)
-                                + int(self.nulls.nbytes))
-        return self._nbytes
+        """Approximate in-memory size, used by the storage cost model: a
+        VARCHAR column counts the code points of its non-NULL values
+        plus one per row (its offset), a fixed-width one its buffers."""
+        return self.range_nbytes([0, len(self)])[0]
+
+    def range_nbytes(self, bounds: Sequence[int]) -> list[int]:
+        """:meth:`nbytes` of each row range ``bounds[i]:bounds[i + 1]``,
+        in one pass."""
+        sizes = np.ones(len(self) + 1, np.int64)
+        sizes[0] = 0
+        if self.dtype == DataType.VARCHAR:
+            present = ~self.nulls
+            sizes[1:][present] += np.fromiter(
+                map(len, self.values[present].tolist()), np.int64)
+        else:
+            sizes[1:] += self.values.itemsize
+        return np.diff(sizes.cumsum()[bounds]).tolist()
 
     def __repr__(self) -> str:
         preview = self.to_pylist()[:6]
@@ -263,12 +269,12 @@ def column_from_values(items: Iterable[Any],
 
 def columns_from_rows(schema: Schema, rows: Sequence[Sequence[Any]]
                       ) -> dict[str, Column]:
-    """Row tuples in schema order as columns: one transpose, then one
-    :meth:`Column.from_pylist` per column."""
+    """Row tuples in schema order as columns, transposed and converted
+    one column at a time (one :meth:`Column.from_pylist` each)."""
     wrong = set(map(len, rows)) - {len(schema)}
     if wrong:
         raise SchemaError(
             f"row has {min(wrong)} values, schema has {len(schema)}")
-    transposed = zip(*rows) if rows else [()] * len(schema)
-    return {f.name: Column.from_pylist(f.dtype, values)
-            for f, values in zip(schema, transposed)}
+    return {f.name: Column.from_pylist(f.dtype, list(map(itemgetter(i),
+                                                          rows)))
+            for i, f in enumerate(schema)}

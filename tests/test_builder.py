@@ -12,6 +12,9 @@ min / max) and checksums. Recluster, WAL replay and error behaviour are
 compared the same way. The last section keeps what the stats block
 replaced as references: one ``ColumnStats`` per slice, the stats
 index's zone-map-at-a-time packing and the value-at-a-time checksum.
+The row-built partitions also stand as the per-partition reference for
+the build's column block: rows, sizes, checksums and zone maps of
+block-backed partitions, before and after a codec round trip.
 """
 
 from __future__ import annotations
@@ -27,15 +30,16 @@ import pytest
 from hypothesis import given, settings
 
 from repro import Catalog, Layout
+from repro.durability.codec import decode_partitions, encode_partitions
 from repro.errors import SchemaError
 from repro.recluster import IncrementalReclusterer, ReclusterJob
 from repro.pruning import stats_index as si
 from repro.pruning.stats_index import StatsIndex
 from repro.storage.builder import (TableBuilder, build_table,
-                                   build_table_from_columns,
-                                   concat_partitions)
+                                   build_table_from_columns)
 from repro.storage.column import _DUMMY, Column
-from repro.storage.micropartition import MicroPartition, partition_id_generator
+from repro.storage.micropartition import (MicroPartition, concat_columns,
+                                          partition_id_generator)
 from repro.storage.table import Table
 from repro.storage.zonemap import ColumnStats, ZoneMap
 from repro.types import DataType, Field, Schema
@@ -639,7 +643,7 @@ class TestStatsBlockDifferential:
         # packing read the block, never a zone map's stats
         assert all(p.zone_map._stats is None for p in partitions)
         assert_index_equals_loop(index, schema.names())
-        columns = concat_partitions(schema, partitions)
+        columns = concat_columns(schema, partitions)
         starts = [0]
         for p in partitions[:-1]:
             starts.append(starts[-1] + p.row_count)
@@ -716,3 +720,149 @@ class TestBuildChecksOnce:
         with pytest.raises(SchemaError):
             build_table_from_columns("t", self.SCHEMA, columns, 1)
         assert partition_id_generator._next == before
+
+
+# ----------------------------------------------------------------------
+# Partitions are row ranges of one column block per build
+# ----------------------------------------------------------------------
+def rule_nbytes(column: Column) -> int:
+    """``Column.nbytes``'s documented rule, value by value."""
+    if column.dtype == DataType.VARCHAR:
+        return len(column) + sum(
+            len(v) for v, null in zip(column.values.tolist(),
+                                      column.nulls.tolist()) if not null)
+    return len(column) * (column.values.itemsize + 1)
+
+
+def assert_block_equals_reference(product, reference):
+    """Block-backed ``product`` against per-partition ``reference``:
+    rows, sizes, checksums and zone maps."""
+    assert_same_partitions(product, reference)
+    for got, want in zip(product, reference):
+        names = want.schema.names()
+        assert repr(got.to_rows()) == repr(want.to_rows())
+        assert got.checksum == got.compute_checksum() == want.checksum
+        sizes = {n: rule_nbytes(want.column(n)) for n in names}
+        assert got.nbytes() == want.nbytes() == sum(sizes.values())
+        for n in names:
+            assert got.project_bytes([n]) == sizes[n]
+        assert got.project_bytes(names[::-1]) == sum(sizes.values())
+        got.verify_integrity()
+
+
+class TestColumnBlock:
+    @settings(max_examples=200, deadline=None)
+    @given(builds())
+    def test_block_partitions_equal_the_per_partition_reference(self, case):
+        """NULLs, NUL suffixes and lone surrogates come from the strategy;
+        so do layouts, whose permutation makes the block's one copy."""
+        schema, rows, rows_per_partition, layout = case
+        product = build_table("t", schema, rows, rows_per_partition,
+                              layout).partitions
+        assert len({id(p._block) for p in product}) <= 1
+        assert all(p._columns is None for p in product)
+        reference = row_build_table("t", schema, rows, rows_per_partition,
+                                    layout).partitions
+        assert_block_equals_reference(product, reference)
+        decoded = decode_partitions(schema,
+                                    encode_partitions(schema, product))
+        assert [p.partition_id for p in decoded] == \
+            [p.partition_id for p in product]
+        assert len({id(p._block) for p in decoded}) <= 1
+        assert_block_equals_reference(decoded, reference)
+
+    def test_special_values_sketch_and_scan_through_the_block(self):
+        schema = Schema.of(a=DataType.INTEGER, s=DataType.VARCHAR)
+        rows = [(i, [None, "a\x00", "\ud800", "x\x00\x00", "é"][i % 5])
+                for i in range(40)]
+        catalog = Catalog(rows_per_partition=4)
+        catalog.create_table_from_rows("t", schema, rows,
+                                       layout=Layout.sorted_by("s"))
+        reference = row_build_table("t", schema, rows, 4,
+                                    Layout.sorted_by("s")).partitions
+        product = catalog.tables["t"].partitions
+        assert_block_equals_reference(product, reference)
+        assert sorted(catalog.sql("SELECT a, s FROM t").rows,
+                      key=repr) == sorted(rows, key=repr)
+        assert catalog.sql(
+            "SELECT count(*) AS c FROM t WHERE s = 'a\x00'").rows == [(8,)]
+
+    def table(self):
+        schema = Schema.of(a=DataType.INTEGER, s=DataType.VARCHAR)
+        return build_table("t", schema, [(i, str(i)) for i in range(30)],
+                           5)
+
+    def test_adjacent_partitions_concatenate_to_views(self):
+        table = self.table()
+        block = table.partitions[0]._block
+        for low, high in ((0, 6), (1, 3), (2, 5)):
+            got = concat_columns(table.schema, table.partitions[low:high])
+            for name, column in got.items():
+                whole = block.columns[name]
+                assert np.shares_memory(column.values, whole.values)
+                assert np.shares_memory(column.nulls, whole.nulls)
+                a, b = block.bounds[low], block.bounds[high]
+                assert column.values.tolist() == whole.values[a:b].tolist()
+        # a batch of adjacent partitions makes no per-partition view
+        assert all(p._columns is None for p in table.partitions[1:])
+
+    def test_other_batches_concatenate(self):
+        table, other = self.table(), self.table()
+        for batch in ([table.partitions[0], table.partitions[2]],
+                      table.partitions[3:1:-1],
+                      [table.partitions[5], other.partitions[0]],
+                      [table.partitions[0], other.partitions[1]],
+                      [table.partitions[4], table.partitions[4]]):
+            got = concat_columns(table.schema, batch)
+            for name, column in got.items():
+                want = Column.concat([p.column(name) for p in batch])
+                assert column.values.tolist() == want.values.tolist()
+                assert column.nulls.tolist() == want.nulls.tolist()
+                assert not np.shares_memory(
+                    column.values, batch[0]._block.columns[name].values)
+
+    def test_empty_batch_is_empty_columns(self):
+        schema = Schema.of(a=DataType.INTEGER, s=DataType.VARCHAR)
+        got = concat_columns(schema, [])
+        assert [(n, c.dtype, len(c)) for n, c in got.items()] == \
+            [("a", DataType.INTEGER, 0), ("s", DataType.VARCHAR, 0)]
+
+    def test_a_loaded_column_is_read_only(self):
+        catalog = Catalog(rows_per_partition=5)
+        catalog.create_table_from_rows(
+            "t", Schema.of(a=DataType.INTEGER, s=DataType.VARCHAR),
+            [(i, "x") for i in range(20)])
+        pid = catalog.tables["t"].partition_ids[1]
+        column = catalog.storage.load(pid).column("a")
+        with pytest.raises(ValueError):
+            column.values[0] = 99
+        with pytest.raises(ValueError):
+            column.nulls[0] = True
+        whole = concat_columns(catalog.tables["t"].schema,
+                               catalog.tables["t"].partitions)["s"]
+        with pytest.raises(ValueError):
+            whole.values[0] = "y"
+        assert catalog.sql("SELECT sum(a) AS s FROM t").rows == [(190,)]
+
+    @pytest.mark.parametrize("sql", ["DELETE FROM t WHERE a = 7",
+                                     "UPDATE t SET a = 70 WHERE a = 7"])
+    def test_a_rewrite_leaves_its_siblings_intact(self, sql):
+        catalog = Catalog(rows_per_partition=5)
+        rows = [(i, f"s{i}") for i in range(30)]
+        catalog.create_table_from_rows(
+            "t", Schema.of(a=DataType.INTEGER, s=DataType.VARCHAR), rows)
+        before = {p.partition_id: p.to_rows()
+                  for p in catalog.tables["t"].partitions}
+        catalog.sql(sql)
+        after = catalog.tables["t"].partitions
+        kept = [p for p in after if p.partition_id in before]
+        assert len(kept) == len(before) - 1
+        for p in kept:
+            assert p.to_rows() == before[p.partition_id]
+            p.verify_integrity()
+        (new,) = [p for p in after if p.partition_id not in before]
+        want = [(70, "s7")] if sql.startswith("UPDATE") else []
+        assert new.to_rows() == [(5, "s5"), (6, "s6")] + want + \
+            [(8, "s8"), (9, "s9")]
+        assert sorted(r for p in after for r in p.to_rows()) == sorted(
+            [r for r in rows if r[0] != 7] + want)

@@ -909,6 +909,36 @@ class TestNoPerPartitionObjects:
         assert large["call"] <= 1.1 * small["call"], (small, large)
 
 
+class TestBuildMakesNoPerPartitionColumns:
+    """A build copies each column once into its block and cuts
+    partitions as row ranges of it: the ``Column`` objects made while
+    creating a table do not grow with its partition count."""
+
+    @staticmethod
+    def columns_made(partitions, monkeypatch):
+        made = 0
+        init = Column.__init__
+
+        def counting(self, *args):
+            nonlocal made
+            made += 1
+            init(self, *args)
+
+        rows = [(i, float(i % 13), STRINGS[i % len(STRINGS)])
+                for i in range(10 * partitions)]
+        catalog = Catalog(rows_per_partition=10)
+        with monkeypatch.context() as patch:
+            patch.setattr(Column, "__init__", counting)
+            catalog.create_table_from_rows("t", SCHEMA, rows)
+        assert catalog.tables["t"].num_partitions == partitions
+        return made
+
+    def test_column_inits_do_not_grow_with_partitions(self, monkeypatch):
+        small = self.columns_made(1_000, monkeypatch)
+        assert small <= 3 * len(SCHEMA), small
+        assert self.columns_made(10_000, monkeypatch) == small
+
+
 class TestResultCacheHitCalls:
     """A ``QueryService`` result-cache hit is one token pass and
     dictionary lookups: no parse, no plan, no compile. Its Python-level
@@ -941,9 +971,10 @@ class TestResultCacheHitCalls:
 
 
 class TestBuildAllocations:
-    """A build allocates lanes, not objects: per partition, its three
-    columns, their dict, the partition and its zone-map view stay
-    alive, and no ``ColumnStats`` until something reads one."""
+    """A build allocates lanes, not objects: per partition, only the
+    partition and its zone-map view stay alive (its columns are row
+    ranges of the build's block until a read), and no ``ColumnStats``
+    until something reads one."""
 
     SCHEMA = Schema.of(a=DataType.INTEGER, v=DataType.DOUBLE,
                        s=DataType.VARCHAR)
@@ -963,10 +994,10 @@ class TestBuildAllocations:
         assert table.num_partitions == partitions
         return alive
 
-    def test_at_most_six_tracked_objects_per_partition(self):
+    def test_at_most_two_tracked_objects_per_partition(self):
         self.alive_after_build(20)  # first-call caches
         for partitions in (400, 4000):
-            assert self.alive_after_build(partitions) <= 6 * partitions + 20
+            assert self.alive_after_build(partitions) <= 2 * partitions + 20
 
     def test_needle_warm_up_materialises_no_column_stats(self):
         def column_stats():

@@ -17,7 +17,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 #: the most lines ``src/`` may hold
-CEILING = 20359
+CEILING = 20399
 
 
 def count_lines(root: Path) -> int:
